@@ -1,49 +1,20 @@
-"""Fast-core backend selection.
+"""Flat-array kernels behind the interval and version structures.
 
-``repro._fastcore`` exports the flat-array kernels that back
-:mod:`repro.core.intervals` and :mod:`repro.core.versions`.  Two
-implementations exist with bit-for-bit identical semantics:
+``repro._fastcore`` exports the kernels in :mod:`repro._fastcore.kernels`
+that back :mod:`repro.core.intervals` and :mod:`repro.core.versions`.
+There is one implementation, in pure Python; the differential test suites
+pin it against the object-level algebra and a naive version-chain model.
 
-- :mod:`repro._fastcore.kernels` — pure Python, always available, and the
-  reference the differential test suites pin against;
-- ``repro._fastcore._kernels_c`` — a hand-written CPython extension built
-  by ``python setup.py build_ext --inplace`` (the build is marked
-  optional, so a missing compiler degrades to pure Python).
-
-Selection happens once at import:
-
-- ``REPRO_FASTCORE=0`` forces the pure-Python backend;
-- anything else (including unset) tries the compiled module and silently
-  falls back to pure Python if the import fails.
-
-``BACKEND`` names the winner (``"c"`` or ``"pure"``) for benchmarks, CI
-logs, and the dual-backend differential tests.
+``BACKEND`` names that implementation (always ``"pure"``) for benchmark
+records.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import kernels as _pure
+from .kernels import (iv_contains, iv_intersect, iv_normalize, iv_subtract,
+                      iv_union, vc_floor)
 
 __all__ = ["BACKEND", "iv_contains", "iv_intersect", "iv_normalize",
            "iv_subtract", "iv_union", "vc_floor"]
 
 BACKEND = "pure"
-
-if os.environ.get("REPRO_FASTCORE", "") != "0":
-    try:
-        from . import _kernels_c as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "c"
-    except ImportError:
-        _impl = _pure
-else:
-    _impl = _pure
-
-iv_contains = _impl.iv_contains
-iv_intersect = _impl.iv_intersect
-iv_normalize = _impl.iv_normalize
-iv_subtract = _impl.iv_subtract
-iv_union = _impl.iv_union
-vc_floor = _impl.vc_floor

@@ -1,11 +1,9 @@
 """Pure-Python fast-core kernels over flat interval/version arrays.
 
-This module is the **reference backend** of :mod:`repro._fastcore`: every
-function here has a compiled twin in ``_kernels_c`` (a hand-written CPython
-extension) with bit-for-bit identical semantics, and the differential
-hypothesis suites (``tests/core/test_intervals_fastpath.py``,
-``tests/core/test_versions_model.py``) pin the two against each other and
-against the original object-based algebra.
+This module is the one implementation behind :mod:`repro._fastcore`; the
+differential hypothesis suites (``tests/core/test_intervals_fastpath.py``,
+``tests/core/test_versions_model.py``) pin it against the original
+object-based algebra and a naive version-chain model.
 
 Representation
 --------------
@@ -40,9 +38,7 @@ ubiquitous ``new_state != old_state`` checks in the lock table an identity
 comparison.
 
 Numeric domain: timestamp values are clock readings (floats, or small ints
-in tests).  The compiled backend compares values as C doubles, so integer
-values must stay within the 2**53 exact-double range — every producer in
-the repo does.
+in tests).
 """
 
 from __future__ import annotations

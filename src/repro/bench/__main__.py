@@ -9,7 +9,6 @@ Usage::
     python -m repro.bench fig1 --seeds 1 2 3 --out results/
     python -m repro.bench fig4 --workers 4    # one figure, 4 worker procs
     python -m repro.bench smoke           # batched-vs-unbatched CI check
-    python -m repro.bench micro           # fast-core kernel microbenchmark
     python -m repro.bench engine          # threaded striped-engine bench
     python -m repro.bench chaos           # seeded fault-injection check
     python -m repro.bench overload        # graceful-degradation ramp
@@ -782,17 +781,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("figure",
                         choices=sorted(FIGURES) + ["fig6", "fig7", "all",
                                                    "figures", "smoke",
-                                                   "micro",
                                                    "engine", "chaos",
                                                    "overload", "failover",
                                                    "selfheal",
                                                    "scenario", "policies"],
                         help="which figure to regenerate ('figures' = all "
                              "figures, intended with --workers; or: 'smoke' "
-                             "= batched-vs-unbatched outcome check, 'micro' "
-                             "= seeded fast-core kernel microbenchmark "
-                             "(interval algebra + version-chain bisects, "
-                             "ops/s for the active backend), 'engine' "
+                             "= batched-vs-unbatched outcome check, 'engine' "
                              "= threaded striped-engine throughput, 'chaos' "
                              "= seeded fault-injection safety/liveness "
                              "check, 'overload' = graceful-degradation "
@@ -825,9 +820,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.figure == "smoke":
         return run_smoke(seed=args.seeds[0])
-    if args.figure == "micro":
-        from .micro import run_micro
-        return run_micro(seed=args.seeds[0] if args.seeds != [1] else 2026)
     if args.figure == "engine":
         return run_engine_bench()
     if args.figure == "chaos":

@@ -19,14 +19,14 @@ comparisons with no epsilon fudging and no unrepresentable "open gaps".
 
 Representation: an :class:`IntervalSet` stores its pieces as one **flat
 tuple of scalars**, four per piece — ``(lo_v, lo_p, hi_v, hi_p, ...)`` — and
-the set algebra runs in the :mod:`repro._fastcore` kernels (pure Python or
-the compiled extension, selected at import) without allocating a single
-:class:`TsInterval`/``Timestamp`` on the hot path.  ``TsInterval`` remains
-the boundary type: the :attr:`IntervalSet.pieces` view materializes (and
-caches) interval objects on demand, so policies, locks, and dist messages
-are untouched.  The kernels reuse operand tuples when a result equals an
-operand, which this module maps back to the operand *set* object — making
-"did the lock state change?" an ``is``-level comparison downstream.
+the set algebra runs in the :mod:`repro._fastcore` kernels without
+allocating a single :class:`TsInterval`/``Timestamp`` on the hot path.
+``TsInterval`` remains the boundary type: the :attr:`IntervalSet.pieces`
+view materializes (and caches) interval objects on demand, so policies,
+locks, and dist messages are untouched.  The kernels reuse operand tuples
+when a result equals an operand, which this module maps back to the operand
+*set* object — making "did the lock state change?" an ``is``-level
+comparison downstream.
 
 Classes
 -------

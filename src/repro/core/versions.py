@@ -14,9 +14,9 @@ does this; the DES server installs in a single event and never needs it).
 
 Representation: a chain is three **parallel arrays** — timestamp values
 (``ts_v``), timestamp pids (``ts_p``), and the values — so every lookup is
-one lexicographic bisect over scalars (:func:`repro._fastcore.vc_floor`, the
-shared pure/compiled kernel) with no ``Timestamp`` comparisons on the hot
-path.  ``Timestamp``/:class:`Version` remain the API boundary: lookups
+one lexicographic bisect over scalars (:func:`repro._fastcore.vc_floor`)
+with no ``Timestamp`` comparisons on the hot path.
+``Timestamp``/:class:`Version` remain the API boundary: lookups
 rematerialize them from the stored scalar objects, which are the exact
 objects callers passed in, so values, reprs, and snapshots round-trip
 unchanged.

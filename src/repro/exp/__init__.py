@@ -13,7 +13,7 @@ grid order, so a parallel sweep is byte-identical to a serial one:
 * :mod:`repro.exp.bench` — machine-readable ``BENCH_<n>.json`` perf
   records (schema-validated) so future PRs have a perf trajectory;
 * ``python -m repro.exp`` — CLI that runs the reference benchmark grid and
-  emits ``BENCH_5.json``.
+  emits a BENCH record.
 
 Determinism argument (DESIGN.md §5d): a cell's outcome is a pure function
 of its :class:`~repro.dist.cluster.ClusterConfig` (all randomness flows

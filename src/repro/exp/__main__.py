@@ -2,14 +2,16 @@
 
 Usage::
 
-    python -m repro.exp --workers 2 --out BENCH_5.json
+    python -m repro.exp --workers 2            # writes bench-figure.json
     python -m repro.exp --workers 8 --compare-serial   # record speedup too
+    python -m repro.exp --out BENCH_11.json --bench-name BENCH_11
 
 Quick mode (the default) runs the reference Figure-1-style grid (protocol x
 concurrency x seed) plus one fixed single-process hot-path cell; ``--full``
 widens the grid.  The emitted document validates against
-:func:`repro.exp.bench.validate_bench` and is committed to the repo as one
-point of the perf trajectory.
+:func:`repro.exp.bench.validate_bench`.  Without ``--out`` the record goes
+to ``bench-<mode>.json`` in the current directory — never onto a committed
+``BENCH_<n>.json``; name one explicitly to add a record to the repo.
 """
 
 from __future__ import annotations
@@ -18,49 +20,55 @@ import argparse
 import sys
 import time
 
-from .bench import (check_trajectory, format_trajectory, load_trajectory,
-                    make_bench_doc, write_bench)
+from .bench import make_bench_doc, write_bench
 from .grid import (derive_seeds, failover_grid, figure_grid, policy_grid,
                    reference_cell, scenario_grid, selfheal_grid)
 from .harness import print_progress, run_cells
 
+#: Flags that swap the figure grid for a mode-specific one.
+MODES = ("failover", "selfheal", "scenarios", "policies")
 
-def main(argv: list[str] | None = None) -> int:
+
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse the command line and fill the mode-derived defaults.
+
+    An unset ``--bench-name`` / ``--out`` becomes ``bench-<mode>`` /
+    ``bench-<mode>.json``, so an unnamed run never lands on a committed
+    ``BENCH_<n>.json`` record.
+    """
     parser = argparse.ArgumentParser(
         prog="python -m repro.exp",
         description="Run the reference benchmark grid and emit BENCH JSON.")
     parser.add_argument("--workers", type=int, default=2,
                         help="worker processes (0 = inline, default 2)")
-    parser.add_argument("--out", default="BENCH_5.json",
-                        help="output path (default BENCH_5.json)")
-    parser.add_argument("--bench-name", default="BENCH_5",
-                        help="bench record name (default BENCH_5)")
+    parser.add_argument("--out", default=None,
+                        help="output path (default bench-<mode>.json)")
+    parser.add_argument("--bench-name", default=None,
+                        help="bench record name (default bench-<mode>: "
+                             "bench-figure, bench-failover, ...)")
     parser.add_argument("--full", action="store_true",
                         help="widen the grid (more clients, more seeds)")
     parser.add_argument("--failover", action="store_true",
                         help="run the replication/failover grid instead of "
                              "the figure grid and record failover latency, "
-                             "goodput dip and the lost-commits audit "
-                             "(default output BENCH_6.json)")
+                             "goodput dip and the lost-commits audit")
     parser.add_argument("--selfheal", action="store_true",
                         help="run the self-healing replication grid instead "
                              "of the figure grid and record anti-entropy "
                              "resync latencies, recruitment, the refusal-"
                              "reason breakdown and the lost-commits audit "
-                             "under compound chaos (default output "
-                             "BENCH_9.json)")
+                             "under compound chaos")
     parser.add_argument("--scenarios", action="store_true",
                         help="run the workload-zoo scenario grid instead of "
                              "the figure grid and record per-scenario "
                              "outcomes, generated mixes and invariant "
-                             "status (default output BENCH_7.json)")
+                             "status")
     parser.add_argument("--policies", action="store_true",
                         help="run the policy-arena grid instead of the "
                              "figure grid: every scenario under the "
                              "adaptive selector, its fixed constituents "
                              "and the Bohm baseline, plus Bohm-under-"
-                             "link-faults validation cells (default "
-                             "output BENCH_8.json)")
+                             "link-faults validation cells")
     parser.add_argument("--root-seed", type=int, default=2026,
                         help="root seed the per-cell seeds derive from")
     parser.add_argument("--compare-serial", action="store_true",
@@ -69,64 +77,33 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--skip-hot-path", action="store_true",
                         help="skip the single-process hot-path reference "
                              "cell")
-    parser.add_argument("--baseline-hotpath-wall-s", type=float, default=None,
-                        help="pre-optimization wall seconds of the hot-path "
-                             "reference cell (for recording the speedup)")
-    parser.add_argument("--report", action="store_true",
-                        help="run nothing: load the committed BENCH_*.json "
-                             "records, print the perf-trajectory table, and "
-                             "fail if the reference cell's events_per_s "
-                             "ever regressed between records")
-    parser.add_argument("--report-root", default=".",
-                        help="directory holding the BENCH_*.json records "
-                             "(default: current directory)")
     args = parser.parse_args(argv)
-
-    if args.report:
-        docs = load_trajectory(args.report_root)
-        if not docs:
-            print(f"[repro.exp] no BENCH_*.json under {args.report_root}",
-                  file=sys.stderr)
-            return 1
-        print(format_trajectory(docs))
-        failures = check_trajectory(docs)
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        print("trajectory: " + ("FAILED" if failures else "ok"))
-        return 1 if failures else 0
-
-    if sum((args.failover, args.selfheal, args.scenarios,
-            args.policies)) > 1:
+    chosen = [mode for mode in MODES if getattr(args, mode)]
+    if len(chosen) > 1:
         parser.error("--failover, --selfheal, --scenarios and --policies "
                      "are mutually exclusive")
+    mode = chosen[0] if chosen else "figure"
+    if args.bench_name is None:
+        args.bench_name = f"bench-{mode}"
+    if args.out is None:
+        args.out = f"bench-{mode}.json"
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(argv)
     if args.selfheal:
-        if args.out == "BENCH_5.json":
-            args.out = "BENCH_9.json"
-        if args.bench_name == "BENCH_5":
-            args.bench_name = "BENCH_9"
         [seed] = derive_seeds(args.root_seed, 1)
         cells = selfheal_grid(seed=seed,
                               measure=4.5 if args.full else 3.5)
     elif args.failover:
-        if args.out == "BENCH_5.json":
-            args.out = "BENCH_6.json"
-        if args.bench_name == "BENCH_5":
-            args.bench_name = "BENCH_6"
         [seed] = derive_seeds(args.root_seed, 1)
         cells = failover_grid(seed=seed,
                               measure=3.0 if args.full else 2.5)
     elif args.scenarios:
-        if args.out == "BENCH_5.json":
-            args.out = "BENCH_7.json"
-        if args.bench_name == "BENCH_5":
-            args.bench_name = "BENCH_7"
         [seed] = derive_seeds(args.root_seed, 1)
         cells = scenario_grid(seed=seed)
     elif args.policies:
-        if args.out == "BENCH_5.json":
-            args.out = "BENCH_8.json"
-        if args.bench_name == "BENCH_5":
-            args.bench_name = "BENCH_8"
         [seed] = derive_seeds(args.root_seed, 1)
         cells = policy_grid(seed=seed)
     elif args.full:
@@ -190,10 +167,6 @@ def main(argv: list[str] | None = None) -> int:
             "events_per_s": round(hp.events_per_s, 1),
             "commits_per_s": round(hp.commits_per_s, 1),
         }
-        if args.baseline_hotpath_wall_s is not None and hp.wall_s > 0:
-            hot_path["baseline_wall_s"] = args.baseline_hotpath_wall_s
-            hot_path["speedup_vs_baseline"] = round(
-                args.baseline_hotpath_wall_s / hp.wall_s, 3)
 
     doc = make_bench_doc(args.bench_name, outcomes, args.workers,
                          hot_path=hot_path, parallel=parallel)

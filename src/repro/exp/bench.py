@@ -40,17 +40,10 @@ from typing import Any, Sequence
 
 from .harness import CellOutcome
 
-__all__ = ["REFERENCE_CELL_KEY", "SCHEMA_VERSION", "check_trajectory",
-           "format_trajectory", "load_trajectory", "make_bench_doc",
-           "reference_events_per_s", "validate_bench", "write_bench"]
+__all__ = ["SCHEMA_VERSION", "make_bench_doc", "validate_bench",
+           "write_bench"]
 
 SCHEMA_VERSION = 1
-
-#: The perf-trajectory anchor: one MVTO figure-grid cell that every
-#: figure-grid BENCH record contains (protocol, clients, derived seed).
-#: Mode-specific records (failover, scenarios, ...) run different grids and
-#: simply don't carry it; the trajectory check skips them.
-REFERENCE_CELL_KEY = ["mvto", 30, 479243620]
 
 
 def _host_metadata() -> dict:
@@ -179,73 +172,3 @@ def write_bench(doc: dict, path: str | Path) -> Path:
     path = Path(path)
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path
-
-
-# -- perf trajectory across committed BENCH records --------------------------
-
-def load_trajectory(root: str | Path = ".") -> list[tuple[int, dict]]:
-    """All committed ``BENCH_<n>.json`` under ``root``, validated, by n."""
-    root = Path(root)
-    docs = []
-    for path in root.glob("BENCH_*.json"):
-        stem = path.stem.split("_", 1)[1]
-        if not stem.isdigit():
-            continue
-        doc = json.loads(path.read_text())
-        validate_bench(doc)
-        docs.append((int(stem), doc))
-    docs.sort(key=lambda item: item[0])
-    return docs
-
-
-def reference_events_per_s(doc: dict) -> float | None:
-    """``events_per_s`` of the reference cell, or None if this record's
-    grid doesn't carry it (mode-specific BENCH runs)."""
-    for cell in doc["cells"]:
-        if cell["key"] == REFERENCE_CELL_KEY and cell["ok"]:
-            return float(cell["events_per_s"])
-    return None
-
-
-def check_trajectory(docs: "list[tuple[int, dict]]") -> list[str]:
-    """Failure messages if the reference-cell rate ever regresses.
-
-    The reference cell's ``events_per_s`` must be monotone-nondecreasing
-    across the BENCH records that carry it, in BENCH-number order — the
-    committed trajectory only moves forward.  A trajectory with fewer than
-    two comparable points is vacuous and also fails.
-    """
-    failures: list[str] = []
-    points = [(n, reference_events_per_s(doc)) for n, doc in docs]
-    points = [(n, rate) for n, rate in points if rate is not None]
-    if len(points) < 2:
-        failures.append(
-            f"trajectory is vacuous: {len(points)} BENCH record(s) carry "
-            f"the reference cell {REFERENCE_CELL_KEY}; need >= 2")
-    for (prev_n, prev_rate), (n, rate) in zip(points, points[1:]):
-        if rate < prev_rate:
-            failures.append(
-                f"reference-cell events_per_s regressed: BENCH_{n} "
-                f"{rate:,.1f} < BENCH_{prev_n} {prev_rate:,.1f}")
-    return failures
-
-
-def format_trajectory(docs: "list[tuple[int, dict]]") -> str:
-    """ASCII table of the committed perf trajectory (all BENCH records)."""
-    lines = [f"{'record':>10s} {'cells':>6s} {'failed':>7s} "
-             f"{'total ev/s':>12s} {'ref-cell ev/s':>14s} {'vs prev':>8s}"]
-    prev = None
-    for n, doc in docs:
-        ref = reference_events_per_s(doc)
-        if ref is None:
-            ref_s, delta_s = "-", "-"
-        else:
-            ref_s = f"{ref:,.1f}"
-            delta_s = "-" if prev is None else f"{ref / prev:.2f}x"
-            prev = ref
-        totals = doc["totals"]
-        lines.append(f"{doc['bench']:>10s} {totals['cells']:>6d} "
-                     f"{totals['failed']:>7d} "
-                     f"{totals['events_per_s']:>12,.1f} "
-                     f"{ref_s:>14s} {delta_s:>8s}")
-    return "\n".join(lines)

@@ -1,5 +1,5 @@
 """Property tests: single-interval fast paths vs the general path, and the
-flat-array kernels vs the object-level reference — on *both* backends.
+flat-array kernels vs the object-level reference.
 
 The PR-5 hot-path work gave :class:`IntervalSet` dedicated branches for the
 ubiquitous one-piece case (and for raw :class:`TsInterval` operands).
@@ -7,35 +7,18 @@ These tests pin them to reference implementations of the original
 general/normalized algorithms on randomized inputs, so the fast paths can
 never drift from the semantics they shortcut.
 
-The fast-core work then moved the algebra onto flat quad tuples with two
-interchangeable kernel implementations (``repro._fastcore.kernels`` pure
-Python, ``repro._fastcore._kernels_c`` compiled).  Every kernel property
-here runs parametrized over both: the compiled backend must agree with the
-pure one — and both with the object-level reference — input for input.
-The compiled parametrization skips cleanly when the extension isn't built.
+The fast-core work then moved the algebra onto flat quad tuples
+(``repro._fastcore.kernels``).  Every kernel must agree with the
+object-level reference input for input.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given
 
-from repro._fastcore import kernels as pure_kernels
+from repro._fastcore import kernels
 from repro.core.intervals import EMPTY_SET, IntervalSet, TsInterval, ts_succ
 from tests.conftest import interval_sets, intervals, timestamps
-
-try:
-    from repro._fastcore import _kernels_c as c_kernels
-except ImportError:  # extension not built: pure-only environment
-    c_kernels = None
-
-BACKENDS = [
-    pytest.param(pure_kernels, id="pure"),
-    pytest.param(c_kernels, id="c",
-                 marks=pytest.mark.skipif(
-                     c_kernels is None,
-                     reason="compiled fast-core backend not built")),
-]
 
 
 # -- reference implementations (the pre-fast-path general algorithms) --------
@@ -149,64 +132,44 @@ class TestEmptyIdentities:
         assert a.union(a) == a
 
 
-# -- flat kernels, both backends, vs the object-level reference --------------
+# -- flat kernels vs the object-level reference ------------------------------
 
-@pytest.mark.parametrize("backend", BACKENDS)
-class TestKernelBackends:
-    """Each kernel must match the reference algorithms on both backends.
+class TestKernels:
+    """Each kernel must match the reference algorithms.
 
     The reference side goes through :class:`IntervalSet` piece objects (the
     pre-flat semantics); the kernel side operates on raw ``.flat`` quads.
-    Equality of the resulting flats is exact tuple equality — the
-    byte-identity contract the dual-backend CI job enforces end to end.
+    Equality of the resulting flats is exact tuple equality.
     """
 
     @given(interval_sets(), interval_sets())
-    def test_intersect(self, backend, a, b):
-        assert backend.iv_intersect(a.flat, b.flat) == ref_intersect(a, b).flat
+    def test_intersect(self, a, b):
+        assert kernels.iv_intersect(a.flat, b.flat) == ref_intersect(a, b).flat
 
     @given(interval_sets(), interval_sets())
-    def test_union(self, backend, a, b):
-        assert backend.iv_union(a.flat, b.flat) == ref_union(a, b).flat
+    def test_union(self, a, b):
+        assert kernels.iv_union(a.flat, b.flat) == ref_union(a, b).flat
 
     @given(interval_sets(), interval_sets())
-    def test_subtract(self, backend, a, b):
-        assert backend.iv_subtract(a.flat, b.flat) == ref_subtract(a, b).flat
+    def test_subtract(self, a, b):
+        assert kernels.iv_subtract(a.flat, b.flat) == ref_subtract(a, b).flat
 
     @given(interval_sets(), timestamps())
-    def test_contains(self, backend, a, ts):
+    def test_contains(self, a, ts):
         want = any(piece.contains(ts) for piece in a.pieces)
-        assert backend.iv_contains(a.flat, ts.value, ts.pid) == want
+        assert kernels.iv_contains(a.flat, ts.value, ts.pid) == want
 
     @given(interval_sets(), interval_sets())
-    def test_normalize(self, backend, a, b):
+    def test_normalize(self, a, b):
         # Feeding both sets' quads, interleaved and unsorted, must
         # renormalize to exactly the union's flat.
         quads = []
         for flat in (b.flat, a.flat):
             for i in range(0, len(flat), 4):
                 quads.append(tuple(flat[i:i + 4]))
-        assert backend.iv_normalize(quads) == ref_union(a, b).flat
+        assert kernels.iv_normalize(quads) == ref_union(a, b).flat
 
     @given(interval_sets())
-    def test_normalize_idempotent(self, backend, a):
+    def test_normalize_idempotent(self, a):
         quads = [tuple(a.flat[i:i + 4]) for i in range(0, len(a.flat), 4)]
-        assert backend.iv_normalize(quads) == a.flat
-
-
-@pytest.mark.skipif(c_kernels is None,
-                    reason="compiled fast-core backend not built")
-class TestCompiledMatchesPure:
-    """Direct c-vs-pure agreement (no reference in the middle)."""
-
-    @given(interval_sets(), interval_sets())
-    def test_binary_ops(self, a, b):
-        for name in ("iv_intersect", "iv_union", "iv_subtract"):
-            got = getattr(c_kernels, name)(a.flat, b.flat)
-            want = getattr(pure_kernels, name)(a.flat, b.flat)
-            assert got == want, name
-
-    @given(interval_sets(), timestamps())
-    def test_contains(self, a, ts):
-        assert (c_kernels.iv_contains(a.flat, ts.value, ts.pid)
-                == pure_kernels.iv_contains(a.flat, ts.value, ts.pid))
+        assert kernels.iv_normalize(quads) == a.flat

@@ -6,8 +6,8 @@ docstrings describe — a dict of sorted ``(Timestamp, value)`` lists with a
 per-key purge floor — maintained with ``bisect`` over Timestamp tuples and
 no cleverness.  Random operation sequences must keep the two in lockstep.
 
-The ``vc_floor`` kernel itself is additionally pinned, on both backends,
-to ``bisect.bisect_left`` over the materialized (value, pid) pairs.
+The ``vc_floor`` kernel itself is additionally pinned to
+``bisect.bisect_left`` over the materialized (value, pid) pairs.
 """
 
 from __future__ import annotations
@@ -18,22 +18,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro._fastcore import kernels as pure_kernels
+from repro._fastcore import vc_floor
 from repro.core.timestamp import BOTTOM, TS_ZERO, Timestamp
 from repro.core.versions import VersionStore
-
-try:
-    from repro._fastcore import _kernels_c as c_kernels
-except ImportError:  # extension not built: pure-only environment
-    c_kernels = None
-
-BACKENDS = [
-    pytest.param(pure_kernels, id="pure"),
-    pytest.param(c_kernels, id="c",
-                 marks=pytest.mark.skipif(
-                     c_kernels is None,
-                     reason="compiled fast-core backend not built")),
-]
 
 KEYS = ("a", "b", "c")
 
@@ -147,13 +134,12 @@ class TestAgainstNaiveModel:
             assert got.ts == max(below)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestVcFloorKernel:
     @given(st.lists(timestamps, unique=True), timestamps)
-    def test_bisect_left(self, backend, chain, probe):
+    def test_bisect_left(self, chain, probe):
         chain = sorted(chain)
         ts_v = [t.value for t in chain]
         ts_p = [t.pid for t in chain]
         want = bisect_left([(t.value, t.pid) for t in chain],
                            (probe.value, probe.pid))
-        assert backend.vc_floor(ts_v, ts_p, probe.value, probe.pid) == want
+        assert vc_floor(ts_v, ts_p, probe.value, probe.pid) == want
