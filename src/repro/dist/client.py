@@ -26,7 +26,6 @@ commitment object.
 from __future__ import annotations
 
 from itertools import count
-from types import SimpleNamespace
 from typing import Any, Generator, Hashable
 
 import numpy as np
@@ -53,7 +52,41 @@ from .partition import Partition
 _PID_MIN = -(2**31)
 
 __all__ = ["BaseClient", "BohmClient", "CircuitBreaker", "MVTILClient",
-           "MVTOClient", "TwoPLClient"]
+           "MVTOClient", "TwoPLClient", "Tx"]
+
+
+class Tx:
+    """Coordinator-side record of one transaction attempt (all protocols).
+
+    ``begin`` creates one per attempt and every client op takes it.  The
+    constructor fills what every protocol uses; a protocol's ``begin`` sets
+    its own fields and leaves the others' unset (reading one raises
+    ``AttributeError``, as a typo would).
+    """
+
+    __slots__ = (
+        "id", "deadline", "priority", "aborted", "abort_reason", "committed",
+        "readset", "writeset", "touched", "epochs",
+        # MVTIL: the shrinking interval, group fencing, snapshot mode.
+        "interval", "group_epochs", "snapshot_ts",
+        # MVTO+: the single timestamp, servers holding point write locks.
+        "ts", "write_servers",
+        # 2PL: keys locked so far.
+        "locked_keys",
+    )
+
+    def __init__(self, id: tuple, deadline: float | None,
+                 priority: bool) -> None:
+        self.id = id
+        self.deadline = deadline
+        self.priority = priority
+        self.aborted = False
+        self.abort_reason: AbortReason | None = None
+        self.committed = False
+        self.readset: list[tuple[Hashable, Timestamp]] = []
+        self.writeset: dict[Hashable, Any] = {}
+        self.touched: set[Hashable] = set()
+        self.epochs: dict[Hashable, int] = {}
 
 
 class CircuitBreaker:
@@ -192,7 +225,7 @@ class BaseClient:
     # -- messaging ------------------------------------------------------------
 
     def _on_message(self, msg: Any) -> None:
-        if not isinstance(msg, Reply) and self._handle_oob(msg):
+        if not msg.is_reply and self._handle_oob(msg):
             return
         self.mailbox.deliver(msg)
 
@@ -203,7 +236,7 @@ class BaseClient:
         broadcast that lands in the mailbox while an RPC is pending is still
         processed instead of being silently dropped.
         """
-        if isinstance(msg, ClockBroadcast):
+        if msg.__class__ is ClockBroadcast:
             # Timestamp-service effect 2 (§8.1): slow clocks advance to T.
             # T is also the stability frontier snapshot reads lock onto:
             # no transaction can begin below it once every clock is
@@ -271,7 +304,7 @@ class BaseClient:
         """
         base = timeout if timeout is not None else self.rpc_timeout
         attempts = 1 + (retries if retries is not None else self.rpc_retries)
-        msg_deadline = getattr(msg, "deadline", None)
+        msg_deadline = msg.deadline
         breaker = self._breaker_for(server)
         sent = False
         for attempt in range(attempts):
@@ -291,11 +324,11 @@ class BaseClient:
                 reply = yield Recv(self.mailbox, timeout=remaining)
                 if reply is RECV_TIMEOUT:
                     break
-                if not isinstance(reply, Reply):
+                if not reply.is_reply:
                     self._handle_oob(reply)
                     continue
                 if reply.req_id == msg.req_id:
-                    if isinstance(reply, OverloadedReply):
+                    if reply.__class__ is OverloadedReply:
                         self.stats["overloaded"] += 1
                         if breaker is not None:
                             breaker.record_failure(self.sim.now)
@@ -333,7 +366,7 @@ class BaseClient:
         contacted: set[Hashable] = set()
         msg_deadline: float | None = None
         for msg in msgs.values():
-            d = getattr(msg, "deadline", None)
+            d = msg.deadline
             if d is not None:
                 msg_deadline = d if msg_deadline is None else min(
                     msg_deadline, d)
@@ -358,7 +391,7 @@ class BaseClient:
                 reply = yield Recv(self.mailbox, timeout=remaining)
                 if reply is RECV_TIMEOUT:
                     break
-                if not isinstance(reply, Reply):
+                if not reply.is_reply:
                     self._handle_oob(reply)
                     continue
                 if reply.req_id in wanted:
@@ -366,7 +399,7 @@ class BaseClient:
                     del pending[server]
                     replies[server] = reply
                     breaker = self._breaker_for(server)
-                    if isinstance(reply, OverloadedReply):
+                    if reply.__class__ is OverloadedReply:
                         self.stats["overloaded"] += 1
                         if breaker is not None:
                             breaker.record_failure(self.sim.now)
@@ -391,8 +424,7 @@ class BaseClient:
             return None
         return self.sim.now + self.tx_budget
 
-    def _check_deadline(self, tx: SimpleNamespace
-                        ) -> Generator[Any, Any, None]:
+    def _check_deadline(self, tx: Tx) -> Generator[Any, Any, None]:
         """Abort (releasing locks) once the transaction's deadline passed.
 
         Called at the top of data-path ops: a late transaction stops
@@ -402,8 +434,7 @@ class BaseClient:
         if tx.deadline is not None and self.sim.now >= tx.deadline:
             yield from self._fail(tx, AbortReason.DEADLINE_EXCEEDED)
 
-    def _timeout_reason(self, tx: SimpleNamespace,
-                        default: AbortReason) -> AbortReason:
+    def _timeout_reason(self, tx: Tx, default: AbortReason) -> AbortReason:
         """Abort reason for an unanswered RPC: deadline-aware.
 
         If the transaction's deadline expired while the RPC waited (or
@@ -415,7 +446,7 @@ class BaseClient:
             return AbortReason.DEADLINE_EXCEEDED
         return default
 
-    def _expect(self, tx: SimpleNamespace, reply: Reply | None,
+    def _expect(self, tx: Tx, reply: Reply | None,
                 timeout_reason: AbortReason) -> Generator[Any, Any, Reply]:
         """Abort on the two overload outcomes of an RPC; pass the rest.
 
@@ -428,12 +459,11 @@ class BaseClient:
         if reply is None:
             yield from self._fail(tx, self._timeout_reason(
                 tx, timeout_reason))
-        if isinstance(reply, OverloadedReply):
+        if reply.__class__ is OverloadedReply:
             yield from self._fail(tx, AbortReason.OVERLOADED)
         return reply
 
-    def _admit(self, tx: SimpleNamespace,
-               server: Hashable) -> Generator[Any, Any, None]:
+    def _admit(self, tx: Tx, server: Hashable) -> Generator[Any, Any, None]:
         """Admission control: refuse new work against a tripped server.
 
         Critical transactions bypass the gate entirely — Theorem 3's
@@ -453,7 +483,7 @@ class BaseClient:
 
     # -- epoch fencing -----------------------------------------------------
 
-    def _check_epoch(self, tx: SimpleNamespace, server: Hashable,
+    def _check_epoch(self, tx: Tx, server: Hashable,
                      epoch: int) -> Generator[Any, Any, None]:
         """Abort if ``server`` restarted since this tx first talked to it.
 
@@ -467,8 +497,7 @@ class BaseClient:
         if first != epoch:
             yield from self._fail(tx, AbortReason.SERVER_RESTART)
 
-    def _validate_epochs(self, tx: SimpleNamespace
-                         ) -> Generator[Any, Any, None]:
+    def _validate_epochs(self, tx: Tx) -> Generator[Any, Any, None]:
         """Pre-commit epoch round: confirm no touched server restarted.
 
         One EpochReq per touched server, fanned out in parallel.  Under the
@@ -481,7 +510,7 @@ class BaseClient:
                                  deadline=tx.deadline, critical=tx.priority)
                 for server in sorted(tx.touched, key=str)}
         replies = yield from self._rpc_many(reqs)
-        if any(isinstance(r, OverloadedReply) for r in replies.values()):
+        if any(r.__class__ is OverloadedReply for r in replies.values()):
             yield from self._fail(tx, AbortReason.OVERLOADED)
         if len(replies) < len(reqs):
             yield from self._fail(tx, self._timeout_reason(
@@ -491,8 +520,7 @@ class BaseClient:
 
     # -- group-epoch fencing (replication) ---------------------------------
 
-    def _check_group(self, tx: SimpleNamespace,
-                     key: Hashable) -> Generator[Any, Any, None]:
+    def _check_group(self, tx: Tx, key: Hashable) -> Generator[Any, Any, None]:
         """Abort if ``key``'s group failed over since this tx first used it.
 
         The group analogue of :meth:`_check_epoch`: a promotion bumps the
@@ -509,8 +537,7 @@ class BaseClient:
         if first != epoch:
             yield from self._fail(tx, AbortReason.REPLICATION_QUORUM)
 
-    def _validate_groups(self, tx: SimpleNamespace
-                         ) -> Generator[Any, Any, None]:
+    def _validate_groups(self, tx: Tx) -> Generator[Any, Any, None]:
         """Pre-commit fence: no touched group failed over mid-transaction."""
         if self.replication <= 1:
             return
@@ -520,13 +547,13 @@ class BaseClient:
 
     # -- bookkeeping -------------------------------------------------------------
 
-    def _begin_record(self, tx: SimpleNamespace) -> None:
+    def _begin_record(self, tx: Tx) -> None:
         if self.history is not None:
             self.history.record_begin(tx.id)
         if self.tracer.enabled:
             self.tracer.begin(tx.id, pid=self.pid)
 
-    def _abort(self, tx: SimpleNamespace, reason: str) -> None:
+    def _abort(self, tx: Tx, reason: str) -> None:
         reason = AbortReason.of(reason)
         tx.aborted = True
         tx.abort_reason = reason
@@ -595,7 +622,7 @@ class MVTILClient(BaseClient):
             self.name).critical_delta_factor
 
     def begin(self, priority: bool = False,
-              read_only: bool = False) -> SimpleNamespace:
+              read_only: bool = False) -> Tx:
         now = self.clock.now()
         # Critical transactions get a wider interval — more timestamps to
         # survive shrinking, the finite-delta analogue of MVTL-Prio's
@@ -614,19 +641,17 @@ class MVTILClient(BaseClient):
         if (read_only and self.follower_reads and self.replication > 1
                 and self._snap_floor > 0.0):
             snapshot_ts = Timestamp(self._snap_floor, _PID_MIN)
-        tx = SimpleNamespace(
-            id=(self.client_id, next(self._tx_counter)),
-            interval=IntervalSet.from_interval(interval),
-            readset=[], writeset={}, touched=set(), epochs={},
-            group_epochs={}, snapshot_ts=snapshot_ts,
-            deadline=self._tx_deadline(), priority=priority,
-            aborted=False, abort_reason=None)
+        tx = Tx((self.client_id, next(self._tx_counter)),
+                self._tx_deadline(), priority)
+        tx.interval = IntervalSet.from_interval(interval)
+        tx.group_epochs = {}
+        tx.snapshot_ts = snapshot_ts
         self._begin_record(tx)
         return tx
 
     # Each op is a simulation coroutine; drive with ``yield from``.
 
-    def read(self, tx: SimpleNamespace, key: Hashable) -> Generator[Any, Any, Any]:
+    def read(self, tx: Tx, key: Hashable) -> Generator[Any, Any, Any]:
         if key in tx.writeset:
             return tx.writeset[key]
         if tx.snapshot_ts is not None:
@@ -657,7 +682,7 @@ class MVTILClient(BaseClient):
         reply = yield from self._rpc(server, req,
                                      timeout=self.read_timeout, retries=0,
                                      breaker_timeouts=False)
-        if reply is None or isinstance(reply, OverloadedReply):
+        if reply is None or reply.__class__ is OverloadedReply:
             yield from self._expect(tx, reply,
                                     AbortReason.READ_LOCK_TIMEOUT)
         if reply.tr is None:
@@ -677,7 +702,7 @@ class MVTILClient(BaseClient):
             self.history.record_read(tx.id, key, reply.tr)
         return reply.value
 
-    def _snapshot_read(self, tx: SimpleNamespace,
+    def _snapshot_read(self, tx: Tx,
                        key: Hashable) -> Generator[Any, Any, Any]:
         """Lock-free read at the locked frontier timestamp (§5e).
 
@@ -703,7 +728,7 @@ class MVTILClient(BaseClient):
                                   key=key, ts=ts, deadline=tx.deadline,
                                   critical=tx.priority)
             reply = yield from self._rpc(server, req)
-            if (reply is None or isinstance(reply, OverloadedReply)
+            if (reply is None or reply.__class__ is OverloadedReply
                     or not reply.ok):
                 self.stats["snapshot_fallbacks"] += 1
                 continue
@@ -718,7 +743,7 @@ class MVTILClient(BaseClient):
             return reply.value
         yield from self._fail(tx, AbortReason.READ_FAILED)
 
-    def write(self, tx: SimpleNamespace, key: Hashable,
+    def write(self, tx: Tx, key: Hashable,
               value: Any) -> Generator[Any, Any, None]:
         if tx.snapshot_ts is not None:
             raise TypeError("snapshot (read-only) transactions cannot write")
@@ -749,7 +774,7 @@ class MVTILClient(BaseClient):
             self.registry.set_decision_point(tx.id, server)
         requested = tx.interval
         reply = yield from self._rpc(server, req)
-        if reply is None or isinstance(reply, OverloadedReply):
+        if reply is None or reply.__class__ is OverloadedReply:
             yield from self._expect(tx, reply, AbortReason.RPC_TIMEOUT)
         if tx.epochs.setdefault(server, reply.epoch) != reply.epoch:
             yield from self._fail(tx, AbortReason.SERVER_RESTART)
@@ -763,7 +788,7 @@ class MVTILClient(BaseClient):
             yield from self._fail(tx, AbortReason.INTERVAL_EMPTY)
         tx.writeset[key] = value
 
-    def commit(self, tx: SimpleNamespace) -> Generator[Any, Any, bool]:
+    def commit(self, tx: Tx) -> Generator[Any, Any, bool]:
         if tx.snapshot_ts is not None:
             # Read-only snapshot transaction: it took no locks and wrote
             # nothing, so there is nothing to decide or send — it commits
@@ -807,8 +832,7 @@ class MVTILClient(BaseClient):
             self.tracer.commit(tx.id, ts=ts)
         return True
 
-    def _batch_write_locks(self, tx: SimpleNamespace
-                           ) -> Generator[Any, Any, None]:
+    def _batch_write_locks(self, tx: Tx) -> Generator[Any, Any, None]:
         """Deferred write-lock pass: one MVTLBatchLockReq per server.
 
         All batches fly in parallel (:meth:`_rpc_many`), so the whole pass
@@ -835,7 +859,7 @@ class MVTILClient(BaseClient):
                                             deadline=tx.deadline,
                                             critical=tx.priority)
         replies = yield from self._rpc_many(reqs)
-        if any(isinstance(r, OverloadedReply) for r in replies.values()):
+        if any(r.__class__ is OverloadedReply for r in replies.values()):
             # A saturated server shed the batch; _fail releases whatever
             # the other servers did install.
             yield from self._fail(tx, AbortReason.OVERLOADED)
@@ -866,7 +890,7 @@ class MVTILClient(BaseClient):
                         grants.append((key, tx.writeset[key], got))
             yield from self._mirror_write_locks(tx, grants)
 
-    def _mirror_write_locks(self, tx: SimpleNamespace,
+    def _mirror_write_locks(self, tx: Tx,
                             grants: list) -> Generator[Any, Any, None]:
         """Quorum write mirroring: ship leader-granted locks to followers.
 
@@ -899,7 +923,7 @@ class MVTILClient(BaseClient):
         replies = yield from self._rpc_many(reqs)
         for server in sorted(replies, key=str):
             reply = replies[server]
-            if not isinstance(reply, OverloadedReply):
+            if reply.__class__ is not OverloadedReply:
                 yield from self._check_epoch(tx, server, reply.epoch)
         need = write_quorum(self.replication)
         for gid in sorted(group_followers):
@@ -907,7 +931,7 @@ class MVTILClient(BaseClient):
             for server in group_followers[gid]:
                 reply = replies.get(server)
                 if (reply is not None
-                        and not isinstance(reply, OverloadedReply)
+                        and reply.__class__ is not OverloadedReply
                         and getattr(reply, "mirrored", False)):
                     acks += 1
             if acks < need:
@@ -927,7 +951,7 @@ class MVTILClient(BaseClient):
             return self.partition.members(self.partition.group_of(key))
         return (self.server_of(key),)
 
-    def _send_commit(self, tx: SimpleNamespace, ts: Timestamp,
+    def _send_commit(self, tx: Tx, ts: Timestamp,
                      release: bool = True) -> Generator[Any, Any, None]:
         """Alg. 11 commit tail + gc, batched per server (per member when
         replicated).
@@ -986,8 +1010,7 @@ class MVTILClient(BaseClient):
         if len(replies) < len(reqs):
             self.stats["fanout_unacked"] += len(reqs) - len(replies)
 
-    def _fail(self, tx: SimpleNamespace,
-              reason: str) -> Generator[Any, Any, None]:
+    def _fail(self, tx: Tx, reason: str) -> Generator[Any, Any, None]:
         """Abort: agree on the outcome, release our locks everywhere.
 
         No consensus round is needed on this path: we release our locks
@@ -1021,22 +1044,20 @@ class MVTOClient(BaseClient):
         self.batch_commit = batch_commit
 
     def begin(self, priority: bool = False,
-              read_only: bool = False) -> SimpleNamespace:
+              read_only: bool = False) -> Tx:
         # read_only is accepted for interface uniformity; MVTO+ has no
         # snapshot-read path (reads already never wait on read locks).
         # MVTO+ has no protocol-level shield for criticals (that is the
         # paper's point, Theorem 3) — but they still ride the overload
         # machinery: priority service class, never shed, admission bypass.
-        tx = SimpleNamespace(
-            id=(self.client_id, next(self._tx_counter)),
-            ts=Timestamp(self.clock.now(), self.pid),
-            readset=[], writeset={}, touched=set(), write_servers=set(),
-            epochs={}, deadline=self._tx_deadline(), priority=priority,
-            aborted=False, abort_reason=None)
+        tx = Tx((self.client_id, next(self._tx_counter)),
+                self._tx_deadline(), priority)
+        tx.ts = Timestamp(self.clock.now(), self.pid)
+        tx.write_servers = set()
         self._begin_record(tx)
         return tx
 
-    def read(self, tx: SimpleNamespace, key: Hashable) -> Generator[Any, Any, Any]:
+    def read(self, tx: Tx, key: Hashable) -> Generator[Any, Any, Any]:
         if key in tx.writeset:
             return tx.writeset[key]
         # The guards below are _check_deadline/_admit/_expect/_check_epoch
@@ -1053,7 +1074,7 @@ class MVTOClient(BaseClient):
                           deadline=tx.deadline, critical=tx.priority)
         tx.touched.add(server)
         reply = yield from self._rpc(server, req)
-        if reply is None or isinstance(reply, OverloadedReply):
+        if reply is None or reply.__class__ is OverloadedReply:
             yield from self._expect(tx, reply, AbortReason.RPC_TIMEOUT)
         if reply.tr is None:
             yield from self._fail(tx, AbortReason.PURGED_VERSION)
@@ -1066,7 +1087,7 @@ class MVTOClient(BaseClient):
             self.tracer.read(tx.id, key, ts=reply.tr)
         return reply.value
 
-    def write(self, tx: SimpleNamespace, key: Hashable,
+    def write(self, tx: Tx, key: Hashable,
               value: Any) -> Generator[Any, Any, None]:
         tx.writeset[key] = value  # lock only at commit (like MVTL-TO)
         if self.tracer.enabled:
@@ -1074,7 +1095,7 @@ class MVTOClient(BaseClient):
         return
         yield  # pragma: no cover - generator for interface uniformity
 
-    def commit(self, tx: SimpleNamespace) -> Generator[Any, Any, bool]:
+    def commit(self, tx: Tx) -> Generator[Any, Any, bool]:
         point = IntervalSet.point(tx.ts)
         if self.batch_commit and tx.writeset:
             yield from self._batch_commit_locks(tx, point)
@@ -1093,7 +1114,7 @@ class MVTOClient(BaseClient):
                                        deadline=tx.deadline,
                                        critical=tx.priority)
                 reply = yield from self._rpc(server, req)
-                if reply is None or isinstance(reply, OverloadedReply):
+                if reply is None or reply.__class__ is OverloadedReply:
                     yield from self._expect(tx, reply,
                                             AbortReason.RPC_TIMEOUT)
                 if tx.epochs.setdefault(server, reply.epoch) != reply.epoch:
@@ -1132,7 +1153,7 @@ class MVTOClient(BaseClient):
             self.tracer.commit(tx.id, ts=tx.ts)
         return True
 
-    def _batch_commit_locks(self, tx: SimpleNamespace, point: IntervalSet
+    def _batch_commit_locks(self, tx: Tx, point: IntervalSet
                             ) -> Generator[Any, Any, None]:
         """Commit-time point write locks, one batch message per server.
 
@@ -1158,7 +1179,7 @@ class MVTOClient(BaseClient):
                                             deadline=tx.deadline,
                                             critical=tx.priority)
         replies = yield from self._rpc_many(reqs)
-        if any(isinstance(r, OverloadedReply) for r in replies.values()):
+        if any(r.__class__ is OverloadedReply for r in replies.values()):
             yield from self._fail(tx, AbortReason.OVERLOADED)
         if len(replies) < len(reqs):
             # Partial grant: _fail write-releases on every write server,
@@ -1179,8 +1200,7 @@ class MVTOClient(BaseClient):
         if refused:
             yield from self._fail(tx, AbortReason.WRITE_CONFLICT)
 
-    def _fail(self, tx: SimpleNamespace,
-              reason: str) -> Generator[Any, Any, None]:
+    def _fail(self, tx: Tx, reason: str) -> Generator[Any, Any, None]:
         if self.consensus is None:
             self.registry.get(tx.id).propose(ABORT)
         for server in sorted(tx.write_servers, key=str):
@@ -1230,17 +1250,15 @@ class TwoPLClient(BaseClient):
                             self.rtt_multiple * self._rtt_ewma))
 
     def begin(self, priority: bool = False,
-              read_only: bool = False) -> SimpleNamespace:
+              read_only: bool = False) -> Tx:
         # read_only: interface uniformity only (2PL has no snapshot path).
-        tx = SimpleNamespace(
-            id=(self.client_id, next(self._tx_counter)),
-            readset=[], writeset={}, locked_keys=set(),
-            deadline=self._tx_deadline(), priority=priority,
-            aborted=False, abort_reason=None)
+        tx = Tx((self.client_id, next(self._tx_counter)),
+                self._tx_deadline(), priority)
+        tx.locked_keys = set()
         self._begin_record(tx)
         return tx
 
-    def read(self, tx: SimpleNamespace, key: Hashable) -> Generator[Any, Any, Any]:
+    def read(self, tx: Tx, key: Hashable) -> Generator[Any, Any, Any]:
         if key in tx.writeset:
             return tx.writeset[key]
         reply = yield from self._lock(tx, key, write=False)
@@ -1251,14 +1269,14 @@ class TwoPLClient(BaseClient):
             self.tracer.read(tx.id, key, ts=reply.version_ts)
         return reply.value
 
-    def write(self, tx: SimpleNamespace, key: Hashable,
+    def write(self, tx: Tx, key: Hashable,
               value: Any) -> Generator[Any, Any, None]:
         yield from self._lock(tx, key, write=True)
         tx.writeset[key] = value
         if self.tracer.enabled:
             self.tracer.write(tx.id, key)
 
-    def _lock(self, tx: SimpleNamespace, key: Hashable,
+    def _lock(self, tx: Tx, key: Hashable,
               write: bool) -> Generator[Any, Any, Any]:
         yield from self._check_deadline(tx)
         server = self.server_of(key)
@@ -1281,7 +1299,7 @@ class TwoPLClient(BaseClient):
             # release everything (the server drops our queued request too).
             yield from self._fail(tx, self._timeout_reason(
                 tx, AbortReason.LOCK_TIMEOUT))
-        if isinstance(reply, OverloadedReply):
+        if reply.__class__ is OverloadedReply:
             yield from self._fail(tx, AbortReason.OVERLOADED)
         self._observe_rtt(self.sim.now - sent_at)
         if self.tracer.enabled:
@@ -1289,7 +1307,7 @@ class TwoPLClient(BaseClient):
                                      rtt=self.sim.now - sent_at)
         return reply
 
-    def commit(self, tx: SimpleNamespace) -> Generator[Any, Any, bool]:
+    def commit(self, tx: Tx) -> Generator[Any, Any, bool]:
         commit_ts = Timestamp(self.sim.now, self.pid)
         by_server: dict[Hashable, tuple[dict, list]] = {}
         # Sorted: locked_keys is a set; see the MVTIL commit fan-out.
@@ -1313,8 +1331,7 @@ class TwoPLClient(BaseClient):
         return True
         yield  # pragma: no cover
 
-    def _fail(self, tx: SimpleNamespace,
-              reason: str) -> Generator[Any, Any, None]:
+    def _fail(self, tx: Tx, reason: str) -> Generator[Any, Any, None]:
         by_server: dict[Hashable, list] = {}
         for key in sorted(tx.locked_keys, key=str):
             by_server.setdefault(self.server_of(key), []).append(key)
@@ -1348,10 +1365,8 @@ class BohmClient(BaseClient):
         Raises :class:`TransactionAborted` otherwise, like
         :func:`repro.workload.runner.run_tx`.
         """
-        tx = SimpleNamespace(
-            id=(self.client_id, next(self._tx_counter)),
-            deadline=self._tx_deadline(), priority=spec.critical,
-            touched=set(), aborted=False, abort_reason=None)
+        tx = Tx((self.client_id, next(self._tx_counter)),
+                self._tx_deadline(), spec.critical)
         # Single sequencer: every key routes to the same server, so any
         # key (or none) picks it.
         server = self.partition.servers[0]
@@ -1370,8 +1385,7 @@ class BohmClient(BaseClient):
                               or AbortReason.USER_ABORT)
         return False  # pragma: no cover - _fail always raises
 
-    def _fail(self, tx: SimpleNamespace,
-              reason: str) -> Generator[Any, Any, None]:
+    def _fail(self, tx: Tx, reason: str) -> Generator[Any, Any, None]:
         # No locks anywhere and no commitment object: the sequencer is the
         # single authority, so failing is purely client-local bookkeeping.
         self._abort(tx, reason)

@@ -10,6 +10,7 @@ the full history for serializability checking.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -350,7 +351,38 @@ class ClusterResult:
 
 
 def run_cluster(config: ClusterConfig) -> ClusterResult:
-    """Build the simulated deployment described by ``config`` and run it."""
+    """Build the simulated deployment described by ``config`` and run it.
+
+    CPython's cycle collector is paused for exactly the span of the run.
+    A run's live state (versions, frozen locks, reply caches, heap entries)
+    is hundreds of thousands of tracked objects that reference counting
+    already frees; the generational collector re-traverses them hundreds of
+    times per run and finds nothing
+    (``tests/integration/test_gc_quiet.py`` keeps it that way).  Restored,
+    never forced: a caller that had the collector disabled gets it back
+    disabled, untouched.
+
+    The *finished* cluster is one cyclic blob, and reclaiming it is not
+    part of the run: the re-enable is the last thing this function does,
+    so the first tracked allocation after it — the caller's — runs the
+    young collection that frees the blob.  Back-to-back calls with no
+    allocation in between would stack blobs up, so the young generation is
+    collected before pausing: a few hundred objects (microseconds) unless
+    the previous run's blob is still waiting (DESIGN.md §5d, "Collector
+    pause").
+    """
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.collect(0)
+        gc.disable()
+    try:
+        return _run_cluster(config)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _run_cluster(config: ClusterConfig) -> ClusterResult:
     wall_start = time.perf_counter()
     sim = Simulator()
     rngs = RngFactory(config.seed)

@@ -26,7 +26,7 @@ from ..core.intervals import IntervalSet
 from ..core.timestamp import Timestamp
 
 __all__ = [
-    "Request", "Reply", "OverloadedReply", "SHEDDABLE_REQUESTS",
+    "Message", "Request", "Reply", "OverloadedReply", "SHEDDABLE_REQUESTS",
     "MVTLReadReq", "MVTLReadReply",
     "MVTLWriteLockReq", "MVTLWriteLockReply",
     "MVTLBatchLockReq", "MVTLBatchLockReply",
@@ -43,8 +43,30 @@ __all__ = [
 ]
 
 
+class Message:
+    """Root of everything on the wire: the class-level routing flags.
+
+    Servers and clients classify every message they receive (dedup or
+    not, RPC reply or out-of-band, sheddable or not, carries a deadline or
+    not).  These are properties of the message *class*, so they are class
+    attributes read with one attribute load — not ``isinstance`` /
+    ``getattr`` calls made several times per message on the hot path.
+    """
+
+    __slots__ = ()
+
+    #: A :class:`Request`: deduplicated by ``(client, req_id)`` and answered.
+    is_request = False
+    #: A :class:`Reply`: belongs in a client's RPC mailbox.
+    is_reply = False
+    #: Listed in :data:`SHEDDABLE_REQUESTS` (set below, next to the list).
+    sheddable = False
+    #: Only requests carry a deadline (their dataclass field shadows this).
+    deadline = None
+
+
 @dataclass(unsafe_hash=True, slots=True)
-class Request:
+class Request(Message):
     """Base: fields common to every client->server request.
 
     ``deadline`` is the transaction's *absolute* deadline (simulated
@@ -58,6 +80,8 @@ class Request:
     guarantee, carried into the distributed layer).
     """
 
+    is_request = True
+
     tx_id: Hashable
     client: Hashable
     req_id: int
@@ -66,8 +90,10 @@ class Request:
 
 
 @dataclass(unsafe_hash=True, slots=True)
-class Reply:
+class Reply(Message):
     """Base: every server->client reply echoes the request id."""
+
+    is_reply = True
 
     req_id: int
 
@@ -385,7 +411,7 @@ class HeartbeatReply(Reply):
 
 
 @dataclass(unsafe_hash=True, slots=True)
-class SyncPoke:
+class SyncPoke(Message):
     """Failover-controller nudge driving anti-entropy (DESIGN.md §5h).
 
     Not a :class:`Request`: the controller fires one per tick at each dirty
@@ -446,7 +472,7 @@ class SyncDelta(Reply):
 
 
 @dataclass(unsafe_hash=True, slots=True)
-class SyncDone:
+class SyncDone(Message):
     """Follower -> controller: a recruitment sync session finished.
 
     Re-sent on every later poke for the same completed session, so a lost
@@ -495,7 +521,7 @@ class PurgeReq(Request):
 
 
 @dataclass(unsafe_hash=True, slots=True)
-class ClockBroadcast:
+class ClockBroadcast(Message):
     """Timestamp-service broadcast to clients: advance your clock to ``t``."""
 
     t: float = 0.0
@@ -526,3 +552,5 @@ class DecisionReply(Reply):
 #: locks until the write-lock timeout (or, for 2PL, forever).
 SHEDDABLE_REQUESTS = (MVTLReadReq, MVTLWriteLockReq, MVTLBatchLockReq,
                       EpochReq, TwoPLLockReq)
+for _cls in SHEDDABLE_REQUESTS:
+    _cls.sheddable = True

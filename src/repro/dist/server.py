@@ -64,7 +64,7 @@ from ..repl.checkpoint import DurableStore
 from ..repl.placement import group_index
 from ..baselines.bohm import BohmEngine
 from .commitment import ABORT, CommitmentRegistry
-from .messages import (SHEDDABLE_REQUESTS, BohmSubmitReply, BohmSubmitReq,
+from .messages import (BohmSubmitReply, BohmSubmitReq,
                        CommitAck, CommitReq, EpochReply, EpochReq,
                        FreezeReadReq, FreezeWriteReq, GcReq, HeartbeatReply,
                        HeartbeatReq, MVTLBatchLockReply, MVTLBatchLockReq,
@@ -167,9 +167,10 @@ class _ServerBase:
 
     # -- overload control --------------------------------------------------
 
-    @staticmethod
-    def _unwrap(msg: Any) -> Any:
-        return msg.req if isinstance(msg, _Resubmit) else msg
+    # The service queue calls these hooks for every message: they read the
+    # wire classes' routing flags (messages.Message) and unwrap the
+    # _Resubmit envelope by exact type, inline — no isinstance/getattr or
+    # helper calls.
 
     def _request_class(self, msg: Any) -> int:
         """Queue class: 0 = critical/control (never shed), 1 = sheddable.
@@ -179,15 +180,15 @@ class _ServerBase:
         class 0: they free locks and slots — shedding them would turn
         overload into leaked state.
         """
-        req = self._unwrap(msg)
-        if isinstance(req, SHEDDABLE_REQUESTS) and not req.critical:
+        req = msg.req if msg.__class__ is _Resubmit else msg
+        if req.sheddable and not req.critical:
             return 1
         return 0
 
     def _request_expired(self, msg: Any) -> bool:
         """Deadline check at the head of the queue (stale-work drop)."""
-        req = self._unwrap(msg)
-        deadline = getattr(req, "deadline", None)
+        req = msg.req if msg.__class__ is _Resubmit else msg
+        deadline = req.deadline
         if deadline is None or self.sim.now <= deadline:
             return False
         self.stats["expired"] += 1
@@ -201,9 +202,9 @@ class _ServerBase:
         circuit breaker) instead of burning an RPC timeout against a queue
         that would never have reached its request.
         """
-        req = self._unwrap(msg)
+        req = msg.req if msg.__class__ is _Resubmit else msg
         self.stats["shed"] += 1
-        if isinstance(req, Request):
+        if req.is_request:
             self._reply(req, OverloadedReply(req.req_id))
 
     # -- crash / restart ---------------------------------------------------
@@ -242,7 +243,7 @@ class _ServerBase:
         if msg.__class__ is _Resubmit:
             self._handle(msg.req)
             return
-        if isinstance(msg, Request):
+        if msg.is_request:
             key = (msg.client, msg.req_id)
             prior = self._req_log.get(key)
             if prior is not None:
@@ -259,11 +260,10 @@ class _ServerBase:
                 self._req_log.popitem(last=False)
         self._handle(msg)
 
-    def _reply(self, req: Any, reply: Any) -> None:
-        if isinstance(req, Request):
-            key = (req.client, req.req_id)
-            if key in self._req_log:
-                self._req_log[key] = reply
+    def _reply(self, req: Request, reply: Reply) -> None:
+        key = (req.client, req.req_id)
+        if key in self._req_log:
+            self._req_log[key] = reply
         self.net.send(req.client, reply, src=self.server_id)
 
     def _park(self, key: Hashable, req: Any) -> None:
@@ -758,8 +758,7 @@ class MVTLServer(_ServerBase):
             self._durable_dedup[(client, req_id)] = None
             while len(self._durable_dedup) > self._REQ_LOG_MAX:
                 self._durable_dedup.popitem(last=False)
-        self.durable.maybe_checkpoint(self.store,
-                                      tuple(self._durable_dedup),
+        self.durable.maybe_checkpoint(self.store, self._durable_dedup,
                                       self.stable_floor)
 
     def _decide(self, tx_id: Hashable, outcome: Any,
@@ -893,8 +892,7 @@ class MVTLServer(_ServerBase):
             self.stable_floor = req.bound
         if self.durable is not None:
             self.durable.log_purge(req.bound)
-            self.durable.maybe_checkpoint(self.store,
-                                          tuple(self._durable_dedup),
+            self.durable.maybe_checkpoint(self.store, self._durable_dedup,
                                           self.stable_floor)
 
     # -- replication (§5e) -------------------------------------------------
@@ -1135,7 +1133,7 @@ class MVTLServer(_ServerBase):
                 # recover a state the servability proof still covers.
                 self.durable.log_sync(tuple(installed))
                 self.durable.maybe_checkpoint(self.store,
-                                              tuple(self._durable_dedup),
+                                              self._durable_dedup,
                                               self.stable_floor)
         self.stats["sync_deltas"] = self.stats.get("sync_deltas", 0) + 1
         run["cursor"] = d.next_cursor

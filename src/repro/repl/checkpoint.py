@@ -16,7 +16,7 @@ reply cache) is wiped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable
+from typing import Any, Callable, Hashable, Iterable
 
 from ..core.timestamp import Timestamp
 from ..core.versions import VersionStore
@@ -34,9 +34,14 @@ _SNAPSHOT_VERSION = 1
 
 
 def encode_snapshot(store: VersionStore,
-                    dedup: "tuple[tuple[Any, Any], ...]",
+                    dedup: "Iterable[tuple[Any, Any]]",
                     stable_floor: "Timestamp | None") -> bytes:
-    """Serialise a deep snapshot of the durable state."""
+    """Serialise a deep snapshot of the durable state.
+
+    ``dedup`` is any iterable of ``(client, req_id)`` pairs, oldest first
+    (a server passes its live ordered mapping); it is read exactly once,
+    here.
+    """
     chains = tuple((key, versions, floor)
                    for key, versions, floor in store.snapshot())
     return encode_value(("ckpt", _SNAPSHOT_VERSION, chains, tuple(dedup),
@@ -130,8 +135,14 @@ class DurableStore:
     # -- checkpointing ------------------------------------------------------
 
     def maybe_checkpoint(self, store: VersionStore,
-                         dedup: "tuple[tuple[Any, Any], ...]",
+                         dedup: "Iterable[tuple[Any, Any]]",
                          stable_floor: "Timestamp | None") -> bool:
+        """Checkpoint if ``checkpoint_every`` records have been logged.
+
+        Called after every WAL record, so ``dedup`` must be cheap to pass:
+        it is only iterated (by :func:`encode_snapshot`) when a checkpoint
+        actually fires.
+        """
         if (self.checkpoint_every
                 and self._since_checkpoint >= self.checkpoint_every):
             self.checkpoint(store, dedup, stable_floor)
@@ -139,7 +150,7 @@ class DurableStore:
         return False
 
     def checkpoint(self, store: VersionStore,
-                   dedup: "tuple[tuple[Any, Any], ...]",
+                   dedup: "Iterable[tuple[Any, Any]]",
                    stable_floor: "Timestamp | None") -> None:
         """Snapshot the live state and truncate the log it supersedes."""
         self._snapshot = encode_snapshot(store, dedup, stable_floor)

@@ -104,12 +104,14 @@ class Simulator:
         heap = self._heap
         pop = heappop
         fired = 0
-        while heap and heap[0][0] <= t_end:
-            when, _seq, fn, args = pop(heap)
-            self.now = when
-            fn(*args)
-            fired += 1
-        self.events_processed += fired
+        try:
+            while heap and heap[0][0] <= t_end:
+                when, _seq, fn, args = pop(heap)
+                self.now = when
+                fn(*args)
+                fired += 1
+        finally:
+            self.events_processed += fired
         if self.now < t_end:
             self.now = t_end
 

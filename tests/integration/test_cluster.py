@@ -1,9 +1,12 @@
 """End-to-end cluster integration: every protocol, checked for
 serializability with the MVSG oracle on small but contended workloads."""
 
+import gc
+
 import pytest
 
 from repro.dist import ClusterConfig, run_cluster
+from repro.sim.simulator import Simulator
 from repro.sim.testbed import CLOUD_TESTBED, LOCAL_TESTBED
 from repro.verify import check_serializable
 from repro.workload import WorkloadConfig
@@ -122,3 +125,64 @@ class TestBlindWriteWorkload:
         res = run_cluster(cfg)
         assert res.commit_rate > 0.9
         assert check_serializable(res.history).serializable
+
+
+class TestCollectorPause:
+    """run_cluster pauses CPython's cycle collector for its own span and
+    puts it back the way it found it, on every exit path."""
+
+    QUICK = dict(num_clients=4, warmup=0.05, measure=0.15,
+                 record_history=False)
+
+    def test_restored_on_normal_return(self):
+        assert gc.isenabled()
+        run_cluster(small_config("mvtil-early", **self.QUICK))
+        assert gc.isenabled()
+
+    def test_restored_when_the_run_raises(self):
+        # replication > num_servers is only detectable once run_cluster has
+        # resolved the server count: the ValueError comes from inside it.
+        cfg = small_config("mvtil-early", replication=3,
+                           profile=LOCAL_TESTBED.with_servers(2),
+                           **self.QUICK)
+        with pytest.raises(ValueError, match="replication=3"):
+            run_cluster(cfg)
+        assert gc.isenabled()
+
+    def test_stays_disabled_for_a_caller_that_disabled_it(self):
+        gc.disable()
+        try:
+            run_cluster(small_config("mvtil-early", **self.QUICK))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_collector_is_off_while_the_simulation_runs(self, monkeypatch):
+        seen = []
+        real = Simulator.run_until
+
+        def spying_run_until(sim, t_end):
+            seen.append(gc.isenabled())
+            real(sim, t_end)
+
+        monkeypatch.setattr(Simulator, "run_until", spying_run_until)
+        run_cluster(small_config("mvtil-early", **self.QUICK))
+        assert seen and not any(seen)
+
+    def test_finished_clusters_are_reclaimed_not_hoarded(self):
+        # A finished cluster is one big cyclic blob.  Nothing collects it
+        # inside the call, but once the collector is back on the next
+        # allocation's young collection does — so dropped results do not
+        # pile up across back-to-back runs in one process.
+        cfg = small_config("mvtil-early", **self.QUICK)
+        gc.collect()
+        gc.disable()
+        try:
+            run_cluster(cfg)
+            one_run = gc.collect()
+        finally:
+            gc.enable()
+        assert one_run > 1000  # calibration saw the blob
+        for _ in range(5):
+            run_cluster(cfg)
+        assert gc.collect() <= 1.5 * one_run

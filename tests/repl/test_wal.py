@@ -193,6 +193,35 @@ class TestDurableStore:
             assert rec.store.version_at("k", ts).value == value
         assert rec.dedup == [("c", i) for i in range(5)]
 
+    def test_dedup_is_only_read_when_a_checkpoint_fires(self):
+        # Servers call maybe_checkpoint after every WAL record with their
+        # live dedup mapping; copying it is the checkpoint's job, once.
+        class Dedup:
+            def __init__(self, pairs):
+                self.pairs, self.reads = pairs, 0
+
+            def __iter__(self):
+                self.reads += 1
+                return iter(self.pairs)
+
+        pairs = [("c", i) for i in range(3)]
+        dedup = Dedup(pairs)
+        durable = DurableStore(checkpoint_every=3)
+        store = VersionStore()
+        for i in range(3):
+            ts = Timestamp(float(i + 1), 1)
+            store.install("k", ts, i)
+            durable.log_commit(("c", i), ts, (("k", i),), "c", i)
+            fired = durable.maybe_checkpoint(store, dedup, None)
+            assert fired == (i == 2)
+            assert dedup.reads == (1 if fired else 0)
+        # Same bytes as the eager tuple every call site used to build, and
+        # as the ordered mapping the servers pass now.
+        assert durable._snapshot == encode_snapshot(store, tuple(pairs), None)
+        assert durable._snapshot == encode_snapshot(
+            store, dict.fromkeys(pairs), None)
+        assert durable.recover().dedup == pairs
+
     def test_aborted_callback_skips_decided_aborts(self):
         durable = DurableStore()
         durable.log_commit(("dead", 1), Timestamp(1.0, 1), (("x", "a"),))

@@ -267,6 +267,29 @@ class TestEventCounterAndHeapSafety:
         sim.run()
         assert sim.events_processed == 5
 
+    @pytest.mark.parametrize("drive", [
+        lambda sim: sim.run(),
+        lambda sim: sim.run_until(10.0),
+    ], ids=["run", "run_until"])
+    def test_events_fired_before_a_raising_handler_are_counted(self, drive):
+        # A crashing callback is a bug that propagates out of the loop; the
+        # counter must still cover what fired in that call (the raising
+        # event itself is not counted) and the loop must stay resumable.
+        sim = Simulator()
+
+        def boom():
+            raise RuntimeError("handler bug")
+
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        sim.schedule(3.0, boom)
+        sim.schedule(4.0, lambda: None)
+        with pytest.raises(RuntimeError):
+            drive(sim)
+        assert sim.events_processed == 2
+        drive(sim)
+        assert sim.events_processed == 3
+
     def test_simultaneous_events_with_non_comparable_args(self):
         # Heap entries are (time, seq, fn, args); seq uniqueness means fn
         # and args are never compared, so scheduling non-orderable payloads
