@@ -1,0 +1,855 @@
+"""The reference checks, each defined once: ``python -m repro.bench <name>``.
+
+A :class:`Recipe` is one row of :data:`RECIPES`: the cells it runs for a
+seed, the transcript lines it prints, and the conditions that fail it.
+:func:`run_recipe` is the one driver behind every row — run the cells,
+run every simulated-cluster cell again with the same seed and compare
+:func:`fingerprint`\\ s, MVSG-check every recorded history, apply the
+row's own ``check``, print.  A row's transcript is byte-deterministic for
+a given seed; CI runs each row twice and diffs the output.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, fields, replace
+from functools import partial
+from typing import Any, Callable, Iterable, Iterator
+
+from ..dist.cluster import ClusterConfig, ClusterResult
+from ..dist.failure import ChaosConfig
+from ..exp.grid import Cell
+from ..exp.harness import run_cells
+from ..policies.registry import registered_policies
+from ..repl import write_quorum
+from ..sim.network import LinkFaults
+from ..sim.testbed import CLOUD_TESTBED, LOCAL_TESTBED
+from ..verify import check_serializable
+from ..workload.generator import WorkloadConfig
+from ..workload.scenarios import (ARENA_FIXED_POLICIES, ARENA_POLICIES,
+                                  BOHM_CHAOS_SCENARIOS, SCENARIOS,
+                                  bohm_chaos_config, check_scenario,
+                                  ghost_abort_duel, policy_arena,
+                                  scenario_config, serial_skew_duel)
+
+__all__ = ["RECIPES", "Recipe", "fingerprint", "run_recipe"]
+
+#: First-run results of a recipe, keyed by cell key in cell order.
+Results = dict[tuple, Any]
+
+
+@dataclass(frozen=True)
+class Recipe:
+    """One reference check: what to run, what to print, what must hold."""
+
+    name: str
+    #: Header text after ``== <name>: ``; may mention ``{seed}``.
+    title: str
+    cells: Callable[[int], list[Cell]]
+    report: Callable[[Results], Iterable[str]]
+    check: Callable[[Results], Iterable[str]]
+
+    @property
+    def doc(self) -> str:
+        """What the recipe asserts and why (the ``cells`` docstring)."""
+        return self.cells.__doc__ or ""
+
+
+def fingerprint(result: ClusterResult) -> tuple:
+    """Every deterministic output of one run, for same-seed comparison:
+    all fields but the config (the input), the history (MVSG-checked
+    instead of compared) and ``wall_s`` (host time)."""
+    return tuple(getattr(result, f.name) for f in fields(result)
+                 if f.name not in ("config", "history", "wall_s"))
+
+
+def run_recipe(recipe: Recipe, seed: int, only: str | None = None) -> int:
+    """Run one recipe, print its transcript, return the exit code.
+
+    Simulated-cluster cells (no custom ``run``) run twice with the same
+    seed and must agree on every fingerprint field; centralized-engine
+    cells (theorem duels, the arena) run once.  ``only`` keeps the cells
+    whose key names it (``scenario <name>``).
+    """
+    cells = [c for c in recipe.cells(seed) if only is None or only in c.key]
+    print(f"== {recipe.name}: {recipe.title.format(seed=seed)} ==")
+    runs = [run_cells(cells, workers=0),
+            run_cells([c for c in cells if c.run is None], workers=0)]
+    failures = [f"{out.label}: cell raised\n{out.error}"
+                for run in runs for out in run if not out.ok]
+    if not failures:
+        results = {out.key: out.result for out in runs[0]}
+        for line in recipe.report(results):
+            print(line)
+        for out in runs[1]:
+            if fingerprint(out.result) != fingerprint(results[out.key]):
+                failures.append(f"{out.label}: same-seed runs diverged")
+        for i, run in enumerate(runs):
+            for out in run:
+                history = getattr(out.result, "history", None)
+                if history is not None:
+                    verdict = check_serializable(history)
+                    if not verdict.serializable:
+                        failures.append(
+                            f"{out.label} run {i}: history not "
+                            f"MVSG-serializable: {verdict.error}")
+        failures.extend(recipe.check(results))
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    print(f"{recipe.name}: " + ("FAILED" if failures else "ok"))
+    return 1 if failures else 0
+
+
+# -- smoke ------------------------------------------------------------------
+
+_SMOKE_PROTOCOLS = ("mvtil-early", "mvtil-late", "mvto")
+
+
+def smoke_cells(seed: int) -> list[Cell]:
+    """CI check: batching must change the wire cost, not the outcomes.
+
+    Runs each MVTL-family protocol with the same seed — commit-path
+    batching on and off — on a low-contention workload where every attempt
+    commits, and asserts (a) both runs produce identical commit/abort
+    outcomes (all commits, zero aborts: the strongest outcome equality that
+    survives batching's different message timing) and (b) batching strictly
+    lowers messages per commit.
+    """
+    base = ClusterConfig(
+        profile=LOCAL_TESTBED,
+        workload=WorkloadConfig(num_keys=200_000, tx_size=6,
+                                write_fraction=0.25),
+        num_clients=12, seed=seed, warmup=0.25, measure=1.0)
+    return [Cell((proto, mode), replace(base, protocol=proto,
+                                        batching=mode == "batched"))
+            for proto in _SMOKE_PROTOCOLS
+            for mode in ("batched", "unbatched")]
+
+
+def smoke_report(results: Results) -> Iterator[str]:
+    yield (f"{'protocol':>12s} {'mode':>10s} {'committed':>10s} "
+           f"{'aborted':>8s} {'msgs/commit':>12s}")
+    for (proto, mode), res in results.items():
+        yield (f"{proto:>12s} {mode:>10s} {res.committed:>10d} "
+               f"{res.aborted:>8d} {res.messages_per_commit:>12.1f}")
+
+
+def smoke_check(results: Results) -> Iterator[str]:
+    for (proto, mode), res in results.items():
+        if res.aborted or not res.committed:
+            yield (f"{proto} {mode}: expected all-commit outcomes, got "
+                   f"{res.committed} commits / {res.aborted} aborts")
+    for proto in _SMOKE_PROTOCOLS:
+        batched = results[proto, "batched"].messages_per_commit
+        unbatched = results[proto, "unbatched"].messages_per_commit
+        if batched >= unbatched:
+            yield (f"{proto}: batching did not reduce messages per commit "
+                   f"({batched:.1f} >= {unbatched:.1f})")
+
+
+# -- chaos ------------------------------------------------------------------
+
+def chaos_cells(seed: int) -> list[Cell]:
+    """CI check: seeded chaos runs survive faults correctly (§H, Thms 8-10).
+
+    Each scenario runs a cluster under a lossy/duplicating/spiking network
+    with coordinator crashes and (where the backend supports it) server
+    crash/restart pairs, twice with the same seed, and asserts:
+
+    * determinism — both runs produce identical outcomes and identical
+      injected-fault counters (same seed, same chaos);
+    * safety — every surviving committed history is MVSG-serializable
+      (Theorem 8 carries over to the surviving transactions);
+    * liveness — after the settle window no unfrozen write lock is still
+      owned by a crashed coordinator: the write-lock timeout + commitment
+      object reclaimed them all (Theorems 9-10).
+    """
+    base = ClusterConfig(
+        profile=LOCAL_TESTBED,
+        workload=WorkloadConfig(num_keys=5_000, tx_size=4,
+                                write_fraction=0.5),
+        num_clients=10, seed=seed, warmup=0.25, measure=1.5,
+        write_lock_timeout=0.4, rpc_timeout=0.15, rpc_retries=3,
+        faults=LinkFaults(loss=0.05, duplicate=0.02, delay_spike=0.01),
+        record_history=True)
+    restarts = ChaosConfig(client_crashes=2, server_restarts=2,
+                           downtime=0.25)
+    return [
+        Cell(("mvtil-early+restarts",),
+             replace(base, protocol="mvtil-early", chaos=restarts)),
+        Cell(("mvto+restarts",),
+             replace(base, protocol="mvto", chaos=restarts)),
+        Cell(("mvtil-early+paxos",),
+             replace(base, protocol="mvtil-early", commitment="paxos",
+                     chaos=ChaosConfig(client_crashes=2))),
+    ]
+
+
+def chaos_report(results: Results) -> Iterator[str]:
+    yield (f"{'scenario':>22s} {'committed':>10s} {'aborted':>8s} "
+           f"{'lost':>6s} {'dups':>6s} {'retries':>8s} {'orphans':>8s}")
+    for (label,), res in results.items():
+        rep = res.chaos_report
+        yield (f"{label:>22s} {res.committed:>10d} {res.aborted:>8d} "
+               f"{rep['messages_lost']:>6d} "
+               f"{rep['messages_duplicated']:>6d} "
+               f"{rep['rpc_retries']:>8d} "
+               f"{rep['orphaned_write_locks']:>8d}")
+
+
+def chaos_check(results: Results) -> Iterator[str]:
+    for (label,), res in results.items():
+        rep, chaos = res.chaos_report, res.config.chaos
+        if not res.committed:
+            yield f"{label}: no transaction survived the chaos"
+        if rep["messages_lost"] == 0:
+            yield f"{label}: fault model injected no loss"
+        if len(rep["crashed_clients"]) < chaos.client_crashes:
+            yield (f"{label}: expected {chaos.client_crashes} coordinator "
+                   f"crashes, got {len(rep['crashed_clients'])}")
+        if rep["server_restarts"] < chaos.server_restarts:
+            yield (f"{label}: expected {chaos.server_restarts} server "
+                   f"restarts, got {rep['server_restarts']}")
+        if rep["orphaned_write_locks"]:
+            yield (f"{label}: {rep['orphaned_write_locks']} write locks "
+                   f"still owned by crashed coordinators after the settle "
+                   f"window (Thms 9-10)")
+
+
+# -- failover, replication-cost ---------------------------------------------
+
+def _repl_base(seed: int, **kwargs: Any) -> ClusterConfig:
+    """The write-heavy closed loop every replication recipe runs."""
+    return ClusterConfig(
+        protocol="mvtil-early",
+        # Short GC horizon: the purge floor is the snapshot timestamp
+        # follower reads lock, so it must advance well inside the run.
+        profile=replace(LOCAL_TESTBED, gc_horizon=1.0),
+        workload=WorkloadConfig(num_keys=2_000, tx_size=4,
+                                write_fraction=0.3),
+        num_clients=10, seed=seed, warmup=1.5, gc_period=0.2, **kwargs)
+
+
+def replication_cost_cells(seed: int) -> list[Cell]:
+    """What replication costs at steady state, and a leader crash on top.
+
+    Three cells over one seed and an identical workload: an unreplicated
+    baseline, a steady replicated cluster (r=3, WAL durability, follower
+    reads), and the same replicated cluster with a leader crash injected
+    mid-measurement — the ``failover`` recipe's cell, held to the same
+    checks.  Reports, from the deterministic commit counts, the
+    replication overhead (steady vs baseline) and the failover goodput
+    dip (crash vs steady), then the crash cell's ``failover`` report.
+    """
+    base = _repl_base(seed, num_servers=3, measure=2.5,
+                      write_lock_timeout=0.25, rpc_timeout=0.15)
+    steady = replace(base, replication=3, durability="wal",
+                     checkpoint_every=64, follower_reads=True,
+                     record_history=True)
+    crash = replace(steady, chaos=ChaosConfig(leader_crashes=1,
+                                              leader_downtime=0.6))
+    return [Cell(("baseline",), base), Cell(("repl-steady",), steady),
+            Cell(("repl-failover",), crash)]
+
+
+def replication_cost_report(results: Results) -> Iterator[str]:
+    yield (f"{'cell':>14s} {'committed':>10s} {'aborted':>8s} "
+           f"{'commit_rate':>12s}")
+    for (label,), res in results.items():
+        yield (f"{label:>14s} {res.committed:>10d} {res.aborted:>8d} "
+               f"{res.commit_rate:>12.4f}")
+    base, steady, crash = (results[k,].committed for k in
+                           ("baseline", "repl-steady", "repl-failover"))
+    yield (f"replication_overhead={1.0 - steady / max(1, base):.4f} "
+           f"goodput_dip={1.0 - crash / max(1, steady):.4f}")
+    yield "repl-failover:"
+    yield from failover_report(results)
+
+
+def replication_cost_check(results: Results) -> Iterator[str]:
+    lost = results["repl-steady",].replication_report["lost_commits"]
+    if lost:
+        yield f"repl-steady: {lost} committed writes lost"
+    yield from failover_check(results)
+
+
+def failover_cells(seed: int) -> list[Cell]:
+    """CI check: replicated key ranges survive a leader crash (repro.repl).
+
+    One cluster, replication factor 3 with WAL durability and follower
+    reads, runs a write-heavy closed loop while chaos crashes the current
+    leader of a random key group mid-measurement.  Runs twice with the
+    same seed and asserts:
+
+    * determinism — identical outcomes, promotions and counters;
+    * zero lost committed writes — every committed write inside the
+      measurement window is present on its group's *current* leader
+      (modulo legitimate GC purging below the stable floor);
+    * bounded failover — the controller promoted an up-to-date follower
+      within ``heartbeat_interval * (miss_limit + 2)`` plus one ping of
+      slack after the crash;
+    * version-clean follower reads — snapshot transactions were actually
+      served by followers, and both surviving histories (interval-locked
+      writers *and* locked-timestamp snapshot readers together) are
+      MVSG-serializable;
+    * liveness — no unfrozen write lock (leader or mirrored follower
+      hold) survives the settle window owned by a crashed coordinator.
+    """
+    return replication_cost_cells(seed)[-1:]
+
+
+def _latency_bound(config: ClusterConfig) -> float:
+    return (config.heartbeat_interval * (config.heartbeat_miss_limit + 2)
+            + config.heartbeat_interval)
+
+
+def failover_report(results: Results) -> Iterator[str]:
+    res = results["repl-failover",]
+    rep = res.replication_report
+    stale = rep["read_staleness"]
+    yield (f"committed={res.committed} aborted={res.aborted} "
+           f"commit_rate={res.commit_rate:.3f}")
+    yield (f"promotions={len(rep['promotions'])} "
+           f"failover_latency={[round(v, 4) for v in rep['failover_latencies']]} "
+           f"bound={_latency_bound(res.config):.3f}")
+    yield (f"commits_checked={rep['commits_checked']} "
+           f"lost_commits={rep['lost_commits']} "
+           f"replica_missing={rep['replica_missing']}")
+    yield (f"follower_reads={rep['follower_reads']} "
+           f"snapshot_commits={rep['snapshot_commits']} "
+           f"snapshot_fallbacks={rep['snapshot_fallbacks']} "
+           f"staleness_mean={stale['mean']:.4f} "
+           f"staleness_max={stale['max']:.4f}")
+    yield (f"holds_mirrored={rep['holds_mirrored']} "
+           f"wal_records={rep['wal_records']} "
+           f"checkpoints={rep['checkpoints']} "
+           f"heartbeats={rep['heartbeats_sent']} "
+           f"orphans={res.chaos_report['orphaned_write_locks']}")
+
+
+def _leader_crash_check(res: ClusterResult) -> Iterator[str]:
+    """What every replicated run through a leader crash must show."""
+    rep = res.replication_report
+    if not res.committed:
+        yield "no transaction survived the leader crash"
+    if rep["lost_commits"]:
+        yield (f"{rep['lost_commits']} committed writes missing from their "
+               f"group's current leader")
+    if not rep["promotions"]:
+        yield "leader crashed but no follower was promoted"
+    if not rep["follower_reads"]:
+        yield "no read was served by a follower replica"
+    if res.chaos_report["orphaned_write_locks"]:
+        yield (f"{res.chaos_report['orphaned_write_locks']} orphaned write "
+               f"locks after settle (Thms 9-10)")
+
+
+def failover_check(results: Results) -> Iterator[str]:
+    res = results["repl-failover",]
+    rep = res.replication_report
+    bound = _latency_bound(res.config)
+    yield from _leader_crash_check(res)
+    for lat in rep["failover_latencies"]:
+        if lat > bound:
+            yield f"failover took {lat:.3f}s (bound {bound:.3f}s)"
+    if not rep["snapshot_commits"]:
+        yield "no read-only snapshot transaction committed"
+
+
+# -- selfheal, selfheal-scenarios -------------------------------------------
+
+#: Self-healing replication under compound chaos: r=3 over four servers
+#: (one outsider is recruitment stock), lossy links, one leader crash plus
+#: one follower restart mid-measurement.
+HEALING = dict(
+    num_servers=4, replication=3, durability="wal", checkpoint_every=64,
+    # Small sync batches stretch catch-up over many visible rounds so the
+    # dirty-refusal path is actually exercised mid-run.
+    anti_entropy=True, recruitment=True, reliable_fanout=True,
+    sync_batch=1, heartbeat_miss_limit=5,
+    write_lock_timeout=0.25, rpc_timeout=0.15, rpc_retries=3,
+    faults=LinkFaults(loss=0.03, duplicate=0.02, delay_spike=0.01),
+    chaos=ChaosConfig(leader_crashes=1, leader_downtime=0.6,
+                      follower_restarts=1, follower_downtime=0.3))
+
+
+def selfheal_cells(seed: int) -> list[Cell]:
+    """CI check: self-healing replication under compound chaos (repro.repl).
+
+    One cluster, replication factor 3 over four servers (one outsider is
+    available as recruitment stock), WAL durability, follower reads,
+    anti-entropy sync, recruitment and reliable commit fan-out, runs under
+    lossy links (loss + duplication + delay spikes) while chaos crashes a
+    group leader *and* restarts a follower mid-measurement.  Runs twice
+    with the same seed and asserts:
+
+    * determinism — identical outcomes and counters across runs;
+    * zero lost committed writes, audited by ``scan_lost_commits`` against
+      the post-chaos membership (recruited replicas are only charged for
+      commits after their join cutoff);
+    * self-healing — every restarted server completed anti-entropy resync
+      (no server still dirty at the end) and a replacement replica was
+      recruited for the demoted leader's group;
+    * non-vacuous recovery — resynced servers actually served follower
+      reads afterwards, and dirty-refusals were observed before the sync
+      (so the servability gate was exercised, not bypassed);
+    * quorum safety — detector-observed live membership never dropped
+      below the write quorum of 2 (of 3);
+    * liveness + isolation — no orphaned write locks, and both surviving
+      histories are MVSG-serializable.
+    """
+    return [Cell(("selfheal",),
+                 _repl_base(seed, measure=3.5, follower_reads=True,
+                            record_history=True, **HEALING))]
+
+
+def selfheal_report(results: Results) -> Iterator[str]:
+    [res] = results.values()
+    rep = res.replication_report
+    yield (f"committed={res.committed} aborted={res.aborted} "
+           f"commit_rate={res.commit_rate:.3f}")
+    yield (f"promotions={len(rep['promotions'])} "
+           f"recruitments={rep['recruitments']} "
+           f"min_live_members={rep['min_live_members']} "
+           f"quorum={write_quorum(res.config.replication)}")
+    yield (f"resyncs={rep['resyncs']} "
+           f"resync_latencies={[round(v, 4) for v in rep['resync_latencies']]} "
+           f"sync_rounds={rep['sync_rounds']} "
+           f"sync_installs={rep['sync_installs']} "
+           f"sync_aborted={rep['sync_aborted']} "
+           f"wal_sync_records={rep['wal_sync_records']}")
+    yield (f"refused_by_reason={rep['snapshot_refused_by_reason']} "
+           f"dirty_at_end={rep['dirty_at_end']} "
+           f"served_resynced={rep['snapshot_served_resynced_by_server']}")
+    yield (f"commits_checked={rep['commits_checked']} "
+           f"lost_commits={rep['lost_commits']} "
+           f"replica_missing={rep['replica_missing']} "
+           f"fanout_acked={rep['fanout_acked']} "
+           f"fanout_unacked={rep['fanout_unacked']} "
+           f"orphans={res.chaos_report['orphaned_write_locks']}")
+
+
+def selfheal_check(results: Results) -> Iterator[str]:
+    [res] = results.values()
+    rep = res.replication_report
+    quorum = write_quorum(res.config.replication)
+    yield from _leader_crash_check(res)
+    if not rep["commits_checked"]:
+        yield "lost-commit audit checked nothing (vacuous)"
+    if not rep["recruitments"]:
+        yield "no replacement replica was recruited after the promotion"
+    if rep["resyncs"] < 2:
+        yield (f"expected >= 2 anti-entropy resyncs (restarted follower + "
+               f"crashed ex-leader), got {rep['resyncs']}")
+    if rep["dirty_at_end"]:
+        yield f"servers still snapshot-dirty at end: {rep['dirty_at_end']}"
+    if not rep["snapshot_refused_by_reason"]["dirty"]:
+        yield ("no snapshot read was refused for dirtiness — the "
+               "servability gate was never exercised")
+    served = rep["snapshot_served_resynced_by_server"]
+    for sid in rep["resyncs_by_server"]:
+        if not served.get(sid):
+            yield (f"server {sid} resynced but never served a follower "
+                   f"read afterwards (vacuous recovery)")
+    if rep["min_live_members"] < quorum:
+        yield (f"live membership dropped to {rep['min_live_members']} < "
+               f"write quorum {quorum}")
+
+
+def selfheal_scenario_cells(seed: int) -> list[Cell]:
+    """Scenario invariants hold under the ``selfheal`` recipe's chaos.
+
+    Two zoo scenarios run under the same :data:`HEALING` settings:
+
+    * ``bank-transfer`` — balance conservation must hold across the
+      crashes and the membership change;
+    * ``scan-vs-oltp`` — snapshot scans keep their monotonic-counter
+      invariant while followers drop out of and re-earn servability.
+
+    A broken invariant, a lost commit or a server still dirty at the end
+    fails the run.
+    """
+    return [
+        Cell(("bank-transfer",),
+             scenario_config("bank-transfer", seed=seed, warmup=0.5,
+                             measure=2.5, **HEALING)),
+        Cell(("scan-vs-oltp",),
+             scenario_config("scan-vs-oltp", seed=seed, measure=2.5,
+                             **HEALING)),
+    ]
+
+
+def selfheal_scenario_report(results: Results) -> Iterator[str]:
+    yield (f"{'scenario':>16s} {'committed':>10s} {'aborted':>8s} "
+           f"{'commit_rate':>12s} {'checked':>8s} {'lost':>5s} "
+           f"{'resyncs':>8s}")
+    for (name,), res in results.items():
+        rep = res.replication_report
+        yield (f"{name:>16s} {res.committed:>10d} {res.aborted:>8d} "
+               f"{res.commit_rate:>12.4f} {rep['commits_checked']:>8d} "
+               f"{rep['lost_commits']:>5d} {rep['resyncs']:>8d}")
+        yield (f"{'':>16s} recruitments={rep['recruitments']} "
+               f"dirty_at_end={rep['dirty_at_end']}")
+
+
+def selfheal_scenario_check(results: Results) -> Iterator[str]:
+    for (name,), res in results.items():
+        rep = res.replication_report
+        bad = check_scenario(name, res)
+        if bad:
+            yield f"{name}: invariants failed under chaos: {bad}"
+        if rep["lost_commits"]:
+            yield f"{name}: {rep['lost_commits']} lost commits under chaos"
+        if rep["dirty_at_end"]:
+            yield f"{name}: still dirty at end: {rep['dirty_at_end']}"
+
+
+# -- overload ---------------------------------------------------------------
+
+_OVERLOAD_LOADS = (4, 8, 16, 32, 64)
+
+
+def overload_cells(seed: int) -> list[Cell]:
+    """CI check: overload control degrades gracefully; unbounded collapses.
+
+    Ramps closed-loop client counts well past the saturation point of a
+    deliberately scarce cluster (few single-slot servers), twice: once with
+    the overload controls on (bounded priority queues + deadlines +
+    admission control) and once with the unbounded-queue baseline.
+    Asserts:
+
+    * graceful degradation — the controlled config keeps most of its peak
+      goodput at the deepest overload, while the baseline loses most of
+      its own peak to timeout-and-retry work amplification;
+    * priority protection — the critical class (20% of transactions,
+      MVTL-Prio-style) keeps its goodput and beats the normal class's
+      commit rate at saturation (Theorem 3 carried into the wire
+      substrate: criticals are never shed, never gated);
+    * determinism — the whole ramp, repeated with the same seed,
+      reproduces identical commit/abort/shed/expired counters.
+    """
+    # Scarce capacity on purpose: 4 single-slot servers at 1 ms/request
+    # saturate near 650 txs/s for 6-op transactions — a handful of
+    # closed-loop clients already fills that, so the ramp's tail is deep
+    # overload, not mild pressure.
+    base = ClusterConfig(
+        profile=replace(CLOUD_TESTBED, num_servers=4, service_time=1e-3),
+        workload=WorkloadConfig(num_keys=50_000, tx_size=6,
+                                write_fraction=0.25,
+                                critical_fraction=0.2),
+        seed=seed, warmup=0.5, measure=2.0, protocol="mvtil-early",
+        read_timeout=0.04, rpc_timeout=0.08, rpc_retries=1)
+    controlled = replace(base, queue_capacity=16, tx_budget=0.15,
+                         admission_control=True, breaker_threshold=8,
+                         breaker_cooldown=0.1)
+    return [Cell((mode, n), replace(cfg, num_clients=n))
+            for mode, cfg in (("controlled", controlled),
+                              ("unbounded", base))
+            for n in _OVERLOAD_LOADS]
+
+
+def _retention(results: Results, mode: str) -> float:
+    """Share of its own peak goodput ``mode`` keeps at the deepest load."""
+    curve = [results[mode, n].throughput for n in _OVERLOAD_LOADS]
+    return curve[-1] / max(curve) if max(curve) > 0 else 0.0
+
+
+def overload_report(results: Results) -> Iterator[str]:
+    yield (f"{'mode':>10s} {'clients':>8s} {'goodput':>9s} {'commit%':>8s} "
+           f"{'shed':>6s} {'expired':>8s} {'rejects':>8s} "
+           f"{'crit g/put':>10s} {'norm g/put':>10s}")
+    for (mode, n), res in results.items():
+        rep = res.overload_report
+        cls = rep["class_summary"]
+        yield (f"{mode:>10s} {n:>8d} {res.throughput:>9.1f} "
+               f"{res.commit_rate * 100:>7.1f}% {rep['shed']:>6d} "
+               f"{rep['expired']:>8d} {rep['admission_rejects']:>8d} "
+               f"{cls['critical']['goodput']:>10.1f} "
+               f"{cls['normal']['goodput']:>10.1f}")
+    yield (f"goodput retention at {_OVERLOAD_LOADS[-1]} clients: "
+           f"controlled {_retention(results, 'controlled'):.2f} vs "
+           f"unbounded {_retention(results, 'unbounded'):.2f}")
+
+
+def overload_check(results: Results) -> Iterator[str]:
+    ctrl_ret = _retention(results, "controlled")
+    base_ret = _retention(results, "unbounded")
+    if ctrl_ret < 0.6:
+        yield (f"controlled config lost its peak goodput under overload: "
+               f"retained {ctrl_ret:.2f} of peak (need >= 0.6)")
+    if base_ret >= ctrl_ret:
+        yield (f"unbounded baseline did not degrade worse than the "
+               f"controlled config ({base_ret:.2f} >= {ctrl_ret:.2f})")
+
+    # Priority protection at the deepest overload point.
+    curve = [results["controlled", n] for n in _OVERLOAD_LOADS]
+    deep = curve[-1].overload_report["class_summary"]
+    peak = max(curve, key=lambda res: res.throughput)
+    crit_deep, norm_deep = deep["critical"], deep["normal"]
+    crit_peak = peak.overload_report["class_summary"]["critical"]
+    if crit_deep["goodput"] < 0.9 * crit_peak["goodput"]:
+        yield (f"critical goodput fell under overload: "
+               f"{crit_deep['goodput']:.1f}/s at {_OVERLOAD_LOADS[-1]} "
+               f"clients vs "
+               f"{crit_peak['goodput']:.1f}/s at the goodput peak "
+               f"(need >= 90%)")
+
+    def commit_rate(cls: dict) -> float:
+        total = cls["committed"] + cls["aborted"]
+        return cls["committed"] / total if total else 1.0
+
+    if commit_rate(crit_deep) < commit_rate(norm_deep):
+        yield (f"critical commit rate {commit_rate(crit_deep):.3f} below "
+               f"normal {commit_rate(norm_deep):.3f} at saturation "
+               f"(Theorem 3's distributed analogue)")
+
+
+# -- scenario ---------------------------------------------------------------
+
+def scenario_cells(seed: int) -> list[Cell]:
+    """CI check: the workload zoo's invariants and theorem duels.
+
+    Each named scenario (default: all five) runs its reference cluster
+    config twice with the same seed and asserts:
+
+    * determinism — identical outcomes, final states and scenario/overload/
+      replication reports across the two runs;
+    * scenario invariants — the per-scenario semantic checks (balance
+      conservation for ``bank-transfer``, dense counters and order-row
+      atomicity for ``orders``, follower-read engagement and no lost
+      increments for ``scan-vs-oltp``, index == derive(row) for
+      ``secondary-index``, controller engagement plus hot-key integrity
+      and critical-class protection for ``flash-crowd``);
+    * serializability — both runs' recorded histories pass the MVSG
+      checker (Theorem 1 / Theorem 8);
+    * the paper's per-policy theorems, as *duels* on the centralized
+      engine driven by the scenario's own transaction stream:
+      MVTL-epsilon-clock finishes a serial skewed-clock schedule with
+      **zero** serial aborts where MVTL-TO (= MVTO+, Theorem 5) aborts
+      (Theorem 4), and MVTL-Ghostbuster suffers **zero** ghost aborts
+      where MVTL-TO's persistent dead read locks kill live writers
+      (Theorem 7).
+    """
+    # Duel seeds are fixed per duel, not derived from ``seed``: they pin a
+    # schedule known to make the susceptible policy misbehave.
+    return [cell for name in SCENARIOS for cell in (
+        Cell((name,), scenario_config(name, seed=seed)),
+        Cell((name, "skew"), name, serial_skew_duel),
+        Cell((name, "ghost"), name, ghost_abort_duel))]
+
+
+def scenario_report(results: Results) -> Iterator[str]:
+    yield (f"{'scenario':>16s} {'committed':>10s} {'aborted':>8s} "
+           f"{'commit%':>8s} {'quiesced':>9s} {'eps-ser':>8s} {'to-ser':>7s} "
+           f"{'gb-ghost':>9s} {'to-ghost':>9s}")
+    for name in (key[0] for key in results if len(key) == 1):
+        res = results[name,]
+        skew, ghost = results[name, "skew"], results[name, "ghost"]
+        yield (f"{name:>16s} {res.committed:>10d} {res.aborted:>8d} "
+               f"{res.commit_rate * 100:>7.1f}% "
+               f"{str(res.scenario_report['quiesced']):>9s} "
+               f"{skew['mvtl-epsilon-clock']['serial_aborts']:>8d} "
+               f"{skew['mvtl-to']['serial_aborts']:>7d} "
+               f"{ghost['mvtl-ghostbuster']['ghost_aborts']:>9d} "
+               f"{ghost['mvtl-to']['ghost_aborts']:>9d}")
+
+
+def _duel_check(skew: dict, ghost: dict) -> Iterator[str]:
+    """Theorems 4 and 7 on one pair of duel scorecards (Bohm if it ran:
+    conflict-abort-free by design, so held to both zeros)."""
+    for name in ("mvtl-epsilon-clock", "bohm"):
+        if name in skew and skew[name]["serial_aborts"]:
+            yield (f"Theorem 4 violated — {name} aborted "
+                   f"{skew[name]['serial_aborts']} transactions in a "
+                   f"*serial* epsilon-synchronized schedule")
+    if not skew["mvtl-to"]["serial_aborts"]:
+        yield ("the skew duel induced no mvtl-to (MVTO+) serial abort, so "
+               "the Theorem 4 comparison is vacuous")
+    for name in ("mvtl-ghostbuster", "bohm"):
+        if name in ghost and ghost[name]["ghost_aborts"]:
+            yield (f"Theorem 7 violated — {name} suffered "
+                   f"{ghost[name]['ghost_aborts']} ghost aborts (conflicts "
+                   f"with dead transactions)")
+    if not ghost["mvtl-to"]["ghost_aborts"]:
+        yield ("the ghost duel induced no mvtl-to ghost abort, so the "
+               "Theorem 7 comparison is vacuous")
+
+
+def scenario_check(results: Results) -> Iterator[str]:
+    for name in (key[0] for key in results if len(key) == 1):
+        for msg in check_scenario(name, results[name,]):
+            yield f"{name}: {msg}"
+        for msg in _duel_check(results[name, "skew"], results[name, "ghost"]):
+            yield f"{name}: {msg}"
+
+
+# -- policies ---------------------------------------------------------------
+
+def policies_cells(seed: int) -> list[Cell]:
+    """CI check: the theorem duels across the *whole* policy registry.
+
+    Runs the Theorem 4 (serial skewed-clock) and Theorem 7 (ghost abort)
+    duels with ``policies = registered_policies() + ("bohm",)`` — every
+    name the registry exposes plus the batched deterministic baseline —
+    and prints one deterministic matrix row per policy.  Asserts the
+    theorem guarantees on the policies that make them:
+
+    * ``mvtl-epsilon-clock`` and ``bohm`` finish the serial duel with
+      zero aborts (Theorem 4; Bohm is conflict-abort-free by design);
+    * ``mvtl-to`` aborts in both duels — otherwise the comparisons are
+      vacuous;
+    * ``mvtl-ghostbuster`` and ``bohm`` score zero ghost aborts
+      (Theorem 7), and ``mvtl-adaptive`` is sanity-bounded by its worst
+      constituent in both duels.
+    """
+    policies = tuple(registered_policies()) + ("bohm",)
+    return [
+        Cell(("skew",), "bank-transfer",
+             partial(serial_skew_duel, seed=100 + seed, policies=policies)),
+        Cell(("ghost",), "orders",
+             partial(ghost_abort_duel, seed=200 + seed, policies=policies)),
+    ]
+
+
+def policies_report(results: Results) -> Iterator[str]:
+    skew, ghost = results["skew",], results["ghost",]
+    yield (f"{'policy':>20s} {'serial-commits':>14s} {'serial-aborts':>13s} "
+           f"{'ghost-commits':>13s} {'aborts':>7s} {'ghosts':>7s}")
+    for name in skew:
+        yield (f"{name:>20s} {skew[name]['commits']:>14d} "
+               f"{skew[name]['serial_aborts']:>13d} "
+               f"{ghost[name]['commits']:>13d} "
+               f"{ghost[name].get('aborts', 0):>7d} "
+               f"{ghost[name]['ghost_aborts']:>7d}")
+
+
+def policies_check(results: Results) -> Iterator[str]:
+    skew, ghost = results["skew",], results["ghost",]
+    yield from _duel_check(skew, ghost)
+    worst_serial = max(skew[p]["serial_aborts"] for p in ARENA_FIXED_POLICIES)
+    adaptive = skew["mvtl-adaptive"]["serial_aborts"]
+    if adaptive > worst_serial:
+        yield (f"mvtl-adaptive scored {adaptive} serial aborts, worse than "
+               f"its worst constituent ({worst_serial})")
+
+
+# -- arena ------------------------------------------------------------------
+
+def arena_cells(seed: int) -> list[Cell]:
+    """The policy arena: adaptive vs its fixed constituents vs Bohm.
+
+    Two cell families:
+
+    * ``("arena", scenario, policy)`` — every scenario's stream under the
+      adaptive selector, each of its fixed constituents and the Bohm
+      baseline, on the centralized-engine arena (``policy_arena`` at 200
+      rounds, MVSG-checked);
+    * ``("bohm-chaos", scenario)`` — the Bohm *cluster* under link faults,
+      which must stay MVSG-serializable with every scenario invariant
+      intact.
+
+    Acceptance bounds on the adaptive policy: its commit rate is within
+    10% of the best *fixed* policy's on every scenario, and strictly
+    better than the worst fixed policy's on at least three.
+    """
+    return ([Cell(("arena", scenario, policy), scenario,
+                  partial(policy_arena, policy_name=policy, seed=seed,
+                          rounds=200))
+             for scenario in SCENARIOS for policy in ARENA_POLICIES]
+            + [Cell(("bohm-chaos", scenario),
+                    bohm_chaos_config(scenario, seed=seed))
+               for scenario in BOHM_CHAOS_SCENARIOS])
+
+
+def _arena_acceptance(results: Results) -> dict[str, tuple]:
+    """scenario -> (adaptive, best fixed, worst fixed) commit rates.
+
+    Rounded to the four digits the transcript prints, so the gates judge
+    exactly the numbers a reader sees.
+    """
+    def rate(scenario: str, policy: str) -> float:
+        return round(results["arena", scenario, policy]["commit_rate"], 4)
+
+    return {scenario: (rate(scenario, "mvtl-adaptive"),
+                       max(rate(scenario, p) for p in ARENA_FIXED_POLICIES),
+                       min(rate(scenario, p) for p in ARENA_FIXED_POLICIES))
+            for scenario in SCENARIOS}
+
+
+def _beats_worst(acceptance: dict[str, tuple]) -> int:
+    return sum(rate > worst for rate, _best, worst in acceptance.values())
+
+
+def arena_report(results: Results) -> Iterator[str]:
+    yield (f"{'scenario':>16s} {'policy':>20s} {'committed':>10s} "
+           f"{'aborted':>8s} {'decided':>8s} {'commit_rate':>12s} "
+           f"{'switches':>9s}")
+    for key, res in results.items():
+        if key[0] == "arena":
+            yield (f"{key[1]:>16s} {key[2]:>20s} {res['commits']:>10d} "
+                   f"{res['aborts']:>8d} {res['decided']:>8d} "
+                   f"{res['commit_rate']:>12.4f} {res['switches']:>9d}")
+    yield (f"{'bohm-chaos':>16s} {'committed':>10s} {'aborted':>8s} "
+           f"{'commit_rate':>12s} {'quiesced':>9s}")
+    for key, res in results.items():
+        if key[0] == "bohm-chaos":
+            yield (f"{key[1]:>16s} {res.committed:>10d} {res.aborted:>8d} "
+                   f"{res.commit_rate:>12.4f} "
+                   f"{str(res.scenario_report['quiesced']):>9s}")
+    yield (f"{'acceptance':>16s} {'adaptive':>9s} {'best-fixed':>11s} "
+           f"{'worst-fixed':>12s} {'within-10%':>11s} {'beats-worst':>12s}")
+    acceptance = _arena_acceptance(results)
+    for scenario, (rate, best, worst) in acceptance.items():
+        yield (f"{scenario:>16s} {rate:>9.4f} {best:>11.4f} {worst:>12.4f} "
+               f"{str(rate >= 0.9 * best):>11s} {str(rate > worst):>12s}")
+    yield (f"beats_worst_count={_beats_worst(acceptance)} of "
+           f"{len(acceptance)} (need >= 3)")
+
+
+def arena_check(results: Results) -> Iterator[str]:
+    for (family, scenario, *policy), res in results.items():
+        if family == "arena" and not res["serializable"]:
+            yield (f"{scenario}/{policy[0]}: arena history is not "
+                   f"MVSG-serializable")
+        if family == "bohm-chaos":
+            bad = check_scenario(scenario, res)
+            if bad:
+                yield f"bohm-chaos/{scenario}: {bad}"
+    acceptance = _arena_acceptance(results)
+    for scenario, (rate, best, _worst) in acceptance.items():
+        if rate < 0.9 * best:
+            yield (f"{scenario}: adaptive commit rate {rate} is more than "
+                   f"10% below the best fixed policy ({best})")
+    if _beats_worst(acceptance) < 3:
+        yield (f"adaptive beats the worst fixed policy on only "
+               f"{_beats_worst(acceptance)}/{len(acceptance)} scenarios "
+               f"(need >= 3)")
+
+
+# -- The table --------------------------------------------------------------
+
+RECIPES: dict[str, Recipe] = {r.name: r for r in (
+    Recipe("smoke", "batched vs unbatched commit path (same seed)",
+           smoke_cells, smoke_report, smoke_check),
+    Recipe("chaos", "seeded fault injection (same seed, two runs)",
+           chaos_cells, chaos_report, chaos_check),
+    Recipe("overload", "ramp past saturation, controlled vs unbounded",
+           overload_cells, overload_report, overload_check),
+    Recipe("failover", "replicated leader crash (same seed, two runs)",
+           failover_cells, failover_report, failover_check),
+    Recipe("replication-cost",
+           "unreplicated vs replicated vs leader crash (seed {seed})",
+           replication_cost_cells, replication_cost_report,
+           replication_cost_check),
+    Recipe("selfheal", "leader crash + follower restart + lossy links",
+           selfheal_cells, selfheal_report, selfheal_check),
+    Recipe("selfheal-scenarios",
+           "scenario invariants under the selfheal chaos (seed {seed})",
+           selfheal_scenario_cells, selfheal_scenario_report,
+           selfheal_scenario_check),
+    Recipe("scenario", "workload zoo (seed {seed}, two runs each)",
+           scenario_cells, scenario_report, scenario_check),
+    Recipe("policies", "registry-wide theorem duels (seed {seed})",
+           policies_cells, policies_report, policies_check),
+    Recipe("arena", "adaptive vs fixed policies vs Bohm (seed {seed})",
+           arena_cells, arena_report, arena_check),
+)}

@@ -9,11 +9,11 @@ grid order, so a parallel sweep is byte-identical to a serial one:
 
 * :mod:`repro.exp.grid` — cells, grids, and deterministic per-cell seeds;
 * :mod:`repro.exp.harness` — the worker pool: crash-isolated process per
-  cell, bounded concurrency, progress reporting, deterministic merge;
-* :mod:`repro.exp.bench` — machine-readable ``BENCH_<n>.json`` perf
-  records (schema-validated) so future PRs have a perf trajectory;
-* ``python -m repro.exp`` — CLI that runs the reference benchmark grid and
-  emits a BENCH record.
+  cell, bounded concurrency, progress reporting, deterministic merge.
+
+A library, not a command: ``python -m repro.bench figures --workers N``
+drives the pool, and :mod:`repro.bench.recipes` runs its cells through
+:func:`run_cells` in-process.
 
 Determinism argument (DESIGN.md §5d): a cell's outcome is a pure function
 of its :class:`~repro.dist.cluster.ClusterConfig` (all randomness flows
@@ -26,11 +26,8 @@ and is kept out of the simulation payload.
 from .grid import Cell, derive_seeds, figure_grid  # noqa: F401
 from .harness import (CellOutcome, merged_payload, run_cells,  # noqa: F401
                       run_figures)
-from .bench import (make_bench_doc, validate_bench,  # noqa: F401
-                    write_bench)
 
 __all__ = [
     "Cell", "derive_seeds", "figure_grid",
     "CellOutcome", "merged_payload", "run_cells", "run_figures",
-    "make_bench_doc", "validate_bench", "write_bench",
 ]

@@ -44,9 +44,9 @@ __all__ = ["CellOutcome", "run_cells", "run_figures", "merged_payload",
 class CellOutcome:
     """Result of one grid cell, successful or not.
 
-    ``result`` is the full :class:`~repro.dist.cluster.ClusterResult` on
-    success (or, for cells with a ``reduce``, the reduced summary — which
-    must expose the same counter attributes) and ``None`` on failure;
+    ``result`` is what the cell's runner returned on success (a
+    :class:`~repro.dist.cluster.ClusterResult` unless the cell has a
+    custom ``run``) and ``None`` on failure;
     ``error`` carries the worker's traceback (or exit diagnosis) on
     failure.  ``wall_s`` is host wall-clock and therefore nondeterministic
     — it is excluded from :meth:`payload`, the deterministic merge view.
@@ -59,18 +59,8 @@ class CellOutcome:
     wall_s: float
 
     @property
-    def sim_events(self) -> int:
-        return self.result.sim_events if self.result is not None else 0
-
-    @property
-    def events_per_s(self) -> float:
-        return self.sim_events / self.wall_s if self.wall_s > 0 else 0.0
-
-    @property
-    def commits_per_s(self) -> float:
-        if self.result is None or self.wall_s <= 0:
-            return 0.0
-        return self.result.committed / self.wall_s
+    def label(self) -> str:
+        return "/".join(str(part) for part in self.key)
 
     def payload(self) -> dict:
         """The deterministic simulation outputs of this cell.
@@ -120,20 +110,18 @@ def _cell_worker(conn: Any, cell: Cell) -> None:
     Top-level so it pickles under the spawn start method.  Any exception is
     converted to an ("err", traceback) message; a hard crash is detected by
     the parent as EOF-without-message.  A result that does not survive the
-    pipe pickle is a loud per-cell failure naming the fix (a ``reduce``),
-    never a silent fallback to serial execution.
+    pipe pickle is a loud per-cell failure, never a silent fallback to
+    serial execution.
     """
     try:
         run = cell.run if cell.run is not None else run_cluster
         result = run(cell.config)
-        if cell.reduce is not None:
-            result = cell.reduce(result)
         try:
             conn.send(("ok", result))
         except Exception as exc:  # pickling the result failed
             conn.send(("err",
-                       f"cell result is not picklable: {exc!r}; give the "
-                       f"cell a `reduce` returning a picklable summary"))
+                       f"cell result is not picklable: {exc!r}; run it "
+                       f"in-process (workers=0)"))
     except BaseException:  # noqa: BLE001 - the whole point is isolation
         try:
             conn.send(("err", traceback.format_exc()))
@@ -156,8 +144,6 @@ def _run_cell_inline(cell: Cell) -> CellOutcome:
     try:
         run = cell.run if cell.run is not None else run_cluster
         result = run(cell.config)
-        if cell.reduce is not None:
-            result = cell.reduce(result)
         return CellOutcome(cell.key, True, result, None,
                            time.perf_counter() - t0)
     except Exception:
@@ -247,13 +233,11 @@ def run_cells(cells: Sequence[Cell], workers: int = 1,
     return [results[i] for i in range(total)]
 
 
-def print_progress(done: int, total: int, outcome: CellOutcome,
-                   stream: Any = None) -> None:
+def print_progress(done: int, total: int, outcome: CellOutcome) -> None:
     """Default progress reporter: one stderr line per completed cell."""
-    stream = stream if stream is not None else sys.stderr
     status = "ok" if outcome.ok else "FAILED"
-    print(f"[repro.exp] {done}/{total} {'/'.join(map(str, outcome.key))}: "
-          f"{status} ({outcome.wall_s:.1f}s)", file=stream, flush=True)
+    print(f"[repro.exp] {done}/{total} {outcome.label}: {status} "
+          f"({outcome.wall_s:.1f}s)", file=sys.stderr, flush=True)
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +257,13 @@ def run_figures(figure_fn: Callable[..., Any], seeds: Sequence[int],
                 obs: Any = None,
                 progress: Callable[[int, int, CellOutcome], None] | None
                 = None,
-                grid_name: str = "figure",
                 ) -> tuple[Any, list[CellOutcome]]:
     """Run one figure function's whole sweep through the worker pool.
 
     Returns ``(figure_result, outcomes)`` where ``figure_result`` is
     exactly what ``figure_fn(seeds, obs=obs)`` returns when run serially —
     the record/replay passes feed it the same results in the same order —
-    and ``outcomes`` carries per-cell timings for BENCH output.
+    and ``outcomes`` carries per-cell timings.
 
     Raises :class:`HarnessCellError` if a cell the figure needs failed;
     the error message carries the worker's traceback.
@@ -299,7 +282,7 @@ def run_figures(figure_fn: Callable[..., Any], seeds: Sequence[int],
     with use_runner(record):
         figure_fn(seeds, obs=RunObservations() if obs is not None else None)
 
-    cells = [Cell(key=(grid_name, i), config=cfg)
+    cells = [Cell(key=("figure", i), config=cfg)
              for i, cfg in enumerate(recorded)]
     outcomes = run_cells(cells, workers=workers, progress=progress)
 

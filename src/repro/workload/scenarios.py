@@ -664,65 +664,6 @@ def check_scenario(name: str, result: Any) -> list[str]:
     return SCENARIOS[name].check(result)
 
 
-@dataclass(frozen=True)
-class ScenarioCellSummary:
-    """Picklable per-scenario cell summary for the parallel sweep.
-
-    A scenario ``ClusterResult`` carries the full history recorder (whose
-    lock does not pickle), so worker processes reduce to this summary
-    instead: the invariants and theorem duels run *inside the worker*, and
-    only their deterministic outputs cross the pipe.  The counter
-    attributes mirror ``ClusterResult`` so the harness payload view is
-    byte-identical between serial and parallel sweeps.
-    """
-
-    scenario: str
-    committed: int
-    aborted: int
-    throughput: float
-    commit_rate: float
-    messages_sent: int
-    messages_per_commit: float
-    sim_events: int
-    quiesced: bool
-    counters: dict
-    final_state_keys: int
-    invariant_failures: tuple
-    serial_aborts: dict
-    ghost_aborts: dict
-
-
-def reduce_scenario_cell(result: Any) -> ScenarioCellSummary:
-    """Reduce a scenario ClusterResult to its picklable summary.
-
-    Top-level so grid cells can reference it under the spawn start method.
-    Runs the scenario's invariant checks plus both theorem duels (which
-    depend only on the scenario name, so parallelizing them per-cell keeps
-    the merged output identical to the serial path).
-    """
-    name = result.config.scenario
-    skew = serial_skew_duel(name)
-    ghost = ghost_abort_duel(name)
-    return ScenarioCellSummary(
-        scenario=name,
-        committed=result.committed,
-        aborted=result.aborted,
-        throughput=result.throughput,
-        commit_rate=result.commit_rate,
-        messages_sent=result.messages_sent,
-        messages_per_commit=result.messages_per_commit,
-        sim_events=result.sim_events,
-        quiesced=result.scenario_report["quiesced"],
-        counters=dict(result.scenario_report["counters"]),
-        final_state_keys=len(result.final_state or {}),
-        invariant_failures=tuple(check_scenario(name, result)),
-        serial_aborts={policy: r["serial_aborts"]
-                       for policy, r in skew.items()},
-        ghost_aborts={policy: r["ghost_aborts"]
-                      for policy, r in ghost.items()},
-    )
-
-
 # ---------------------------------------------------------------------------
 # Theorem duels (centralized engine)
 # ---------------------------------------------------------------------------
@@ -927,14 +868,14 @@ def ghost_abort_duel(name: str = "orders", *, seed: int = 202,
 
 
 # ---------------------------------------------------------------------------
-# Policy arena (BENCH_8): adaptive vs its fixed constituents vs Bohm
+# Policy arena: adaptive vs its fixed constituents vs Bohm
 # ---------------------------------------------------------------------------
 
 #: The four fixed policies the adaptive selector switches between.
 ARENA_FIXED_POLICIES = ("mvtl-to", "mvtl-pref", "mvtl-prio",
                         "mvtl-epsilon-clock")
 
-#: Everything the BENCH_8 arena compares, in cell order.
+#: Everything the arena compares, in cell order.
 ARENA_POLICIES = ("mvtl-adaptive",) + ARENA_FIXED_POLICIES + ("bohm",)
 
 
@@ -1033,59 +974,7 @@ def policy_arena(name: str, policy_name: str, *, seed: int = 303,
             "serializable": serializable, "switches": switches}
 
 
-@dataclass(frozen=True)
-class PolicyCellConfig:
-    """Picklable config of one arena cell (what :class:`Cell` carries)."""
-
-    scenario: str
-    policy: str
-    seed: int = 303
-    rounds: int = 200
-    batch: int = 6
-    epsilon: float = 0.05
-    skew: float = 0.05
-    num_keys: int = 8
-    doom_fraction: float = 0.15
-
-
-@dataclass(frozen=True)
-class PolicyArenaSummary:
-    """Arena cell result: mirrors ClusterResult's counter attributes.
-
-    ``throughput``/``messages_*``/``sim_events`` are zero — the arena runs
-    on the centralized engine, outside the simulator — but the attributes
-    exist so the harness payload/bench views need no special cases.
-    """
-
-    scenario: str
-    policy: str
-    committed: int
-    aborted: int
-    decided: int
-    commit_rate: float
-    serializable: bool
-    switches: int
-    throughput: float = 0.0
-    messages_sent: int = 0
-    messages_per_commit: float = 0.0
-    sim_events: int = 0
-
-
-def run_policy_cell(config: PolicyCellConfig) -> PolicyArenaSummary:
-    """Grid entry point: run one arena cell (top-level, pickles)."""
-    res = policy_arena(config.scenario, config.policy, seed=config.seed,
-                       rounds=config.rounds, batch=config.batch,
-                       epsilon=config.epsilon, skew=config.skew,
-                       num_keys=config.num_keys,
-                       doom_fraction=config.doom_fraction)
-    return PolicyArenaSummary(
-        scenario=config.scenario, policy=config.policy,
-        committed=res["commits"], aborted=res["aborts"],
-        decided=res["decided"], commit_rate=res["commit_rate"],
-        serializable=res["serializable"], switches=res["switches"])
-
-
-# -- Bohm chaos validation (the BENCH_8 correctness cells) -------------------
+# -- Bohm chaos validation (the arena's correctness cells) -------------------
 
 #: Scenarios compatible with the single-sequencer Bohm cluster (no
 #: replication/follower reads, no overload controller knobs).
@@ -1104,39 +993,3 @@ def bohm_chaos_config(name: str, *, seed: int = 0) -> Any:
         name, seed=seed, protocol="bohm",
         faults=LinkFaults(loss=0.02, duplicate=0.02),
         rpc_timeout=0.2, rpc_retries=2, record_history=True)
-
-
-@dataclass(frozen=True)
-class BohmChaosSummary:
-    """Picklable Bohm chaos-cell result: counters + correctness verdicts."""
-
-    scenario: str
-    committed: int
-    aborted: int
-    throughput: float
-    commit_rate: float
-    messages_sent: int
-    messages_per_commit: float
-    sim_events: int
-    quiesced: bool
-    serializable: bool
-    invariant_failures: tuple
-
-
-def reduce_bohm_chaos_cell(result: Any) -> BohmChaosSummary:
-    """Reduce a Bohm chaos ClusterResult: MVSG + invariants, in-worker."""
-    from ..verify.mvsg import check_serializable
-    name = result.config.scenario
-    report = check_serializable(result.history)
-    return BohmChaosSummary(
-        scenario=name,
-        committed=result.committed,
-        aborted=result.aborted,
-        throughput=result.throughput,
-        commit_rate=result.commit_rate,
-        messages_sent=result.messages_sent,
-        messages_per_commit=result.messages_per_commit,
-        sim_events=result.sim_events,
-        quiesced=result.scenario_report["quiesced"],
-        serializable=report.serializable,
-        invariant_failures=tuple(check_scenario(name, result)))

@@ -10,7 +10,7 @@ import pytest
 
 import repro.exp.harness as harness_mod
 from repro.dist.cluster import ClusterConfig
-from repro.exp.grid import Cell, derive_seeds, figure_grid, reference_cell
+from repro.exp.grid import Cell, derive_seeds, figure_grid
 from repro.exp.harness import (CellOutcome, HarnessCellError, merged_payload,
                                run_cells, run_figures)
 from repro.sim.testbed import LOCAL_TESTBED
@@ -144,11 +144,6 @@ class TestGrid:
         assert cells[-1].key == ("mvto", 20, 2)
         assert len({c.key for c in cells}) == 8
         assert cells[0].config.measure == 0.5
-
-    def test_reference_cell_is_fixed(self):
-        a, b = reference_cell(), reference_cell()
-        assert a.key == b.key == ("hotpath", "mvtil-early", 42)
-        assert a.config == b.config
 
 
 class TestRunFigures:
