@@ -11,10 +11,10 @@ records.
 
 from __future__ import annotations
 
-from .kernels import (iv_contains, iv_intersect, iv_normalize, iv_subtract,
-                      iv_union, vc_floor)
+from .kernels import (iv_contains, iv_intersect, iv_normalize, iv_seek,
+                      iv_subtract, iv_union, vc_floor)
 
 __all__ = ["BACKEND", "iv_contains", "iv_intersect", "iv_normalize",
-           "iv_subtract", "iv_union", "vc_floor"]
+           "iv_seek", "iv_subtract", "iv_union", "vc_floor"]
 
 BACKEND = "pure"

@@ -37,14 +37,45 @@ itself is returned.  Callers exploit this: ``IntervalSet`` maps
 ubiquitous ``new_state != old_state`` checks in the lock table an identity
 comparison.
 
+One piece against a long run
+----------------------------
+The lock table's traffic is narrow: a request is one piece, a per-key
+sealed run is dozens.  ``iv_intersect`` / ``iv_union`` / ``iv_subtract``
+therefore enter through :func:`iv_seek` — a binary search for the first
+piece of the run that reaches the single piece — touch only the pieces the
+single piece overlaps, and splice the run's untouched head and tail back
+with tuple slices, so the cost is O(log n) comparisons plus one C-level
+copy instead of a Python-level merge over every piece.  The two-stream
+merges below remain the general path for multi-piece × multi-piece.
+
 Numeric domain: timestamp values are clock readings (floats, or small ints
 in tests).
 """
 
 from __future__ import annotations
 
-__all__ = ["iv_contains", "iv_intersect", "iv_normalize", "iv_subtract",
-           "iv_union", "vc_floor"]
+__all__ = ["iv_contains", "iv_intersect", "iv_normalize", "iv_seek",
+           "iv_subtract", "iv_union", "vc_floor"]
+
+
+def iv_seek(flat: tuple, v: float, p: int) -> int:
+    """Offset of the first piece whose ``hi`` is at or above ``(v, p)``.
+
+    Binary search over the sorted pieces (``len(flat)`` when every piece
+    lies below): the piece found is the only candidate to contain
+    ``(v, p)`` and the first that an interval starting there can overlap.
+    """
+    lo = 0
+    hi = len(flat) >> 2
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        k = (mid << 2) + 2
+        hv = flat[k]
+        if hv < v or (hv == v and flat[k + 1] < p):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo << 2
 
 
 def iv_contains(flat: tuple, v: float, p: int) -> bool:
@@ -91,6 +122,10 @@ def iv_intersect(a: tuple, b: tuple) -> tuple:
         if res == b:
             return b
         return res
+    if len(a) == 4:
+        return _clip_run(b, a)
+    if len(b) == 4:
+        return _clip_run(a, b)
     out: list = []
     i = j = 0
     na, nb = len(a), len(b)
@@ -118,6 +153,43 @@ def iv_intersect(a: tuple, b: tuple) -> tuple:
     if res == b:
         return b
     return res
+
+
+def _span(run: tuple, lo_v: float, lo_p: int, hi_v: float,
+          hi_p: int) -> tuple[int, int]:
+    """Offsets ``(i, j)`` of the pieces of ``run`` overlapping ``[lo, hi]``:
+    seek to the first piece reaching ``lo``, walk while pieces start at or
+    below ``hi`` (``i == j`` when none does)."""
+    i = j = iv_seek(run, lo_v, lo_p)
+    n = len(run)
+    while j < n and (run[j] < hi_v or (run[j] == hi_v and run[j + 1] <= hi_p)):
+        j += 4
+    return i, j
+
+
+def _clip_run(run: tuple, one: tuple) -> tuple:
+    """``run ∩ one`` for a multi-piece ``run`` and a single piece ``one``.
+
+    Only the first and last overlapping pieces can be cut; the pieces
+    between them lie inside ``one`` and are copied as one slice.
+    """
+    lo_v, lo_p, hi_v, hi_p = one
+    i, j = _span(run, lo_v, lo_p, hi_v, hi_p)
+    if j == i:
+        return ()  # every piece ends below one.lo or starts above one.hi
+    flo_v, flo_p = run[i], run[i + 1]
+    lhi_v, lhi_p = run[j - 2], run[j - 1]
+    trim_lo = flo_v < lo_v or (flo_v == lo_v and flo_p < lo_p)
+    trim_hi = lhi_v > hi_v or (lhi_v == hi_v and lhi_p > hi_p)
+    if trim_lo or trim_hi:
+        res = (((lo_v, lo_p) if trim_lo else (flo_v, flo_p))
+               + run[i + 2:j - 2]
+               + ((hi_v, hi_p) if trim_hi else (lhi_v, lhi_p)))
+    elif j - i == len(run):
+        return run  # every piece of the run lies inside one
+    else:
+        res = run[i:j]
+    return one if res == one else res
 
 
 def iv_union(a: tuple, b: tuple) -> tuple:
@@ -158,6 +230,10 @@ def iv_union(a: tuple, b: tuple) -> tuple:
         if alo_v < blo_v or (alo_v == blo_v and alo_p < blo_p):
             return a + b
         return b + a
+    if len(a) == 4:
+        return _splice_run(b, a)
+    if len(b) == 4:
+        return _splice_run(a, b)
     # Linear merge of two sorted piece streams with touch-merging.
     out: list = []
     i = j = 0
@@ -201,6 +277,26 @@ def iv_union(a: tuple, b: tuple) -> tuple:
     return res
 
 
+def _splice_run(run: tuple, one: tuple) -> tuple:
+    """``run ∪ one`` for a multi-piece ``run`` and a single piece ``one``:
+    the pieces ``one`` touches collapse into one piece, spliced between the
+    run's untouched head and tail."""
+    lo_v, lo_p, hi_v, hi_p = one
+    # Touching is overlapping [pred(one.lo), succ(one.hi)].
+    i, j = _span(run, lo_v, lo_p - 1, hi_v, hi_p + 1)
+    if j == i:
+        return run[:i] + one + run[i:]  # touches nothing: plain insert
+    flo_v, flo_p = run[i], run[i + 1]
+    lhi_v, lhi_p = run[j - 2], run[j - 1]
+    grow_lo = lo_v < flo_v or (lo_v == flo_v and lo_p < flo_p)
+    grow_hi = hi_v > lhi_v or (hi_v == lhi_v and hi_p > lhi_p)
+    if not grow_lo and not grow_hi and j == i + 4:
+        return run  # one already lies inside a piece of the run
+    res = (run[:i] + ((lo_v, lo_p) if grow_lo else (flo_v, flo_p))
+           + ((hi_v, hi_p) if grow_hi else (lhi_v, lhi_p)) + run[j:])
+    return one if res == one else res  # one swallowed the whole run
+
+
 def iv_subtract(a: tuple, b: tuple) -> tuple:
     """Set difference ``a - b`` over flat sets."""
     if not a or not b:
@@ -217,6 +313,10 @@ def iv_subtract(a: tuple, b: tuple) -> tuple:
         if bhi_v < ahi_v or (bhi_v == ahi_v and bhi_p < ahi_p):
             out += (bhi_v, bhi_p + 1, ahi_v, ahi_p)  # [succ(b.hi), a.hi]
         return tuple(out)
+    if len(b) == 4:
+        return _cut_run(a, b)
+    if len(a) == 4:
+        return _gaps_of_run(a, b)
     out = []
     j = 0
     nb = len(b)
@@ -247,6 +347,47 @@ def iv_subtract(a: tuple, b: tuple) -> tuple:
     if res == a:
         return a
     return res
+
+
+def _cut_run(run: tuple, one: tuple) -> tuple:
+    """``run - one`` for a multi-piece ``run`` and a single piece ``one``:
+    drop the pieces inside ``one``, keep what sticks out of it at either
+    end, splice head and tail back."""
+    lo_v, lo_p, hi_v, hi_p = one
+    i, j = _span(run, lo_v, lo_p, hi_v, hi_p)
+    if j == i:
+        return run  # disjoint
+    mid: tuple = ()
+    flo_v, flo_p = run[i], run[i + 1]
+    if flo_v < lo_v or (flo_v == lo_v and flo_p < lo_p):
+        mid = (flo_v, flo_p, lo_v, lo_p - 1)  # [piece.lo, pred(one.lo)]
+    lhi_v, lhi_p = run[j - 2], run[j - 1]
+    if lhi_v > hi_v or (lhi_v == hi_v and lhi_p > hi_p):
+        mid += (hi_v, hi_p + 1, lhi_v, lhi_p)  # [succ(one.hi), piece.hi]
+    return run[:i] + mid + run[j:]
+
+
+def _gaps_of_run(one: tuple, run: tuple) -> tuple:
+    """``one - run`` for a single piece ``one`` and a multi-piece ``run``:
+    what is left of ``one`` between the pieces of the run it overlaps."""
+    lo_v, lo_p, hi_v, hi_p = one
+    k = iv_seek(run, lo_v, lo_p)
+    n = len(run)
+    if k == n or run[k] > hi_v or (run[k] == hi_v and run[k + 1] > hi_p):
+        return one  # disjoint
+    out: list = []
+    while k < n:
+        blo_v, blo_p = run[k], run[k + 1]
+        if blo_v > hi_v or (blo_v == hi_v and blo_p > hi_p):
+            break  # starts past the remainder
+        if lo_v < blo_v or (lo_v == blo_v and lo_p < blo_p):
+            out += (lo_v, lo_p, blo_v, blo_p - 1)
+        lo_v, lo_p = run[k + 2], run[k + 3] + 1  # resume just above
+        if lo_v > hi_v or (lo_v == hi_v and lo_p > hi_p):
+            return tuple(out)  # remainder fully consumed
+        k += 4
+    out += (lo_v, lo_p, hi_v, hi_p)
+    return tuple(out)
 
 
 def iv_normalize(quads: list) -> tuple:

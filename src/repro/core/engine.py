@@ -454,7 +454,7 @@ class MVTLEngine:
                 result = self.locks.try_acquire(tx.id, key, mode, want_set)
                 acquired_total = acquired_total.union(result.acquired)
                 want_set = want_set.subtract(result.acquired)
-                if not result.conflicts:
+                if result.fully_acquired:
                     self._waits.clear(tx.id)
                     return EngineAcquireResult(acquired_total, skipped_frozen)
                 self._stripe_conflicts[idx] += 1

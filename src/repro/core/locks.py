@@ -7,12 +7,11 @@ the write-lock at its commit timestamp (sealing the new version) and the
 read-locks between the version it read and its commit timestamp (sealing the
 read-timestamp range).  Frozen locks tell other transactions not to wait.
 
-This module implements that state *interval-compressed* (§6): per key, each
-owner holds an :class:`~repro.core.intervals.IntervalSet` per mode, plus the
-frozen subset.  The table is a pure data structure — no blocking, no threads.
-Callers (the threaded engine, the simulated servers) decide what to do with
-reported conflicts: wait for unfrozen holders, shrink the requested interval
-(MVTIL), or give up (the "without waiting" branches of Algorithms 3 and 8).
+This module implements that state *interval-compressed* (§6).  The table is
+a pure data structure — no blocking, no threads.  Callers (the threaded
+engine, the simulated servers) decide what to do with reported conflicts:
+wait for unfrozen holders, shrink the requested interval (MVTIL), or give up
+(the "without waiting" branches of Algorithms 3 and 8).
 
 Conflict rules, per timestamp point:
 
@@ -20,6 +19,34 @@ Conflict rules, per timestamp point:
 * READ locks from different owners may overlap;
 * an owner never conflicts with itself (read->write upgrade is permitted
   w.r.t. its own read locks).
+
+Representation
+--------------
+Per key, every piece of lock state is a **flat quad tuple** — the canonical
+``(lo_v, lo_p, hi_v, hi_p, ...)`` form of :mod:`repro._fastcore` that
+:class:`~repro.core.intervals.IntervalSet` and
+:class:`~repro.core.versions.VersionStore` already use: each live owner's
+``read`` / ``write`` / ``frozen_read`` / ``frozen_write``, and the two
+ownerless *sealed runs* ended transactions are folded into.  The sealed runs
+are sorted and only grow between purges (dozens of pieces on a contended
+key), so they are the paper's §8.1 skip lists in the substitution PAPER.md
+promises: searched by bisection (:func:`~repro._fastcore.iv_seek`), never
+merged end to end, and never unioned with each other.
+:class:`~repro.core.intervals.IntervalSet` is the boundary type: queries
+wrap a flat on the way out, requests are unwrapped on the way in.
+
+One probe per request
+---------------------
+A lock request touches the key's state once.  :meth:`KeyLockState.try_acquire`
+seeks into each sealed run for the first piece reaching the request, walks
+the live owners once, records the grant, and returns the granted range with
+``fully_acquired`` / ``any_frozen_conflict`` — all a simulated server needs.
+The per-piece :class:`Conflict` objects the threaded engine and the
+conflict-driven policies read are materialized from the same pass only when
+``AcquireResult.conflicts`` is asked for.
+:meth:`KeyLockState.acquire_read_after` is the read side of Alg. 13 in the
+same shape: frozen-write truncation, other owners' write locks and the grant
+in one walk.
 """
 
 from __future__ import annotations
@@ -29,7 +56,8 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable
 
 from .intervals import EMPTY_SET, IntervalSet, TsInterval
-from .._fastcore import iv_subtract
+from .timestamp import Timestamp
+from .._fastcore import iv_intersect, iv_seek, iv_subtract, iv_union
 
 __all__ = [
     "LockMode",
@@ -79,67 +107,59 @@ class Conflict:
     frozen: bool
 
 
-@dataclass(unsafe_hash=True, slots=True)
 class AcquireResult:
-    """Outcome of :meth:`KeyLockState.try_acquire`.
+    """Outcome of :meth:`KeyLockState.try_acquire` / ``lockable``.
 
-    ``acquired`` is the sub-range actually granted (already recorded in the
-    table); ``conflicts`` describes every blocking hold overlapping the
-    remainder of the request.
+    ``acquired`` is the conflict-free sub-range of the request (recorded in
+    the table unless the call says otherwise); ``fully_acquired`` tells
+    whether that is all of it.  ``conflicts`` describes every blocking hold
+    overlapping the remainder — built on first access from the raw pieces
+    the probe collected, because most callers only ask *whether* anything
+    blocked and whether any of it was frozen.
     """
 
-    acquired: IntervalSet
-    conflicts: tuple[Conflict, ...]
+    __slots__ = ("acquired", "fully_acquired", "_blocked", "_conflicts")
 
-    @property
-    def fully_acquired(self) -> bool:
-        return not self.conflicts
+    def __init__(self, acquired: IntervalSet, blocked: list) -> None:
+        self.acquired = acquired
+        self.fully_acquired = not blocked
+        #: (lo_v, lo_p, hi_v, hi_p, holder, mode, frozen) per blocking piece.
+        self._blocked = blocked
+        self._conflicts: tuple[Conflict, ...] | None = None
 
     @property
     def any_frozen_conflict(self) -> bool:
-        return any(c.frozen for c in self.conflicts)
+        for b in self._blocked:
+            if b[6]:
+                return True
+        return False
 
     @property
-    def unfrozen_conflicts(self) -> tuple[Conflict, ...]:
-        return tuple(c for c in self.conflicts if not c.frozen)
+    def conflicts(self) -> tuple[Conflict, ...]:
+        out = self._conflicts
+        if out is None:
+            out = self._conflicts = tuple(
+                Conflict(TsInterval(Timestamp(lo_v, lo_p),
+                                    Timestamp(hi_v, hi_p)),
+                         holder, mode, frozen)
+                for lo_v, lo_p, hi_v, hi_p, holder, mode, frozen
+                in self._blocked)
+        return out
+
+    def __repr__(self) -> str:
+        return (f"AcquireResult(acquired={self.acquired!r}, "
+                f"conflicts={self.conflicts!r})")
 
 
 @dataclass(slots=True)
 class _OwnerLocks:
-    """Lock state of a single owner on a single key.
+    """Lock state of a single owner on a single key: four flat quad tuples
+    (``frozen_*`` is always a subset of the hold of the same mode)."""
 
-    Defaults share the EMPTY_SET singleton — IntervalSet is immutable, and
-    owner records are minted on every first acquire, so per-field empty-set
-    construction was pure allocation churn.
-    """
-
-    read: IntervalSet = EMPTY_SET
-    write: IntervalSet = EMPTY_SET
-    frozen_read: IntervalSet = EMPTY_SET
-    frozen_write: IntervalSet = EMPTY_SET
-
-    def held(self, mode: LockMode) -> IntervalSet:
-        return self.read if mode is LockMode.READ else self.write
-
-    def set_held(self, mode: LockMode, value: IntervalSet) -> None:
-        if mode is LockMode.READ:
-            self.read = value
-        else:
-            self.write = value
-
-    def frozen(self, mode: LockMode) -> IntervalSet:
-        return (self.frozen_read if mode is LockMode.READ
-                else self.frozen_write)
-
-    def set_frozen(self, mode: LockMode, value: IntervalSet) -> None:
-        if mode is LockMode.READ:
-            self.frozen_read = value
-        else:
-            self.frozen_write = value
-
-    @property
-    def is_empty(self) -> bool:
-        return self.read.is_empty and self.write.is_empty
+    read: tuple = ()
+    write: tuple = ()
+    frozen_read: tuple = ()
+    frozen_write: tuple = ()
 
 
 class KeyLockState:
@@ -151,8 +171,7 @@ class KeyLockState:
     """
 
     __slots__ = ("_owners", "version", "_sealed_read", "_sealed_write",
-                 "_sealed_spans", "_rc_version", "_rc_count",
-                 "_fwr_version", "_fwr_cache")
+                 "_sealed_spans", "_rc_version", "_rc_count")
 
     #: Owner id reported for conflicts with sealed (ownerless) lock state.
     SEALED = "<sealed>"
@@ -166,9 +185,11 @@ class KeyLockState:
         # prefixes and frozen write points of committed transactions, and —
         # for MVTO+-style policies — the never-released read locks that act
         # as read-timestamps.  Sealed state is permanent: conflicts with it
-        # are reported frozen, and only purging removes it.
-        self._sealed_read: IntervalSet = EMPTY_SET
-        self._sealed_write: IntervalSet = EMPTY_SET
+        # are reported frozen, and only purging removes it.  Two sorted flat
+        # runs, probed separately: a ``write ∪ read`` aggregate would cost a
+        # merge per seal and a second copy of the longer run per key.
+        self._sealed_read: tuple = ()
+        self._sealed_write: tuple = ()
         # Metric record list: one span per lock record an implementation
         # without merging would store (Fig. 6's "number of locks").  Kept
         # raw — never re-compacted — so purging can subtract exactly the
@@ -182,21 +203,22 @@ class KeyLockState:
         # across every key far more often than most keys change.
         self._rc_version: int = -1
         self._rc_count: int = 0
-        # frozen_write_ranges memo, same ``version`` keying: every read
-        # consults the frozen-write union, most reads hit unchanged keys.
-        self._fwr_version: int = -1
-        self._fwr_cache: IntervalSet = EMPTY_SET
 
     # -- queries -----------------------------------------------------------
 
     def held(self, owner: TxId, mode: LockMode) -> IntervalSet:
         """Timestamps ``owner`` currently holds in ``mode`` on this key."""
-        ol = self._owners.get(owner)
-        return ol.held(mode) if ol is not None else EMPTY_SET
+        rec = self._owners.get(owner)
+        if rec is None:
+            return EMPTY_SET
+        return _as_set(rec.read if mode is LockMode.READ else rec.write)
 
     def frozen(self, owner: TxId, mode: LockMode) -> IntervalSet:
-        ol = self._owners.get(owner)
-        return ol.frozen(mode) if ol is not None else EMPTY_SET
+        rec = self._owners.get(owner)
+        if rec is None:
+            return EMPTY_SET
+        return _as_set(rec.frozen_read if mode is LockMode.READ
+                       else rec.frozen_write)
 
     def lockable(self, owner: TxId, mode: LockMode,
                  want: TsInterval | IntervalSet) -> AcquireResult:
@@ -205,7 +227,9 @@ class KeyLockState:
         ``acquired`` in the result is the conflict-free sub-range that an
         acquire *would* grant.
         """
-        return self._split(owner, mode, _as_set(want))
+        want_flat = want.flat
+        free, blocked = self._probe(owner, mode, want_flat)
+        return AcquireResult(_granted(free, want_flat, want), blocked)
 
     def frozen_write_ranges(self) -> IntervalSet:
         """Union of all frozen write locks on this key (any owner).
@@ -214,51 +238,32 @@ class KeyLockState:
         committing) version boundary that a read interval must not cross
         (Algorithms 3/4/8 "if found frozen write-lock ... retry").
         """
-        if self._fwr_version == self.version:
-            return self._fwr_cache
         out = self._sealed_write
-        for ol in self._owners.values():
-            out = out.union(ol.frozen_write)
-        self._fwr_version = self.version
-        self._fwr_cache = out
-        return out
+        for rec in self._owners.values():
+            if rec.frozen_write:
+                out = iv_union(out, rec.frozen_write)
+        return _as_set(out)
 
-    def seal(self, owner: TxId, keep_all_reads: bool = False) -> None:
-        """Fold an *ended* transaction's permanent locks into the sealed
-        aggregate and drop its owner record.
+    def unfrozen_write_at_or_below(self, ts: Timestamp) -> bool:
+        """Does any owner hold an *unfrozen* write lock at or below ``ts``?
 
-        ``keep_all_reads=False`` (commit-with-GC, or abort): frozen read and
-        write locks become sealed, unfrozen locks are released.
-        ``keep_all_reads=True`` (MVTO+-style end): *all* read locks become
-        sealed — MVTO+'s read-timestamps are never rolled back (§3) — plus
-        the frozen writes; unfrozen write locks are released.
-
-        Sealing is semantically equivalent to keeping the records under the
-        dead owner, but conflict checks stay O(active transactions).
+        Such an owner is undecided and could still commit inside the past
+        of a lock-free read at ``ts``.
         """
-        ol = self._owners.pop(owner, None)
-        if ol is None:
-            return
-        reads = ol.read if keep_all_reads else ol.frozen_read
-        spans = self._sealed_spans
-        for flat in (reads.flat, ol.frozen_write.flat):
-            n = len(flat)
-            if n == 4:
-                spans.append(flat)  # single piece: the flat IS the quad
-            elif n:
-                for i in range(0, n, 4):
-                    spans.append(flat[i:i + 4])
-        if reads:
-            self._sealed_read = self._sealed_read.union(reads)
-        if ol.frozen_write:
-            self._sealed_write = self._sealed_write.union(ol.frozen_write)
-        self.version += 1
+        v = ts.value
+        p = ts.pid
+        for rec in self._owners.values():
+            if rec.write:
+                rest = iv_subtract(rec.write, rec.frozen_write)
+                if rest and (rest[0] < v or (rest[0] == v and rest[1] <= p)):
+                    return True
+        return False
 
     def sealed_read_ranges(self) -> IntervalSet:
-        return self._sealed_read
+        return _as_set(self._sealed_read)
 
     def sealed_write_ranges(self) -> IntervalSet:
-        return self._sealed_write
+        return _as_set(self._sealed_write)
 
     def owners(self) -> Iterable[TxId]:
         return self._owners.keys()
@@ -273,32 +278,41 @@ class KeyLockState:
         if self._rc_version == self.version:
             return self._rc_count
         count = len(self._sealed_spans) + sum(
-            len(ol.read) + len(ol.write) for ol in self._owners.values())
+            (len(rec.read) + len(rec.write)) >> 2
+            for rec in self._owners.values())
         self._rc_version = self.version
         self._rc_count = count
         return count
 
     @property
     def is_empty(self) -> bool:
-        return (not self._owners and self._sealed_read.is_empty
-                and self._sealed_write.is_empty)
+        return not (self._owners or self._sealed_read or self._sealed_write)
 
     # -- mutation ----------------------------------------------------------
 
     def try_acquire(self, owner: TxId, mode: LockMode,
-                    want: TsInterval | IntervalSet) -> AcquireResult:
-        """Acquire as much of ``want`` as is conflict-free.
+                    want: TsInterval | IntervalSet, *, wait: bool = False,
+                    all_or_nothing: bool = False) -> AcquireResult:
+        """Acquire as much of ``want`` as is conflict-free, in one probe.
 
         The conflict-free portion is granted and recorded; the rest is
-        reported via ``conflicts``.  Idempotent for ranges already held by
+        reported through the result.  Idempotent for ranges already held by
         ``owner`` in the same mode.
+
+        Two request flags (Alg. 13's, carried on the wire) name the partial
+        outcomes the caller will *not* keep, so that nothing is recorded
+        for them: ``all_or_nothing`` refuses any partial grant; ``wait``
+        refuses one whose blockers are all unfrozen — the caller parks the
+        request and retries when they move ("waiting if locked but not
+        frozen").  The result still reports what was grantable.
         """
-        result = self._split(owner, mode, _as_set(want))
-        if result.acquired:
-            ol = self._owners.get(owner)
-            if ol is None:
-                ol = self._owners[owner] = _OwnerLocks()
-            ol.set_held(mode, ol.held(mode).union(result.acquired))
+        want_flat = want.flat
+        free, blocked = self._probe(owner, mode, want_flat)
+        result = AcquireResult(_granted(free, want_flat, want), blocked)
+        refused = blocked and (
+            all_or_nothing or (wait and not result.any_frozen_conflict))
+        if free and not refused:
+            self._record(owner, mode, free)
             self.version += 1
         return result
 
@@ -312,25 +326,91 @@ class KeyLockState:
         request atomically.  Not for the threaded engine, whose probe and
         acquire run under separate stripe-lock acquisitions.
         """
-        if not isinstance(granted, TsInterval) and granted.is_empty:
-            return
-        ol = self._owners.get(owner)
-        if ol is None:
-            ol = self._owners[owner] = _OwnerLocks()
-        # Mode-unrolled direct slot access: grant sits on the read path of
-        # every DES server, right after the lockable() probe.
-        if mode is LockMode.READ:
-            held = ol.read
-            new_held = held.union(granted)
-            if new_held != held:
-                ol.read = new_held
-                self.version += 1
-        else:
-            held = ol.write
-            new_held = held.union(granted)
-            if new_held != held:
-                ol.write = new_held
-                self.version += 1
+        flat = granted.flat
+        if flat and self._record(owner, mode, flat):
+            self.version += 1
+
+    def acquire_read_after(self, owner: TxId, tr: Timestamp,
+                           upper: Timestamp, floor: Timestamp | None = None,
+                           wait: bool = False
+                           ) -> tuple[IntervalSet | None, bool]:
+        """Read-lock the contiguous range just above the version at ``tr``
+        (Alg. 13 lines 5-7) — probe, decision and grant in one walk.
+
+        The request is ``(tr, upper]``.  It is cut at the first *frozen*
+        write lock above ``tr`` (sealed, or any owner's: a committed
+        version boundary no read interval may cross) and at the first write
+        lock of another owner.  What remains is granted if it still starts
+        right after ``tr``.
+
+        Returns ``(locked, contended)``.  ``locked`` is ``None`` when
+        nothing was recorded because waiting can help: the caller asked to
+        ``wait``, the grantable prefix stops short of ``floor`` (default
+        ``upper``), and an *unfrozen* lock is what stops it — park and
+        retry.  Otherwise ``locked`` is the recorded grant — empty when a
+        write lock sits immediately above ``tr`` — and ``contended`` says
+        whether a lock cut it short of ``upper`` (a frozen write directly
+        above ``tr`` is a version the floor lookup raced with, not
+        contention).
+        """
+        lo = (tr.value, tr.pid + 1)
+        up = (upper.value, upper.pid)
+        # (fh) where the range ends below the first frozen write above tr;
+        # (uh) the same for other owners' write locks, frozen or not.
+        # (value, pid) tuples order exactly like timestamps.
+        fh = uh = up
+        if self._sealed_write:
+            fh = _cut_below(self._sealed_write, lo, fh)
+            if fh is None:
+                return EMPTY_SET, False
+        covered = False  # another owner's write lock sits right above tr
+        mine = None
+        for other, rec in self._owners.items():
+            if rec.frozen_write:
+                fh = _cut_below(rec.frozen_write, lo, fh)
+                if fh is None:
+                    return EMPTY_SET, False
+            if other == owner:
+                mine = rec
+            elif rec.write and not covered:
+                cut = _cut_below(rec.write, lo, uh)
+                if cut is None:
+                    covered = True
+                else:
+                    uh = cut
+        # The grantable prefix ends at the lower of the two cuts; an
+        # unfrozen lock is what limits it exactly when uh is the lower one.
+        unfrozen_limited = covered or uh < fh
+        if wait and unfrozen_limited and (
+                covered or uh < (up if floor is None
+                                 else (floor.value, floor.pid))):
+            return None, True  # stops short of the floor: park
+        if covered:
+            return EMPTY_SET, True
+        if unfrozen_limited:
+            fh = uh
+        prefix = lo + fh
+        if mine is None:
+            mine = self._owners[owner] = _OwnerLocks()
+        held = mine.read
+        merged = iv_union(held, prefix)
+        if merged is not held:
+            mine.read = merged
+            self.version += 1
+        return IntervalSet._from_flat(prefix), fh != up
+
+    def hold_frozen_read(self, owner: TxId,
+                         span: TsInterval | IntervalSet) -> bool:
+        """Mirror a committed reader's frozen span on a replica that never
+        saw the read: if ``owner`` holds no read lock here, acquire what of
+        ``span`` is conflict-free; then freeze its read locks inside
+        ``span``.  Returns whether the acquire step ran."""
+        rec = self._owners.get(owner)
+        acquire = rec is None or not rec.read
+        if acquire:
+            self.try_acquire(owner, LockMode.READ, span)
+        self.freeze(owner, LockMode.READ, span)
+        return acquire
 
     def freeze(self, owner: TxId, mode: LockMode,
                span: TsInterval | IntervalSet) -> None:
@@ -339,15 +419,19 @@ class KeyLockState:
         Freezing is what makes a commit durable to other transactions:
         frozen locks are never released and survive GC.
         """
-        span_set = _as_set(span)
-        ol = self._owners.get(owner)
-        if ol is None:
+        rec = self._owners.get(owner)
+        if rec is None:
             return  # nothing held (already released): freezing is a no-op
-        to_freeze = ol.held(mode).intersect(span_set)
-        if to_freeze.is_empty:
-            return
-        ol.set_frozen(mode, ol.frozen(mode).union(to_freeze))
-        self.version += 1
+        if mode is LockMode.READ:
+            to_freeze = iv_intersect(rec.read, span.flat)
+            if to_freeze:
+                rec.frozen_read = iv_union(rec.frozen_read, to_freeze)
+                self.version += 1
+        else:
+            to_freeze = iv_intersect(rec.write, span.flat)
+            if to_freeze:
+                rec.frozen_write = iv_union(rec.frozen_write, to_freeze)
+                self.version += 1
 
     def release(self, owner: TxId, mode: LockMode,
                 span: TsInterval | IntervalSet) -> None:
@@ -356,18 +440,23 @@ class KeyLockState:
         Attempting to release a frozen range raises
         :class:`FrozenConflictError` — frozen means "never released".
         """
-        ol = self._owners.get(owner)
-        if ol is None:
+        rec = self._owners.get(owner)
+        if rec is None:
             return
-        span_set = _as_set(span)
-        if not ol.frozen(mode).intersect(span_set).is_empty:
+        span_flat = span.flat
+        read = mode is LockMode.READ
+        if iv_intersect(rec.frozen_read if read else rec.frozen_write,
+                        span_flat):
             raise FrozenConflictError(
                 f"{owner!r} attempted to release a frozen {mode.value} range")
-        held = ol.held(mode)
-        remaining = held.subtract(span_set)
-        if remaining != held:
-            ol.set_held(mode, remaining)
-            self._prune(owner, ol)
+        held = rec.read if read else rec.write
+        remaining = iv_subtract(held, span_flat)
+        if remaining is not held:
+            if read:
+                rec.read = remaining
+            else:
+                rec.write = remaining
+            self._prune(owner, rec)
             self.version += 1
 
     def release_unfrozen(self, owner: TxId) -> None:
@@ -375,19 +464,46 @@ class KeyLockState:
 
         This is the tail of Algorithm 1's ``gc`` and the abort path.
         """
-        ol = self._owners.get(owner)
-        if ol is None:
+        rec = self._owners.get(owner)
+        if rec is None:
             return
-        changed = False
-        for mode in LockMode:
-            held = ol.held(mode)
-            frozen = ol.frozen(mode)
-            if held != frozen:
-                ol.set_held(mode, frozen)
-                changed = True
-        if changed:
-            self._prune(owner, ol)
+        if rec.read != rec.frozen_read or rec.write != rec.frozen_write:
+            rec.read = rec.frozen_read
+            rec.write = rec.frozen_write
+            self._prune(owner, rec)
             self.version += 1
+
+    def seal(self, owner: TxId, keep_all_reads: bool = False) -> None:
+        """Fold an *ended* transaction's permanent locks into the sealed
+        runs and drop its owner record.
+
+        ``keep_all_reads=False`` (commit-with-GC, or abort): frozen read and
+        write locks become sealed, unfrozen locks are released.
+        ``keep_all_reads=True`` (MVTO+-style end): *all* read locks become
+        sealed — MVTO+'s read-timestamps are never rolled back (§3) — plus
+        the frozen writes; unfrozen write locks are released.
+
+        Sealing is semantically equivalent to keeping the records under the
+        dead owner, but conflict checks stay O(active transactions).
+        """
+        rec = self._owners.pop(owner, None)
+        if rec is None:
+            return
+        reads = rec.read if keep_all_reads else rec.frozen_read
+        writes = rec.frozen_write
+        spans = self._sealed_spans
+        for flat in (reads, writes):
+            n = len(flat)
+            if n == 4:
+                spans.append(flat)  # single piece: the flat IS the quad
+            elif n:
+                for i in range(0, n, 4):
+                    spans.append(flat[i:i + 4])
+        if reads:
+            self._sealed_read = iv_union(self._sealed_read, reads)
+        if writes:
+            self._sealed_write = iv_union(self._sealed_write, writes)
+        self.version += 1
 
     def purge_below(self, bound: TsInterval) -> int:
         """Drop all lock state (frozen included) inside ``bound``.
@@ -397,17 +513,17 @@ class KeyLockState:
         purged".  Returns the number of owners whose state changed.
         """
         changed = 0
-        new_sealed_read = self._sealed_read.subtract(bound)
-        new_sealed_write = self._sealed_write.subtract(bound)
-        if (new_sealed_read != self._sealed_read
-                or new_sealed_write != self._sealed_write):
-            self._sealed_read = new_sealed_read
-            self._sealed_write = new_sealed_write
+        bound_flat = bound.flat
+        sealed_read = iv_subtract(self._sealed_read, bound_flat)
+        sealed_write = iv_subtract(self._sealed_write, bound_flat)
+        if (sealed_read is not self._sealed_read
+                or sealed_write is not self._sealed_write):
+            self._sealed_read = sealed_read
+            self._sealed_write = sealed_write
             # Trim each sealed record individually: drop what the purge
             # removed, keep every surviving piece as its own record.  The
             # metric tracks an implementation without merging, so purging
             # must not collapse surviving records into the compacted form.
-            bound_flat = bound.flat
             self._sealed_spans = [
                 rest[i:i + 4]
                 for span in self._sealed_spans
@@ -415,99 +531,149 @@ class KeyLockState:
                 for i in range(0, len(rest), 4)]
             changed += 1
         for owner in list(self._owners):
-            ol = self._owners[owner]
+            rec = self._owners[owner]
             touched = False
-            for mode in LockMode:
-                held = ol.held(mode)
-                new_held = held.subtract(bound)
-                if new_held != held:
-                    ol.set_held(mode, new_held)
-                    ol.set_frozen(mode, ol.frozen(mode).subtract(bound))
-                    touched = True
+            held = iv_subtract(rec.read, bound_flat)
+            if held is not rec.read:
+                rec.read = held
+                rec.frozen_read = iv_subtract(rec.frozen_read, bound_flat)
+                touched = True
+            held = iv_subtract(rec.write, bound_flat)
+            if held is not rec.write:
+                rec.write = held
+                rec.frozen_write = iv_subtract(rec.frozen_write, bound_flat)
+                touched = True
             if touched:
                 changed += 1
-                self._prune(owner, ol)
+                self._prune(owner, rec)
         if changed:
             self.version += 1
         return changed
 
     # -- internals ---------------------------------------------------------
 
-    def _prune(self, owner: TxId, ol: _OwnerLocks) -> None:
-        if ol.is_empty:
+    def _prune(self, owner: TxId, rec: _OwnerLocks) -> None:
+        if not (rec.read or rec.write):
             del self._owners[owner]
 
-    def _split(self, owner: TxId, mode: LockMode,
-               want: IntervalSet) -> AcquireResult:
-        """Partition ``want`` into a grantable part and per-holder conflicts."""
-        free = want
-        conflicts: list[Conflict] = []
-        # Sealed (ended-transaction) state first: permanent, hence frozen.
-        # Avoid the union allocation when one (or both) aggregates is empty
-        # — the dominant case on lightly written keys.
-        if mode is LockMode.READ or self._sealed_read.is_empty:
-            sealed_blockers = self._sealed_write
-        elif self._sealed_write.is_empty:
-            sealed_blockers = self._sealed_read
+    def _record(self, owner: TxId, mode: LockMode, flat: tuple) -> bool:
+        """Add ``flat`` to ``owner``'s ``mode`` hold; whether it grew."""
+        rec = self._owners.get(owner)
+        if rec is None:
+            rec = self._owners[owner] = _OwnerLocks()
+        if mode is LockMode.READ:
+            held = rec.read
+            merged = iv_union(held, flat)
+            if merged is held:
+                return False
+            rec.read = merged
         else:
-            sealed_blockers = self._sealed_write.union(self._sealed_read)
-        if sealed_blockers:
-            overlap = want.intersect(sealed_blockers)
-            if not overlap.is_empty:
-                for piece in overlap:
-                    blocking_mode = (LockMode.WRITE
-                                     if self._sealed_write.intersect(piece)
-                                     else LockMode.READ)
-                    conflicts.append(Conflict(piece, self.SEALED,
-                                              blocking_mode, True))
-                free = free.subtract(overlap)
-        if self._owners:
-            # WRITE requests conflict with the other's read and write locks;
-            # READ requests only with the other's write locks.  The mode
-            # pair is unrolled (no tuple loop) and holds are read straight
-            # off the slots: this runs once per lock request per co-active
-            # owner, the innermost loop of every server's data path.
-            write_req = mode is LockMode.WRITE
-            for other, ol in self._owners.items():
-                if other == owner:
-                    continue
-                if write_req:
-                    held = ol.read
-                    if not held.is_empty:
-                        overlap = want.intersect(held)
-                        if not overlap.is_empty:
-                            self._conflicts_for(conflicts, overlap,
-                                                other, LockMode.READ,
-                                                ol.frozen_read)
-                            free = free.subtract(overlap)
-                held = ol.write
-                if not held.is_empty:
-                    overlap = want.intersect(held)
-                    if not overlap.is_empty:
-                        self._conflicts_for(conflicts, overlap,
-                                            other, LockMode.WRITE,
-                                            ol.frozen_write)
-                        free = free.subtract(overlap)
-        return AcquireResult(acquired=free, conflicts=tuple(conflicts))
+            held = rec.write
+            merged = iv_union(held, flat)
+            if merged is held:
+                return False
+            rec.write = merged
+        return True
 
-    @staticmethod
-    def _conflicts_for(conflicts: list[Conflict], overlap: IntervalSet,
-                       other: TxId, bmode: LockMode,
-                       frozen: IntervalSet) -> None:
-        """Append per-piece conflicts for one blocking hold of ``other``."""
-        if frozen.is_empty:
-            # Nothing frozen: every overlapping piece is a waitable
-            # conflict — skip the per-piece set splits entirely.
-            for piece in overlap:
-                conflicts.append(Conflict(piece, other, bmode, False))
-            return
-        for piece in overlap:
-            piece_set = IntervalSet.from_interval(piece)
-            frozen_part = piece_set.intersect(frozen)
-            for fp in frozen_part:
-                conflicts.append(Conflict(fp, other, bmode, True))
-            for up in piece_set.subtract(frozen_part):
-                conflicts.append(Conflict(up, other, bmode, False))
+    def _probe(self, owner: TxId, mode: LockMode,
+               want: tuple) -> tuple[tuple, list]:
+        """Partition ``want`` into its grantable part and the blocking
+        pieces, ``(lo_v, lo_p, hi_v, hi_p, holder, mode, frozen)`` each.
+
+        Every step is ``want ∩ hold`` through the kernels, which seek into
+        a long run for a single-piece ``want`` and merge for a multi-piece
+        one; the sealed runs are consulted separately and only their (short)
+        overlaps with ``want`` are ever combined.
+        """
+        free = want
+        blocked: list = []
+        write_req = mode is LockMode.WRITE
+        # Sealed (ended-transaction) state first: permanent, hence frozen.
+        over_w = (iv_intersect(want, self._sealed_write)
+                  if self._sealed_write else ())
+        over_r = (iv_intersect(want, self._sealed_read)
+                  if write_req and self._sealed_read else ())
+        if over_w or over_r:
+            # One conflict per piece of want ∩ (write ∪ read) — a union of
+            # the two short overlaps, never of the runs; a piece touching a
+            # sealed write anywhere is reported as a write.
+            over = iv_union(over_w, over_r)
+            for i in range(0, len(over), 4):
+                piece = over[i:i + 4]
+                blocked.append(piece + (
+                    self.SEALED,
+                    LockMode.WRITE if over_w and iv_intersect(piece, over_w)
+                    else LockMode.READ, True))
+            free = iv_subtract(free, over)
+        # WRITE requests conflict with the other's read and write locks;
+        # READ requests only with the other's write locks.
+        for other, rec in self._owners.items():
+            if other == owner:
+                continue
+            if write_req and rec.read:
+                over = iv_intersect(want, rec.read)
+                if over:
+                    _block_split(blocked, over, other, LockMode.READ,
+                                 rec.frozen_read)
+                    free = iv_subtract(free, over)
+            if rec.write:
+                over = iv_intersect(want, rec.write)
+                if over:
+                    _block_split(blocked, over, other, LockMode.WRITE,
+                                 rec.frozen_write)
+                    free = iv_subtract(free, over)
+        return free, blocked
+
+
+def _block(blocked: list, over: tuple, holder: TxId, mode: LockMode,
+           frozen: bool) -> None:
+    """Append one blocking record per piece of ``over``."""
+    for i in range(0, len(over), 4):
+        blocked.append(over[i:i + 4] + (holder, mode, frozen))
+
+
+def _block_split(blocked: list, over: tuple, holder: TxId, mode: LockMode,
+                 frozen_hold: tuple) -> None:
+    """Blocking records for a live owner's overlap, split into the part
+    inside its frozen hold (futile to wait for) and the rest."""
+    if frozen_hold:
+        frozen_part = iv_intersect(over, frozen_hold)
+        if frozen_part:
+            _block(blocked, frozen_part, holder, mode, True)
+            over = iv_subtract(over, frozen_part)
+    if over:
+        _block(blocked, over, holder, mode, False)
+
+
+def _cut_below(run: tuple, lo: tuple, hi: tuple) -> tuple | None:
+    """Where ``[lo, hi]`` ends once cut just below the first piece of
+    ``run`` that reaches ``lo`` (endpoints as ``(value, pid)`` pairs);
+    ``None`` when that piece covers ``lo`` itself."""
+    i = iv_seek(run, lo[0], lo[1])
+    if i == len(run):
+        return hi
+    start = (run[i], run[i + 1])
+    if start <= lo:
+        return None
+    if start <= hi:
+        return (start[0], start[1] - 1)
+    return hi
+
+
+def _as_set(flat: tuple) -> IntervalSet:
+    return IntervalSet._from_flat(flat) if flat else EMPTY_SET
+
+
+def _granted(free: tuple, want_flat: tuple,
+             want: TsInterval | IntervalSet) -> IntervalSet:
+    """Wrap a probe's grantable flat, reusing the request operand when
+    nothing was cut from it."""
+    if not free:
+        return EMPTY_SET
+    if free is not want_flat:
+        return IntervalSet._from_flat(free)
+    return (want if want.__class__ is IntervalSet
+            else IntervalSet.from_interval(want))
 
 
 class LockTable:
@@ -523,20 +689,15 @@ class LockTable:
     serialized, (b) inserts for distinct keys are atomic dict operations
     under CPython's GIL, and (c) the per-*owner* index (``_owner_keys``)
     is only mutated by the owner's own (single) thread.  Whole-table
-    iteration (``all_keys``/``total_record_count``/``conflict_counts``)
-    must run with every stripe held — the engine provides that.
+    iteration (``all_keys``/``total_record_count``) must run with every
+    stripe held — the engine provides that.
     """
 
-    __slots__ = ("_keys", "_owner_keys", "_conflicts")
+    __slots__ = ("_keys", "_owner_keys")
 
     def __init__(self) -> None:
         self._keys: dict[Hashable, KeyLockState] = {}
         self._owner_keys: dict[TxId, set[Hashable]] = {}
-        # Per-key count of acquire attempts that hit a conflict — the raw
-        # material for the obs layer's hot-key attribution.  A plain dict
-        # increment on the (already slow) conflict path; the uncontended
-        # path pays nothing.
-        self._conflicts: dict[Hashable, int] = {}
 
     def state(self, key: Hashable) -> KeyLockState:
         st = self._keys.get(key)
@@ -551,30 +712,22 @@ class LockTable:
                     want: TsInterval | IntervalSet) -> AcquireResult:
         result = self.state(key).try_acquire(owner, mode, want)
         if result.acquired:
-            self._owner_keys.setdefault(owner, set()).add(key)
-        if result.conflicts:
-            self._conflicts[key] = self._conflicts.get(key, 0) + 1
+            self.note_owner(owner, key)
         return result
-
-    def note_conflict(self, key: Hashable, n: int = 1) -> None:
-        """Count a contended access on ``key`` (callers that acquire
-        through :meth:`KeyLockState.try_acquire` directly, e.g. the DES
-        servers, report their conflicts here)."""
-        self._conflicts[key] = self._conflicts.get(key, 0) + n
-
-    def conflict_counts(self) -> dict[Hashable, int]:
-        """Per-key conflicted-acquire counts since construction."""
-        return dict(self._conflicts)
 
     def note_owner(self, owner: TxId, key: Hashable) -> None:
         """Record that ``owner`` holds state on ``key`` (for callers that
         acquire through the KeyLockState directly)."""
-        self._owner_keys.setdefault(owner, set()).add(key)
+        keys = self._owner_keys.get(owner)
+        if keys is None:
+            self._owner_keys[owner] = {key}
+        else:
+            keys.add(key)
 
-    def forget_owner(self, owner: TxId) -> None:
+    def forget_owner(self, owner: TxId) -> Iterable[Hashable]:
         """Drop the owner->keys index entry (after all locks are released
-        or intentionally left frozen-only)."""
-        self._owner_keys.pop(owner, None)
+        or intentionally left frozen-only) and return the keys it listed."""
+        return self._owner_keys.pop(owner, ())
 
     def all_keys(self) -> list[Hashable]:
         return list(self._keys)
@@ -638,9 +791,3 @@ class LockTable:
     def purge_below(self, key: Hashable, bound: TsInterval) -> int:
         st = self._keys.get(key)
         return st.purge_below(bound) if st is not None else 0
-
-
-def _as_set(want: TsInterval | IntervalSet) -> IntervalSet:
-    if isinstance(want, TsInterval):
-        return IntervalSet.from_interval(want)
-    return want

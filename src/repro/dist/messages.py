@@ -30,7 +30,7 @@ __all__ = [
     "MVTLReadReq", "MVTLReadReply",
     "MVTLWriteLockReq", "MVTLWriteLockReply",
     "MVTLBatchLockReq", "MVTLBatchLockReply",
-    "FreezeWriteReq", "FreezeReadReq", "ReleaseReq", "GcReq", "CommitReq",
+    "ReleaseReq", "CommitReq",
     "EpochReq", "EpochReply",
     "TwoPLLockReq", "TwoPLLockReply", "TwoPLCommitReq", "TwoPLReleaseReq",
     "BohmSubmitReq", "BohmSubmitReply",
@@ -198,23 +198,6 @@ class MVTLBatchLockReply(Reply):
 
 
 @dataclass(unsafe_hash=True, slots=True)
-class FreezeWriteReq(Request):
-    """Commit notification: freeze tx's write lock at ``ts`` and expose the
-    buffered value (Alg. 13 receive-freeze-write-lock).  No reply needed."""
-
-    key: Hashable = None
-    ts: Timestamp = None
-
-
-@dataclass(unsafe_hash=True, slots=True)
-class FreezeReadReq(Request):
-    """GC: freeze tx's read locks on ``key`` over ``span`` (Alg. 11 gc)."""
-
-    key: Hashable = None
-    span: IntervalSet = field(default_factory=IntervalSet)
-
-
-@dataclass(unsafe_hash=True, slots=True)
 class ReleaseReq(Request):
     """Release tx's unfrozen locks on this server (abort / gc tail).
 
@@ -225,17 +208,6 @@ class ReleaseReq(Request):
 
     key: Hashable = None  # None = all keys tx touched on this server
     write_only: bool = False
-
-
-@dataclass(unsafe_hash=True, slots=True)
-class GcReq(Request):
-    """Commit-time GC, batched per server (Alg. 11 ``gc``): freeze the given
-    read-lock spans, then (if ``release``) release every other unfrozen lock
-    of tx.  ``release=False`` freezes only — the no-collection ablation that
-    lets lock state accumulate (Fig. 6)."""
-
-    spans: dict = field(default_factory=dict)  # key -> IntervalSet
-    release: bool = True
 
 
 @dataclass(unsafe_hash=True, slots=True)

@@ -52,7 +52,6 @@ import numpy as np
 
 from ..core.intervals import EMPTY_SET, IntervalSet, TsInterval
 from ..core.locks import LockMode, LockTable
-from .._fastcore import iv_subtract
 from ..obs.trace import NULL_TRACER
 from ..core.timestamp import BOTTOM, TS_ZERO, Timestamp
 from ..core.versions import VersionStore
@@ -66,8 +65,8 @@ from ..baselines.bohm import BohmEngine
 from .commitment import ABORT, CommitmentRegistry
 from .messages import (BohmSubmitReply, BohmSubmitReq,
                        CommitAck, CommitReq, EpochReply, EpochReq,
-                       FreezeReadReq, FreezeWriteReq, GcReq, HeartbeatReply,
-                       HeartbeatReq, MVTLBatchLockReply, MVTLBatchLockReq,
+                       HeartbeatReply, HeartbeatReq,
+                       MVTLBatchLockReply, MVTLBatchLockReq,
                        MVTLReadReply, MVTLReadReq, MVTLWriteLockReply,
                        MVTLWriteLockReq, OverloadedReply, PurgeReq,
                        ReleaseReq, ReplicaHoldReply, ReplicaHoldReq, Reply,
@@ -96,8 +95,7 @@ _MISSING = object()
 #: absent = full-weight data request.  An exact-type dict lookup replaces
 #: three isinstance chains on the per-request service-time path.
 _WEIGHT_KIND: dict[type, int] = {
-    CommitReq: 1, GcReq: 1, ReleaseReq: 1, FreezeWriteReq: 1,
-    FreezeReadReq: 1, PurgeReq: 1, EpochReq: 1, HeartbeatReq: 1,
+    CommitReq: 1, ReleaseReq: 1, PurgeReq: 1, EpochReq: 1, HeartbeatReq: 1,
     SyncReq: 1, SyncPoke: 1,
     MVTLBatchLockReq: 2, ReplicaHoldReq: 2,
     SyncDelta: 3,
@@ -485,10 +483,7 @@ class MVTLServer(_ServerBase):
         MVTLReadReq: "_handle_read",
         MVTLWriteLockReq: "_handle_write_lock",
         MVTLBatchLockReq: "_handle_batch_lock",
-        FreezeWriteReq: "_handle_freeze_write",
-        FreezeReadReq: "_handle_freeze_read",
         CommitReq: "_handle_commit_req",
-        GcReq: "_handle_gc",
         ReleaseReq: "_handle_release",
         PurgeReq: "_handle_purge",
         ReplicaHoldReq: "_handle_replica_hold",
@@ -540,70 +535,22 @@ class MVTLServer(_ServerBase):
                                            locked=EMPTY_SET,
                                            epoch=self.epoch))
             return
-        # The hottest handler in every workload — run it on flat scalar
-        # quads (see core.intervals), materializing interval objects only
-        # for the reply.  want = (tr, upper] = [succ(tr), upper] closed.
-        tr = version.ts
-        up = req.upper
-        tr_v = tr.value
-        tr_p1 = tr.pid + 1
-        up_v = up.value
-        up_p = up.pid
-        want_flat = (tr_v, tr_p1, up_v, up_p)
-        fwr = state.frozen_write_ranges()
-        avail = iv_subtract(want_flat, fwr.flat) if fwr.flat else want_flat
-        # The lockable range must still contain succ(tr): pieces are
-        # sorted and ⊆ want, so that means the first piece starts AT it.
-        if not avail or avail[0] != tr_v or avail[1] != tr_p1:
-            # A frozen write sits immediately above tr: with freeze+install
-            # atomic on the server this cannot happen (the floor lookup
-            # would have found that version), but purge/floor races are
-            # answered conservatively with an unprotected read.
-            self._reply(req, MVTLReadReply(req.req_id, tr=version.ts,
-                                           value=version.value,
-                                           locked=EMPTY_SET,
-                                           epoch=self.epoch))
-            return
-        first_flat = avail if len(avail) == 4 else avail[:4]
-        probe = state.lockable(req.tx_id, LockMode.READ,
-                               IntervalSet._from_flat(first_flat))
-        # The contiguous grantable prefix adjacent to the version read:
-        # acquired ⊆ first starts at succ(tr) only via its first piece.
-        af = probe.acquired.flat
-        if af and af[0] == tr_v and af[1] == tr_p1:
-            prefix_flat = af if len(af) == 4 else af[:4]
-            phi_v = prefix_flat[2]
-            phi_p = prefix_flat[3]
-        else:
-            prefix_flat = None
-        floor = req.floor if req.floor is not None else up
-        flo_v = floor.value
-        flo_p = floor.pid
-        reaches_floor = (prefix_flat is not None
-                         and (phi_v > flo_v
-                              or (phi_v == flo_v and phi_p >= flo_p)))
-        # Waiting only helps if an *unfrozen* conflict is what limits the
-        # prefix; a frozen truncation (first.hi < upper) never moves.
-        # prefix ⊆ first shares its lo, so "shorter" is just hi inequality.
-        unfrozen_limited = (prefix_flat is None
-                            or phi_v != first_flat[2]
-                            or phi_p != first_flat[3])
-        if req.wait and not reaches_floor and unfrozen_limited:
+        # The hottest handler in every workload: frozen-write truncation,
+        # the conflict probe and the grant are one pass over the key's lock
+        # state.
+        locked, contended = state.acquire_read_after(
+            req.tx_id, version.ts, req.upper, req.floor, req.wait)
+        if locked is None:
             # "Waiting if write-locked but not frozen": the usable prefix
             # does not reach what the client needs yet; park until the
             # conflicting (unfrozen) locks move.
             self._park(key, req)
             return
-        if prefix_flat is None or phi_v != up_v or phi_p != up_p:
+        if contended:
             # Another transaction's lock truncated the read's lockable
             # range — a contended access even though nobody waited.
             self._note_conflict(key)
-        locked = EMPTY_SET
-        if prefix_flat is not None:
-            # prefix came out of probe.acquired just above and the handler
-            # is atomic, so the conflict check needn't be repeated.
-            locked = IntervalSet._from_flat(prefix_flat)
-            state.grant(req.tx_id, LockMode.READ, locked)
+        if not locked.is_empty:
             self.locks.note_owner(req.tx_id, key)
         self._reply(req, MVTLReadReply(req.req_id, tr=version.ts,
                                        value=version.value, locked=locked,
@@ -614,29 +561,32 @@ class MVTLServer(_ServerBase):
     def _handle_write_lock(self, req: MVTLWriteLockReq) -> None:
         """Acquire write locks and buffer the value (Alg. 13 lines 1-4)."""
         key = req.key
-        state = self.locks.state(key)
-        probe = state.lockable(req.tx_id, LockMode.WRITE, req.want)
-        if not probe.fully_acquired:
-            if req.wait and not probe.any_frozen_conflict:
+        # One probe: the grant is recorded unless the outcome is one this
+        # request does not keep (see KeyLockState.try_acquire).
+        got = self.locks.state(key).try_acquire(
+            req.tx_id, LockMode.WRITE, req.want, wait=req.wait,
+            all_or_nothing=req.all_or_nothing)
+        acquired = got.acquired
+        if not got.fully_acquired:
+            if req.wait and not got.any_frozen_conflict:
                 self._park(key, req)
                 return
             self._note_conflict(key)
             if req.all_or_nothing:
-                self._reply(req, MVTLWriteLockReply(req.req_id,
-                                                    acquired=EMPTY_SET,
-                                                    epoch=self.epoch))
-                return
-        state.grant(req.tx_id, LockMode.WRITE, probe.acquired)
-        acquired_total = state.held(req.tx_id, LockMode.WRITE).intersect(
-            req.want)
-        if not acquired_total.is_empty:
-            self.locks.note_owner(req.tx_id, key)
-            self.pending[(req.tx_id, key)] = req.value
-            self.sim.schedule(self.write_lock_timeout,
-                              self._write_lock_timeout, req.tx_id, key)
-        self._reply(req, MVTLWriteLockReply(req.req_id,
-                                            acquired=acquired_total,
+                acquired = EMPTY_SET
+        if not acquired.is_empty:
+            self._hold_write(req.tx_id, key, req.value)
+        self._reply(req, MVTLWriteLockReply(req.req_id, acquired=acquired,
                                             epoch=self.epoch))
+
+    def _hold_write(self, tx_id: Hashable, key: Hashable,
+                    value: Any) -> None:
+        """Index a write grant, buffer its value (Alg. 13 line 3) and arm
+        the write-lock timeout."""
+        self.locks.note_owner(tx_id, key)
+        self.pending[(tx_id, key)] = value
+        self.sim.schedule(self.write_lock_timeout,
+                          self._write_lock_timeout, tx_id, key)
 
     def _handle_batch_lock(self, req: MVTLBatchLockReq) -> None:
         """Apply a per-server batch of non-waiting write-lock requests.
@@ -650,21 +600,17 @@ class MVTLServer(_ServerBase):
         """
         acquired: dict[Hashable, IntervalSet] = {}
         for key, value, want in req.items:
-            state = self.locks.state(key)
-            probe = state.lockable(req.tx_id, LockMode.WRITE, want)
-            if not probe.fully_acquired:
+            got = self.locks.state(key).try_acquire(
+                req.tx_id, LockMode.WRITE, want,
+                all_or_nothing=req.all_or_nothing)
+            if not got.fully_acquired:
                 self._note_conflict(key)
                 if req.all_or_nothing:
                     acquired[key] = EMPTY_SET
                     continue
-            state.grant(req.tx_id, LockMode.WRITE, probe.acquired)
-            got = state.held(req.tx_id, LockMode.WRITE).intersect(want)
-            acquired[key] = got
-            if not got.is_empty:
-                self.locks.note_owner(req.tx_id, key)
-                self.pending[(req.tx_id, key)] = value
-                self.sim.schedule(self.write_lock_timeout,
-                                  self._write_lock_timeout, req.tx_id, key)
+            acquired[key] = got.acquired
+            if not got.acquired.is_empty:
+                self._hold_write(req.tx_id, key, value)
         self._reply(req, MVTLBatchLockReply(req.req_id, acquired=acquired,
                                             epoch=self.epoch))
 
@@ -704,19 +650,6 @@ class MVTLServer(_ServerBase):
         self._decide(tx_id, ABORT, apply)
 
     # -- commit / abort ----------------------------------------------------------
-
-    def _handle_freeze_write(self, req: FreezeWriteReq) -> None:
-        """Alg. 13 receive-freeze-write-lock: propose commit, apply decision."""
-
-        def apply(decision: Any) -> None:
-            if decision == ABORT:
-                self._drop_tx_on_key(req.tx_id, req.key)
-                self._unpark(req.key)
-                return
-            value = self._apply_commit(req.tx_id, req.key, decision)
-            self._log_commit(req.tx_id, decision, ((req.key, value),))
-
-        self._decide(req.tx_id, req.ts, apply)
 
     def _apply_commit(self, tx_id: Hashable, key: Hashable,
                       ts: Timestamp, fallback: Any = None) -> Any:
@@ -810,11 +743,9 @@ class MVTLServer(_ServerBase):
                     # leader's frozen read lock was preventing).  The
                     # mirrored write grants equal the leader's, so the
                     # span is conflict-free by construction.
-                    state = self.locks.state(key)
-                    if state.held(req.tx_id, LockMode.READ).is_empty:
-                        state.try_acquire(req.tx_id, LockMode.READ, span)
+                    if self.locks.state(key).hold_frozen_read(req.tx_id,
+                                                              span):
                         self.locks.note_owner(req.tx_id, key)
-                    state.freeze(req.tx_id, LockMode.READ, span)
                     continue
                 state = self.locks.peek(key)
                 if state is not None:
@@ -832,20 +763,6 @@ class MVTLServer(_ServerBase):
 
         self._decide(req.tx_id, req.ts, apply)
 
-    def _handle_freeze_read(self, req: FreezeReadReq) -> None:
-        state = self.locks.peek(req.key)
-        if state is not None:
-            state.freeze(req.tx_id, LockMode.READ, req.span)
-
-    def _handle_gc(self, req: GcReq) -> None:
-        """Freeze the read spans, then release everything else of tx here."""
-        for key, span in req.spans.items():
-            state = self.locks.peek(key)
-            if state is not None:
-                state.freeze(req.tx_id, LockMode.READ, span)
-        if req.release:
-            self._release_tx(req.tx_id, write_only=False)
-
     def _handle_release(self, req: ReleaseReq) -> None:
         self._release_tx(req.tx_id, write_only=req.write_only)
 
@@ -861,15 +778,14 @@ class MVTLServer(_ServerBase):
 
     def _seal_tx(self, tx_id: Hashable, keep_all_reads: bool) -> None:
         self._drop_parked(tx_id)
-        # keys_of returns a frozenset: iterate in sorted order so waiter
+        # Set order is per-process: iterate in sorted order so waiter
         # wake-ups happen in the same order every run (reproducibility).
-        for key in sorted(self.locks.keys_of(tx_id), key=str):
+        for key in sorted(self.locks.forget_owner(tx_id), key=str):
             state = self.locks.peek(key)
             if state is not None:
                 state.seal(tx_id, keep_all_reads=keep_all_reads)
             self.pending.pop((tx_id, key), None)
             self._unpark(key)
-        self.locks.forget_owner(tx_id)
 
     def _drop_tx_on_key(self, tx_id: Hashable, key: Hashable) -> None:
         """Release tx's unfrozen locks on one key (timeout-abort path)."""
@@ -910,48 +826,21 @@ class MVTLServer(_ServerBase):
         """
         mirrored = True
         for key, value, want in req.items:
-            state = self.locks.state(key)
-            probe = state.lockable(req.tx_id, LockMode.WRITE, want)
-            if not probe.fully_acquired:
+            got = self.locks.state(key).try_acquire(
+                req.tx_id, LockMode.WRITE, want)
+            if not got.fully_acquired:
                 # Leftover sealed/foreign state blocks the mirror (can
                 # happen after this follower was itself promoted and back-
                 # demoted).  The client counts this against the quorum.
                 self._note_conflict(key)
                 mirrored = False
-            state.grant(req.tx_id, LockMode.WRITE, probe.acquired)
-            got = state.held(req.tx_id, LockMode.WRITE).intersect(want)
-            if not got.is_empty:
-                self.locks.note_owner(req.tx_id, key)
-                self.pending[(req.tx_id, key)] = value
-                self.sim.schedule(self.write_lock_timeout,
-                                  self._write_lock_timeout, req.tx_id, key)
+            if not got.acquired.is_empty:
+                self._hold_write(req.tx_id, key, value)
         if mirrored:
             self.stats["holds_mirrored"] = (
                 self.stats.get("holds_mirrored", 0) + 1)
         self._reply(req, ReplicaHoldReply(req.req_id, mirrored=mirrored,
                                           epoch=self.epoch))
-
-    def _unfrozen_write_at_or_below(self, key: Hashable,
-                                    ts: Timestamp) -> bool:
-        """Is any *undecided* write lock at or below ``ts`` on ``key``?
-
-        A snapshot read at the stable frontier must refuse if one exists:
-        the owner could still commit inside the read's past.  (It cannot
-        in practice — live transactions run a GC horizon above the
-        frontier — but the server-side check is what makes the read safe
-        by construction rather than by timing.)
-        """
-        state = self.locks.peek(key)
-        if state is None:
-            return False
-        for owner in state.owners():
-            held = state.held(owner, LockMode.WRITE)
-            if held.is_empty:
-                continue
-            unfrozen = held.subtract(state.frozen(owner, LockMode.WRITE))
-            if not unfrozen.is_empty and unfrozen.min_member() <= ts:
-                return True
-        return False
 
     def _handle_snapshot_read(self, req: SnapshotReadReq) -> None:
         """Lock-free follower read at a locked (GC-frontier) timestamp.
@@ -960,8 +849,12 @@ class MVTLServer(_ServerBase):
         here: it has applied the purge that defined the frontier
         (``stable_floor``), it never crashed with commits possibly missed
         (``snapshot_dirty``), and no undecided write lock sits at or below
-        the timestamp.  The refusal is cheap — the client falls back to
-        the leader, then to an interval read.
+        the timestamp — its owner could still commit inside the read's
+        past.  (It cannot in practice: live transactions run a GC horizon
+        above the frontier.  The server-side check is what makes the read
+        safe by construction rather than by timing.)  The refusal is
+        cheap — the client falls back to the leader, then to an interval
+        read.
         """
         self.stats["snapshot_reads"] = (
             self.stats.get("snapshot_reads", 0) + 1)
@@ -969,11 +862,12 @@ class MVTLServer(_ServerBase):
         # progress is observable: "dirty" refusals must vanish once a full
         # sync plan completes, while "floor" lag is routine GC cadence.
         version = None
+        state = self.locks.peek(req.key)
         if self.snapshot_dirty:
             reason = "dirty"
         elif self.stable_floor is None or req.ts > self.stable_floor:
             reason = "floor"
-        elif self._unfrozen_write_at_or_below(req.key, req.ts):
+        elif state is not None and state.unfrozen_write_at_or_below(req.ts):
             reason = "unfrozen"
         else:
             version = self.store.latest_before(req.key, req.ts)
@@ -1383,8 +1277,8 @@ class BohmSequencerServer(_ServerBase):
             self.engine.purge_before(msg.bound)
         elif isinstance(msg, EpochReq):
             self._reply(msg, EpochReply(msg.req_id, epoch=self.epoch))
-        elif isinstance(msg, (ReleaseReq, GcReq)):
-            pass  # lock-free: nothing to release or collect
+        elif isinstance(msg, ReleaseReq):
+            pass  # lock-free: nothing to release
         else:
             raise TypeError(f"BohmSequencerServer got unknown message "
                             f"{msg!r}")

@@ -10,14 +10,21 @@ never drift from the semantics they shortcut.
 The fast-core work then moved the algebra onto flat quad tuples
 (``repro._fastcore.kernels``).  Every kernel must agree with the
 object-level reference input for input.
+
+The lock-table work gave the kernels a binary-searched entry for one piece
+against a long run; ``TestKernelsLongRuns`` drives it on 16-64 piece runs
+with the single piece's endpoints taken from the run's own (so adjacency,
+containment and equality edges dominate), in both operand orders.
 """
 
 from __future__ import annotations
 
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro._fastcore import kernels
 from repro.core.intervals import EMPTY_SET, IntervalSet, TsInterval, ts_succ
+from repro.core.timestamp import Timestamp
 from tests.conftest import interval_sets, intervals, timestamps
 
 
@@ -49,6 +56,14 @@ def assert_normalized(s: IntervalSet) -> None:
     for p, q in zip(s.pieces, s.pieces[1:]):
         assert p.hi < q.lo, f"unsorted/overlapping pieces: {p} {q}"
         assert ts_succ(p.hi) < q.lo, f"adjacent unmerged pieces: {p} {q}"
+
+
+def assert_operand_identity(got: tuple, *operands: tuple) -> None:
+    """A result equal to an operand must BE that operand's tuple."""
+    for operand in operands:
+        if got == operand:
+            assert any(got is o for o in operands if o == got)
+            return
 
 
 # -- agreement on arbitrary sets (1-piece inputs hit the fast paths) ---------
@@ -144,15 +159,21 @@ class TestKernels:
 
     @given(interval_sets(), interval_sets())
     def test_intersect(self, a, b):
-        assert kernels.iv_intersect(a.flat, b.flat) == ref_intersect(a, b).flat
+        got = kernels.iv_intersect(a.flat, b.flat)
+        assert got == ref_intersect(a, b).flat
+        assert_operand_identity(got, a.flat, b.flat)
 
     @given(interval_sets(), interval_sets())
     def test_union(self, a, b):
-        assert kernels.iv_union(a.flat, b.flat) == ref_union(a, b).flat
+        got = kernels.iv_union(a.flat, b.flat)
+        assert got == ref_union(a, b).flat
+        assert_operand_identity(got, a.flat, b.flat)
 
     @given(interval_sets(), interval_sets())
     def test_subtract(self, a, b):
-        assert kernels.iv_subtract(a.flat, b.flat) == ref_subtract(a, b).flat
+        got = kernels.iv_subtract(a.flat, b.flat)
+        assert got == ref_subtract(a, b).flat
+        assert_operand_identity(got, a.flat)
 
     @given(interval_sets(), timestamps())
     def test_contains(self, a, ts):
@@ -173,3 +194,134 @@ class TestKernels:
     def test_normalize_idempotent(self, a):
         quads = [tuple(a.flat[i:i + 4]) for i in range(0, len(a.flat), 4)]
         assert kernels.iv_normalize(quads) == a.flat
+
+
+# -- one piece against a long run (the binary-searched kernel entries) --------
+
+def long_interval_sets(min_pieces: int = 16, max_pieces: int = 64,
+                       value=float):
+    """Canonical sets of 16-64 pieces: long enough that the one-piece
+    kernels must seek into the run instead of merging from its start.
+    Pieces sit on a coarse clock grid with small pid offsets, including
+    several pieces at one clock value separated only on the pid axis."""
+
+    def build(steps):
+        pieces, v = [], 0
+        for gap, width, p, q in steps:
+            v += gap
+            lo, hi = Timestamp(value(v), p), Timestamp(value(v + width), q)
+            pieces.append(TsInterval(min(lo, hi), max(lo, hi)))
+            v += width
+        return IntervalSet(pieces)
+
+    step = st.tuples(st.integers(0, 3), st.integers(0, 2),
+                     st.integers(-4, 4), st.integers(-4, 4))
+    return (st.lists(step, min_size=min_pieces + 8, max_size=max_pieces)
+            .map(build)
+            .filter(lambda s: min_pieces <= len(s) <= max_pieces))
+
+
+@st.composite
+def run_and_piece(draw, value=float):
+    """A long run plus one piece whose endpoints are drawn *from the run's
+    own endpoints*, nudged by -1/0/+1 on the pid axis: every touch-merge
+    edge (``want.lo == succ(piece.hi)``, ``want.hi == pred(piece.lo)``,
+    equal clock value with adjacent pids), exact containment and exact
+    equality with a piece shows up constantly."""
+    run = draw(long_interval_sets(value=value))
+    flat = run.flat
+    ends = [Timestamp(flat[i], flat[i + 1]) for i in range(0, len(flat), 2)]
+
+    def endpoint():
+        base = draw(st.sampled_from(ends))
+        return Timestamp(base.value, base.pid + draw(st.integers(-2, 2)))
+
+    a, b = endpoint(), endpoint()
+    return run, IntervalSet.from_interval(TsInterval(min(a, b), max(a, b)))
+
+
+class TestKernelsLongRuns:
+    """One piece x long run, in both operand orders, against the reference
+    algebra — plus the identity contract and scalar pass-through."""
+
+    @given(run_and_piece())
+    def test_intersect(self, pair):
+        run, one = pair
+        for a, b in ((run, one), (one, run)):
+            got = kernels.iv_intersect(a.flat, b.flat)
+            assert got == ref_intersect(a, b).flat
+            assert_operand_identity(got, a.flat, b.flat)
+
+    @given(run_and_piece())
+    def test_union(self, pair):
+        run, one = pair
+        for a, b in ((run, one), (one, run)):
+            got = kernels.iv_union(a.flat, b.flat)
+            assert got == ref_union(a, b).flat
+            assert_operand_identity(got, a.flat, b.flat)
+
+    @given(run_and_piece())
+    def test_subtract(self, pair):
+        run, one = pair
+        for a, b in ((run, one), (one, run)):
+            got = kernels.iv_subtract(a.flat, b.flat)
+            assert got == ref_subtract(a, b).flat
+            assert_operand_identity(got, a.flat)
+
+    @given(run_and_piece())
+    def test_contains_and_seek(self, pair):
+        run, one = pair
+        for ts in (one.min_member(), one.max_member()):
+            want = any(piece.contains(ts) for piece in run.pieces)
+            assert kernels.iv_contains(run.flat, ts.value, ts.pid) == want
+            below = sum(1 for piece in run.pieces if piece.hi < ts)
+            assert kernels.iv_seek(run.flat, ts.value, ts.pid) == 4 * below
+
+    @settings(max_examples=20)
+    @given(long_interval_sets(), long_interval_sets())
+    def test_long_against_long(self, a, b):
+        # The multi-piece x multi-piece merges are untouched by the
+        # one-piece entries: still the reference, still the identity.
+        assert kernels.iv_intersect(a.flat, b.flat) == ref_intersect(a, b).flat
+        assert kernels.iv_union(a.flat, b.flat) == ref_union(a, b).flat
+        assert kernels.iv_subtract(a.flat, b.flat) == ref_subtract(a, b).flat
+        assert kernels.iv_union(a.flat, a.flat) is a.flat
+        assert kernels.iv_intersect(a.flat, a.flat) is a.flat
+
+    @given(run_and_piece(value=int))
+    def test_int_endpoints_stay_int(self, pair):
+        run, one = pair
+        for op in (kernels.iv_intersect, kernels.iv_union,
+                   kernels.iv_subtract):
+            for a, b in ((run, one), (one, run)):
+                assert all(type(x) is int for x in op(a.flat, b.flat))
+
+    def test_touch_merge_edges(self):
+        """The three adjacency edges, spelled out on a fixed run."""
+        run = IntervalSet([TsInterval(Timestamp(float(10 * k), 0),
+                                      Timestamp(float(10 * k), 3))
+                           for k in range(20)])
+
+        def one(lo, hi):
+            return IntervalSet.from_interval(TsInterval(lo, hi))
+
+        # want.lo == succ(piece.hi): merges with the piece below it.
+        up = one(Timestamp(50.0, 4), Timestamp(55.0, 0))
+        got = run.union(up)
+        assert len(got) == len(run) and got.contains(Timestamp(52.0, 0))
+        assert got == ref_union(run, up)
+        # want.hi == pred(piece.lo): merges with the piece above it.
+        down = one(Timestamp(45.0, 0), Timestamp(50.0, -1))
+        got = run.union(down)
+        assert len(got) == len(run) and got == ref_union(run, down)
+        # Both at once: bridges two pieces into one.
+        bridge = one(Timestamp(50.0, 4), Timestamp(60.0, -1))
+        got = run.union(bridge)
+        assert len(got) == len(run) - 1 and got == ref_union(run, bridge)
+        # Equal clock value, one pid short of adjacent: stays separate.
+        apart = one(Timestamp(50.0, 5), Timestamp(50.0, 6))
+        got = run.union(apart)
+        assert len(got) == len(run) + 1 and got == ref_union(run, apart)
+        # Adjacent is not overlapping: intersect/subtract see nothing.
+        assert run.intersect(up).is_empty and run.subtract(up) is run
+        assert up.subtract(run) is up

@@ -18,7 +18,7 @@ from repro.core.timestamp import Timestamp
 from repro.dist.client import CircuitBreaker, MVTILClient
 from repro.dist.cluster import ClusterConfig, run_cluster
 from repro.dist.commitment import CommitmentRegistry
-from repro.dist.messages import CommitReq, GcReq, MVTLReadReq, ReleaseReq
+from repro.dist.messages import CommitReq, MVTLReadReq, ReleaseReq
 from repro.dist.partition import Partition
 from repro.dist.server import MVTLServer, _Resubmit
 from repro.sim.network import LatencyModel, Network
@@ -78,8 +78,7 @@ class TestRequestClasses:
         crit_read = MVTLReadReq("t", "c", 2, key="x",
                                 upper=Timestamp(1.0, 0), critical=True)
         assert server._request_class(crit_read) == 0
-        for control in (CommitReq("t", "c", 3), ReleaseReq("t", "c", 4),
-                        GcReq("t", "c", 5)):
+        for control in (CommitReq("t", "c", 3), ReleaseReq("t", "c", 4)):
             assert server._request_class(control) == 0
 
     def test_parked_resubmission_keeps_its_class(self):

@@ -180,6 +180,35 @@ class TestCommitAndTimeout:
         assert h.server.locks.state("k").frozen_write_ranges().contains(
             T(2, 1))
 
+    def test_commit_freezes_read_span_and_releases_rest(self):
+        """Alg. 11 gc behind CommitReq: the span up to the commit
+        timestamp is frozen (and sealed), the rest of the read lock goes."""
+        h = Harness()
+        h.read("t1", "k", T(5, 1))
+        span = IntervalSet.from_interval(
+            TsInterval.open_closed(T(0, -2**31), T(2, 1)))
+        h.commit("t1", T(2, 1), spans={"k": span}, release=True)
+        state = h.server.locks.state("k")
+        assert "t1" not in list(state.owners())
+        assert state.sealed_read_ranges().contains(T(2, 1))
+        assert not state.sealed_read_ranges().contains(T(4, 1))
+
+    def test_commit_without_release_keeps_all_reads(self):
+        """release=False is the no-GC regime of Fig. 6: every read lock
+        persists past the commit, not only the frozen span."""
+        h = Harness()
+        h.read("t1", "k", T(5, 1))
+        span = IntervalSet.from_interval(
+            TsInterval.open_closed(T(0, -2**31), T(2, 1)))
+        h.commit("t1", T(2, 1), spans={"k": span}, release=False)
+        kept = h.server.locks.state("k").sealed_read_ranges()
+        assert kept.contains(T(1, 1)) and kept.contains(T(4, 1))
+
+    def test_commit_span_on_unknown_key_is_noop(self):
+        h = Harness()
+        h.commit("t1", T(1, 1), spans={"nope": IntervalSet.point(T(1))})
+        assert h.server.locks.peek("nope") is None
+
     def test_commit_decided_abort_releases(self):
         h = Harness()
         want = IntervalSet.from_interval(TsInterval.point(T(1, 1)))
