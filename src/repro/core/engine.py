@@ -657,8 +657,7 @@ class MVTLEngine:
         bound_iv = TsInterval.closed_open(Timestamp(float("-inf"), 0), bound)
         with self._locked_stripes(self._all_stripe_indices):
             purged = self.store.purge_before(bound)
-            for key in self.locks.all_keys():
-                self.locks.purge_below(key, bound_iv)
+            self.locks.purge_below(bound_iv)
             return purged
 
     def stripe_contention(self) -> dict[str, tuple[int, ...]]:

@@ -511,27 +511,61 @@ class KeyLockState:
         Called when the versions covered by these locks are purged (§6):
         the lock state "can be discarded when the associated versions are
         purged".  Returns the number of owners whose state changed.
+
+        A periodic purge visits every key and changes few, so the no-op
+        case is decided by comparisons alone: runs are sorted, hence a run
+        whose *first* piece starts above the bound's upper end cannot meet
+        the bound — whatever its lower end is.
         """
-        changed = 0
+        hi = bound.hi
+        hi_v = hi.value
+        hi_p = hi.pid
+        # ``_starts_by``, written out: this is what every key of every
+        # sweep pays.
+        read = self._sealed_read
+        write = self._sealed_write
+        sealed = (
+            (read and (read[0] < hi_v
+                       or (read[0] == hi_v and read[1] <= hi_p)))
+            or (write and (write[0] < hi_v
+                           or (write[0] == hi_v and write[1] <= hi_p))))
+        reached = [
+            (owner, rec) for owner, rec in self._owners.items()
+            if _starts_by(rec.read, hi_v, hi_p)
+            or _starts_by(rec.write, hi_v, hi_p)] if self._owners else ()
+        if not sealed and not reached:
+            return 0
         bound_flat = bound.flat
-        sealed_read = iv_subtract(self._sealed_read, bound_flat)
-        sealed_write = iv_subtract(self._sealed_write, bound_flat)
-        if (sealed_read is not self._sealed_read
-                or sealed_write is not self._sealed_write):
-            self._sealed_read = sealed_read
-            self._sealed_write = sealed_write
-            # Trim each sealed record individually: drop what the purge
-            # removed, keep every surviving piece as its own record.  The
-            # metric tracks an implementation without merging, so purging
-            # must not collapse surviving records into the compacted form.
-            self._sealed_spans = [
-                rest[i:i + 4]
-                for span in self._sealed_spans
-                for rest in (iv_subtract(span, bound_flat),)
-                for i in range(0, len(rest), 4)]
-            changed += 1
-        for owner in list(self._owners):
-            rec = self._owners[owner]
+        lo_v = bound_flat[0]
+        lo_p = bound_flat[1]
+        changed = 0
+        if sealed:
+            sealed_read = iv_subtract(read, bound_flat)
+            sealed_write = iv_subtract(write, bound_flat)
+            if sealed_read is not read or sealed_write is not write:
+                self._sealed_read = sealed_read
+                self._sealed_write = sealed_write
+                # Trim each sealed record individually: drop what the purge
+                # removed, keep every surviving piece as its own record.
+                # The metric tracks an implementation without merging, so
+                # purging must not collapse surviving records into the
+                # compacted form.  Most records lie wholly above the bound
+                # (kept as they are) or wholly inside it (dropped); only one
+                # that straddles an end of the bound needs the kernel.
+                spans: list[tuple] = []
+                for span in self._sealed_spans:
+                    s_lo_v, s_lo_p, s_hi_v, s_hi_p = span
+                    if s_lo_v > hi_v or (s_lo_v == hi_v and s_lo_p > hi_p):
+                        spans.append(span)
+                    elif (s_hi_v > hi_v or (s_hi_v == hi_v and s_hi_p > hi_p)
+                          or s_lo_v < lo_v
+                          or (s_lo_v == lo_v and s_lo_p < lo_p)):
+                        rest = iv_subtract(span, bound_flat)
+                        for i in range(0, len(rest), 4):
+                            spans.append(rest[i:i + 4])
+                self._sealed_spans = spans
+                changed += 1
+        for owner, rec in reached:
             touched = False
             held = iv_subtract(rec.read, bound_flat)
             if held is not rec.read:
@@ -658,6 +692,12 @@ def _cut_below(run: tuple, lo: tuple, hi: tuple) -> tuple | None:
     if start <= hi:
         return (start[0], start[1] - 1)
     return hi
+
+
+def _starts_by(run: tuple, v: float, p: int) -> bool:
+    """Whether the sorted ``run`` has anything starting at or below
+    ``(v, p)`` — its first piece does, or nothing does."""
+    return bool(run) and (run[0] < v or (run[0] == v and run[1] <= p))
 
 
 def _as_set(flat: tuple) -> IntervalSet:
@@ -788,6 +828,11 @@ class LockTable:
                 total += st.record_count()
         return total
 
-    def purge_below(self, key: Hashable, bound: TsInterval) -> int:
-        st = self._keys.get(key)
-        return st.purge_below(bound) if st is not None else 0
+    def purge_below(self, bound: TsInterval) -> int:
+        """Drop all lock state inside ``bound`` on every key (§6); returns
+        the number of (key, owner) states that changed.  Whole-table: the
+        threaded engine calls it with every stripe held."""
+        changed = 0
+        for st in self._keys.values():
+            changed += st.purge_below(bound)
+        return changed

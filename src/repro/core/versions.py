@@ -136,7 +136,7 @@ class VersionStore:
     first access, matching "initially Values[k, 0] = BOTTOM for every k".
     """
 
-    __slots__ = ("_keys", "_purge_floor", "_total")
+    __slots__ = ("_keys", "_purge_floor", "_total", "changed")
 
     def __init__(self) -> None:
         self._keys: dict[Hashable, _KeyVersions] = {}
@@ -146,12 +146,18 @@ class VersionStore:
         # Incremental store-wide version count; state sampling reads it far
         # more often than O(keys) recounting could afford.
         self._total: int = 0
+        #: Keys whose :meth:`snapshot_row` may have changed, once a
+        #: checkpointer has asked (:meth:`track_changes`); None until then,
+        #: so a store nobody checkpoints holds no set.
+        self.changed: set[Hashable] | None = None
 
     def _chain(self, key: Hashable) -> _KeyVersions:
         chain = self._keys.get(key)
         if chain is None:
             chain = self._keys[key] = _KeyVersions()
             self._total += 1  # the implicit (TS_ZERO, BOTTOM) version
+            if self.changed is not None:
+                self.changed.add(key)
         return chain
 
     # -- reads --------------------------------------------------------------
@@ -183,11 +189,15 @@ class VersionStore:
         """
         if self._chain(key).install(ts, value):
             self._total += 1
+        if self.changed is not None:
+            self.changed.add(key)
 
     def install_pending(self, key: Hashable, ts: Timestamp) -> None:
         """Reserve (key, ts) with the PENDING marker (§6 atomic-block removal)."""
         if self._chain(key).install(ts, PENDING):
             self._total += 1
+        if self.changed is not None:
+            self.changed.add(key)
 
     def drop(self, key: Hashable, ts: Timestamp) -> None:
         """Remove the version at (key, ts); used to back out PENDING installs."""
@@ -199,6 +209,8 @@ class VersionStore:
             del chain.ts_p[idx]
             del chain.values[idx]
             self._total -= 1
+            if self.changed is not None:
+                self.changed.add(key)
 
     # -- purging (§6) ---------------------------------------------------------
 
@@ -210,11 +222,26 @@ class VersionStore:
         gone); reads above it are unaffected.
         """
         dropped = 0
+        bound_v = bound.value
+        bound_p = bound.pid
+        changed = self.changed
         for key, chain in self._keys.items():
+            # A purge keeps the newest version below the bound, so it drops
+            # something only where the *second* version is below it too —
+            # tested here, before any call: a periodic sweep finds almost
+            # every chain untouched.
+            ts_v = chain.ts_v
+            if len(ts_v) < 2:
+                continue
+            second = ts_v[1]
+            if second > bound_v or (second == bound_v
+                                    and chain.ts_p[1] >= bound_p):
+                continue
             n, kept = chain.purge_before(bound)
-            if n:
-                dropped += n
-                self._raise_floor(key, kept)
+            dropped += n
+            self._raise_floor(key, kept)
+            if changed is not None:
+                changed.add(key)
         self._total -= dropped
         return dropped
 
@@ -226,6 +253,8 @@ class VersionStore:
         if n:
             self._total -= n
             self._raise_floor(key, kept)
+            if self.changed is not None:
+                self.changed.add(key)
         return n
 
     def _raise_floor(self, key: Hashable, kept: Timestamp | None) -> None:
@@ -248,14 +277,31 @@ class VersionStore:
         equivalent store deterministically.  PENDING markers are never
         dumped: a checkpoint captures committed state only.
         """
-        out = []
-        for key, chain in self._keys.items():
-            versions = tuple(
-                (Timestamp(v, p), value)
-                for v, p, value in zip(chain.ts_v, chain.ts_p, chain.values)
-                if value is not PENDING)
-            out.append((key, versions, self._purge_floor.get(key)))
-        return out
+        return [self.snapshot_row(key) for key in self._keys]
+
+    def snapshot_row(self, key: Hashable
+                     ) -> tuple[Hashable, tuple[tuple[Timestamp, Any], ...],
+                                "Timestamp | None"]:
+        """``key``'s entry of :meth:`snapshot` (the key must exist)."""
+        chain = self._keys[key]
+        versions = tuple(
+            (Timestamp(v, p), value)
+            for v, p, value in zip(chain.ts_v, chain.ts_p, chain.values)
+            if value is not PENDING)
+        return key, versions, self._purge_floor.get(key)
+
+    def track_changes(self) -> set[Hashable]:
+        """Start recording which keys' :meth:`snapshot_row` may have changed.
+
+        Returns the live set the store adds to from now on (a key whose
+        chain is created, installed into, dropped from, purged or loaded);
+        the caller owns it — reads it, clears it.  One follower at a time:
+        a second call hands out a fresh set and stops feeding the first,
+        which the first follower can see (``store.changed is not mine``).
+        Off until asked for, because only a checkpointer wants it.
+        """
+        self.changed = changed = set()
+        return changed
 
     def load_chain(self, key: Hashable,
                    versions: "tuple[tuple[Timestamp, Any], ...]",
@@ -277,6 +323,8 @@ class VersionStore:
         self._total += len(chain)
         if floor is not None:
             self._raise_floor(key, floor)
+        if self.changed is not None:
+            self.changed.add(key)
 
     # -- metrics --------------------------------------------------------------
 

@@ -800,8 +800,7 @@ class MVTLServer(_ServerBase):
         bound_iv = TsInterval.closed_open(
             Timestamp(float("-inf"), 0), req.bound)
         purged = self.store.purge_before(req.bound)
-        for key in self.locks.all_keys():
-            self.locks.purge_below(key, bound_iv)
+        self.locks.purge_below(bound_iv)
         self.stats["purged_versions"] = (
             self.stats.get("purged_versions", 0) + purged)
         if self.stable_floor is None or req.bound > self.stable_floor:

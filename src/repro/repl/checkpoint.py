@@ -16,11 +16,11 @@ reply cache) is wiped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from ..core.timestamp import Timestamp
 from ..core.versions import VersionStore
-from .wal import WriteAheadLog, decode_value, encode_value
+from .wal import WriteAheadLog, decode_value, encode_value, tuple_header
 
 __all__ = ["encode_snapshot", "decode_snapshot", "RecoveredState",
            "DurableStore"]
@@ -32,6 +32,55 @@ SYNC = "sync"
 
 _SNAPSHOT_VERSION = 1
 
+#: A snapshot is ``encode_value(("ckpt", version, rows, dedup, floor))``
+#: with ``rows = tuple(store.snapshot())``; this is everything before the
+#: rows tuple.
+_SNAPSHOT_HEAD = (tuple_header(5) + encode_value("ckpt")
+                  + encode_value(_SNAPSHOT_VERSION))
+
+#: Dedup pairs and their encodings, in log order (see ``_assemble``).
+_PairCache = tuple[Sequence[tuple[Any, Any]], Sequence[bytes]]
+_NO_PAIRS: _PairCache = ((), ())
+
+
+def _assemble(store: VersionStore, rows: "dict[Hashable, bytes]",
+              dedup: "Iterable[tuple[Any, Any]]", pairs: _PairCache,
+              stable_floor: "Timestamp | None"
+              ) -> tuple[bytes, _PairCache]:
+    """Snapshot bytes from cached pieces; the one snapshot encoder.
+
+    ``rows`` maps a key to the encoding of its ``snapshot_row``; a missing
+    row is encoded now and added.  ``pairs`` is what the previous call
+    returned beside the bytes: the dedup pairs it saw and their encodings,
+    in order.  The cache returned holds the pairs seen *this* time only,
+    so it never outgrows the dedup log.
+    """
+    parts = [_SNAPSHOT_HEAD, tuple_header(store.key_count())]
+    for key in store.keys():
+        blob = rows.get(key)
+        if blob is None:
+            blob = rows[key] = encode_value(store.snapshot_row(key))
+        parts.append(blob)
+    # The dedup log loses pairs on the left and gains them on the right, so
+    # the pairs still here from last time come in last time's order: walk
+    # both in step.  Matched by identity — ``(1, 7)`` and ``(True, 7)`` are
+    # equal, hash alike and encode differently, while a live dedup mapping
+    # yields the same tuple objects checkpoint after checkpoint.  Any other
+    # order only costs re-encoding.
+    old_pairs, old_blobs = pairs
+    seen: list = []
+    blobs: "list[bytes]" = []
+    at, end = 0, len(old_pairs)
+    for pair in dedup:
+        while at < end and old_pairs[at] is not pair:
+            at += 1
+        blobs.append(old_blobs[at] if at < end else encode_value(pair))
+        seen.append(pair)
+    parts.append(tuple_header(len(blobs)))
+    parts += blobs
+    parts.append(encode_value(stable_floor))
+    return b"".join(parts), (seen, blobs)
+
 
 def encode_snapshot(store: VersionStore,
                     dedup: "Iterable[tuple[Any, Any]]",
@@ -42,10 +91,7 @@ def encode_snapshot(store: VersionStore,
     (a server passes its live ordered mapping); it is read exactly once,
     here.
     """
-    chains = tuple((key, versions, floor)
-                   for key, versions, floor in store.snapshot())
-    return encode_value(("ckpt", _SNAPSHOT_VERSION, chains, tuple(dedup),
-                         stable_floor))
+    return _assemble(store, {}, dedup, _NO_PAIRS, stable_floor)[0]
 
 
 def decode_snapshot(blob: bytes) -> tuple[VersionStore,
@@ -83,10 +129,17 @@ class DurableStore:
     ``checkpoint_every`` > 0 takes a checkpoint (and truncates the WAL)
     every that-many logged records; 0 disables checkpointing, leaving pure
     log replay.
+
+    A checkpoint costs what changed since the last one, not the size of
+    the store: the encoded row of every key and the encoding of every
+    dedup pair are kept, the store is asked which keys changed
+    (:meth:`VersionStore.track_changes`), and only those rows are encoded
+    again before the pieces are joined — into exactly the bytes
+    :func:`encode_snapshot` gives for the same state.
     """
 
     __slots__ = ("wal", "checkpoint_every", "checkpoints", "_snapshot",
-                 "_since_checkpoint")
+                 "_since_checkpoint", "_dirty", "_rows", "_pairs")
 
     def __init__(self, *, checkpoint_every: int = 0) -> None:
         if checkpoint_every < 0:
@@ -96,6 +149,13 @@ class DurableStore:
         self.checkpoints = 0
         self._snapshot: bytes | None = None
         self._since_checkpoint = 0
+        #: The changed-key set of the store being followed (the store adds,
+        #: a checkpoint clears; until the first checkpoint, a set no store
+        #: has), that store's encoded rows, and the last checkpoint's dedup
+        #: pairs with their encodings.
+        self._dirty: "set[Hashable]" = set()
+        self._rows: "dict[Hashable, bytes]" = {}
+        self._pairs = _NO_PAIRS
 
     # -- logging -----------------------------------------------------------
 
@@ -153,7 +213,18 @@ class DurableStore:
                    dedup: "Iterable[tuple[Any, Any]]",
                    stable_floor: "Timestamp | None") -> None:
         """Snapshot the live state and truncate the log it supersedes."""
-        self._snapshot = encode_snapshot(store, dedup, stable_floor)
+        if store.changed is not self._dirty:
+            # Not the store the cached rows describe — the first checkpoint,
+            # or ``restart()`` installed a recovered store (or somebody else
+            # took over its change feed): start over with every row.
+            self._dirty = store.track_changes()
+            self._rows = {}
+        else:
+            for key in self._dirty:
+                self._rows.pop(key, None)
+            self._dirty.clear()
+        self._snapshot, self._pairs = _assemble(
+            store, self._rows, dedup, self._pairs, stable_floor)
         self.wal.truncate()
         self._since_checkpoint = 0
         self.checkpoints += 1

@@ -25,12 +25,14 @@ from typing import Any, Iterator
 
 from ..core.timestamp import BOTTOM, Timestamp
 
-__all__ = ["encode_value", "decode_value", "frame", "replay_records",
-           "WriteAheadLog"]
+__all__ = ["encode_value", "decode_value", "tuple_header", "frame",
+           "replay_records", "WriteAheadLog"]
 
 _HEADER = struct.Struct("<II")   # (payload length, crc32)
 _F64 = struct.Struct("<d")
 _I64 = struct.Struct("<q")
+_U32 = struct.Struct("<I")       # string/bytes lengths and item counts
+_TS = struct.Struct("<dq")       # a Timestamp's (value, pid)
 
 # One-byte type tags.  Ints use the 8-byte fixed form when they fit and a
 # decimal-string escape otherwise (request counters can exceed 2**63 only
@@ -74,7 +76,7 @@ def _encode_into(out: bytearray, value: Any) -> None:
         else:
             digits = str(value).encode("ascii")
             out += _T_BIGINT
-            out += struct.pack("<I", len(digits))
+            out += _U32.pack(len(digits))
             out += digits
     elif type(value) is float:
         out += _T_FLOAT
@@ -82,26 +84,25 @@ def _encode_into(out: bytearray, value: Any) -> None:
     elif type(value) is str:
         raw = value.encode("utf-8")
         out += _T_STR
-        out += struct.pack("<I", len(raw))
+        out += _U32.pack(len(raw))
         out += raw
     elif type(value) is bytes:
         out += _T_BYTES
-        out += struct.pack("<I", len(value))
+        out += _U32.pack(len(value))
         out += value
     elif type(value) is Timestamp:
         out += _T_TS
-        out += _F64.pack(value.value)
-        out += _I64.pack(value.pid)
+        out += _TS.pack(value.value, value.pid)
     elif type(value) is list or type(value) is tuple:
         out += _T_LIST if type(value) is list else _T_TUPLE
-        out += struct.pack("<I", len(value))
+        out += _U32.pack(len(value))
         for item in value:
             _encode_into(out, item)
     elif type(value) is dict:
         # Insertion order is preserved — deterministic for the dicts the
         # engines build (they are populated in sorted fan-out order).
         out += _T_DICT
-        out += struct.pack("<I", len(value))
+        out += _U32.pack(len(value))
         for k, v in value.items():
             _encode_into(out, k)
             _encode_into(out, v)
@@ -115,6 +116,16 @@ def encode_value(value: Any) -> bytes:
     out = bytearray()
     _encode_into(out, value)
     return bytes(out)
+
+
+def tuple_header(count: int) -> bytes:
+    """The bytes that open an encoded tuple of ``count`` items.
+
+    The codec is context-free — ``encode_value(items)`` is this header
+    followed by each item's own ``encode_value`` — so a large tuple can be
+    assembled from separately encoded (and cached) items.
+    """
+    return _T_TUPLE + _U32.pack(count)
 
 
 def _decode_at(data: bytes, pos: int) -> tuple[Any, int]:
@@ -144,13 +155,11 @@ def _decode_at(data: bytes, pos: int) -> tuple[Any, int]:
         end = pos + 16
         if end > len(data):
             raise WalCorruption("truncated timestamp")
-        value = _F64.unpack_from(data, pos)[0]
-        pid = _I64.unpack_from(data, pos + 8)[0]
-        return Timestamp(value, pid), end
+        return Timestamp(*_TS.unpack_from(data, pos)), end
     if tag in (_T_STR, _T_BYTES, _T_BIGINT):
         if pos + 4 > len(data):
             raise WalCorruption("truncated length")
-        (length,) = struct.unpack_from("<I", data, pos)
+        (length,) = _U32.unpack_from(data, pos)
         pos += 4
         end = pos + length
         if end > len(data):
@@ -166,7 +175,7 @@ def _decode_at(data: bytes, pos: int) -> tuple[Any, int]:
     if tag in (_T_LIST, _T_TUPLE, _T_DICT):
         if pos + 4 > len(data):
             raise WalCorruption("truncated count")
-        (count,) = struct.unpack_from("<I", data, pos)
+        (count,) = _U32.unpack_from(data, pos)
         pos += 4
         if tag == _T_DICT:
             result: dict = {}

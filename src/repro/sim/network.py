@@ -30,6 +30,8 @@ __all__ = ["LatencyModel", "LinkFaults", "Network"]
 
 #: Latency draws block-sampled per generator call (see Network.__init__).
 LAT_POOL = 256
+#: Fault-probability draws per block, when the fault stream is dedicated.
+FAULT_POOL = 256
 
 
 @dataclass(frozen=True)
@@ -133,6 +135,11 @@ class Network:
         #: installing a fault model never perturbs the latency draws of the
         #: messages that do get through.
         self._fault_rng = fault_rng
+        # Fault draws are block-sampled like latencies, and on the same
+        # condition: only a dedicated stream, which nothing else draws
+        # from, can be read ahead (see _refill_fault_pool).
+        self._fault_pool: list[float] = []
+        self._fault_i = 0
         self._nodes: dict[Hashable, Callable[[Any], None]] = {}
         self._last_arrival: dict[tuple[Hashable, Hashable], float] = {}
         self._default_faults: LinkFaults | None = None
@@ -241,16 +248,36 @@ class Network:
         faults = self._faults_for(src, dst)
         duplicated = False
         if faults is not None and faults.any:
-            rng = self._fault_rng if self._fault_rng is not None else self._rng
-            if faults.loss and rng.random() < faults.loss:
-                self.messages_lost += 1
-                return
-            if faults.duplicate and rng.random() < faults.duplicate:
-                duplicated = True
+            # Up to three uniform draws per message, each made only if its
+            # probability is set and served from the pool by index (a
+            # helper call per draw costs more than the draw).  A lost
+            # message consumes exactly one.
+            pool = self._fault_pool
+            i = self._fault_i
+            if faults.loss:
+                if i >= len(pool):
+                    pool, i = self._refill_fault_pool(), 0
+                i += 1
+                if pool[i - 1] < faults.loss:
+                    self._fault_i = i
+                    self.messages_lost += 1
+                    return
+            if faults.duplicate:
+                if i >= len(pool):
+                    pool, i = self._refill_fault_pool(), 0
+                i += 1
+                duplicated = pool[i - 1] < faults.duplicate
+            # The latency draw sits between the duplicate and the spike
+            # draws: on a shared stream that order is the stream's order.
             delay = self._next_latency()
-            if faults.delay_spike and rng.random() < faults.delay_spike:
-                self.delay_spikes += 1
-                delay *= faults.spike_factor
+            if faults.delay_spike:
+                if i >= len(pool):
+                    pool, i = self._refill_fault_pool(), 0
+                i += 1
+                if pool[i - 1] < faults.delay_spike:
+                    self.delay_spikes += 1
+                    delay *= faults.spike_factor
+            self._fault_i = i
         else:
             delay = self._next_latency()
         arrival = self.sim.now + delay
@@ -267,6 +294,18 @@ class Network:
             self.messages_duplicated += 1
             extra = self._next_latency()
             self.sim.schedule(extra, self._deliver, dst, msg)
+
+    def _refill_fault_pool(self) -> list[float]:
+        """The next block of uniform fault draws: FAULT_POOL of them from
+        the dedicated stream (a size-N block is the same N sequential
+        draws), a single one when faults share the latency stream — reading
+        ahead there would reorder the interleaved latency draws."""
+        if self._fault_rng is None:
+            pool = [self._rng.random()]
+        else:
+            pool = self._fault_rng.random(FAULT_POOL).tolist()
+        self._fault_pool = pool
+        return pool
 
     def _next_latency(self) -> float:
         """One lognormal latency draw, pooled when the pool is sound.

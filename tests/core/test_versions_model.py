@@ -88,14 +88,32 @@ ops = st.lists(
         st.tuples(st.just("read"), st.sampled_from(KEYS), timestamps),
         st.tuples(st.just("latest"), st.sampled_from(KEYS), timestamps),
         st.tuples(st.just("purge"), st.just(""), timestamps),
+        # The checkpointer's side of change tracking: ask (the first time)
+        # or take the report and clear it.
+        st.tuples(st.just("report"), st.just(""), timestamps),
     ),
     max_size=40)
+
+
+def rows_of(store: VersionStore) -> dict:
+    return {row[0]: row for row in store.snapshot()}
+
+
+def assert_changes_reported(store: VersionStore, changed: set,
+                            reported_rows: dict) -> None:
+    """The change-tracking contract: every key whose snapshot row differs
+    from the one last reported is named, and only keys of the store are."""
+    now = rows_of(store)
+    differing = {key for key, row in now.items()
+                 if row != reported_rows.get(key)}
+    assert differing <= changed <= set(now)
 
 
 class TestAgainstNaiveModel:
     @given(ops)
     def test_lockstep(self, sequence):
         store, model = VersionStore(), NaiveStore()
+        changed, reported_rows = None, {}
         for i, (op, key, ts) in enumerate(sequence):
             if op == "install":
                 inserted = model.install(key, ts, f"v{i}")
@@ -115,9 +133,62 @@ class TestAgainstNaiveModel:
             elif op == "latest":
                 got = store.latest(key)
                 assert (got.ts, got.value) == model.latest(key)
-            else:  # purge
+            elif op == "purge":
                 assert store.purge_before(ts) == model.purge_before(ts)
+            else:  # report
+                if changed is None:
+                    changed = store.track_changes()
+                changed.clear()
+                reported_rows = rows_of(store)
             assert store.version_count() == model.version_count()
+            if changed is None:
+                assert store.changed is None  # off until asked for
+            else:
+                assert store.changed is changed
+                assert_changes_reported(store, changed, reported_rows)
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(("install", "reserve", "finalise", "drop", "read",
+                         "purge", "purge_key", "load", "report")),
+        st.sampled_from(KEYS), timestamps), max_size=40))
+    def test_every_mutator_reports_its_key(self, sequence):
+        """The same contract over the mutators the naive model leaves out:
+        PENDING reservations (finalised or dropped), the per-key purge and
+        ``load_chain`` — against the store's own ``snapshot()``."""
+        store = VersionStore()
+        changed = store.track_changes()
+        reported_rows: dict = {}
+        for i, (op, key, ts) in enumerate(sequence):
+            at = store.version_at(key, ts) if op != "read" else None
+            if op == "install" and at is None:
+                store.install(key, ts, f"v{i}")
+            elif op == "reserve" and at is None:
+                store.install_pending(key, ts)
+            elif op == "finalise" and at is not None and at.is_pending:
+                store.install(key, ts, f"v{i}")
+            elif op == "drop":
+                store.drop(key, ts)
+            elif op == "read":
+                store.latest_before(f"fresh-{key}", ts)  # creates a chain
+            elif op == "purge":
+                store.purge_before(ts)
+            elif op == "purge_key":
+                store.purge_key_before(key, ts)
+            elif op == "load":
+                store.load_chain(key, ((ts, f"v{i}"),), floor=ts)
+            elif op == "report":
+                changed.clear()
+                reported_rows = rows_of(store)
+            assert_changes_reported(store, changed, reported_rows)
+
+    def test_asking_again_hands_the_feed_to_the_new_follower(self):
+        store = VersionStore()
+        first = store.track_changes()
+        store.install("a", Timestamp(1.0, 0), "v")
+        second = store.track_changes()
+        store.install("b", Timestamp(1.0, 0), "v")
+        assert first == {"a"} and second == {"b"}
+        assert store.changed is second
 
     @given(st.lists(timestamps, unique=True, min_size=1), timestamps)
     def test_floor_is_max_below(self, installed, probe):

@@ -155,6 +155,94 @@ class TestNetworkFaults:
         assert net._last_arrival[("b", "c")] == 1.0
 
 
+class TestPooledFaultDraws:
+    """Fault probabilities are drawn a block at a time from the dedicated
+    stream.  The reference below is the unpooled network written out: one
+    scalar ``random()`` per decision, in decision order, from an
+    equal-seeded generator — so every refill boundary, the lost message's
+    single draw and the per-link model lookup must line up exactly."""
+
+    DEFAULT = LinkFaults(loss=0.1, duplicate=0.15, delay_spike=0.1,
+                         spike_factor=7.0)
+    LOSS_ONLY = LinkFaults(loss=0.3)
+    LINKS = [("a", "x"), ("a", "y"), ("b", "x"), ("b", "y")]
+    #: The override on one link draws once per message where the default
+    #: draws up to three times: the two consume the pool at different rates.
+    OVERRIDES = {("b", "y"): LOSS_ONLY}
+    LATENCY = LatencyModel.from_mean(1e-3, cv=0.5)
+    BURSTS, PER_BURST = 8, 300  # 2400 sends, ~6000 draws, 20+ refills
+
+    def reference(self, fault_rng, latency_rng):
+        """(deliveries, lost, duplicated, spikes) with single draws.
+        ``fault_rng is latency_rng`` is the shared-stream configuration."""
+        deliveries, floor = [], {}
+        lost = duplicated = spikes = 0
+        for burst in range(self.BURSTS):
+            now = burst * 5e-4
+            for n in range(self.PER_BURST):
+                src, dst = link = self.LINKS[n % len(self.LINKS)]
+                msg = (burst, n)
+                faults = self.OVERRIDES.get(link, self.DEFAULT)
+                if faults.loss and fault_rng.random() < faults.loss:
+                    lost += 1
+                    continue
+                twice = bool(faults.duplicate
+                             and fault_rng.random() < faults.duplicate)
+                delay = self.LATENCY.sample(latency_rng)
+                if (faults.delay_spike
+                        and fault_rng.random() < faults.delay_spike):
+                    spikes += 1
+                    delay *= faults.spike_factor
+                arrival = max(now + delay, floor.get(link, 0.0))
+                floor[link] = arrival
+                deliveries.append((now + (arrival - now), dst, msg))
+                if twice:
+                    duplicated += 1
+                    deliveries.append(
+                        (now + self.LATENCY.sample(latency_rng), dst, msg))
+        deliveries.sort(key=lambda d: d[0])  # stable: ties keep send order
+        return deliveries, lost, duplicated, spikes
+
+    def run_network(self, net, sim):
+        net.set_default_faults(self.DEFAULT)
+        for link, faults in self.OVERRIDES.items():
+            net.set_link_faults(*link, faults)
+        got = []
+        for dst in ("x", "y"):
+            net.register(dst, lambda m, dst=dst: got.append((sim.now, dst, m)))
+
+        def burst(b):
+            for n in range(self.PER_BURST):
+                src, dst = self.LINKS[n % len(self.LINKS)]
+                net.send(dst, (b, n), src=src)
+
+        for b in range(self.BURSTS):
+            sim.schedule(b * 5e-4, burst, b)
+        sim.run()
+        return got, net.messages_lost, net.messages_duplicated, \
+            net.delay_spikes
+
+    def test_dedicated_stream_matches_single_draws(self):
+        sim = Simulator()
+        net = Network(sim, self.LATENCY, np.random.default_rng(3),
+                      fault_rng=np.random.default_rng(4))
+        got = self.run_network(net, sim)
+        want = self.reference(np.random.default_rng(4),
+                              np.random.default_rng(3))
+        assert got == want
+        assert net.messages_sent == self.BURSTS * self.PER_BURST
+        assert min(got[1:]) > 0  # every kind of fault happened
+
+    def test_shared_stream_still_draws_singly_in_order(self):
+        # No fault_rng: probabilities and latencies interleave on one
+        # stream, so nothing may be read ahead of its turn.
+        sim = Simulator()
+        net = Network(sim, self.LATENCY, np.random.default_rng(5))
+        got = self.run_network(net, sim)
+        shared = np.random.default_rng(5)
+        assert got == self.reference(shared, shared)
+
+
 class TestServiceQueueCrash:
     def test_drop_pending_discards_queued_and_in_service(self):
         sim = Simulator()
