@@ -45,7 +45,8 @@ def crash_recovery() -> None:
     from repro.clocks import PerfectClock
     from repro.core.exceptions import TransactionAborted
     from repro.dist import (CommitmentRegistry, CrashInjector, MVTILClient,
-                            MVTLServer, Partition)
+                            MVTLServer)
+    from repro.repl import ReplicatedPlacement
     from repro.sim import LatencyModel, Network, Simulator, Sleep
 
     sim = Simulator()
@@ -55,7 +56,7 @@ def crash_recovery() -> None:
     server = MVTLServer(sim, net, "s0", LOCAL_TESTBED,
                         np.random.default_rng(1), registry,
                         write_lock_timeout=0.25)
-    partition = Partition(["s0"])
+    partition = ReplicatedPlacement(["s0"])
     injector = CrashInjector(sim, net)
 
     victim = MVTILClient(sim, net, "victim", 1, partition,

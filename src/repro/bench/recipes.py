@@ -20,7 +20,7 @@ from ..dist.failure import ChaosConfig
 from ..exp.grid import Cell
 from ..exp.harness import run_cells
 from ..policies.registry import registered_policies
-from ..repl import write_quorum
+from ..repl import HEARTBEAT_INTERVAL, write_quorum
 from ..sim.network import LinkFaults
 from ..sim.testbed import CLOUD_TESTBED, LOCAL_TESTBED
 from ..verify import check_serializable
@@ -285,7 +285,7 @@ def failover_cells(seed: int) -> list[Cell]:
       measurement window is present on its group's *current* leader
       (modulo legitimate GC purging below the stable floor);
     * bounded failover — the controller promoted an up-to-date follower
-      within ``heartbeat_interval * (miss_limit + 2)`` plus one ping of
+      within ``HEARTBEAT_INTERVAL * (miss_limit + 2)`` plus one ping of
       slack after the crash;
     * version-clean follower reads — snapshot transactions were actually
       served by followers, and both surviving histories (interval-locked
@@ -298,8 +298,8 @@ def failover_cells(seed: int) -> list[Cell]:
 
 
 def _latency_bound(config: ClusterConfig) -> float:
-    return (config.heartbeat_interval * (config.heartbeat_miss_limit + 2)
-            + config.heartbeat_interval)
+    return (HEARTBEAT_INTERVAL * (config.heartbeat_miss_limit + 2)
+            + HEARTBEAT_INTERVAL)
 
 
 def failover_report(results: Results) -> Iterator[str]:

@@ -5,12 +5,12 @@ from .cluster import PROTOCOLS, ClusterConfig, ClusterResult, run_cluster
 from .commitment import ABORT, CommitmentObject, CommitmentRegistry
 from .failure import ChaosConfig, ChaosEvent, ChaosSchedule, CrashInjector
 from .gc_service import TimestampService
-from .partition import Partition
+from .member import ReplicaServer
 from .server import MVTLServer, TwoPLServer
 
 __all__ = [
     "MVTILClient", "MVTOClient", "TwoPLClient", "BaseClient",
-    "MVTLServer", "TwoPLServer", "Partition",
+    "MVTLServer", "ReplicaServer", "TwoPLServer",
     "CommitmentObject", "CommitmentRegistry", "ABORT",
     "TimestampService", "CrashInjector",
     "ChaosConfig", "ChaosEvent", "ChaosSchedule",

@@ -17,8 +17,8 @@ from typing import Any
 
 from ..clocks.clock import EpsilonSyncClock
 from ..core.timestamp import BOTTOM
-from ..obs.metrics import (MetricsRegistry, fold_trace,
-                           merge_conflict_counts, merge_overload_counters,
+from ..obs.metrics import (fold_trace, merge_conflict_counts,
+                           merge_overload_counters,
                            merge_replication_counters,
                            merge_scenario_counters)
 from ..obs.trace import Tracer
@@ -27,7 +27,7 @@ from ..repl.placement import ReplicatedPlacement
 from ..repl.replica import FailoverController, scan_lost_commits
 from ..sim.network import LinkFaults, Network
 from ..sim.rng import RngFactory
-from ..sim.simulator import Simulator, Sleep
+from ..sim.simulator import Simulator
 from ..sim.testbed import LOCAL_TESTBED, TestbedProfile
 from ..verify.history import HistoryRecorder
 from ..workload.generator import WorkloadConfig, WorkloadGenerator
@@ -39,7 +39,7 @@ from .commitment import CommitmentRegistry
 from .failure import (ChaosConfig, ChaosSchedule, CrashInjector,
                       orphaned_write_locks)
 from .gc_service import TimestampService
-from .partition import Partition
+from .member import CLIENT_COUNTERS, SERVER_COUNTERS, ReplicaServer
 from .server import BohmSequencerServer, MVTLServer, TwoPLServer
 
 __all__ = ["ClusterConfig", "ClusterResult", "run_cluster", "PROTOCOLS"]
@@ -95,9 +95,6 @@ class ClusterConfig:
     #: never touches RNG streams or the event queue, so a traced run's
     #: outcome is bit-identical to the untraced run with the same seed.
     trace: bool = False
-    #: Sample server queue depths every N simulated seconds into the
-    #: metrics registry (0 = off; only meaningful with ``trace=True``).
-    queue_sample_period: float = 0.0
     #: Per-link fault model applied to every link (loss / duplication /
     #: delay spikes), sampled from a dedicated RNG stream.  None = the
     #: perfect network of the paper's TCP transport.
@@ -148,10 +145,10 @@ class ClusterConfig:
     #: (GC-floor) snapshot timestamp instead of running the interval
     #: protocol.  Requires ``replication > 1``.
     follower_reads: bool = False
-    #: Failover controller ping period; a leader missing
-    #: ``heartbeat_miss_limit`` consecutive replies is declared dead and a
-    #: follower is promoted.  Only runs when ``replication > 1``.
-    heartbeat_interval: float = 0.05
+    #: A leader missing this many consecutive failover-controller pings
+    #: (one every ``repro.repl.replica.HEARTBEAT_INTERVAL`` seconds) is
+    #: declared dead and a follower is promoted.  Only runs when
+    #: ``replication > 1``.
     heartbeat_miss_limit: int = 3
     #: Self-healing anti-entropy (DESIGN.md §5h): the failover controller
     #: pokes dirty (restarted) members to stream missing committed
@@ -239,9 +236,13 @@ class ClusterConfig:
             raise ValueError("checkpoint_every must be >= 0")
         if self.replication < 1:
             raise ValueError("replication must be >= 1")
-        if self.heartbeat_interval <= 0 or self.heartbeat_miss_limit < 1:
-            raise ValueError("heartbeat_interval must be positive and "
-                             "heartbeat_miss_limit >= 1")
+        num_servers = (self.num_servers if self.num_servers is not None
+                       else self.profile.num_servers)
+        if self.replication > num_servers:
+            raise ValueError(f"replication={self.replication} needs at "
+                             f"least that many servers (have {num_servers})")
+        if self.heartbeat_miss_limit < 1:
+            raise ValueError("heartbeat_miss_limit must be >= 1")
         if self.replication > 1:
             if self.protocol not in ("mvtil-early", "mvtil-late"):
                 raise ValueError("replication > 1 requires an MVTIL "
@@ -406,9 +407,6 @@ def _run_cluster(config: ClusterConfig) -> ClusterResult:
         # One sequencer node: Bohm's total order *is* its concurrency
         # control, and a single arrival point defines it.
         num_servers = 1
-    if config.replication > num_servers:
-        raise ValueError(f"replication={config.replication} needs at least "
-                         f"that many servers (have {num_servers})")
     server_ids = [f"server-{i}" for i in range(num_servers)]
     consensus = None
     acceptors_by_sid: dict[str, Any] = {}
@@ -421,6 +419,8 @@ def _run_cluster(config: ClusterConfig) -> ClusterResult:
             acceptors_by_sid[sid] = PaxosAcceptor(sim, net, aid)
         consensus = PaxosConsensus(sim, net, acceptor_ids,
                                    rng=rngs.stream())
+    # A member of a replication group does more than Alg. 13's server.
+    mvtl_server = ReplicaServer if config.replication > 1 else MVTLServer
     servers: list[Any] = []
     for sid in server_ids:
         if config.protocol == "2pl":
@@ -434,21 +434,16 @@ def _run_cluster(config: ClusterConfig) -> ClusterResult:
         else:
             durable = (DurableStore(checkpoint_every=config.checkpoint_every)
                        if config.durability == "wal" else None)
-            servers.append(MVTLServer(
+            servers.append(mvtl_server(
                 sim, net, sid, config.profile, rngs.stream(), registry,
                 write_lock_timeout=config.write_lock_timeout,
                 consensus=consensus, history=history,
-                queue_capacity=config.queue_capacity,
-                durable=durable, replicated=config.replication > 1))
+                queue_capacity=config.queue_capacity, durable=durable))
     if tracer is not None:
         for server in servers:
             server.tracer = tracer
-    # ReplicatedPlacement routes exactly like Partition at any replication
-    # factor (same group hash, leader = the group's ring head); keeping
-    # Partition for the unreplicated path preserves the seed object graph.
-    partition = (ReplicatedPlacement(server_ids,
-                                     replication=config.replication)
-                 if config.replication > 1 else Partition(server_ids))
+    partition = ReplicatedPlacement(server_ids,
+                                    replication=config.replication)
 
     stats = RunStats(sim, config.warmup, config.measure)
     stats.record_completions = config.record_completions
@@ -547,7 +542,6 @@ def _run_cluster(config: ClusterConfig) -> ClusterResult:
         # perturbs nothing else about the run.
         controller = FailoverController(
             sim, net, partition,
-            interval=config.heartbeat_interval,
             miss_limit=config.heartbeat_miss_limit,
             anti_entropy=config.anti_entropy,
             recruit=config.recruitment,
@@ -564,21 +558,6 @@ def _run_cluster(config: ClusterConfig) -> ClusterResult:
     if config.state_sample_period > 0:
         sampler = StateSampler(sim, servers, config.state_sample_period)
         sim.spawn(sampler.process(), name="state-sampler")
-
-    metrics_reg = MetricsRegistry() if config.trace else None
-    if config.trace and config.queue_sample_period > 0:
-        # Note: unlike the tracer, the sampler *does* schedule simulator
-        # events, so queue-depth sampling is opt-in separately — it can
-        # reorder same-time event ties against an unsampled run.
-        def queue_sampler():
-            depth = metrics_reg.gauge("server.queue_depth")
-            busy = metrics_reg.gauge("server.busy_slots")
-            while True:
-                yield Sleep(config.queue_sample_period)
-                depth.set(sum(s.queue.queue_length for s in servers))
-                busy.set(sum(s.queue.busy_slots for s in servers))
-
-        sim.spawn(queue_sampler(), name="queue-sampler")
 
     sim.run_until(config.warmup + config.measure)
 
@@ -612,14 +591,13 @@ def _run_cluster(config: ClusterConfig) -> ClusterResult:
         # notifications time to land before reading the stores.
         sim.run_until(sim.now + 1.0)
         final_state = {}
-        authority = (partition.leader_of if hasattr(partition, "leader_of")
-                     else partition.server_of)
         for server in servers:
             store = getattr(server, "store", None)
             if store is None:
                 continue
             for key, versions, _floor in store.snapshot():
-                if authority(key) != server.server_id or not versions:
+                if (partition.leader_of(key) != server.server_id
+                        or not versions):
                     continue
                 _ts, value = versions[-1]
                 if value is not BOTTOM:
@@ -675,6 +653,7 @@ def _run_cluster(config: ClusterConfig) -> ClusterResult:
         resync_latencies = sorted(
             lat for s in servers
             for lat in getattr(s, "resync_latencies", []))
+        durables = [s.durable for s in servers if s.durable is not None]
         replication_report = {
             "replication": config.replication,
             "durability": config.durability,
@@ -683,21 +662,9 @@ def _run_cluster(config: ClusterConfig) -> ClusterResult:
             "failover_latencies": failover_latencies,
             "heartbeats_sent": (controller.heartbeats_sent
                                 if controller else 0),
-            "holds_mirrored": sum(s.stats.get("holds_mirrored", 0)
-                                  for s in servers),
-            "follower_reads": sum(c.stats.get("follower_reads", 0)
-                                  for c in clients),
-            "snapshot_fallbacks": sum(c.stats.get("snapshot_fallbacks", 0)
-                                      for c in clients),
-            "snapshot_commits": sum(c.stats.get("snapshot_commits", 0)
-                                    for c in clients),
-            "snapshot_reads": sum(s.stats.get("snapshot_reads", 0)
-                                  for s in servers),
-            "snapshot_refused": sum(s.stats.get("snapshot_refused", 0)
-                                    for s in servers),
-            # Satellite: refusals broken down by first failing guard, so
-            # anti-entropy progress is observable ("dirty" must go to zero
-            # once every restarted member completed its full sync plan).
+            # Refusals broken down by first failing guard, so anti-entropy
+            # progress is observable ("dirty" must go to zero once every
+            # restarted member completed its full sync plan).
             "snapshot_refused_by_reason": {
                 reason: sum(s.stats.get(f"snapshot_refused_{reason}", 0)
                             for s in servers)
@@ -708,15 +675,10 @@ def _run_cluster(config: ClusterConfig) -> ClusterResult:
                 if s.stats.get("resyncs", 0) > 0},
             # Self-healing (DESIGN.md §5h).
             "sync_pokes": controller.sync_pokes if controller else 0,
+            # The one member stat only the report shows (never filed in
+            # the metrics registry, so not a SERVER_COUNTERS row).
             "sync_sessions": sum(s.stats.get("sync_sessions", 0)
                                  for s in servers),
-            "sync_rounds": sum(s.stats.get("sync_deltas", 0)
-                               for s in servers),
-            "sync_installs": sum(s.stats.get("sync_installs", 0)
-                                 for s in servers),
-            "sync_aborted": sum(s.stats.get("sync_aborted", 0)
-                                for s in servers),
-            "resyncs": sum(s.stats.get("resyncs", 0) for s in servers),
             "resyncs_by_server": {
                 str(s.server_id): s.stats.get("resyncs", 0)
                 for s in servers if s.stats.get("resyncs", 0) > 0},
@@ -727,22 +689,12 @@ def _run_cluster(config: ClusterConfig) -> ClusterResult:
                 (controller.recruitments if controller else [])],
             "min_live_members": (controller.min_live_members
                                  if controller else None),
-            "dirty_at_end": sorted(
-                str(s.server_id) for s in servers
-                if getattr(s, "snapshot_dirty", False)),
-            "fanout_acked": sum(c.stats.get("fanout_acked", 0)
-                                for c in clients),
-            "fanout_unacked": sum(c.stats.get("fanout_unacked", 0)
-                                  for c in clients),
-            "wal_records": sum(s.durable.wal.records_appended
-                               for s in servers
-                               if getattr(s, "durable", None) is not None),
-            "wal_sync_records": sum(
-                s.durable.wal.records_by_kind.get("sync", 0)
-                for s in servers
-                if getattr(s, "durable", None) is not None),
-            "checkpoints": sum(s.durable.checkpoints for s in servers
-                               if getattr(s, "durable", None) is not None),
+            "dirty_at_end": sorted(str(s.server_id) for s in servers
+                                   if s.snapshot_dirty),
+            "wal_records": sum(d.wal.records_appended for d in durables),
+            "wal_sync_records": sum(d.wal.records_by_kind.get("sync", 0)
+                                    for d in durables),
+            "checkpoints": sum(d.checkpoints for d in durables),
             "read_staleness": {
                 "count": len(staleness),
                 "mean": (sum(staleness) / len(staleness)
@@ -752,6 +704,13 @@ def _run_cluster(config: ClusterConfig) -> ClusterResult:
                 "max": staleness[-1] if staleness else 0.0,
             },
         }
+        # The summed counters, from the one table that names them.
+        for report_key, stat in SERVER_COUNTERS:
+            if report_key is not None:
+                replication_report[report_key] = sum(
+                    s.stats.get(stat, 0) for s in servers)
+        for stat in CLIENT_COUNTERS:
+            replication_report[stat] = sum(c.stats[stat] for c in clients)
         if history is not None and config.replication > 1:
             # Audit the measurement window only: the settle period drains
             # its commit fan-outs, but commits decided *during* settle can
@@ -774,12 +733,13 @@ def _run_cluster(config: ClusterConfig) -> ClusterResult:
 
     metrics = None
     if config.trace:
-        fold_trace(tracer.events, metrics_reg)
+        metrics_reg = fold_trace(tracer.events)
         for server in servers:
             merge_conflict_counts(metrics_reg, server.conflicts)
         merge_overload_counters(metrics_reg, servers)
         if replication_report is not None:
-            merge_replication_counters(metrics_reg, servers, clients)
+            merge_replication_counters(metrics_reg, servers, clients,
+                                       SERVER_COUNTERS, CLIENT_COUNTERS)
         if scenario_report is not None:
             merge_scenario_counters(metrics_reg, scenario_report)
         metrics = metrics_reg.as_dict()

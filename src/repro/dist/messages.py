@@ -35,7 +35,6 @@ __all__ = [
     "TwoPLLockReq", "TwoPLLockReply", "TwoPLCommitReq", "TwoPLReleaseReq",
     "BohmSubmitReq", "BohmSubmitReply",
     "PurgeReq", "ClockBroadcast",
-    "ProposeReq", "DecisionReply",
     "ReplicaHoldReq", "ReplicaHoldReply",
     "SnapshotReadReq", "SnapshotReadReply",
     "HeartbeatReq", "HeartbeatReply",
@@ -206,7 +205,6 @@ class ReleaseReq(Request):
     ghost aborts (§3, §5.5).
     """
 
-    key: Hashable = None  # None = all keys tx touched on this server
     write_only: bool = False
 
 
@@ -500,21 +498,6 @@ class ClockBroadcast(Message):
 
 
 # -- commitment object (consensus) ----------------------------------------------
-
-@dataclass(unsafe_hash=True, slots=True)
-class ProposeReq(Request):
-    """Propose an outcome for tx to its commitment object.
-
-    ``outcome`` is either the string "abort" or a commit Timestamp.
-    """
-
-    outcome: Any = None
-
-
-@dataclass(unsafe_hash=True, slots=True)
-class DecisionReply(Reply):
-    outcome: Any = None  # "abort" or the decided commit Timestamp
-
 
 #: Request types a saturated server may shed (bounded queue) or expire
 #: (deadline passed): data-path acquisitions whose rejection the client

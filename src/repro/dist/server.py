@@ -35,11 +35,11 @@ with the same request id, every request is deduplicated by
 ``(client, req_id)`` before it is executed (at-least-once transport,
 exactly-once application).
 
-Replication (§5e): a server can additionally act as a *follower* for key
-groups led elsewhere — it accepts mirrored write holds
-(:class:`~repro.dist.messages.ReplicaHoldReq`), applies commit decisions
-fanned to every group member, answers locked-timestamp snapshot reads from
-its stable GC frontier, and reports heartbeats to the failover controller.
+Replication (§5e) is not here: what a server does as a *member* of a
+replication group — mirrored write holds, follower snapshot reads,
+heartbeats, anti-entropy — is :class:`~repro.dist.member.ReplicaServer`, a
+subclass the cluster builds instead of :class:`MVTLServer` when
+``replication > 1``.
 """
 
 from __future__ import annotations
@@ -60,18 +60,14 @@ from ..sim.server_queue import ServiceQueue
 from ..sim.simulator import Simulator
 from ..sim.testbed import TestbedProfile
 from ..repl.checkpoint import DurableStore
-from ..repl.placement import group_index
 from ..baselines.bohm import BohmEngine
 from .commitment import ABORT, CommitmentRegistry
 from .messages import (BohmSubmitReply, BohmSubmitReq,
                        CommitAck, CommitReq, EpochReply, EpochReq,
-                       HeartbeatReply, HeartbeatReq,
                        MVTLBatchLockReply, MVTLBatchLockReq,
                        MVTLReadReply, MVTLReadReq, MVTLWriteLockReply,
                        MVTLWriteLockReq, OverloadedReply, PurgeReq,
-                       ReleaseReq, ReplicaHoldReply, ReplicaHoldReq, Reply,
-                       Request, SnapshotReadReply, SnapshotReadReq,
-                       SyncDelta, SyncDone, SyncPoke, SyncReq,
+                       ReleaseReq, Reply, Request,
                        TwoPLCommitReq, TwoPLLockReply, TwoPLLockReq,
                        TwoPLReleaseReq)
 
@@ -89,18 +85,6 @@ _APPLIED = object()
 
 #: Sentinel distinguishing "no pending buffer entry" from a buffered None.
 _MISSING = object()
-
-#: Service-cost class per message type (see MVTLServer._service_time):
-#: 1 = control notification, 2 = per-item batch, 3 = per-entry sync batch;
-#: absent = full-weight data request.  An exact-type dict lookup replaces
-#: three isinstance chains on the per-request service-time path.
-_WEIGHT_KIND: dict[type, int] = {
-    CommitReq: 1, ReleaseReq: 1, PurgeReq: 1, EpochReq: 1, HeartbeatReq: 1,
-    SyncReq: 1, SyncPoke: 1,
-    MVTLBatchLockReq: 2, ReplicaHoldReq: 2,
-    SyncDelta: 3,
-}
-
 
 class _Resubmit:
     """Internal envelope for un-parking: bypasses the request-dedup check.
@@ -331,24 +315,22 @@ class MVTLServer(_ServerBase):
                  consensus: Any | None = None,
                  history: Any | None = None,
                  queue_capacity: int | None = None,
-                 durable: DurableStore | None = None,
-                 replicated: bool = False) -> None:
+                 durable: DurableStore | None = None) -> None:
         super().__init__(sim, net, server_id, profile, rng,
                          queue_capacity=queue_capacity)
         self.registry = registry
         #: Simulated disk (checkpoint + WAL).  None = the original model
         #: where the in-memory version store survives restarts unexamined.
         self.durable = durable
-        #: True when this server is part of a replication group (r > 1):
-        #: enables the commit-time read-span mirror grants that keep a
-        #: promoted follower's frozen-read state equal to its leader's.
-        self.replicated = replicated
         #: Highest GC purge bound applied here — the snapshot-read
         #: stability frontier (every commit below it is present locally).
         self.stable_floor: Timestamp | None = None
-        #: Set on every restart and never cleared: commits may have been
-        #: applied elsewhere while this server was down, so its store is
-        #: not a complete prefix and snapshot reads must be refused.
+        #: Set on every restart and never cleared here: commits may have
+        #: been applied elsewhere while this server was down, so its store
+        #: is not a complete prefix.  In the base class because a WAL-only
+        #: run reports restarted servers through it (``dirty_at_end``); a
+        #: group member refuses snapshot reads while it is set and clears
+        #: it by anti-entropy (:class:`~repro.dist.member.ReplicaServer`).
         self.snapshot_dirty = False
         #: Commit applications performed (freshness rank for failover).
         self.applied_commits = 0
@@ -374,28 +356,6 @@ class MVTLServer(_ServerBase):
         self.store = VersionStore()
         #: Buffered values awaiting freeze: (tx, key) -> value (Alg. 13 l.3).
         self.pending: dict[tuple[Hashable, Hashable], Any] = {}
-        # -- anti-entropy state (DESIGN.md §5h) --
-        #: Leader side: (follower, gids) -> (session, entries, floor) — a
-        #: stable enumeration of committed state, materialized once per
-        #: session nonce and served in cursor batches.  Volatile: a restart
-        #: invalidates it (the epoch bump aborts in-flight runs).
-        self._sync_sessions: dict[tuple, tuple] = {}
-        #: Follower side: gids -> mutable run state of one sync session.
-        self._sync_runs: dict[tuple, dict] = {}
-        #: The full servability plan ((leader, gids), ...) whose completed
-        #: sessions clear ``snapshot_dirty``; None while no plan is active.
-        self._sync_plan: tuple | None = None
-        #: Session nonces + request ids survive restarts (monotonic across
-        #: the server's lifetime) so a post-restart run can never alias a
-        #: leader's cached pre-crash session or dedup entry.
-        self._sync_session_seq = 0
-        self._sync_req_seq = 0
-        #: When servability was last lost (restart or recruitment
-        #: mark-dirty); cleared — and the latency recorded — when a full
-        #: sync plan completes.
-        self._dirty_since: float | None = None
-        #: Restart-to-servable latencies, one per completed re-sync.
-        self.resync_latencies: list[float] = []
         self._state_multiplier = 1.0
         self._state_refresh_at = 0
         self.queue.service_time_fn = self._service_time
@@ -427,13 +387,6 @@ class MVTLServer(_ServerBase):
             # service multiplier at the next served request.
             self._state_refresh_at = 0
         self.snapshot_dirty = True
-        self._dirty_since = self.sim.now
-        # Sync state is volatile: cached sessions die with the epoch bump
-        # (aborting every in-flight run against us) and our own runs are
-        # forgotten — the controller's next poke starts a fresh plan.
-        self._sync_sessions.clear()
-        self._sync_runs.clear()
-        self._sync_plan = None
         super().restart()
         if self.durable is not None:
             # Re-derive dedup decisions for committed transactions: their
@@ -448,6 +401,16 @@ class MVTLServer(_ServerBase):
     #: not full skip-list operations.
     CONTROL_MSG_WEIGHT = 0.3
 
+    #: Service-cost class per message type (see :meth:`_service_time`):
+    #: 1 = control notification, 2 = per-item batch, 3 = per-entry batch;
+    #: absent = full-weight data request.  An exact-type dict lookup
+    #: replaces three isinstance chains on the per-request service-time
+    #: path.  Subclasses extend it the way they extend ``_HANDLERS``.
+    _WEIGHT_KIND: dict[type, int] = {
+        CommitReq: 1, ReleaseReq: 1, PurgeReq: 1, EpochReq: 1,
+        MVTLBatchLockReq: 2,
+    }
+
     def _service_time(self, msg: Any = None) -> float:
         """Per-request service time: type weight x state inflation (Fig. 7)."""
         if self.queue.requests_served >= self._state_refresh_at:
@@ -460,7 +423,7 @@ class MVTLServer(_ServerBase):
             # Baseline is ~2 records/key (one version + one lock interval).
             self._state_multiplier = 1.0 + self.STATE_COST_FACTOR * max(
                 0.0, per_key - 2.0)
-        kind = _WEIGHT_KIND.get(msg.__class__)
+        kind = self._WEIGHT_KIND.get(msg.__class__)
         if kind is None:  # data request (read / write lock / snapshot read)
             weight = 1.0
         elif kind == 1:  # control notification
@@ -470,15 +433,17 @@ class MVTLServer(_ServerBase):
             # request per item it carries.
             weight = float(max(1, len(msg.items)))
         else:
-            # Applying a sync batch is one cheap guarded install per entry.
+            # Applying an entry batch (an anti-entropy delta) is one cheap
+            # guarded install per entry.
             weight = self.CONTROL_MSG_WEIGHT * max(1, len(msg.entries))
         return self.profile.service_time * self._state_multiplier * weight
 
     # -- dispatch -----------------------------------------------------------
 
     #: Message type -> handler method name; bound per instance in
-    #: ``__init__`` so a single exact-type dict lookup replaces the
-    #: 16-branch isinstance chain on every request.
+    #: ``__init__`` so a single exact-type dict lookup replaces an
+    #: isinstance chain on every request.  Subclasses extend it with
+    #: ``{**MVTLServer._HANDLERS, ...}``.
     _HANDLERS: dict[type, str] = {
         MVTLReadReq: "_handle_read",
         MVTLWriteLockReq: "_handle_write_lock",
@@ -486,21 +451,8 @@ class MVTLServer(_ServerBase):
         CommitReq: "_handle_commit_req",
         ReleaseReq: "_handle_release",
         PurgeReq: "_handle_purge",
-        ReplicaHoldReq: "_handle_replica_hold",
-        SnapshotReadReq: "_handle_snapshot_read",
-        HeartbeatReq: "_handle_heartbeat",
-        SyncReq: "_handle_sync_req",
-        SyncDelta: "_handle_sync_delta",
-        SyncPoke: "_handle_sync_poke",
         EpochReq: "_handle_epoch_req",
     }
-
-    def _handle_heartbeat(self, msg: HeartbeatReq) -> None:
-        self._reply(msg, HeartbeatReply(msg.req_id,
-                                        server=self.server_id,
-                                        epoch=self.epoch,
-                                        applied=self.applied_commits,
-                                        dirty=self.snapshot_dirty))
 
     def _handle_epoch_req(self, msg: EpochReq) -> None:
         self._reply(msg, EpochReply(msg.req_id, epoch=self.epoch))
@@ -509,7 +461,8 @@ class MVTLServer(_ServerBase):
         self.stats["requests"] += 1
         handler = self._dispatch.get(msg.__class__)
         if handler is None:
-            raise TypeError(f"MVTLServer got unknown message {msg!r}")
+            raise TypeError(f"{type(self).__name__} got unknown message "
+                            f"{msg!r}")
         handler(msg)
 
     # -- reads ---------------------------------------------------------------
@@ -598,21 +551,32 @@ class MVTLServer(_ServerBase):
         batch-mates — the client decides what a partial batch means (MVTIL
         shrinks its interval; all-or-nothing clients abort and release).
         """
+        acquired, _ = self._install_write_locks(req.tx_id, req.items,
+                                                req.all_or_nothing)
+        self._reply(req, MVTLBatchLockReply(req.req_id, acquired=acquired,
+                                            epoch=self.epoch))
+
+    def _install_write_locks(self, tx_id: Hashable, items: tuple,
+                             all_or_nothing: bool = False
+                             ) -> tuple[dict[Hashable, IntervalSet], bool]:
+        """The non-waiting write-lock install loop over ``(key, value,
+        want)`` items: returns the grant per key and whether every item
+        was granted in full."""
         acquired: dict[Hashable, IntervalSet] = {}
-        for key, value, want in req.items:
+        complete = True
+        for key, value, want in items:
             got = self.locks.state(key).try_acquire(
-                req.tx_id, LockMode.WRITE, want,
-                all_or_nothing=req.all_or_nothing)
+                tx_id, LockMode.WRITE, want, all_or_nothing=all_or_nothing)
             if not got.fully_acquired:
                 self._note_conflict(key)
-                if req.all_or_nothing:
+                complete = False
+                if all_or_nothing:
                     acquired[key] = EMPTY_SET
                     continue
             acquired[key] = got.acquired
             if not got.acquired.is_empty:
-                self._hold_write(req.tx_id, key, value)
-        self._reply(req, MVTLBatchLockReply(req.req_id, acquired=acquired,
-                                            epoch=self.epoch))
+                self._hold_write(tx_id, key, value)
+        return acquired, complete
 
     def _write_lock_timeout(self, tx_id: Hashable, key: Hashable) -> None:
         """Alg. 13 write-lock-timeout: suspect the coordinator."""
@@ -723,7 +687,7 @@ class MVTLServer(_ServerBase):
 
         def apply(decision: Any) -> None:
             if decision == ABORT:
-                self._release_tx(req.tx_id, write_only=False)
+                self._seal_tx(req.tx_id, keep_all_reads=False)
                 if req.ack:
                     self._reply(req, CommitAck(req.req_id, epoch=self.epoch))
                 return
@@ -733,23 +697,7 @@ class MVTLServer(_ServerBase):
                 for key in req.write_keys)
             self._log_commit(req.tx_id, decision, entries,
                              client=req.client, req_id=req.req_id)
-            for key, span in req.spans.items():
-                if self.replicated:
-                    # Follower read-span mirror: this member never saw the
-                    # transaction's reads, so it holds no read lock to
-                    # freeze.  Grant-then-freeze the span here — without
-                    # it, a post-promotion writer could install inside a
-                    # committed reader's span (an MVSG violation the
-                    # leader's frozen read lock was preventing).  The
-                    # mirrored write grants equal the leader's, so the
-                    # span is conflict-free by construction.
-                    if self.locks.state(key).hold_frozen_read(req.tx_id,
-                                                              span):
-                        self.locks.note_owner(req.tx_id, key)
-                    continue
-                state = self.locks.peek(key)
-                if state is not None:
-                    state.freeze(req.tx_id, LockMode.READ, span)
+            self._freeze_read_spans(req.tx_id, req.spans)
             # Seal the ended transaction's permanent locks.  With
             # release=True only the frozen prefix survives (Alg. 11 gc);
             # with release=False every read lock is kept — the MVTO+/no-GC
@@ -763,20 +711,27 @@ class MVTLServer(_ServerBase):
 
         self._decide(req.tx_id, req.ts, apply)
 
+    def _freeze_read_spans(self, tx_id: Hashable,
+                           spans: dict[Hashable, IntervalSet]) -> None:
+        """Freeze the committed transaction's read locks over ``spans``:
+        the prefix between each version read and the commit timestamp,
+        which seals the serialization decision (Alg. 11)."""
+        for key, span in spans.items():
+            state = self.locks.peek(key)
+            if state is not None:
+                state.freeze(tx_id, LockMode.READ, span)
+
     def _handle_release(self, req: ReleaseReq) -> None:
-        self._release_tx(req.tx_id, write_only=req.write_only)
-
-    def _release_tx(self, tx_id: Hashable, write_only: bool) -> None:
-        """End-of-transaction lock cleanup, sealing what must persist.
-
-        ``write_only=True`` is the MVTO+ abort: unfrozen write locks go,
-        but the read locks persist as read-timestamps (sealed).
-        ``write_only=False`` drops everything unfrozen and seals the frozen
-        remainder.
-        """
-        self._seal_tx(tx_id, keep_all_reads=write_only)
+        self._seal_tx(req.tx_id, keep_all_reads=req.write_only)
 
     def _seal_tx(self, tx_id: Hashable, keep_all_reads: bool) -> None:
+        """End-of-transaction lock cleanup, sealing what must persist.
+
+        ``keep_all_reads=True`` is the MVTO+ abort (a write-only release):
+        unfrozen write locks go, but the read locks persist as
+        read-timestamps (sealed).  ``keep_all_reads=False`` drops
+        everything unfrozen and seals the frozen remainder.
+        """
         self._drop_parked(tx_id)
         # Set order is per-process: iterate in sorted order so waiter
         # wake-ups happen in the same order every run (reproducibility).
@@ -809,273 +764,6 @@ class MVTLServer(_ServerBase):
             self.durable.log_purge(req.bound)
             self.durable.maybe_checkpoint(self.store, self._durable_dedup,
                                           self.stable_floor)
-
-    # -- replication (§5e) -------------------------------------------------
-
-    def _handle_replica_hold(self, req: ReplicaHoldReq) -> None:
-        """Mirror leader-granted write locks (+ pending values) on a
-        follower.
-
-        Each item carries the exact interval the group leader granted and
-        the transaction's buffered value, so any quorum member can finish
-        the commit alone.  The ordinary write-lock timeout is armed on
-        every mirrored hold: if the coordinator dies, a promoted follower
-        resolves the hold through the commitment registry exactly like a
-        leader would — decided commits install, the rest abort.
-        """
-        mirrored = True
-        for key, value, want in req.items:
-            got = self.locks.state(key).try_acquire(
-                req.tx_id, LockMode.WRITE, want)
-            if not got.fully_acquired:
-                # Leftover sealed/foreign state blocks the mirror (can
-                # happen after this follower was itself promoted and back-
-                # demoted).  The client counts this against the quorum.
-                self._note_conflict(key)
-                mirrored = False
-            if not got.acquired.is_empty:
-                self._hold_write(req.tx_id, key, value)
-        if mirrored:
-            self.stats["holds_mirrored"] = (
-                self.stats.get("holds_mirrored", 0) + 1)
-        self._reply(req, ReplicaHoldReply(req.req_id, mirrored=mirrored,
-                                          epoch=self.epoch))
-
-    def _handle_snapshot_read(self, req: SnapshotReadReq) -> None:
-        """Lock-free follower read at a locked (GC-frontier) timestamp.
-
-        Refused unless this replica can prove the timestamp is stable
-        here: it has applied the purge that defined the frontier
-        (``stable_floor``), it never crashed with commits possibly missed
-        (``snapshot_dirty``), and no undecided write lock sits at or below
-        the timestamp — its owner could still commit inside the read's
-        past.  (It cannot in practice: live transactions run a GC horizon
-        above the frontier.  The server-side check is what makes the read
-        safe by construction rather than by timing.)  The refusal is
-        cheap — the client falls back to the leader, then to an interval
-        read.
-        """
-        self.stats["snapshot_reads"] = (
-            self.stats.get("snapshot_reads", 0) + 1)
-        # Classify the refusal (first failing guard wins) so anti-entropy
-        # progress is observable: "dirty" refusals must vanish once a full
-        # sync plan completes, while "floor" lag is routine GC cadence.
-        version = None
-        state = self.locks.peek(req.key)
-        if self.snapshot_dirty:
-            reason = "dirty"
-        elif self.stable_floor is None or req.ts > self.stable_floor:
-            reason = "floor"
-        elif state is not None and state.unfrozen_write_at_or_below(req.ts):
-            reason = "unfrozen"
-        else:
-            version = self.store.latest_before(req.key, req.ts)
-            reason = "missing" if version is None else None
-        if reason is not None:
-            self.stats["snapshot_refused"] = (
-                self.stats.get("snapshot_refused", 0) + 1)
-            key = f"snapshot_refused_{reason}"
-            self.stats[key] = self.stats.get(key, 0) + 1
-            self._reply(req, SnapshotReadReply(req.req_id, ok=False,
-                                               epoch=self.epoch))
-            return
-        if self.stats.get("resyncs"):
-            # Re-earned servability is non-vacuous: this server lost its
-            # snapshot and is serving follower reads again (the bench
-            # asserts this fires for every restarted/recruited member).
-            self.stats["snapshot_served_resynced"] = (
-                self.stats.get("snapshot_served_resynced", 0) + 1)
-        self._reply(req, SnapshotReadReply(req.req_id, ok=True,
-                                           tr=version.ts,
-                                           value=version.value,
-                                           epoch=self.epoch))
-
-    # -- anti-entropy (DESIGN.md §5h) ---------------------------------------
-
-    def _handle_sync_poke(self, poke: SyncPoke) -> None:
-        """Controller nudge: start/continue sync sessions per ``sources``.
-
-        Pokes are the loss-recovery mechanism — one arrives every
-        controller tick, so a run whose delta was dropped just re-requests
-        its current cursor.  A healthy run also streams on its own (each
-        delta immediately triggers the next request), making the poke
-        redundant there; the duplicate delta is dropped by cursor match.
-        """
-        if poke.mark_dirty and not self.snapshot_dirty:
-            # Recruitment prologue: drop servability *before* membership
-            # changes, and invalidate any stale full plan — completing one
-            # enumerated before this moment must not re-clear the flag.
-            self.snapshot_dirty = True
-            self._dirty_since = self.sim.now
-            self._sync_plan = None
-        if poke.full:
-            self._sync_plan = poke.sources
-        for leader, gids in poke.sources:
-            if leader == self.server_id:
-                continue
-            run = self._sync_runs.get(gids)
-            if (run is not None and run["leader"] == leader
-                    and run["full"] == poke.full):
-                if not run["done"]:
-                    self._send_sync_req(run)
-                elif not poke.full:
-                    # Completed recruitment session: re-notify the
-                    # controller (the previous SyncDone may have been lost).
-                    self.net.send(poke.origin,
-                                  SyncDone(server=self.server_id, gids=gids,
-                                           session=run["session"]),
-                                  src=self.server_id)
-                continue
-            self._sync_session_seq += 1
-            run = {"gids": gids, "leader": leader,
-                   "session": self._sync_session_seq, "cursor": 0,
-                   "done": False, "floor": None, "epoch": None,
-                   "batch": max(1, poke.batch),
-                   "num_groups": poke.num_groups,
-                   "full": poke.full, "origin": poke.origin}
-            self._sync_runs[gids] = run
-            self.stats["sync_sessions"] = (
-                self.stats.get("sync_sessions", 0) + 1)
-            self._send_sync_req(run)
-        if poke.full:
-            self._maybe_finish_resync()
-
-    def _send_sync_req(self, run: dict) -> None:
-        """One pull of the run's current cursor.  Every send draws a fresh
-        request id: the leader's dedup layer then only collapses *link*
-        duplicates (same id), while deliberate re-pulls after a lost delta
-        are re-executed — a cheap cached-session slice."""
-        self._sync_req_seq += 1
-        req = SyncReq("__sync__", self.server_id, self._sync_req_seq,
-                      gids=run["gids"], session=run["session"],
-                      cursor=run["cursor"], batch=run["batch"],
-                      num_groups=run["num_groups"])
-        self.stats["sync_reqs"] = self.stats.get("sync_reqs", 0) + 1
-        self.net.send(run["leader"], req, src=self.server_id)
-
-    def _handle_sync_req(self, req: SyncReq) -> None:
-        """Leader side: serve one batch of a cached session enumeration.
-
-        The enumeration is materialized once per session nonce — a stable
-        list the cursor walks even as new commits land (those reach the
-        follower through the ordinary fan-out, which it has been applying
-        all along; the session only back-fills what it missed while down).
-        ``floor`` is the stable GC floor at materialization: together with
-        the locked-timestamp argument (nothing can commit below the floor
-        anymore) it bounds what the follower must prove covered.
-        """
-        skey = (req.client, req.gids)
-        sess = self._sync_sessions.get(skey)
-        if sess is None or sess[0] != req.session:
-            gidset = set(req.gids)
-            entries = []
-            for key, versions, _floor in sorted(self.store.snapshot(),
-                                                key=lambda c: str(c[0])):
-                if group_index(key, req.num_groups) not in gidset:
-                    continue
-                for ts, value in versions:
-                    if ts == TS_ZERO:
-                        continue  # implicit base version, never shipped
-                    entries.append((key, ts, value))
-            sess = (req.session, tuple(entries), self.stable_floor)
-            self._sync_sessions[skey] = sess
-        _, entries, floor = sess
-        lo = min(req.cursor, len(entries))
-        hi = min(lo + max(1, req.batch), len(entries))
-        self.stats["sync_batches_served"] = (
-            self.stats.get("sync_batches_served", 0) + 1)
-        self._reply(req, SyncDelta(req.req_id, gids=req.gids,
-                                   session=req.session, cursor=lo,
-                                   next_cursor=hi, entries=entries[lo:hi],
-                                   done=hi >= len(entries), floor=floor,
-                                   epoch=self.epoch))
-
-    def _handle_sync_delta(self, d: SyncDelta) -> None:
-        """Follower side: apply one batch, WAL it, pull the next.
-
-        Stale, duplicated and reordered deltas are dropped by the
-        (session, cursor) match.  A leader epoch change mid-run aborts the
-        run: the enumeration we were walking died with the leader's
-        restart, and its post-restart store is itself dirty — continuing
-        would let an incomplete leader vouch for our completeness.
-        """
-        run = self._sync_runs.get(d.gids)
-        if (run is None or run["session"] != d.session or run["done"]
-                or d.cursor != run["cursor"]):
-            return
-        if run["epoch"] is None:
-            run["epoch"] = d.epoch
-        elif d.epoch != run["epoch"]:
-            del self._sync_runs[d.gids]
-            self.stats["sync_aborted"] = (
-                self.stats.get("sync_aborted", 0) + 1)
-            return
-        installed = []
-        for key, ts, value in d.entries:
-            # Guarded install: the version may have arrived through the
-            # ordinary commit fan-out while the session was in flight.
-            if self.store.version_at(key, ts) is None:
-                self.store.install(key, ts, value)
-                installed.append((key, ts, value))
-        if installed:
-            self.stats["sync_installs"] = (
-                self.stats.get("sync_installs", 0) + len(installed))
-            if self.durable is not None:
-                # Sync installs must be as durable as commit installs:
-                # after the plan clears snapshot_dirty, a crash must
-                # recover a state the servability proof still covers.
-                self.durable.log_sync(tuple(installed))
-                self.durable.maybe_checkpoint(self.store,
-                                              self._durable_dedup,
-                                              self.stable_floor)
-        self.stats["sync_deltas"] = self.stats.get("sync_deltas", 0) + 1
-        run["cursor"] = d.next_cursor
-        if not d.done:
-            self._send_sync_req(run)
-            return
-        run["done"] = True
-        run["floor"] = d.floor
-        if run["full"]:
-            self._maybe_finish_resync()
-        else:
-            self.net.send(run["origin"],
-                          SyncDone(server=self.server_id, gids=run["gids"],
-                                   session=run["session"]),
-                          src=self.server_id)
-
-    def _maybe_finish_resync(self) -> None:
-        """Clear ``snapshot_dirty`` once the active full plan is complete.
-
-        Every session of the plan shipped its leader's *entire* committed
-        state for the covered groups (a clean leader's state is a complete
-        commit prefix), and commits decided after each enumeration reach
-        us through the ordinary fan-out we have been applying since
-        restart.  Jointly that covers everything at or below the GC floor
-        — and above it, up to the fan-out's own loss model — so the
-        snapshot-read guards are sound again.  The adopted stable floor is
-        the most conservative session floor (a None floor means that
-        leader never purged, i.e. the session was the whole history and
-        constrains nothing).
-        """
-        if not self.snapshot_dirty or self._sync_plan is None:
-            return
-        floors = []
-        for leader, gids in self._sync_plan:
-            run = self._sync_runs.get(gids)
-            if run is None or run["leader"] != leader or not run["done"]:
-                return
-            if run["floor"] is not None:
-                floors.append(run["floor"])
-        self.snapshot_dirty = False
-        self._sync_plan = None
-        self.stats["resyncs"] = self.stats.get("resyncs", 0) + 1
-        if self._dirty_since is not None:
-            self.resync_latencies.append(self.sim.now - self._dirty_since)
-            self._dirty_since = None
-        if floors:
-            adopted = min(floors)
-            if self.stable_floor is None or adopted > self.stable_floor:
-                self.stable_floor = adopted
 
     # -- metrics ---------------------------------------------------------------
 

@@ -266,41 +266,25 @@ def merge_stripe_counts(registry: MetricsRegistry,
 
 def merge_replication_counters(registry: MetricsRegistry,
                                servers: Iterable[Any],
-                               clients: Iterable[Any]) -> None:
+                               clients: Iterable[Any],
+                               server_counters: Iterable[tuple],
+                               client_counters: Iterable[str]) -> None:
     """Merge replication/durability counters into the registry.
 
-    Server side: mirrored write-lock holds and snapshot reads served /
-    refused (labelled by server id) — refusals also broken down by reason
-    (dirty / floor / unfrozen / missing) — plus the anti-entropy sync
-    counters (requests, deltas, installs, batches served, aborted runs,
-    completed resyncs, reads served post-resync) and WAL records and
-    checkpoints for durable servers.  Client side: follower reads, snapshot fallbacks
-    (refusals that fell through to another replica) and snapshot commits
-    (labelled by client id), and every follower-read staleness sample into
-    the ``replication.read_staleness`` histogram.  Zero counts are skipped
-    (absent labels read back as 0).
+    The counters are named by the caller — ``repro.dist.member``'s
+    ``SERVER_COUNTERS`` rows ``(report key, stat)`` and ``CLIENT_COUNTERS``
+    names, the same tables ``replication_report`` is summed from.  Server
+    side: each row's stat, labelled by server id, as ``server.<stat>``
+    (mirrored holds, snapshot reads served / refused and refused by
+    reason, the anti-entropy sync counters), plus WAL records and
+    checkpoints for durable servers.  Client side: each
+    stat labelled by client id as ``client.<stat>`` (follower reads,
+    snapshot fallbacks and commits, acked / unacked fan-outs), and every
+    follower-read staleness sample into the ``replication.read_staleness``
+    histogram.  Zero counts are skipped (absent labels read back as 0).
     """
-    per_server = (("holds_mirrored", registry.counter("server.holds_mirrored")),
-                  ("snapshot_reads", registry.counter("server.snapshot_reads")),
-                  ("snapshot_refused",
-                   registry.counter("server.snapshot_refused")),
-                  ("snapshot_refused_dirty",
-                   registry.counter("server.snapshot_refused_dirty")),
-                  ("snapshot_refused_floor",
-                   registry.counter("server.snapshot_refused_floor")),
-                  ("snapshot_refused_unfrozen",
-                   registry.counter("server.snapshot_refused_unfrozen")),
-                  ("snapshot_refused_missing",
-                   registry.counter("server.snapshot_refused_missing")),
-                  ("sync_reqs", registry.counter("server.sync_reqs")),
-                  ("sync_deltas", registry.counter("server.sync_deltas")),
-                  ("sync_installs", registry.counter("server.sync_installs")),
-                  ("sync_batches_served",
-                   registry.counter("server.sync_batches_served")),
-                  ("sync_aborted", registry.counter("server.sync_aborted")),
-                  ("resyncs", registry.counter("server.resyncs")),
-                  ("snapshot_served_resynced",
-                   registry.counter("server.snapshot_served_resynced")))
+    per_server = [(stat, registry.counter(f"server.{stat}"))
+                  for _report_key, stat in server_counters]
     wal_records = registry.counter("server.wal_records")
     checkpoints = registry.counter("server.checkpoints")
     for server in servers:
@@ -315,15 +299,8 @@ def merge_replication_counters(registry: MetricsRegistry,
                                 durable.wal.records_appended)
             if durable.checkpoints:
                 checkpoints.inc(server.server_id, durable.checkpoints)
-    per_client = (("follower_reads",
-                   registry.counter("client.follower_reads")),
-                  ("snapshot_fallbacks",
-                   registry.counter("client.snapshot_fallbacks")),
-                  ("snapshot_commits",
-                   registry.counter("client.snapshot_commits")),
-                  ("fanout_acked", registry.counter("client.fanout_acked")),
-                  ("fanout_unacked",
-                   registry.counter("client.fanout_unacked")))
+    per_client = [(stat, registry.counter(f"client.{stat}"))
+                  for stat in client_counters]
     staleness = registry.histogram("replication.read_staleness")
     for client in clients:
         for stat, counter in per_client:

@@ -11,7 +11,8 @@ package replaces the magic with machinery:
   replay work, plus :class:`~repro.repl.checkpoint.DurableStore`, the
   per-server "disk" combining checkpoint + WAL tail;
 * :mod:`repro.repl.placement` — leader/follower placement of key groups
-  with fencing epochs, replacing the static ``dist/partition.py`` map;
+  with fencing epochs — the one key -> server map, at any replication
+  factor;
 * :mod:`repro.repl.replica` — write-quorum rules, the heartbeat-driven
   :class:`~repro.repl.replica.FailoverController` that promotes an
   up-to-date follower when a leader dies, and the post-run lost-commit
@@ -24,12 +25,14 @@ reads at a locked (GC-frontier) timestamp are version-clean.
 from .checkpoint import DurableStore, RecoveredState, decode_snapshot, \
     encode_snapshot
 from .placement import ReplicatedPlacement, group_index
-from .replica import FailoverController, scan_lost_commits, write_quorum
+from .replica import (HEARTBEAT_INTERVAL, FailoverController,
+                      scan_lost_commits, write_quorum)
 from .wal import WriteAheadLog, decode_value, encode_value, replay_records
 
 __all__ = [
     "WriteAheadLog", "encode_value", "decode_value", "replay_records",
     "DurableStore", "RecoveredState", "encode_snapshot", "decode_snapshot",
     "ReplicatedPlacement", "group_index",
-    "FailoverController", "write_quorum", "scan_lost_commits",
+    "FailoverController", "HEARTBEAT_INTERVAL", "write_quorum",
+    "scan_lost_commits",
 ]

@@ -1,10 +1,11 @@
 """Replicated placement of key groups: leaders, followers, fencing epochs.
 
-Replaces the static :class:`repro.dist.partition.Partition` map.  The key
-space is hashed into ``len(servers)`` groups exactly as before (group *g*'s
-initial leader is ``servers[g]``, so with ``replication=1`` routing is
-bit-identical to the old partition map); each group is additionally
-assigned ``replication - 1`` followers in ring order.
+The one key -> server map (§7: "clients know how to find the server
+responsible for a key, e.g. by hashing the key").  The key space is hashed
+into ``len(servers)`` groups; group *g*'s initial leader is ``servers[g]``
+— so with ``replication=1`` this is plain hash partitioning, a group being
+one server — and each group is additionally assigned ``replication - 1``
+followers in ring order.
 
 The placement object is shared by clients, the failover controller and the
 post-run scans.  It stands in for a consensus-backed configuration service
@@ -41,7 +42,7 @@ class ReplicatedPlacement:
         if not 1 <= replication <= len(servers):
             raise ValueError(f"replication must be in [1, {len(servers)}], "
                              f"got {replication}")
-        self._servers = list(servers)
+        self._servers = tuple(servers)
         self.replication = replication
         n = len(self._servers)
         self.num_groups = n
@@ -56,17 +57,24 @@ class ReplicatedPlacement:
         #: (earlier ones reach them via catch-up, audited by the stable
         #: floor + join-cutoff exemptions in ``scan_lost_commits``).
         self._joined: dict[tuple[int, Hashable], float] = {}
+        # key -> group id memo: every client op hashes its key, workloads
+        # reuse a bounded keyspace, and crc32-of-str is pure.  Groups never
+        # change (leaders do), so the memo is valid for the whole run.
+        self._group_cache: dict[Hashable, int] = {}
 
     # -- key routing --------------------------------------------------------
 
     def group_of(self, key: Hashable) -> int:
-        """Hash a key to its group (same map as the old Partition)."""
-        return group_index(key, self.num_groups)
+        """The key's group id (:func:`group_index`, memoized)."""
+        gid = self._group_cache.get(key)
+        if gid is None:
+            gid = self._group_cache[key] = group_index(key, self.num_groups)
+        return gid
 
     def leader_of(self, key: Hashable) -> Hashable:
         return self._leaders[self.group_of(key)]
 
-    #: Old Partition API — single-copy callers route to the leader.
+    #: Single-copy callers route to the leader.
     server_of = leader_of
 
     def followers_of(self, key: Hashable) -> tuple[Hashable, ...]:
@@ -136,11 +144,11 @@ class ReplicatedPlacement:
         """Join time of a recruited member; None for founding members."""
         return self._joined.get((gid, server))
 
-    # -- Partition compatibility -------------------------------------------
+    # -- the server list ----------------------------------------------------
 
     @property
-    def servers(self) -> list[Hashable]:
-        return list(self._servers)
+    def servers(self) -> tuple[Hashable, ...]:
+        return self._servers
 
     def __len__(self) -> int:
         return len(self._servers)

@@ -28,7 +28,13 @@ from typing import Any, Hashable, Mapping
 
 from .placement import ReplicatedPlacement
 
-__all__ = ["write_quorum", "FailoverController", "scan_lost_commits"]
+__all__ = ["HEARTBEAT_INTERVAL", "write_quorum", "FailoverController",
+           "scan_lost_commits"]
+
+#: Seconds between the failover controller's ping rounds.  With
+#: ``miss_limit`` it bounds promotion latency: a dead leader is demoted
+#: within ``HEARTBEAT_INTERVAL * (miss_limit + 2)`` of its crash.
+HEARTBEAT_INTERVAL = 0.05
 
 
 def write_quorum(replication: int) -> int:
@@ -39,17 +45,17 @@ def write_quorum(replication: int) -> int:
 class FailoverController:
     """Heartbeat-driven leader failure detection and follower promotion.
 
-    Every ``interval`` seconds the controller pings all group members; a
-    leader that misses ``miss_limit`` consecutive beats — or answers with a
-    *changed* restart epoch, proving it crashed and lost its volatile lock
-    state — is demoted.  The replacement is the live follower with the
-    freshest applied-commit count, preferring members that never restarted
-    (a restarted member may have missed commit records while down; it
-    stays a cold standby).  Full-rank draws — same dirtiness, same applied
-    count — break on the string form of the server id: the controller owns
-    no RNG stream, so every decision (promotion, recruitment, sync pokes)
-    is a pure function of the heartbeat history and replays identically
-    under a fixed seed.
+    Every :data:`HEARTBEAT_INTERVAL` seconds the controller pings all group
+    members; a leader that misses ``miss_limit`` consecutive beats — or
+    answers with a *changed* restart epoch, proving it crashed and lost its
+    volatile lock state — is demoted.  The replacement is the live follower
+    with the freshest applied-commit count, preferring members that never
+    restarted (a restarted member may have missed commit records while
+    down; it stays a cold standby).  Full-rank draws — same dirtiness, same
+    applied count — break on the string form of the server id: the
+    controller owns no RNG stream, so every decision (promotion,
+    recruitment, sync pokes) is a pure function of the heartbeat history
+    and replays identically under a fixed seed.
 
     With ``anti_entropy`` the controller also drives the §5h self-healing
     loop: dirty members are poked to stream missing committed versions
@@ -61,9 +67,8 @@ class FailoverController:
     node_id = "__failover__"
 
     def __init__(self, sim: Any, net: Any, placement: ReplicatedPlacement,
-                 *, interval: float = 0.05, miss_limit: int = 3,
-                 anti_entropy: bool = False, recruit: bool = False,
-                 sync_batch: int = 64) -> None:
+                 *, miss_limit: int = 3, anti_entropy: bool = False,
+                 recruit: bool = False, sync_batch: int = 64) -> None:
         # Deferred import: repro.dist imports this package at module load.
         from ..dist.messages import (HeartbeatReply, HeartbeatReq, SyncDone,
                                      SyncPoke)
@@ -74,7 +79,6 @@ class FailoverController:
         self.sim = sim
         self.net = net
         self.placement = placement
-        self.interval = interval
         self.miss_limit = miss_limit
         self.anti_entropy = anti_entropy
         self.recruit_enabled = recruit
@@ -85,8 +89,7 @@ class FailoverController:
         self._members = sorted(members, key=str)
         #: Cluster servers recruitable as replacements (all of them — a
         #: non-member of one group is fair game even while serving others).
-        self._pool = sorted(set(getattr(placement, "servers", [])) | members,
-                            key=str)
+        self._pool = sorted(set(placement.servers) | members, key=str)
         self._misses: dict[Hashable, int] = {m: 0 for m in self._pool}
         self._outstanding: dict[Hashable, Any] = {}
         self._epoch_seen: dict[Hashable, int] = {}
@@ -112,7 +115,7 @@ class FailoverController:
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
-        self.sim.schedule(self.interval, self._tick)
+        self.sim.schedule(HEARTBEAT_INTERVAL, self._tick)
 
     def _tick(self) -> None:
         # 1. Account a miss for every server whose last ping went unanswered.
@@ -151,7 +154,7 @@ class FailoverController:
             self._outstanding[sid] = self._seq
             self.heartbeats_sent += 1
             self.net.send(sid, req, src=self.node_id)
-        self.sim.schedule(self.interval, self._tick)
+        self.sim.schedule(HEARTBEAT_INTERVAL, self._tick)
 
     # -- self-healing (DESIGN.md §5h) ---------------------------------------
 
@@ -370,7 +373,6 @@ def scan_lost_commits(history: Any, placement: ReplicatedPlacement,
     recruit's store covers its adopted floor.
     """
     checked = lost = replica_missing = 0
-    joined_at = getattr(placement, "member_joined_at", None)
 
     def missing(srv: Any, key: Hashable, ts: Any) -> bool:
         if srv is None:
@@ -392,11 +394,9 @@ def scan_lost_commits(history: Any, placement: ReplicatedPlacement,
                        rec.commit_ts):
                 lost += 1
             for sid in placement.members(gid):
-                if joined_at is not None:
-                    joined = joined_at(gid, sid)
-                    if (joined is not None
-                            and rec.commit_ts.value < joined):
-                        continue  # pre-join commit: catch-up territory
+                joined = placement.member_joined_at(gid, sid)
+                if joined is not None and rec.commit_ts.value < joined:
+                    continue  # pre-join commit: catch-up territory
                 if missing(servers.get(sid), key, rec.commit_ts):
                     replica_missing += 1
     return {"commits_checked": checked, "lost_commits": lost,

@@ -19,8 +19,8 @@ from repro.dist.client import CircuitBreaker, MVTILClient
 from repro.dist.cluster import ClusterConfig, run_cluster
 from repro.dist.commitment import CommitmentRegistry
 from repro.dist.messages import CommitReq, MVTLReadReq, ReleaseReq
-from repro.dist.partition import Partition
 from repro.dist.server import MVTLServer, _Resubmit
+from repro.repl.placement import ReplicatedPlacement
 from repro.sim.network import LatencyModel, Network
 from repro.sim.simulator import Simulator, Sleep
 from repro.sim.testbed import LOCAL_TESTBED
@@ -42,7 +42,7 @@ class Cluster:
         self.server = MVTLServer(self.sim, self.net, "s0", profile,
                                  np.random.default_rng(1), self.registry,
                                  queue_capacity=queue_capacity)
-        self.partition = Partition(["s0"])
+        self.partition = ReplicatedPlacement(["s0"])
         self.client_kw = client_kw
 
     def client(self, name, pid, **extra):

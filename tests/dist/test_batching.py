@@ -14,8 +14,8 @@ from repro.clocks import PerfectClock
 from repro.core.exceptions import TransactionAborted
 from repro.dist.client import MVTILClient, MVTOClient
 from repro.dist.commitment import CommitmentRegistry
-from repro.dist.partition import Partition
 from repro.dist.server import MVTLServer
+from repro.repl.placement import ReplicatedPlacement
 from repro.sim.network import LatencyModel, Network
 from repro.sim.simulator import Simulator, Sleep
 from repro.sim.testbed import LOCAL_TESTBED
@@ -37,7 +37,7 @@ class MiniCluster:
             self.servers.append(MVTLServer(
                 self.sim, self.net, sid, LOCAL_TESTBED,
                 np.random.default_rng(i + 1), self.registry))
-        self.partition = Partition(ids)
+        self.partition = ReplicatedPlacement(ids)
 
     def drive(self, gen, until=5.0):
         result = {}

@@ -16,9 +16,9 @@ from repro.dist.cluster import ClusterConfig, run_cluster
 from repro.dist.commitment import CommitmentRegistry
 from repro.dist.failure import (ChaosConfig, ChaosEvent, ChaosSchedule,
                                 CrashInjector)
-from repro.dist.partition import Partition
 from repro.dist.server import MVTLServer
 from repro.dist.gc_service import TimestampService
+from repro.repl.placement import ReplicatedPlacement
 from repro.sim.network import LatencyModel, LinkFaults, Network
 from repro.sim.simulator import Simulator, Sleep
 from repro.sim.testbed import LOCAL_TESTBED
@@ -37,7 +37,7 @@ class Cluster:
                                  np.random.default_rng(1), self.registry,
                                  write_lock_timeout=write_lock_timeout,
                                  history=self.history)
-        self.partition = Partition(["s0"])
+        self.partition = ReplicatedPlacement(["s0"])
         self.client_kw = client_kw
 
     def client(self, name, pid):

@@ -14,8 +14,8 @@ from repro.core.exceptions import TransactionAborted
 from repro.dist.client import MVTILClient, MVTOClient, TwoPLClient
 from repro.dist.commitment import CommitmentRegistry
 from repro.dist.gc_service import TimestampService
-from repro.dist.partition import Partition
 from repro.dist.server import MVTLServer, TwoPLServer
+from repro.repl.placement import ReplicatedPlacement
 from repro.sim.network import LatencyModel, Network
 from repro.sim.simulator import Simulator, Sleep
 from repro.sim.testbed import LOCAL_TESTBED
@@ -42,7 +42,7 @@ class MiniCluster:
                 self.servers.append(TwoPLServer(
                     self.sim, self.net, sid, LOCAL_TESTBED,
                     np.random.default_rng(i + 1)))
-        self.partition = Partition(ids)
+        self.partition = ReplicatedPlacement(ids)
 
     def drive(self, gen, until=5.0):
         """Run a client generator to completion; returns its result."""

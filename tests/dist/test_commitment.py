@@ -1,10 +1,9 @@
-"""Commitment object (consensus) and partition tests (§7, §H)."""
+"""Commitment object (consensus) tests (§7, §H)."""
 
 import pytest
 
 from repro.core.timestamp import Timestamp
 from repro.dist.commitment import ABORT, CommitmentObject, CommitmentRegistry
-from repro.dist.partition import Partition
 from repro.sim.simulator import Simulator, WaitEvent
 
 
@@ -94,25 +93,3 @@ class TestCommitmentRegistry:
         reg.get("t1")  # never decided
         reg.forget("t1")
         assert not reg.get("t1").decided
-
-
-class TestPartition:
-    def test_deterministic(self):
-        p = Partition(["s0", "s1", "s2"])
-        assert p.server_of("k0000042") == p.server_of("k0000042")
-
-    def test_int_keys_modulo(self):
-        p = Partition(["s0", "s1", "s2"])
-        assert p.server_of(4) == "s1"
-
-    def test_spreads_keys(self):
-        p = Partition([f"s{i}" for i in range(4)])
-        hit = {p.server_of(f"k{i:07d}") for i in range(200)}
-        assert len(hit) == 4
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            Partition([])
-
-    def test_len(self):
-        assert len(Partition(["a", "b"])) == 2

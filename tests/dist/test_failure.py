@@ -14,9 +14,9 @@ from repro.core.exceptions import TransactionAborted
 from repro.dist.client import MVTILClient
 from repro.dist.commitment import ABORT, CommitmentRegistry
 from repro.dist.failure import CrashInjector
-from repro.dist.partition import Partition
 from repro.dist.server import MVTLServer
 from repro.core.locks import LockMode
+from repro.repl.placement import ReplicatedPlacement
 from repro.sim.network import LatencyModel, LinkFaults, Network
 from repro.sim.simulator import Simulator, Sleep
 from repro.sim.testbed import LOCAL_TESTBED
@@ -33,7 +33,7 @@ class Cluster:
         self.server = MVTLServer(self.sim, self.net, "s0", LOCAL_TESTBED,
                                  np.random.default_rng(1), self.registry,
                                  write_lock_timeout=write_lock_timeout)
-        self.partition = Partition(["s0"])
+        self.partition = ReplicatedPlacement(["s0"])
         self.injector = CrashInjector(self.sim, self.net)
 
     def client(self, name, pid, **kw):

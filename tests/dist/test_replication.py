@@ -17,9 +17,10 @@ from repro.dist.cluster import ClusterConfig, run_cluster
 from repro.dist.commitment import CommitmentRegistry
 from repro.dist.failure import ChaosConfig, orphaned_write_locks
 from repro.dist.messages import CommitReq
-from repro.dist.partition import Partition
 from repro.dist.server import MVTLServer, _APPLIED
+from repro.repl import HEARTBEAT_INTERVAL
 from repro.repl.checkpoint import DurableStore
+from repro.repl.placement import ReplicatedPlacement
 from repro.sim.network import LatencyModel, Network
 from repro.sim.simulator import Simulator
 from repro.sim.testbed import LOCAL_TESTBED
@@ -42,7 +43,7 @@ class _MiniCluster:
                                  history=self.history,
                                  durable=DurableStore())
         self.client = MVTILClient(self.sim, self.net, "c", 1,
-                                  Partition(["s0"]),
+                                  ReplicatedPlacement(["s0"]),
                                   PerfectClock(lambda: self.sim.now),
                                   self.registry, history=self.history,
                                   delta=0.5)
@@ -199,9 +200,8 @@ class TestReplication:
         assert _outcome(runs[0]) == _outcome(runs[1])
         assert res.committed > 0
         assert len(rep["promotions"]) >= 1
-        bound = (config.heartbeat_interval
-                 * (config.heartbeat_miss_limit + 2)
-                 + config.heartbeat_interval)
+        bound = (HEARTBEAT_INTERVAL * (config.heartbeat_miss_limit + 2)
+                 + HEARTBEAT_INTERVAL)
         assert all(lat <= bound for lat in rep["failover_latencies"])
         assert rep["lost_commits"] == 0
         assert res.chaos_report["orphaned_write_locks"] == 0

@@ -16,8 +16,8 @@ from repro.core.timestamp import Timestamp
 from repro.dist.client import MVTILClient
 from repro.dist.commitment import CommitmentRegistry
 from repro.dist.messages import ClockBroadcast, MVTLWriteLockReq
-from repro.dist.partition import Partition
 from repro.dist.server import MVTLServer
+from repro.repl.placement import ReplicatedPlacement
 from repro.sim.network import LatencyModel, LinkFaults, Network
 from repro.sim.simulator import Simulator
 from repro.sim.testbed import LOCAL_TESTBED
@@ -37,7 +37,7 @@ class Cluster:
                        np.random.default_rng(i + 1), self.registry,
                        write_lock_timeout=5.0, history=self.history)
             for i, sid in enumerate(server_ids)]
-        self.partition = Partition(list(server_ids))
+        self.partition = ReplicatedPlacement(list(server_ids))
         self.rpc_timeout = rpc_timeout
         self.rpc_retries = rpc_retries
 

@@ -67,6 +67,15 @@ class TestClusterBehaviour:
         with pytest.raises(ValueError):
             ClusterConfig(protocol="3pl")
 
+    def test_replication_beyond_the_server_count_rejected_at_config_time(self):
+        with pytest.raises(ValueError, match=r"replication=5 .*\(have 4\)"):
+            ClusterConfig(replication=5, num_servers=4)
+        # num_servers=None resolves to the profile's server count.
+        with pytest.raises(ValueError, match=r"replication=3 .*\(have 2\)"):
+            ClusterConfig(replication=3,
+                          profile=LOCAL_TESTBED.with_servers(2))
+        assert ClusterConfig(replication=3, num_servers=3).replication == 3
+
     def test_throughput_counts_window_only(self):
         res = run_cluster(small_config("mvtil-early"))
         assert res.throughput == pytest.approx(
@@ -139,14 +148,16 @@ class TestCollectorPause:
         run_cluster(small_config("mvtil-early", **self.QUICK))
         assert gc.isenabled()
 
-    def test_restored_when_the_run_raises(self):
-        # replication > num_servers is only detectable once run_cluster has
-        # resolved the server count: the ValueError comes from inside it.
-        cfg = small_config("mvtil-early", replication=3,
-                           profile=LOCAL_TESTBED.with_servers(2),
-                           **self.QUICK)
-        with pytest.raises(ValueError, match="replication=3"):
-            run_cluster(cfg)
+    def test_restored_when_the_run_raises(self, monkeypatch):
+        # Every invalid composition is rejected by ClusterConfig itself, so
+        # the failure has to be injected: the simulation dies mid-run.
+        def dying_run_until(sim, t_end):
+            assert not gc.isenabled()
+            raise RuntimeError("simulation died")
+
+        monkeypatch.setattr(Simulator, "run_until", dying_run_until)
+        with pytest.raises(RuntimeError, match="simulation died"):
+            run_cluster(small_config("mvtil-early", **self.QUICK))
         assert gc.isenabled()
 
     def test_stays_disabled_for_a_caller_that_disabled_it(self):

@@ -45,9 +45,10 @@ class TestPaxosCluster:
         from repro.clocks import PerfectClock
         from repro.core.locks import LockMode
         from repro.dist import (CommitmentRegistry, CrashInjector,
-                                MVTILClient, MVTLServer, Partition)
+                                MVTILClient, MVTLServer)
         from repro.dist.commitment import ABORT
         from repro.dist.paxos import PaxosAcceptor, PaxosConsensus
+        from repro.repl import ReplicatedPlacement
         from repro.sim import LatencyModel, Network, Simulator, Sleep
 
         sim = Simulator()
@@ -60,7 +61,7 @@ class TestPaxosCluster:
         server = MVTLServer(sim, net, "s0", LOCAL_TESTBED,
                             np.random.default_rng(2), registry,
                             write_lock_timeout=0.3, consensus=consensus)
-        partition = Partition(["s0"])
+        partition = ReplicatedPlacement(["s0"])
         injector = CrashInjector(sim, net)
         victim = MVTILClient(sim, net, "victim", 1, partition,
                              PerfectClock(lambda: sim.now), registry,

@@ -1,0 +1,261 @@
+"""Full-result golden digests: every deterministic ``ClusterResult`` field
+of thirteen small runs, pinned to values recorded on known-good code.
+
+``test_golden_payload.py`` pins seven scalars of four unreplicated cells.
+This file pins the rest — the report dicts, ``server_stats``,
+``latency_summary``, ``final_state``, the trace and the folded ``metrics``
+— across the feature compositions the cluster layer supports, so a
+refactor of ``repro.dist`` that moves *any* simulated output fails here.
+The digest is the sha256 of canonical JSON over the field set of
+``repro.bench.recipes.fingerprint`` (everything but ``config``,
+``history`` and ``wall_s``); it does not depend on ``PYTHONHASHSEED``.
+
+The digests were recorded at PR 19's commit, before the server/client
+refactor of PR 20 touched any source file.  Re-pin one only for a
+deliberate protocol change, and say so in CHANGES.md.
+
+The second half pins the *shape* that refactor produced: abort is an
+exception, the plain server is Alg. 13 and only a ``ReplicaServer`` speaks
+the replication-member wire, and a WAL-only restart is still reported.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import inspect
+import json
+from dataclasses import fields, replace
+
+import numpy as np
+import pytest
+
+from repro.bench.recipes import fingerprint
+from repro.core.timestamp import Timestamp
+from repro.dist import (ChaosConfig, ClusterConfig, CommitmentRegistry,
+                        MVTLServer, ReplicaServer, cluster, run_cluster)
+from repro.dist.client import (BaseClient, BohmClient, MVTILClient,
+                               MVTOClient, TwoPLClient)
+from repro.dist.messages import (HeartbeatReply, HeartbeatReq,
+                                 SnapshotReadReply, SnapshotReadReq, SyncPoke)
+from repro.sim import (LOCAL_TESTBED, LatencyModel, LinkFaults, Network,
+                       Simulator)
+from repro.workload import WorkloadConfig
+
+MIXED = WorkloadConfig(num_keys=60, tx_size=6, write_fraction=0.5)
+
+#: The selfheal recipe's shape on a smaller key space and a shorter window:
+#: one leader crash (promotion + recruitment) and one follower restart
+#: (WAL recovery + full re-sync) under lossy links.
+SELFHEAL = ClusterConfig(
+    protocol="mvtil-early", profile=replace(LOCAL_TESTBED, gc_horizon=0.3),
+    workload=WorkloadConfig(num_keys=400, tx_size=4, write_fraction=0.3),
+    num_servers=4, num_clients=16, seed=11, warmup=0.3, measure=1.6,
+    gc_period=0.1, write_lock_timeout=0.25, rpc_timeout=0.15, rpc_retries=3,
+    replication=3, durability="wal", checkpoint_every=16,
+    follower_reads=True, anti_entropy=True, recruitment=True,
+    reliable_fanout=True, sync_batch=8, heartbeat_miss_limit=5,
+    faults=LinkFaults(loss=0.03, duplicate=0.02, delay_spike=0.01),
+    chaos=ChaosConfig(leader_crashes=1, leader_downtime=0.3,
+                      follower_restarts=1, follower_downtime=0.2),
+    record_history=True)
+
+CONFIGS = {
+    # perflab's four cluster workloads, shortened.
+    "mvtil-hotpath": ClusterConfig(
+        protocol="mvtil-early", profile=LOCAL_TESTBED,
+        num_servers=4, num_clients=12, seed=1, warmup=0.2, measure=0.3,
+        workload=WorkloadConfig(num_keys=10_000, tx_size=20,
+                                write_fraction=0.25)),
+    "mvtil-contended": ClusterConfig(
+        protocol="mvtil-early", profile=LOCAL_TESTBED,
+        num_servers=4, num_clients=60, seed=1, warmup=0.1, measure=0.15,
+        workload=WorkloadConfig(num_keys=200, tx_size=8,
+                                write_fraction=0.7)),
+    "mvto-grid": ClusterConfig(
+        protocol="mvto", profile=LOCAL_TESTBED,
+        num_clients=30, seed=1, warmup=0.1, measure=0.2,
+        workload=WorkloadConfig(num_keys=10_000, tx_size=20,
+                                write_fraction=0.25)),
+    "selfheal": SELFHEAL,
+    "selfheal-traced": replace(SELFHEAL, trace=True, measure=1.2),
+    # The other protocols and the per-key (unbatched) wire.
+    "2pl": ClusterConfig(
+        protocol="2pl", profile=LOCAL_TESTBED, workload=MIXED,
+        num_clients=10, seed=11, warmup=0.1, measure=0.4,
+        state_sample_period=0.1),
+    "bohm": ClusterConfig(
+        protocol="bohm", profile=LOCAL_TESTBED, workload=MIXED,
+        num_clients=10, seed=11, warmup=0.1, measure=0.4),
+    "mvtil-per-key": ClusterConfig(
+        protocol="mvtil-late", profile=LOCAL_TESTBED, workload=MIXED,
+        num_clients=10, seed=11, warmup=0.1, measure=0.4, batching=False,
+        record_completions=True),
+    "mvto-per-key": ClusterConfig(
+        protocol="mvto", profile=LOCAL_TESTBED, workload=MIXED,
+        num_clients=10, seed=11, warmup=0.1, measure=0.4, batching=False),
+    # Overload control: bounded queues, deadlines, circuit breakers.
+    "overload": ClusterConfig(
+        protocol="mvtil-early", profile=LOCAL_TESTBED, workload=MIXED,
+        num_clients=40, seed=11, warmup=0.1, measure=0.4,
+        queue_capacity=4, admission_control=True, tx_budget=0.02,
+        breaker_threshold=2),
+    # Message-passing consensus with crashed coordinators on lossy links.
+    "paxos-chaos": ClusterConfig(
+        protocol="mvtil-early", profile=LOCAL_TESTBED, workload=MIXED,
+        num_clients=10, seed=11, warmup=0.1, measure=0.5,
+        commitment="paxos", write_lock_timeout=0.2,
+        rpc_timeout=0.1, rpc_retries=2,
+        faults=LinkFaults(loss=0.02, duplicate=0.02, delay_spike=0.01),
+        chaos=ChaosConfig(client_crashes=2)),
+    # Durability without replication: the servers are plain MVTLServers.
+    "wal-restart": ClusterConfig(
+        protocol="mvtil-early",
+        profile=replace(LOCAL_TESTBED, gc_horizon=0.3), workload=MIXED,
+        num_servers=2, num_clients=10, seed=11, warmup=0.1, measure=0.8,
+        gc_period=0.1, write_lock_timeout=0.25,
+        rpc_timeout=0.15, rpc_retries=2,
+        durability="wal", checkpoint_every=16,
+        chaos=ChaosConfig(server_restarts=1, downtime=0.2)),
+    # A traced scenario run: trace events, folded metrics, final state.
+    "bank-transfer-traced": ClusterConfig(
+        protocol="mvtil-early", scenario="bank-transfer",
+        workload=WorkloadConfig(num_keys=32, tx_size=4,
+                                write_fraction=0.5, zipf_s=0.6),
+        num_clients=4, seed=23, warmup=0.1, measure=0.4,
+        record_history=True, trace=True),
+}
+
+DIGESTS = {
+    "2pl":
+        "30eb22f35205c572ee60a39dab72ca183aeeab0ecbce6893e0bf6640f98fb84a",
+    "bank-transfer-traced":
+        "ac1297ea96c7240a18a579698a89915605d87ce271e4de656c3ed40b6d1a9c59",
+    "bohm":
+        "6ad57c7c66b6c688e678506092c4db2c690a7dcf612842f572e879ff568e8b81",
+    "mvtil-contended":
+        "856e09e2e9436c17684660eabb65057107353bd1fb1a66ef431a5219c9c2dfbf",
+    "mvtil-hotpath":
+        "9f9dc066c18c8939c991f29b2e3c2d7717bca20aa63ff12703eea42131a2754b",
+    "mvtil-per-key":
+        "536961ceed0570f8d6a8c5c4ac5605883fdca50fa724c91576f8f372dbb0185c",
+    "mvto-grid":
+        "9159e29b64798f783fee9a7a521e4b4c665f5d0a902196b388e76e05f87f21ff",
+    "mvto-per-key":
+        "af27822ca1ccad0d5d85861edcfc0c528ab941b6315e69cd02aefae8fd21c737",
+    "overload":
+        "0f053c1d101bf8a122e144d524752d7ea8d9d954342223ee8a682674a1a41910",
+    "paxos-chaos":
+        "b85956ed5f847929482fb9f7aa915cc87a3f74519f9497731a69b000fb3d6d02",
+    "selfheal":
+        "605aaba5e51d3aeb70001d497eac74de27ae1a6f6b229a6aefcf27b3a92640ee",
+    "selfheal-traced":
+        "2799962c6bf13491beba0796f2c5eb20b1f024cf5e348c6a20fc285166bb40c2",
+    "wal-restart":
+        "3c72edd00322bb589d54dc742bb5fa4617f6a160d8276836a3bb2c54ef58d703",
+}
+
+
+def digest(result) -> str:
+    names = [f.name for f in fields(result)
+             if f.name not in ("config", "history", "wall_s")]
+    values = fingerprint(result)
+    assert len(names) == len(values)
+    canonical = json.dumps(dict(zip(names, values)), sort_keys=True,
+                           default=repr)
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_full_result_matches_the_pinned_digest(name):
+    result = run_cluster(CONFIGS[name])
+    assert result.committed > 0
+    assert digest(result) == DIGESTS[name], (
+        f"{name}: a deterministic ClusterResult field changed.  A refactor "
+        f"must not move simulated output: diff the fields of this config's "
+        f"result against the parent commit's to find which one.")
+
+
+# -- the shape the refactor must keep (PR 20) --------------------------------
+
+MEMBER_MESSAGES = (
+    HeartbeatReq("__hb__", "probe", 1),
+    SnapshotReadReq("tx", "probe", 2, key="k", ts=Timestamp(1.0, 0)),
+    SyncPoke(mark_dirty=True, origin="probe"),
+)
+
+
+def test_abort_is_an_exception_not_a_coroutine():
+    for client in (MVTILClient, MVTOClient, TwoPLClient, BohmClient):
+        assert not inspect.isgeneratorfunction(client._fail), client
+    for helper in ("_check_deadline", "_admit", "_expect", "_expect_all",
+                   "_check_epoch", "_check_group", "_validate_groups"):
+        assert not inspect.isgeneratorfunction(getattr(BaseClient, helper))
+    # The runner drives these two with ``yield from``: still generators.
+    assert inspect.isgeneratorfunction(MVTOClient.write)
+    assert inspect.isgeneratorfunction(TwoPLClient.commit)
+
+
+def lone_server(server_cls):
+    sim = Simulator()
+    net = Network(sim, LatencyModel.from_mean(1e-4, cv=0.1),
+                  np.random.default_rng(0))
+    server = server_cls(sim, net, "s0", LOCAL_TESTBED,
+                        np.random.default_rng(1), CommitmentRegistry(sim))
+    replies = []
+    net.register("probe", replies.append)
+    return sim, server, replies
+
+
+def test_the_plain_server_is_alg13_and_rejects_member_traffic():
+    source = inspect.getsource(MVTLServer)
+    for name in ("ReplicaHoldReq", "SnapshotReadReq", "HeartbeatReq",
+                 "SyncReq", "SyncDelta", "SyncPoke", "SyncDone", "_sync_",
+                 "resync"):
+        assert name not in source, name
+    assert "replicated" not in inspect.signature(MVTLServer).parameters
+    _sim, server, _replies = lone_server(MVTLServer)
+    for msg in MEMBER_MESSAGES:
+        with pytest.raises(TypeError, match="unknown message"):
+            server._on_request(msg)
+
+
+def test_a_replica_server_answers_member_traffic():
+    sim, server, replies = lone_server(ReplicaServer)
+    for msg in MEMBER_MESSAGES:
+        server._on_request(msg)
+    sim.run_until(0.01)
+    beat, read = replies
+    assert isinstance(beat, HeartbeatReply) and beat.server == "s0"
+    # Never purged, so no frontier is provably stable here: refused.
+    assert isinstance(read, SnapshotReadReply) and not read.ok
+    assert server.snapshot_dirty  # the poke's recruitment prologue took
+
+
+@pytest.mark.parametrize("replication", [1, 3])
+def test_run_cluster_builds_replica_servers_exactly_when_replicated(
+        replication, monkeypatch):
+    built = []
+    for name in ("MVTLServer", "ReplicaServer"):
+        real = getattr(cluster, name)
+        monkeypatch.setattr(
+            cluster, name,
+            lambda *a, _real=real, _name=name, **kw: (
+                built.append(_name) or _real(*a, **kw)))
+    run_cluster(ClusterConfig(
+        protocol="mvtil-early", profile=LOCAL_TESTBED, workload=MIXED,
+        num_servers=3, num_clients=2, seed=3, warmup=0.05, measure=0.05,
+        replication=replication))
+    assert built == ["ReplicaServer" if replication > 1
+                     else "MVTLServer"] * 3
+
+
+def test_a_wal_only_restart_still_reports_the_server_dirty():
+    report = run_cluster(CONFIGS["wal-restart"]).replication_report
+    assert report["replication"] == 1
+    assert report["dirty_at_end"] == ["server-1"]
+    assert report["resyncs"] == 0 and report["resync_latencies"] == []
+
+
+def test_the_knobs_nobody_set_are_gone():
+    assert not {"queue_sample_period", "heartbeat_interval"} & {
+        f.name for f in fields(ClusterConfig)}

@@ -1,26 +1,67 @@
-"""ReplicatedPlacement: routing parity with Partition, quorums, failover."""
+"""ReplicatedPlacement: key routing, quorums, failover."""
 
 import pytest
 
-from repro.dist.partition import Partition
 from repro.repl.placement import ReplicatedPlacement
 from repro.repl.replica import write_quorum
 
 SERVERS = [f"server-{i}" for i in range(5)]
 
+#: Index into SERVERS of the server owning ``k0000`` .. ``k0499``, as routed
+#: by ``dist/partition.py``'s ``Partition(SERVERS)`` at the commit before it
+#: was deleted (PR 19): the unreplicated map every recorded seed depends on.
+STR_KEY_ROUTES = (
+    "32330311012430141024424232232410112444021242314402"
+    "43001421424104143044033423344442113123342403244312"
+    "10314231042441401312042111134230123121101113133232"
+    "14343342123040200400004212404031204210043020221322"
+    "22131323303132000320310020340221414331021124414023"
+    "14040003304112003211201440123343301324244244322024"
+    "41211301313112330020130122111120231441100303141103"
+    "32000143143040314143312340041440210241202002041124"
+    "40220321334230202103412200422442342141220122140412"
+    "20132010212120100422441020141412234132214102032214")
+
 
 class TestRoutingParity:
     def test_replication_one_matches_partition_for_str_keys(self):
-        old = Partition(SERVERS)
-        new = ReplicatedPlacement(SERVERS, replication=1)
-        for key in (f"k{i:04d}" for i in range(500)):
-            assert new.server_of(key) == old.server_of(key)
+        placement = ReplicatedPlacement(SERVERS, replication=1)
+        for i, route in enumerate(STR_KEY_ROUTES):
+            assert placement.server_of(f"k{i:04d}") == SERVERS[int(route)]
 
     def test_replication_one_matches_partition_for_int_keys(self):
-        old = Partition(SERVERS)
-        new = ReplicatedPlacement(SERVERS, replication=1)
-        for key in range(500):
-            assert new.server_of(key) == old.server_of(key)
+        placement = ReplicatedPlacement(SERVERS, replication=1)
+        for key, route in enumerate("01234" * 100):
+            assert placement.server_of(key) == SERVERS[int(route)]
+
+    def test_deterministic(self):
+        p = ReplicatedPlacement(["s0", "s1", "s2"])
+        assert p.server_of("k0000042") == p.server_of("k0000042")
+
+    def test_int_keys_modulo(self):
+        p = ReplicatedPlacement(["s0", "s1", "s2"])
+        assert p.server_of(4) == "s1"
+
+    def test_spreads_keys(self):
+        p = ReplicatedPlacement([f"s{i}" for i in range(4)])
+        hit = {p.server_of(f"k{i:07d}") for i in range(200)}
+        assert len(hit) == 4
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            ReplicatedPlacement([])
+
+    def test_len(self):
+        assert len(ReplicatedPlacement(["a", "b"])) == 2
+
+    def test_group_memo_survives_a_promotion(self):
+        # The memo holds key -> group, never key -> server: a failover
+        # must reroute keys already looked up.
+        placement = ReplicatedPlacement(SERVERS, replication=3)
+        assert placement.server_of(7) == "server-2"
+        placement.promote(2, "server-3")
+        assert placement.server_of(7) == "server-3"
+        assert placement.servers == tuple(SERVERS)
 
     def test_leader_unmoved_by_higher_replication(self):
         r1 = ReplicatedPlacement(SERVERS, replication=1)
