@@ -5,11 +5,12 @@ from .cluster import PROTOCOLS, ClusterConfig, ClusterResult, run_cluster
 from .commitment import ABORT, CommitmentObject, CommitmentRegistry
 from .failure import ChaosConfig, ChaosEvent, ChaosSchedule, CrashInjector
 from .gc_service import TimestampService
-from .member import ReplicaServer
+from .member import ReplicaClient, ReplicaServer
 from .server import MVTLServer, TwoPLServer
 
 __all__ = [
-    "MVTILClient", "MVTOClient", "TwoPLClient", "BaseClient",
+    "MVTILClient", "ReplicaClient", "MVTOClient", "TwoPLClient",
+    "BaseClient",
     "MVTLServer", "ReplicaServer", "TwoPLServer",
     "CommitmentObject", "CommitmentRegistry", "ABORT",
     "TimestampService", "CrashInjector",

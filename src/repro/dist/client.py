@@ -19,13 +19,15 @@ Client methods that talk to servers are **generators** — simulation
 coroutines to be driven with ``yield from`` inside a process (see
 :mod:`repro.workload.runner`).  Abort is an exception, not a coroutine:
 ``_fail`` and the guard helpers built on it (``_check_deadline``,
-``_admit``, ``_expect``, ``_expect_all``, ``_check_epoch``,
-``_check_group``, ``_validate_groups``) are plain methods that send the
-releases and raise :class:`TransactionAborted` — nothing on the abort path
-waits for a reply.  A coordinator failure is simulated by simply
-not running the rest of the generator (see :mod:`repro.dist.failure`); the
-servers' write-lock timeout then aborts the orphaned transaction via its
-commitment object.
+``_admit``, ``_expect``, ``_expect_all``, ``_check_epoch``) are plain
+methods that send the releases and raise :class:`TransactionAborted` —
+nothing on the abort path waits for a reply.  A coordinator failure is
+simulated by simply not running the rest of the generator (see
+:mod:`repro.dist.failure`); the servers' write-lock timeout then aborts the
+orphaned transaction via its commitment object.
+
+Replication-group coordination (fencing, mirroring, snapshot reads) is
+:class:`~repro.dist.member.ReplicaClient`, an MVTIL subclass.
 """
 
 from __future__ import annotations
@@ -44,17 +46,12 @@ from ..policies.registry import policy_spec
 from ..sim.network import Network
 from ..sim.simulator import RECV_TIMEOUT, Mailbox, Recv, Simulator
 from ..repl.placement import ReplicatedPlacement
-from ..repl.replica import write_quorum
 from .commitment import ABORT, CommitmentRegistry
 from .messages import (BohmSubmitReq, ClockBroadcast, CommitReq, EpochReq,
                        MVTLBatchLockReq,
                        MVTLReadReq, MVTLWriteLockReq, OverloadedReply,
-                       ReleaseReq, ReplicaHoldReq, Reply, SnapshotReadReq,
+                       ReleaseReq, Reply,
                        TwoPLCommitReq, TwoPLLockReq, TwoPLReleaseReq)
-
-#: pid component of GC purge bounds / snapshot timestamps (sorts below
-#: every real client pid at the same clock value) — see gc_service.
-_PID_MIN = -(2**31)
 
 __all__ = ["BaseClient", "BohmClient", "CircuitBreaker", "MVTILClient",
            "MVTOClient", "TwoPLClient", "Tx"]
@@ -72,7 +69,8 @@ class Tx:
     __slots__ = (
         "id", "deadline", "priority", "aborted", "abort_reason", "committed",
         "readset", "writeset", "touched", "epochs",
-        # MVTIL: the shrinking interval, group fencing, snapshot mode.
+        # MVTIL: the shrinking interval; ReplicaClient: group fencing,
+        # snapshot mode.
         "interval", "group_epochs", "snapshot_ts",
         # MVTO+: the single timestamp, servers holding point write locks.
         "ts", "write_servers",
@@ -208,24 +206,13 @@ class BaseClient:
         #: synchronized clients then retry in lockstep, the storm the
         #: jitter exists to break).
         self.rng = rng
-        #: Replication factor of the key placement (1 = plain hash
-        #: partitioning; > 1 = leader/follower groups, quorum write
-        #: mirroring and group-epoch fencing).
-        self.replication = partition.replication
-        #: Latest GC frontier T received via ClockBroadcast — the locked
-        #: timestamp snapshot (follower) reads run at.
-        self._snap_floor = 0.0
-        #: Staleness samples of served snapshot reads: now - snapshot ts.
-        self.read_staleness: list[float] = []
         self.mailbox = Mailbox(sim)
         net.register(client_id, self._on_message)
         self._req_counter = count(1)
         self._tx_counter = count(1)
         self.stats = {"commits": 0, "aborts": 0, "rpc_timeouts": 0,
                       "rpc_retries": 0, "msgs_sent": 0, "overloaded": 0,
-                      "admission_rejects": 0, "follower_reads": 0,
-                      "snapshot_fallbacks": 0, "snapshot_commits": 0,
-                      "fanout_acked": 0, "fanout_unacked": 0}
+                      "admission_rejects": 0}
 
     # -- messaging ------------------------------------------------------------
 
@@ -243,11 +230,6 @@ class BaseClient:
         """
         if msg.__class__ is ClockBroadcast:
             # Timestamp-service effect 2 (§8.1): slow clocks advance to T.
-            # T is also the stability frontier snapshot reads lock onto:
-            # no transaction can begin below it once every clock is
-            # floored, so a read at T needs no lock of its own.
-            if msg.t > self._snap_floor:
-                self._snap_floor = msg.t
             self.clock.advance_floor(msg.t)
             return True
         return False
@@ -532,33 +514,6 @@ class BaseClient:
         for server, reply in replies.items():
             self._check_epoch(tx, server, reply.epoch)
 
-    # -- group-epoch fencing (replication) ---------------------------------
-
-    def _check_group(self, tx: Tx, key: Hashable) -> None:
-        """Abort if ``key``'s group failed over since this tx first used it.
-
-        The group analogue of :meth:`_check_epoch`: a promotion bumps the
-        group's fencing epoch in the shared placement (which models a
-        consensus-backed configuration service), so a transaction that
-        acquired locks under the old leadership is fenced instead of
-        committing on state the new leader may not have.
-        """
-        if self.replication <= 1:
-            return
-        gid = self.partition.group_of(key)
-        epoch = self.partition.group_epoch(gid)
-        first = tx.group_epochs.setdefault(gid, epoch)
-        if first != epoch:
-            self._fail(tx, AbortReason.REPLICATION_QUORUM)
-
-    def _validate_groups(self, tx: Tx) -> None:
-        """Pre-commit fence: no touched group failed over mid-transaction."""
-        if self.replication <= 1:
-            return
-        for gid in sorted(tx.group_epochs):
-            if self.partition.group_epoch(gid) != tx.group_epochs[gid]:
-                self._fail(tx, AbortReason.REPLICATION_QUORUM)
-
     # -- bookkeeping -------------------------------------------------------------
 
     def _begin_record(self, tx: Tx) -> None:
@@ -567,19 +522,20 @@ class BaseClient:
         if self.tracer.enabled:
             self.tracer.begin(tx.id, pid=self.pid)
 
-    def _abort(self, tx: Tx, reason: str) -> None:
-        reason = AbortReason.of(reason)
+    def _abort(self, tx: Tx, reason: str) -> NoReturn:
+        """Abort tail of every ``_fail``: record, count, trace, raise."""
         tx.aborted = True
-        tx.abort_reason = reason
+        tx.abort_reason = AbortReason.of(reason)
         self.stats["aborts"] += 1
         if self.history is not None:
-            self.history.record_abort(tx.id, reason)
+            self.history.record_abort(tx.id, tx.abort_reason)
         if self.tracer.enabled:
-            self.tracer.abort(tx.id, reason=reason)
+            self.tracer.abort(tx.id, reason=tx.abort_reason)
+        raise TransactionAborted(tx.id, reason)
 
     def _committed(self, tx: Tx, ts: Timestamp) -> bool:
-        """Commit tail of the MVTL-family coordinators: record, count,
-        drop the commitment object, trace."""
+        """Commit tail of every coordinator: record, count, drop the
+        commitment object (2PL and Bohm have none), trace."""
         if self.history is not None:
             self.history.record_commit(tx.id, ts, tuple(tx.writeset))
         self.stats["commits"] += 1
@@ -589,16 +545,17 @@ class BaseClient:
             self.tracer.commit(tx.id, ts=ts)
         return True
 
-    def _propose(self, tx_id: Hashable,
+    def _propose(self, tx: Tx,
                  outcome: Any) -> "Generator[Any, Any, Any]":
         """Decide the transaction outcome via the configured backend."""
         if self.consensus is not None:
             decision = yield from self.consensus.propose(
-                tx_id, outcome, proposer_id=self.pid)
+                tx.id, outcome, proposer_id=self.pid)
             return decision
-        return self.registry.get(tx_id).propose(outcome)
+        return self.registry.get(tx.id).propose(outcome)
 
-    def server_of(self, key: Hashable) -> Hashable:
+    def _route(self, tx: Tx, key: Hashable) -> Hashable:
+        """The server ``tx``'s request on ``key`` goes to: its partition."""
         return self.partition.server_of(key)
 
 
@@ -607,24 +564,11 @@ class MVTILClient(BaseClient):
 
     def __init__(self, *args: Any, delta: float = 0.005, late: bool = False,
                  gc_on_commit: bool = True, read_timeout: float = 0.25,
-                 defer_writes: bool = False, follower_reads: bool = False,
-                 reliable_fanout: bool = False, **kwargs: Any) -> None:
+                 defer_writes: bool = False, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         self.delta = delta
         self.late = late
         self.gc_on_commit = gc_on_commit
-        #: Acked commit fan-out: each group member's CommitReq asks for a
-        #: CommitAck and unanswered members are retried (at-least-once).
-        #: Off = the paper's fire-and-forget notification, which assumes
-        #: loss-free links; under LinkFaults a lost CommitReq to a
-        #: non-mirrored member would otherwise permanently miss a version
-        #: there.  The decision is already made when the fan-out runs, so
-        #: retry exhaustion never fails the transaction — it is counted
-        #: (``fanout_unacked``) and left to the mirrored-hold timeout.
-        self.reliable_fanout = reliable_fanout
-        #: Serve read-only transactions as lock-free snapshot reads at the
-        #: GC frontier, preferring follower replicas (needs replication>1).
-        self.follower_reads = follower_reads
         #: Bound on a read's server-side lock wait.  Waiting reads can form
         #: wait cycles with writers (the deadlock risk §4.3 notes for
         #: waiting policies); timing out and restarting the transaction is
@@ -649,6 +593,7 @@ class MVTILClient(BaseClient):
 
     def begin(self, priority: bool = False,
               read_only: bool = False) -> Tx:
+        # read_only: interface uniformity here; ReplicaClient acts on it.
         now = self.clock.now()
         # Critical transactions get a wider interval — more timestamps to
         # survive shrinking, the finite-delta analogue of MVTL-Prio's
@@ -657,21 +602,9 @@ class MVTILClient(BaseClient):
                               if priority else 1.0)
         interval = TsInterval.closed(Timestamp(now, self.pid),
                                      Timestamp(now + delta, self.pid))
-        # A read-only transaction under follower_reads runs in snapshot
-        # mode: every read happens at the locked GC-frontier timestamp T
-        # (no locks taken — the broadcast floor already guarantees no new
-        # transaction can run below T), served by a follower replica when
-        # possible.  Before the first broadcast there is no frontier yet
-        # and the transaction runs the normal interval protocol.
-        snapshot_ts = None
-        if (read_only and self.follower_reads and self.replication > 1
-                and self._snap_floor > 0.0):
-            snapshot_ts = Timestamp(self._snap_floor, _PID_MIN)
         tx = Tx((self.client_id, next(self._tx_counter)),
                 self._tx_deadline(), priority)
         tx.interval = IntervalSet.from_interval(interval)
-        tx.group_epochs = {}
-        tx.snapshot_ts = snapshot_ts
         self._begin_record(tx)
         return tx
 
@@ -680,18 +613,13 @@ class MVTILClient(BaseClient):
     def read(self, tx: Tx, key: Hashable) -> Generator[Any, Any, Any]:
         if key in tx.writeset:
             return tx.writeset[key]
-        if tx.snapshot_ts is not None:
-            value = yield from self._snapshot_read(tx, key)
-            return value
         if tx.interval.is_empty:
             self._fail(tx, AbortReason.INTERVAL_EMPTY)
         # Guards inlined (see MVTOClient.read): the no-op path of this hot
         # coroutine tests each condition in place.
         if tx.deadline is not None and self.sim.now >= tx.deadline:
             self._fail(tx, AbortReason.DEADLINE_EXCEEDED)
-        server = self.server_of(key)
-        if self.replication > 1:
-            self._check_group(tx, key)
+        server = self._route(tx, key)
         if self._breakers is not None and not tx.priority:
             self._admit(tx, server)
         req = MVTLReadReq(tx.id, self.client_id, self._next_req(), key=key,
@@ -727,51 +655,8 @@ class MVTILClient(BaseClient):
             self.history.record_read(tx.id, key, reply.tr)
         return reply.value
 
-    def _snapshot_read(self, tx: Tx,
-                       key: Hashable) -> Generator[Any, Any, Any]:
-        """Lock-free read at the locked frontier timestamp (§5e).
-
-        Tries a follower of the key's group first (spreading read load off
-        leaders, pid-rotated for balance), then the leader.  A replica
-        refuses when it cannot prove the frontier stable locally (it
-        restarted, or has not applied the frontier's purge yet); both
-        refusing means the version is genuinely unavailable and the
-        read-only transaction aborts — the closed-loop workload retries it
-        at a fresher frontier.
-        """
-        self._check_deadline(tx)
-        self._check_group(tx, key)
-        ts = tx.snapshot_ts
-        gid = self.partition.group_of(key)
-        followers = self.partition.followers_of(key)
-        targets: list[Hashable] = []
-        if followers:
-            targets.append(followers[self.pid % len(followers)])
-        targets.append(self.partition.leader(gid))
-        for i, server in enumerate(targets):
-            req = SnapshotReadReq(tx.id, self.client_id, self._next_req(),
-                                  key=key, ts=ts, deadline=tx.deadline,
-                                  critical=tx.priority)
-            reply = yield from self._rpc(server, req)
-            if (reply is None or reply.__class__ is OverloadedReply
-                    or not reply.ok):
-                self.stats["snapshot_fallbacks"] += 1
-                continue
-            if i == 0 and followers:
-                self.stats["follower_reads"] += 1
-            self.read_staleness.append(self.sim.now - ts.value)
-            tx.readset.append((key, reply.tr))
-            if self.history is not None:
-                self.history.record_read(tx.id, key, reply.tr)
-            if self.tracer.enabled:
-                self.tracer.read(tx.id, key, ts=reply.tr)
-            return reply.value
-        self._fail(tx, AbortReason.READ_FAILED)
-
     def write(self, tx: Tx, key: Hashable,
               value: Any) -> Generator[Any, Any, None]:
-        if tx.snapshot_ts is not None:
-            raise TypeError("snapshot (read-only) transactions cannot write")
         if tx.interval.is_empty:
             self._fail(tx, AbortReason.INTERVAL_EMPTY)
         if self.defer_writes:
@@ -784,9 +669,7 @@ class MVTILClient(BaseClient):
         # Guards inlined (see MVTOClient.read).
         if tx.deadline is not None and self.sim.now >= tx.deadline:
             self._fail(tx, AbortReason.DEADLINE_EXCEEDED)
-        server = self.server_of(key)
-        if self.replication > 1:
-            self._check_group(tx, key)
+        server = self._route(tx, key)
         if self._breakers is not None and not tx.priority:
             self._admit(tx, server)
         req = MVTLWriteLockReq(tx.id, self.client_id, self._next_req(),
@@ -814,25 +697,15 @@ class MVTILClient(BaseClient):
         tx.writeset[key] = value
 
     def commit(self, tx: Tx) -> Generator[Any, Any, bool]:
-        if tx.snapshot_ts is not None:
-            # Read-only snapshot transaction: it took no locks and wrote
-            # nothing, so there is nothing to decide or send — it commits
-            # locally at its locked frontier timestamp.  Serializable by
-            # construction: every version it read is the latest below T
-            # and no transaction can ever commit between those versions
-            # and T (the broadcast floor forbids new intervals below T).
-            self.stats["snapshot_commits"] += 1
-            return self._committed(tx, tx.snapshot_ts)
         if tx.interval.is_empty:
             self._fail(tx, AbortReason.INTERVAL_EMPTY)
         if self.defer_writes and tx.writeset:
             yield from self._batch_write_locks(tx)
         if self.validate_epochs and tx.touched:
             yield from self._validate_epochs(tx)
-        self._validate_groups(tx)
         ts = (tx.interval.pick_high() if self.late
               else tx.interval.pick_low())
-        decision = yield from self._propose(tx.id, ts)
+        decision = yield from self._propose(tx, ts)
         if decision == ABORT:
             self._fail(tx, AbortReason.COMMITMENT_ABORT)
         ts = decision
@@ -843,17 +716,18 @@ class MVTILClient(BaseClient):
         yield from self._send_commit(tx, ts, release=self.gc_on_commit)
         return self._committed(tx, ts)
 
-    def _batch_write_locks(self, tx: Tx) -> Generator[Any, Any, None]:
+    def _batch_write_locks(self, tx: Tx
+                           ) -> Generator[Any, Any, list[tuple]]:
         """Deferred write-lock pass: one MVTLBatchLockReq per server.
 
         All batches fly in parallel (:meth:`_rpc_many`), so the whole pass
         costs one round trip regardless of how many servers the write set
         spans — and O(servers) messages instead of O(written keys).
+        Returns the per-key grants ``(key, granted)`` in request order.
         """
         by_server: dict[Hashable, list[Hashable]] = {}
         for key in tx.writeset:
-            self._check_group(tx, key)
-            by_server.setdefault(self.server_of(key), []).append(key)
+            by_server.setdefault(self._route(tx, key), []).append(key)
         servers = list(by_server)
         # The first write server becomes the decision point (§H.1) —
         # before any lock lands, so a server that times out our orphaned
@@ -871,99 +745,29 @@ class MVTILClient(BaseClient):
                                             critical=tx.priority)
         replies = yield from self._rpc_many(reqs)
         self._expect_all(tx, reqs, replies)
+        grants = []
         for server in servers:
             self._check_epoch(tx, server, replies[server].epoch)
             acquired = replies[server].acquired
             for key in by_server[server]:
-                tx.interval = tx.interval.intersect(
-                    acquired.get(key, EMPTY_SET))
+                granted = acquired.get(key, EMPTY_SET)
+                grants.append((key, granted))
+                tx.interval = tx.interval.intersect(granted)
                 if self.tracer.enabled:
                     self.tracer.lock_acquire(tx.id, key, "write",
                                              requested=requested,
                                              granted=tx.interval)
         if tx.interval.is_empty:
             self._fail(tx, AbortReason.INTERVAL_EMPTY)
-        if self.replication > 1:
-            grants = []
-            for server in servers:
-                acquired = replies[server].acquired
-                for key in by_server[server]:
-                    got = acquired.get(key, EMPTY_SET)
-                    if not got.is_empty:
-                        grants.append((key, tx.writeset[key], got))
-            yield from self._mirror_write_locks(tx, grants)
-
-    def _mirror_write_locks(self, tx: Tx,
-                            grants: list) -> Generator[Any, Any, None]:
-        """Quorum write mirroring: ship leader-granted locks to followers.
-
-        Each follower of a written group receives the exact interval its
-        leader granted plus the pending value (so any quorum member can
-        finish the commit alone) and arms the ordinary write-lock timeout
-        on it.  A group counts as quorum-held when the leader (1) plus
-        acknowledged mirrors reach ``write_quorum(replication)``; anything
-        less aborts — committing on a sub-quorum hold could lose the write
-        in a later failover.
-        """
-        items_by_follower: dict[Hashable, list] = {}
-        group_followers: dict[int, set[Hashable]] = {}
-        for key, value, granted in grants:
-            gid = self.partition.group_of(key)
-            flw = self.partition.followers_of(key)
-            group_followers.setdefault(gid, set()).update(flw)
-            for server in flw:
-                items_by_follower.setdefault(server, []).append(
-                    (key, value, granted))
-        if not items_by_follower:
-            return
-        reqs: dict[Hashable, ReplicaHoldReq] = {}
-        for server in sorted(items_by_follower, key=str):
-            tx.touched.add(server)
-            reqs[server] = ReplicaHoldReq(
-                tx.id, self.client_id, self._next_req(),
-                items=tuple(items_by_follower[server]),
-                deadline=tx.deadline, critical=tx.priority)
-        replies = yield from self._rpc_many(reqs)
-        for server in sorted(replies, key=str):
-            reply = replies[server]
-            if reply.__class__ is not OverloadedReply:
-                self._check_epoch(tx, server, reply.epoch)
-        need = write_quorum(self.replication)
-        for gid in sorted(group_followers):
-            acks = 1  # the leader's own grant
-            for server in group_followers[gid]:
-                reply = replies.get(server)
-                if (reply is not None
-                        and reply.__class__ is not OverloadedReply
-                        and getattr(reply, "mirrored", False)):
-                    acks += 1
-            if acks < need:
-                self._fail(tx, AbortReason.REPLICATION_QUORUM)
+        return grants
 
     def _key_destinations(self, key: Hashable) -> tuple[Hashable, ...]:
-        """Servers a key's commit-time state must reach.
+        """Servers a key's commit-time state must reach: its partition."""
+        return (self.partition.server_of(key),)
 
-        Unreplicated: its partition server.  Replicated: every member of
-        its group — the CommitReq fan-out to followers IS the commit-record
-        replication (each member applies the decision it reads from the
-        shared commitment registry), and read spans must freeze on
-        followers too so a promoted follower still excludes writers from
-        committed readers' pasts.
-        """
-        if self.replication > 1:
-            return self.partition.members(self.partition.group_of(key))
-        return (self.server_of(key),)
-
-    def _send_commit(self, tx: Tx, ts: Timestamp,
-                     release: bool = True) -> Generator[Any, Any, None]:
-        """Alg. 11 commit tail + gc, batched per server (per member when
-        replicated).
-
-        A generator either way: the default path sends fire-and-forget and
-        yields nothing (byte-identical to the historical behaviour), the
-        ``reliable_fanout`` path awaits CommitAcks and re-sends to
-        unanswered members through :meth:`_rpc_many`.
-        """
+    def _commit_reqs(self, tx: Tx, ts: Timestamp, release: bool,
+                     ack: bool = False) -> dict[Hashable, CommitReq]:
+        """Alg. 11 commit tail + gc: one CommitReq per destination server."""
         spans_by_server: dict[Hashable, dict[Hashable, IntervalSet]] = {}
         for key, tr in tx.readset:
             if tr < ts:
@@ -985,7 +789,6 @@ class MVTILClient(BaseClient):
         targets = set(tx.touched)
         targets.update(spans_by_server)
         targets.update(writes_by_server)
-        use_ack = self.reliable_fanout and self.replication > 1
         # Sorted fan-out: tx.touched is a set, and set order over string
         # ids varies per process (hash randomization) — send order must
         # not, or the network RNG draws diverge between identical runs.
@@ -1000,18 +803,17 @@ class MVTILClient(BaseClient):
                 # Redo payload: lets a server that lost its pending buffer
                 # in a crash still install the right values.
                 values={k: tx.writeset[k] for k in keys},
-                ack=use_ack)
-        if not use_ack:
-            for server, req in reqs.items():
-                self._send(server, req)
-            return
-        # The decision is final: exhaustion weakens redundancy on the
-        # unanswered members (counted, audited by scan_lost_commits) but
-        # never un-commits — the mirrored-hold timeout is the backstop.
-        replies = yield from self._rpc_many(reqs)
-        self.stats["fanout_acked"] += len(replies)
-        if len(replies) < len(reqs):
-            self.stats["fanout_unacked"] += len(reqs) - len(replies)
+                ack=ack)
+        return reqs
+
+    def _send_commit(self, tx: Tx, ts: Timestamp,
+                     release: bool = True) -> Generator[Any, Any, None]:
+        """Send the commit requests fire-and-forget (the paper's
+        notification).  A generator, so a subclass may await acks."""
+        for server, req in self._commit_reqs(tx, ts, release).items():
+            self._send(server, req)
+        return
+        yield  # pragma: no cover - generator for the subclass's sake
 
     def _fail(self, tx: Tx, reason: str) -> NoReturn:
         """Abort: agree on the outcome, release our locks everywhere.
@@ -1028,7 +830,6 @@ class MVTILClient(BaseClient):
                                           self._next_req()))
         self.registry.forget(tx.id)
         self._abort(tx, reason)
-        raise TransactionAborted(tx.id, reason)
 
 
 class MVTOClient(BaseClient):
@@ -1070,7 +871,7 @@ class MVTOClient(BaseClient):
         # 12 alternating pairs, PR 20).
         if tx.deadline is not None and self.sim.now >= tx.deadline:
             self._fail(tx, AbortReason.DEADLINE_EXCEEDED)
-        server = self.server_of(key)
+        server = self._route(tx, key)
         if self._breakers is not None and not tx.priority:
             self._admit(tx, server)
         req = MVTLReadReq(tx.id, self.client_id, self._next_req(), key=key,
@@ -1105,7 +906,7 @@ class MVTOClient(BaseClient):
             yield from self._batch_commit_locks(tx, point)
         else:
             for key in tx.writeset:
-                server = self.server_of(key)
+                server = self._route(tx, key)
                 tx.touched.add(server)
                 tx.write_servers.add(server)
                 if len(tx.write_servers) == 1:
@@ -1133,12 +934,12 @@ class MVTOClient(BaseClient):
                     self._fail(tx, AbortReason.WRITE_CONFLICT)
         if self.validate_epochs and tx.touched:
             yield from self._validate_epochs(tx)
-        decision = yield from self._propose(tx.id, tx.ts)
+        decision = yield from self._propose(tx, tx.ts)
         if decision == ABORT:
             self._fail(tx, AbortReason.COMMITMENT_ABORT)
         writes_by_server: dict[Hashable, list[Hashable]] = {}
         for key in tx.writeset:
-            writes_by_server.setdefault(self.server_of(key), []).append(key)
+            writes_by_server.setdefault(self._route(tx, key), []).append(key)
         for server, keys in writes_by_server.items():
             # Freeze write locks only; read locks stay held-unfrozen forever
             # (MVTO+'s persistent read-timestamps), hence release=False and
@@ -1160,7 +961,7 @@ class MVTOClient(BaseClient):
         """
         by_server: dict[Hashable, list[Hashable]] = {}
         for key in tx.writeset:
-            by_server.setdefault(self.server_of(key), []).append(key)
+            by_server.setdefault(self._route(tx, key), []).append(key)
         servers = list(by_server)
         self.registry.set_decision_point(tx.id, servers[0])
         reqs: dict[Hashable, MVTLBatchLockReq] = {}
@@ -1198,7 +999,6 @@ class MVTOClient(BaseClient):
                                           self._next_req(), write_only=True))
         self.registry.forget(tx.id)
         self._abort(tx, reason)
-        raise TransactionAborted(tx.id, reason)
 
 
 class TwoPLClient(BaseClient):
@@ -1268,7 +1068,7 @@ class TwoPLClient(BaseClient):
     def _lock(self, tx: Tx, key: Hashable,
               write: bool) -> Generator[Any, Any, Any]:
         self._check_deadline(tx)
-        server = self.server_of(key)
+        server = self._route(tx, key)
         self._admit(tx, server)
         req = TwoPLLockReq(tx.id, self.client_id, self._next_req(), key=key,
                            write=write,
@@ -1301,7 +1101,7 @@ class TwoPLClient(BaseClient):
         by_server: dict[Hashable, tuple[dict, list]] = {}
         # Sorted: locked_keys is a set; see the MVTIL commit fan-out.
         for key in sorted(tx.locked_keys, key=str):
-            server = self.server_of(key)
+            server = self._route(tx, key)
             writes, releases = by_server.setdefault(server, ({}, []))
             if key in tx.writeset:
                 writes[key] = tx.writeset[key]
@@ -1311,24 +1111,17 @@ class TwoPLClient(BaseClient):
             self._send(server, TwoPLCommitReq(
                 tx.id, self.client_id, self._next_req(), writes=writes,
                 release_keys=tuple(releases), commit_ts=commit_ts))
-        if self.history is not None:
-            self.history.record_commit(tx.id, commit_ts, tuple(tx.writeset))
-        self.stats["commits"] += 1
-        tx.committed = True
-        if self.tracer.enabled:
-            self.tracer.commit(tx.id, ts=commit_ts)
-        return True
+        return self._committed(tx, commit_ts)
         yield  # pragma: no cover
 
     def _fail(self, tx: Tx, reason: str) -> NoReturn:
         by_server: dict[Hashable, list] = {}
         for key in sorted(tx.locked_keys, key=str):
-            by_server.setdefault(self.server_of(key), []).append(key)
+            by_server.setdefault(self._route(tx, key), []).append(key)
         for server, keys in by_server.items():
             self._send(server, TwoPLReleaseReq(
                 tx.id, self.client_id, self._next_req(), keys=tuple(keys)))
         self._abort(tx, reason)
-        raise TransactionAborted(tx.id, reason)
 
 
 class BohmClient(BaseClient):
@@ -1365,14 +1158,10 @@ class BohmClient(BaseClient):
         reply = yield from self._rpc(server, req)
         reply = self._expect(tx, reply, AbortReason.RPC_TIMEOUT)
         if reply.committed:
-            self.stats["commits"] += 1
-            if self.tracer.enabled:
-                self.tracer.commit(tx.id, ts=reply.commit_ts)
-            return True
+            return self._committed(tx, reply.commit_ts)
         self._fail(tx, reply.abort_reason or AbortReason.USER_ABORT)
 
     def _fail(self, tx: Tx, reason: str) -> NoReturn:
         # No locks anywhere and no commitment object: the sequencer is the
         # single authority, so failing is purely client-local bookkeeping.
         self._abort(tx, reason)
-        raise TransactionAborted(tx.id, reason)

@@ -16,15 +16,12 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..clocks.clock import EpsilonSyncClock
-from ..core.timestamp import BOTTOM
 from ..obs.metrics import (fold_trace, merge_conflict_counts,
-                           merge_overload_counters,
-                           merge_replication_counters,
-                           merge_scenario_counters)
+                           merge_overload_counters, merge_scenario_counters)
 from ..obs.trace import Tracer
 from ..repl.checkpoint import DurableStore
 from ..repl.placement import ReplicatedPlacement
-from ..repl.replica import FailoverController, scan_lost_commits
+from ..repl.replica import FailoverController
 from ..sim.network import LinkFaults, Network
 from ..sim.rng import RngFactory
 from ..sim.simulator import Simulator
@@ -34,12 +31,13 @@ from ..workload.generator import WorkloadConfig, WorkloadGenerator
 from ..workload.runner import closed_loop_client
 from ..workload.scenarios import SCENARIOS, make_scenario_generator
 from ..workload.stats import RunStats, StateSampler
-from .client import BohmClient, MVTILClient, MVTOClient, TwoPLClient
+from .client import (BaseClient, BohmClient, MVTILClient, MVTOClient,
+                     TwoPLClient)
 from .commitment import CommitmentRegistry
-from .failure import (ChaosConfig, ChaosSchedule, CrashInjector,
-                      orphaned_write_locks)
+from .failure import ChaosConfig, ChaosSchedule, CrashInjector, chaos_report
 from .gc_service import TimestampService
-from .member import CLIENT_COUNTERS, SERVER_COUNTERS, ReplicaServer
+from .member import (ReplicaClient, ReplicaServer, merge_replication_metrics,
+                     replication_report)
 from .server import BohmSequencerServer, MVTLServer, TwoPLServer
 
 __all__ = ["ClusterConfig", "ClusterResult", "run_cluster", "PROTOCOLS"]
@@ -278,6 +276,10 @@ class ClusterConfig:
             raise ValueError("chaos.follower_restarts requires "
                              "replication > 1 (an unreplicated group has "
                              "no followers to restart)")
+        if self.chaos is not None and self.chaos.any:
+            # The window run_cluster lays the crashes into, computed the
+            # same way, so both agree at the boundary.
+            self.chaos.check_window(self.warmup, self.warmup + self.measure)
         if self.scenario is not None and self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; "
                              f"expected one of {sorted(SCENARIOS)}")
@@ -383,6 +385,62 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
             gc.enable()
 
 
+def _build_client(config: ClusterConfig, *args: Any,
+                  **common: Any) -> BaseClient:
+    """The protocol's coordinator; ``args`` are the BaseClient positionals."""
+    if config.protocol == "mvto":
+        return MVTOClient(*args, batch_commit=config.batching, **common)
+    if config.protocol == "2pl":
+        return TwoPLClient(*args, lock_timeout=config.lock_timeout, **common)
+    if config.protocol == "bohm":
+        # History is recorded inside the sequencer's engine — the one
+        # place that knows versions and commit timestamps.
+        return BohmClient(*args, **{**common, "history": None})
+    common.update(delta=config.delta, late=config.protocol.endswith("late"),
+                  read_timeout=config.read_timeout,
+                  defer_writes=config.batching)
+    if config.replication > 1:
+        # A coordinator over replication groups does more than Alg. 11/12.
+        return ReplicaClient(*args, follower_reads=config.follower_reads,
+                             reliable_fanout=config.reliable_fanout,
+                             **common)
+    return MVTILClient(*args, **common)
+
+
+def _drain_scenario(config: ClusterConfig, sim: Simulator,
+                    servers: list[Any], partition: ReplicatedPlacement,
+                    client_procs: dict[str, Any], scenario_gens: list[Any]
+                    ) -> tuple[dict, dict]:
+    """Run a scenario to quiescence; its final state and report."""
+    # Drain to quiescence: clients stop issuing at warmup + measure
+    # (stop_after); run on until every client process has finished its
+    # in-flight transaction (restarts and overload backoffs included),
+    # bounded by a generous deadline so a wedged run still returns.
+    drain_deadline = config.warmup + config.measure + 12.0
+    while (sim.now < drain_deadline
+           and not all(p.done for p in client_procs.values())):
+        sim.run_until(min(sim.now + 0.25, drain_deadline))
+    # Client completion means the commit *decision* was observed, not
+    # that every server applied the install fan-out — give the last
+    # notifications time to land before reading the stores.
+    sim.run_until(sim.now + 1.0)
+    # The authoritative copy of a key is its group leader's.
+    final_state = {}
+    for server in servers:
+        for key, value in server.latest_values().items():
+            if partition.leader_of(key) == server.server_id:
+                final_state[key] = value
+    counters: dict[str, int] = {}
+    for gen in scenario_gens:
+        for cname, n in gen.counters.items():
+            counters[cname] = counters.get(cname, 0) + n
+    return final_state, {
+        "scenario": config.scenario,
+        "quiesced": all(p.done for p in client_procs.values()),
+        "counters": counters,
+    }
+
+
 def _run_cluster(config: ClusterConfig) -> ClusterResult:
     wall_start = time.perf_counter()
     sim = Simulator()
@@ -448,7 +506,7 @@ def _run_cluster(config: ClusterConfig) -> ClusterResult:
     stats = RunStats(sim, config.warmup, config.measure)
     stats.record_completions = config.record_completions
 
-    client_ids = []
+    client_ids = [f"client-{i}" for i in range(config.num_clients)]
     clients = []
     client_procs: dict[str, Any] = {}
     scenario_gens: list[Any] = []
@@ -463,44 +521,18 @@ def _run_cluster(config: ClusterConfig) -> ClusterResult:
     validate = chaos_on and (config.chaos.server_restarts > 0
                              or config.chaos.leader_crashes > 0
                              or config.chaos.follower_restarts > 0)
-    for i in range(config.num_clients):
-        cid = f"client-{i}"
-        client_ids.append(cid)
-        pid = i + 1
+    for i, cid in enumerate(client_ids):
         clock = EpsilonSyncClock(lambda: sim.now,
                                  config.profile.clock_skew,
                                  rng=rngs.stream(), fixed=True)
-        common = dict(history=history, consensus=consensus, tracer=tracer,
-                      rpc_timeout=config.rpc_timeout,
-                      rpc_retries=config.rpc_retries,
-                      validate_epochs=validate,
-                      tx_budget=config.tx_budget,
-                      admission_control=config.admission_control,
-                      breaker_threshold=config.breaker_threshold,
-                      breaker_cooldown=config.breaker_cooldown)
-        if config.protocol in ("mvtil-early", "mvtil-late"):
-            client = MVTILClient(sim, net, cid, pid, partition, clock,
-                                 registry, delta=config.delta,
-                                 late=config.protocol.endswith("late"),
-                                 read_timeout=config.read_timeout,
-                                 defer_writes=config.batching,
-                                 follower_reads=config.follower_reads,
-                                 reliable_fanout=config.reliable_fanout,
-                                 **common)
-        elif config.protocol == "mvto":
-            client = MVTOClient(sim, net, cid, pid, partition, clock,
-                                registry, batch_commit=config.batching,
-                                **common)
-        elif config.protocol == "bohm":
-            # History is recorded inside the sequencer's engine — the one
-            # place that knows versions and commit timestamps.
-            client = BohmClient(sim, net, cid, pid, partition, clock,
-                                registry,
-                                **{**common, "history": None})
-        else:
-            client = TwoPLClient(sim, net, cid, pid, partition, clock,
-                                 registry, lock_timeout=config.lock_timeout,
-                                 **common)
+        client = _build_client(
+            config, sim, net, cid, i + 1, partition, clock, registry,
+            history=history, consensus=consensus, tracer=tracer,
+            rpc_timeout=config.rpc_timeout, rpc_retries=config.rpc_retries,
+            validate_epochs=validate, tx_budget=config.tx_budget,
+            admission_control=config.admission_control,
+            breaker_threshold=config.breaker_threshold,
+            breaker_cooldown=config.breaker_cooldown)
         clients.append(client)
         # Scenario generators replace the WorkloadGenerator *in place* —
         # the same single stream draw at the same position — so seeds for
@@ -575,42 +607,10 @@ def _run_cluster(config: ClusterConfig) -> ClusterResult:
             settle += config.write_lock_timeout  # consensus rounds + backoff
         sim.run_until(config.warmup + config.measure + settle)
 
-    final_state = None
-    scenario_report = None
+    final_state = scenario_report = None
     if config.scenario is not None:
-        # Drain to quiescence: clients stop issuing at warmup + measure
-        # (stop_after); run on until every client process has finished its
-        # in-flight transaction (restarts and overload backoffs included),
-        # bounded by a generous deadline so a wedged run still returns.
-        drain_deadline = config.warmup + config.measure + 12.0
-        while (sim.now < drain_deadline
-               and not all(p.done for p in client_procs.values())):
-            sim.run_until(min(sim.now + 0.25, drain_deadline))
-        # Client completion means the commit *decision* was observed, not
-        # that every server applied the install fan-out — give the last
-        # notifications time to land before reading the stores.
-        sim.run_until(sim.now + 1.0)
-        final_state = {}
-        for server in servers:
-            store = getattr(server, "store", None)
-            if store is None:
-                continue
-            for key, versions, _floor in store.snapshot():
-                if (partition.leader_of(key) != server.server_id
-                        or not versions):
-                    continue
-                _ts, value = versions[-1]
-                if value is not BOTTOM:
-                    final_state[key] = value
-        counters: dict[str, int] = {}
-        for gen in scenario_gens:
-            for cname, n in gen.counters.items():
-                counters[cname] = counters.get(cname, 0) + n
-        scenario_report = {
-            "scenario": config.scenario,
-            "quiesced": all(p.done for p in client_procs.values()),
-            "counters": counters,
-        }
+        final_state, scenario_report = _drain_scenario(
+            config, sim, servers, partition, client_procs, scenario_gens)
 
     # Wire cost: every network message (requests, replies, fire-and-forget
     # notifications, maintenance) over every commit the whole run produced
@@ -618,110 +618,16 @@ def _run_cluster(config: ClusterConfig) -> ClusterResult:
     total_commits = sum(c.stats["commits"] for c in clients)
     messages_per_commit = net.messages_sent / max(1, total_commits)
 
-    chaos_report = None
-    if chaos_on or config.faults is not None:
-        crashed = list(injector.crashed) if injector else []
-        chaos_report = {
-            "crashed_clients": crashed,
-            "server_events": list(injector.server_events) if injector else [],
-            "server_restarts": sum(s.stats.get("restarts", 0)
-                                   for s in servers),
-            "orphaned_write_locks": orphaned_write_locks(servers,
-                                                         set(crashed)),
-            "messages_lost": net.messages_lost,
-            "messages_duplicated": net.messages_duplicated,
-            "delay_spikes": net.delay_spikes,
-            "rpc_retries": sum(c.stats["rpc_retries"] for c in clients),
-            "dup_requests": sum(s.stats.get("dup_requests", 0)
-                                for s in servers),
-        }
-
-    replication_report = None
-    if config.replication > 1 or config.durability == "wal":
-        promotions = list(controller.promotions) if controller else []
-        failover_latencies = []
-        if controller is not None and injector is not None:
-            # Latency = promotion time minus the old leader's most recent
-            # crash before it (epoch-change promotions follow a restart, so
-            # a prior crash event always exists).
-            for when, gid, old, new, epoch in promotions:
-                crashes = [t for (t, kind, sid) in injector.server_events
-                           if kind == "crash" and sid == old and t <= when]
-                if crashes:
-                    failover_latencies.append(when - crashes[-1])
-        staleness = sorted(s for c in clients for s in c.read_staleness)
-        resync_latencies = sorted(
-            lat for s in servers
-            for lat in getattr(s, "resync_latencies", []))
-        durables = [s.durable for s in servers if s.durable is not None]
-        replication_report = {
-            "replication": config.replication,
-            "durability": config.durability,
-            "promotions": [(t, gid, str(old), str(new), ep)
-                           for (t, gid, old, new, ep) in promotions],
-            "failover_latencies": failover_latencies,
-            "heartbeats_sent": (controller.heartbeats_sent
-                                if controller else 0),
-            # Refusals broken down by first failing guard, so anti-entropy
-            # progress is observable ("dirty" must go to zero once every
-            # restarted member completed its full sync plan).
-            "snapshot_refused_by_reason": {
-                reason: sum(s.stats.get(f"snapshot_refused_{reason}", 0)
-                            for s in servers)
-                for reason in ("dirty", "floor", "unfrozen", "missing")},
-            "snapshot_served_resynced_by_server": {
-                str(s.server_id): s.stats.get("snapshot_served_resynced", 0)
-                for s in servers
-                if s.stats.get("resyncs", 0) > 0},
-            # Self-healing (DESIGN.md §5h).
-            "sync_pokes": controller.sync_pokes if controller else 0,
-            # The one member stat only the report shows (never filed in
-            # the metrics registry, so not a SERVER_COUNTERS row).
-            "sync_sessions": sum(s.stats.get("sync_sessions", 0)
-                                 for s in servers),
-            "resyncs_by_server": {
-                str(s.server_id): s.stats.get("resyncs", 0)
-                for s in servers if s.stats.get("resyncs", 0) > 0},
-            "resync_latencies": resync_latencies,
-            "recruitments": [
-                (t, gid, str(old), str(new), ep)
-                for (t, gid, old, new, ep) in
-                (controller.recruitments if controller else [])],
-            "min_live_members": (controller.min_live_members
-                                 if controller else None),
-            "dirty_at_end": sorted(str(s.server_id) for s in servers
-                                   if s.snapshot_dirty),
-            "wal_records": sum(d.wal.records_appended for d in durables),
-            "wal_sync_records": sum(d.wal.records_by_kind.get("sync", 0)
-                                    for d in durables),
-            "checkpoints": sum(d.checkpoints for d in durables),
-            "read_staleness": {
-                "count": len(staleness),
-                "mean": (sum(staleness) / len(staleness)
-                         if staleness else 0.0),
-                "p95": (staleness[int(0.95 * (len(staleness) - 1))]
-                        if staleness else 0.0),
-                "max": staleness[-1] if staleness else 0.0,
-            },
-        }
-        # The summed counters, from the one table that names them.
-        for report_key, stat in SERVER_COUNTERS:
-            if report_key is not None:
-                replication_report[report_key] = sum(
-                    s.stats.get(stat, 0) for s in servers)
-        for stat in CLIENT_COUNTERS:
-            replication_report[stat] = sum(c.stats[stat] for c in clients)
-        if history is not None and config.replication > 1:
-            # Audit the measurement window only: the settle period drains
-            # its commit fan-outs, but commits decided *during* settle can
-            # be mid-flight when the simulation halts.
-            replication_report.update(scan_lost_commits(
-                history, partition, {s.server_id: s for s in servers},
-                before=config.warmup + config.measure))
+    chaos = (chaos_report(injector, net, servers, clients)
+             if chaos_on or config.faults is not None else None)
+    replication = (replication_report(config, servers, clients, controller,
+                                      injector, history, partition)
+                   if config.replication > 1 or config.durability == "wal"
+                   else None)
 
     overload_report = {
-        "shed": sum(s.stats.get("shed", 0) for s in servers),
-        "expired": sum(s.stats.get("expired", 0) for s in servers),
+        "shed": sum(s.stats["shed"] for s in servers),
+        "expired": sum(s.stats["expired"] for s in servers),
         "overloaded_replies": sum(c.stats["overloaded"] for c in clients),
         "admission_rejects": sum(c.stats["admission_rejects"]
                                  for c in clients),
@@ -737,9 +643,8 @@ def _run_cluster(config: ClusterConfig) -> ClusterResult:
         for server in servers:
             merge_conflict_counts(metrics_reg, server.conflicts)
         merge_overload_counters(metrics_reg, servers)
-        if replication_report is not None:
-            merge_replication_counters(metrics_reg, servers, clients,
-                                       SERVER_COUNTERS, CLIENT_COUNTERS)
+        if replication is not None:
+            merge_replication_metrics(metrics_reg, servers, clients)
         if scenario_report is not None:
             merge_scenario_counters(metrics_reg, scenario_report)
         metrics = metrics_reg.as_dict()
@@ -774,11 +679,11 @@ def _run_cluster(config: ClusterConfig) -> ClusterResult:
         latency_summary=stats.latency_summary(),
         trace=tracer.events if tracer is not None else None,
         metrics=metrics,
-        chaos_report=chaos_report,
+        chaos_report=chaos,
         overload_report=overload_report,
         final_state=final_state,
         scenario_report=scenario_report,
-        replication_report=replication_report,
+        replication_report=replication,
         sim_events=sim.events_processed,
         wall_s=time.perf_counter() - wall_start,
     )

@@ -33,7 +33,7 @@ from ..sim.network import Network
 from ..sim.simulator import Process, Simulator
 
 __all__ = ["ChaosConfig", "ChaosEvent", "ChaosSchedule", "CrashInjector",
-           "orphaned_write_locks"]
+           "chaos_report", "orphaned_write_locks"]
 
 
 class CrashInjector:
@@ -178,6 +178,30 @@ class ChaosConfig:
         return bool(self.client_crashes or self.server_restarts
                     or self.leader_crashes or self.follower_restarts)
 
+    def check_window(self, start: float, end: float) -> None:
+        """Raise unless every crash fits the window ``[start, end]``: each
+        crash/restart pair needs a disjoint slot longer than its downtime.
+        Both :meth:`ChaosSchedule.generate` and ``ClusterConfig`` call it."""
+        if end <= start:
+            raise ValueError("need end > start")
+        span = end - start
+        n = self.server_restarts
+        if n and self.downtime >= span / n:
+            raise ValueError(
+                f"downtime {self.downtime} does not fit "
+                f"{n} restarts into a {span:.3f}s window: each restart "
+                f"needs a disjoint slot > {self.downtime}s, so the "
+                f"window must be longer than "
+                f"{n * self.downtime:.3f}s (n * downtime)")
+        for name, downtime, n, what in (
+                ("leader_downtime", self.leader_downtime,
+                 self.leader_crashes, "leader crashes"),
+                ("follower_downtime", self.follower_downtime,
+                 self.follower_restarts, "follower restarts")):
+            if n and downtime >= span / n:
+                raise ValueError(f"{name} {downtime} does not fit {n} "
+                                 f"{what} into a {span:.3f}s window")
+
 
 @dataclass(frozen=True, order=True)
 class ChaosEvent:
@@ -214,8 +238,7 @@ class ChaosSchedule:
         time slot, so no two crash/restart windows overlap even when the
         same server is drawn twice.
         """
-        if end <= start:
-            raise ValueError("need end > start")
+        config.check_window(start, end)
         events: list[ChaosEvent] = []
         span = end - start
         if config.client_crashes and len(client_ids):
@@ -234,16 +257,6 @@ class ChaosSchedule:
                     f"but no server_ids were given")
             n = config.server_restarts
             slot = span / n
-            if config.downtime >= slot:
-                # Each crash/restart pair needs its own disjoint slot of
-                # more than ``downtime`` seconds, i.e. a measurement window
-                # strictly longer than n * downtime.
-                raise ValueError(
-                    f"downtime {config.downtime} does not fit "
-                    f"{n} restarts into a {span:.3f}s window: each restart "
-                    f"needs a disjoint slot > {config.downtime}s, so the "
-                    f"window must be longer than "
-                    f"{n * config.downtime:.3f}s (n * downtime)")
             for k in range(n):
                 sid = server_ids[int(rng.integers(len(server_ids)))]
                 lo = start + k * slot
@@ -251,19 +264,15 @@ class ChaosSchedule:
                 events.append(ChaosEvent(t, "crash-server", sid))
                 events.append(ChaosEvent(t + config.downtime,
                                          "restart-server", sid))
+        if (config.leader_crashes or config.follower_restarts) \
+                and not num_groups:
+            raise ValueError("leader_crashes and follower_restarts require "
+                             "a replicated placement (num_groups)")
         if config.leader_crashes:
             # Drawn strictly after every pre-existing stream use, so seeds
             # of non-replicated scenarios keep their exact outcomes.
-            if not num_groups:
-                raise ValueError(
-                    f"leader_crashes={config.leader_crashes} requires a "
-                    f"replicated placement (num_groups)")
             n = config.leader_crashes
             slot = span / n
-            if config.leader_downtime >= slot:
-                raise ValueError(
-                    f"leader_downtime {config.leader_downtime} does not "
-                    f"fit {n} leader crashes into a {span:.3f}s window")
             for k in range(n):
                 gid = int(rng.integers(num_groups))
                 lo = start + k * slot
@@ -272,16 +281,8 @@ class ChaosSchedule:
         if config.follower_restarts:
             # Also drawn after every pre-existing stream use (including
             # leader crashes), so existing chaos seeds keep their outcomes.
-            if not num_groups:
-                raise ValueError(
-                    f"follower_restarts={config.follower_restarts} requires "
-                    f"a replicated placement (num_groups)")
             n = config.follower_restarts
             slot = span / n
-            if config.follower_downtime >= slot:
-                raise ValueError(
-                    f"follower_downtime {config.follower_downtime} does not "
-                    f"fit {n} follower restarts into a {span:.3f}s window")
             for k in range(n):
                 gid = int(rng.integers(num_groups))
                 idx = int(rng.integers(1 << 16))
@@ -372,3 +373,21 @@ def orphaned_write_locks(servers: Sequence[Any],
             if coordinator_crashed(tx_id):
                 orphaned.add((str(server.server_id), tx_id, key))
     return len(orphaned)
+
+
+def chaos_report(injector: CrashInjector | None, net: Network,
+                 servers: Sequence[Any], clients: Sequence[Any]) -> dict:
+    """``ClusterResult.chaos_report`` of a run with chaos or link faults
+    (``injector`` is None without crashes)."""
+    crashed = list(injector.crashed) if injector else []
+    return {
+        "crashed_clients": crashed,
+        "server_events": list(injector.server_events) if injector else [],
+        "server_restarts": sum(s.stats["restarts"] for s in servers),
+        "orphaned_write_locks": orphaned_write_locks(servers, set(crashed)),
+        "messages_lost": net.messages_lost,
+        "messages_duplicated": net.messages_duplicated,
+        "delay_spikes": net.delay_spikes,
+        "rpc_retries": sum(c.stats["rpc_retries"] for c in clients),
+        "dup_requests": sum(s.stats["dup_requests"] for s in servers),
+    }

@@ -1,34 +1,44 @@
-"""The replication-group member: a storage server that is also a replica.
+"""Both halves of a replication group: the member server and its client.
 
-:class:`~repro.dist.server.MVTLServer` is Alg. 13 — one server, one copy of
-each key.  :class:`ReplicaServer` is that server acting as a *member* of
-replication groups (DESIGN.md §5e, §5h): it accepts mirrored write holds
-for groups led elsewhere (:class:`~repro.dist.messages.ReplicaHoldReq`),
-grants-and-freezes committed readers' spans it never saw the reads of,
-answers locked-timestamp snapshot reads from its stable GC frontier,
-reports heartbeats to the failover controller, and runs both sides of the
-anti-entropy protocol that lets a restarted or recruited member re-earn
-snapshot servability.  The cluster builds it instead of the plain server
-exactly when ``replication > 1``.
+:class:`~repro.dist.server.MVTLServer` is Alg. 13 and
+:class:`~repro.dist.client.MVTILClient` Alg. 11/12, one copy per key.
+:class:`ReplicaServer` is that server as a *member* of replication groups
+(DESIGN.md §5e, §5h): it accepts mirrored write holds for groups led
+elsewhere, grants-and-freezes committed readers' spans it never saw the
+reads of, answers locked-timestamp snapshot reads from its stable GC
+frontier, reports heartbeats to the failover controller, and runs both
+sides of the anti-entropy protocol that lets a restarted or recruited
+member re-earn snapshot servability.  :class:`ReplicaClient` is the
+coordinator that fences, mirrors and reads snapshots against such groups.
+The cluster builds both exactly when ``replication > 1``.  The
+replication counters are named here, and only :func:`replication_report`
+and :func:`merge_replication_metrics` iterate them.
 
 It lives in ``repro.dist`` rather than ``repro.repl`` because it subclasses
-the server: ``repro.dist.cluster`` imports ``repro.repl``, so a ``repl``
-module importing ``repro.dist.server`` would close an import cycle.
+the server and the client: ``repro.dist.cluster`` imports ``repro.repl``,
+so a ``repl`` module importing ``repro.dist`` would close an import cycle.
 """
 
 from __future__ import annotations
 
-from typing import Any, Hashable
+from typing import Any, Generator, Hashable
 
+from ..core.exceptions import AbortReason
 from ..core.intervals import IntervalSet
-from ..core.timestamp import TS_ZERO
+from ..core.timestamp import TS_ZERO, Timestamp
+from ..obs.metrics import MetricsRegistry
 from ..repl.placement import group_index
-from .messages import (HeartbeatReply, HeartbeatReq, ReplicaHoldReply,
-                       ReplicaHoldReq, SnapshotReadReply, SnapshotReadReq,
-                       SyncDelta, SyncDone, SyncPoke, SyncReq)
+from ..repl.replica import scan_lost_commits, write_quorum
+from .client import MVTILClient, Tx
+from .gc_service import _PID_MIN
+from .messages import (ClockBroadcast, HeartbeatReply, HeartbeatReq,
+                       OverloadedReply, ReplicaHoldReply, ReplicaHoldReq,
+                       SnapshotReadReply, SnapshotReadReq, SyncDelta,
+                       SyncDone, SyncPoke, SyncReq)
 from .server import MVTLServer
 
-__all__ = ["ReplicaServer", "SERVER_COUNTERS", "CLIENT_COUNTERS"]
+__all__ = ["ReplicaClient", "ReplicaServer", "merge_replication_metrics",
+           "replication_report"]
 
 #: The replication counters, named once.  Each row is ``(replication_report
 #: key or None, server stat)``: the registry merge files every stat per
@@ -52,8 +62,8 @@ SERVER_COUNTERS: tuple[tuple[str | None, str], ...] = (
     (None, "snapshot_served_resynced"),
 )
 
-#: Client-side replication counters (incremented in ``dist/client.py``):
-#: summed into the report under their own name, filed per client as
+#: Client-side replication counters (:class:`ReplicaClient` stats): summed
+#: into the report under their own name, filed per client as
 #: ``client.<stat>`` in the registry.
 CLIENT_COUNTERS: tuple[str, ...] = (
     "follower_reads", "snapshot_fallbacks", "snapshot_commits",
@@ -398,3 +408,363 @@ class ReplicaServer(MVTLServer):
             adopted = min(floors)
             if self.stable_floor is None or adopted > self.stable_floor:
                 self.stable_floor = adopted
+
+
+class ReplicaClient(MVTILClient):
+    """An :class:`MVTILClient` whose keys live in replication groups (§5e):
+    group-epoch fencing, quorum write mirroring, commit requests to every
+    group member, and snapshot-mode read-only transactions."""
+
+    def __init__(self, *args: Any, follower_reads: bool = False,
+                 reliable_fanout: bool = False, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        #: Acked commit fan-out: each group member's CommitReq asks for a
+        #: CommitAck and unanswered members are retried (at-least-once).
+        #: Off = the paper's fire-and-forget notification, which assumes
+        #: loss-free links; under LinkFaults a lost CommitReq to a
+        #: non-mirrored member would otherwise permanently miss a version
+        #: there.  The decision is already made when the fan-out runs, so
+        #: retry exhaustion never fails the transaction — it is counted
+        #: (``fanout_unacked``) and left to the mirrored-hold timeout.
+        self.reliable_fanout = reliable_fanout
+        #: Serve read-only transactions as lock-free snapshot reads at the
+        #: GC frontier, preferring follower replicas.
+        self.follower_reads = follower_reads
+        #: Latest GC frontier T received via ClockBroadcast — the locked
+        #: timestamp snapshot (follower) reads run at.
+        self._snap_floor = 0.0
+        #: Staleness samples of served snapshot reads: now - snapshot ts.
+        self.read_staleness: list[float] = []
+        self.stats.update(dict.fromkeys(CLIENT_COUNTERS, 0))
+
+    def _handle_oob(self, msg: Any) -> bool:
+        # T is also the stability frontier snapshot reads lock onto: no
+        # transaction can begin below it once every clock is floored, so a
+        # read at T needs no lock of its own.
+        if msg.__class__ is ClockBroadcast and msg.t > self._snap_floor:
+            self._snap_floor = msg.t
+        return super()._handle_oob(msg)
+
+    # -- group-epoch fencing -------------------------------------------------
+
+    def _check_group(self, tx: Tx, key: Hashable) -> None:
+        """Abort if ``key``'s group failed over since this tx first used it.
+
+        The group analogue of :meth:`_check_epoch`: a promotion bumps the
+        group's fencing epoch in the shared placement (which models a
+        consensus-backed configuration service), so a transaction that
+        acquired locks under the old leadership is fenced instead of
+        committing on state the new leader may not have.
+        """
+        gid = self.partition.group_of(key)
+        epoch = self.partition.group_epoch(gid)
+        first = tx.group_epochs.setdefault(gid, epoch)
+        if first != epoch:
+            self._fail(tx, AbortReason.REPLICATION_QUORUM)
+
+    def _validate_groups(self, tx: Tx) -> None:
+        """Pre-commit fence: no touched group failed over mid-transaction."""
+        for gid in sorted(tx.group_epochs):
+            if self.partition.group_epoch(gid) != tx.group_epochs[gid]:
+                self._fail(tx, AbortReason.REPLICATION_QUORUM)
+
+    def _route(self, tx: Tx, key: Hashable) -> Hashable:
+        """The key's group leader, after the group fence."""
+        server = self.partition.server_of(key)
+        self._check_group(tx, key)
+        return server
+
+    def _propose(self, tx: Tx, outcome: Any) -> Generator[Any, Any, Any]:
+        self._validate_groups(tx)
+        decision = yield from super()._propose(tx, outcome)
+        return decision
+
+    # -- the transaction -----------------------------------------------------
+
+    def begin(self, priority: bool = False,
+              read_only: bool = False) -> Tx:
+        tx = super().begin(priority, read_only)
+        tx.group_epochs = {}
+        # A read-only transaction under follower_reads runs in snapshot
+        # mode: every read happens at the locked GC-frontier timestamp T
+        # (no locks taken — the broadcast floor already guarantees no new
+        # transaction can run below T), served by a follower replica when
+        # possible.  Before the first broadcast there is no frontier yet
+        # and the transaction runs the normal interval protocol.
+        tx.snapshot_ts = None
+        if read_only and self.follower_reads and self._snap_floor > 0.0:
+            tx.snapshot_ts = Timestamp(self._snap_floor, _PID_MIN)
+        return tx
+
+    def read(self, tx: Tx, key: Hashable) -> Generator[Any, Any, Any]:
+        # A snapshot transaction never writes (``write`` refuses), so this
+        # test keeps the parent's order: writeset hit first.
+        if tx.snapshot_ts is not None:
+            value = yield from self._snapshot_read(tx, key)
+        else:
+            value = yield from super().read(tx, key)
+        return value
+
+    def write(self, tx: Tx, key: Hashable,
+              value: Any) -> Generator[Any, Any, None]:
+        if tx.snapshot_ts is not None:
+            raise TypeError("snapshot (read-only) transactions cannot write")
+        yield from super().write(tx, key, value)
+
+    def commit(self, tx: Tx) -> Generator[Any, Any, bool]:
+        if tx.snapshot_ts is not None:
+            # Read-only snapshot transaction: it took no locks and wrote
+            # nothing, so there is nothing to decide or send — it commits
+            # locally at its locked frontier timestamp.  Serializable by
+            # construction: every version it read is the latest below T
+            # and no transaction can ever commit between those versions
+            # and T (the broadcast floor forbids new intervals below T).
+            self.stats["snapshot_commits"] += 1
+            return self._committed(tx, tx.snapshot_ts)
+        committed = yield from super().commit(tx)
+        return committed
+
+    def _snapshot_read(self, tx: Tx,
+                       key: Hashable) -> Generator[Any, Any, Any]:
+        """Lock-free read at the locked frontier timestamp (§5e).
+
+        Tries a follower of the key's group first (spreading read load off
+        leaders, pid-rotated for balance), then the leader.  A replica
+        refuses when it cannot prove the frontier stable locally (it
+        restarted, or has not applied the frontier's purge yet); both
+        refusing means the version is genuinely unavailable and the
+        read-only transaction aborts — the closed-loop workload retries it
+        at a fresher frontier.
+        """
+        self._check_deadline(tx)
+        self._check_group(tx, key)
+        ts = tx.snapshot_ts
+        gid = self.partition.group_of(key)
+        followers = self.partition.followers_of(key)
+        targets: list[Hashable] = []
+        if followers:
+            targets.append(followers[self.pid % len(followers)])
+        targets.append(self.partition.leader(gid))
+        for i, server in enumerate(targets):
+            req = SnapshotReadReq(tx.id, self.client_id, self._next_req(),
+                                  key=key, ts=ts, deadline=tx.deadline,
+                                  critical=tx.priority)
+            reply = yield from self._rpc(server, req)
+            if (reply is None or reply.__class__ is OverloadedReply
+                    or not reply.ok):
+                self.stats["snapshot_fallbacks"] += 1
+                continue
+            if i == 0 and followers:
+                self.stats["follower_reads"] += 1
+            self.read_staleness.append(self.sim.now - ts.value)
+            tx.readset.append((key, reply.tr))
+            if self.history is not None:
+                self.history.record_read(tx.id, key, reply.tr)
+            if self.tracer.enabled:
+                self.tracer.read(tx.id, key, ts=reply.tr)
+            return reply.value
+        self._fail(tx, AbortReason.READ_FAILED)
+
+    # -- quorum write mirroring and the commit fan-out ------------------------
+
+    def _batch_write_locks(self, tx: Tx
+                           ) -> Generator[Any, Any, list[tuple]]:
+        grants = yield from super()._batch_write_locks(tx)
+        yield from self._mirror_write_locks(tx, grants)
+        return grants
+
+    def _mirror_write_locks(self, tx: Tx,
+                            grants: list[tuple]) -> Generator[Any, Any, None]:
+        """Quorum write mirroring: ship leader-granted locks to followers.
+
+        Each follower of a written group receives the exact interval its
+        leader granted plus the pending value (so any quorum member can
+        finish the commit alone) and arms the ordinary write-lock timeout
+        on it.  A group counts as quorum-held when the leader (1) plus
+        acknowledged mirrors reach ``write_quorum(replication)``; anything
+        less aborts — committing on a sub-quorum hold could lose the write
+        in a later failover.
+        """
+        items_by_follower: dict[Hashable, list] = {}
+        group_followers: dict[int, set[Hashable]] = {}
+        for key, granted in grants:
+            if granted.is_empty:
+                continue
+            gid = self.partition.group_of(key)
+            flw = self.partition.followers_of(key)
+            group_followers.setdefault(gid, set()).update(flw)
+            for server in flw:
+                items_by_follower.setdefault(server, []).append(
+                    (key, tx.writeset[key], granted))
+        if not items_by_follower:
+            return
+        reqs: dict[Hashable, ReplicaHoldReq] = {}
+        for server in sorted(items_by_follower, key=str):
+            tx.touched.add(server)
+            reqs[server] = ReplicaHoldReq(
+                tx.id, self.client_id, self._next_req(),
+                items=tuple(items_by_follower[server]),
+                deadline=tx.deadline, critical=tx.priority)
+        replies = yield from self._rpc_many(reqs)
+        for server in sorted(replies, key=str):
+            reply = replies[server]
+            if reply.__class__ is not OverloadedReply:
+                self._check_epoch(tx, server, reply.epoch)
+        need = write_quorum(self.partition.replication)
+        for gid in sorted(group_followers):
+            acks = 1  # the leader's own grant
+            for server in group_followers[gid]:
+                reply = replies.get(server)
+                if reply.__class__ is ReplicaHoldReply and reply.mirrored:
+                    acks += 1
+            if acks < need:
+                self._fail(tx, AbortReason.REPLICATION_QUORUM)
+
+    def _key_destinations(self, key: Hashable) -> tuple[Hashable, ...]:
+        """Every member of the key's group: the CommitReq fan-out to
+        followers IS the commit-record replication (each member applies
+        the decision it reads from the shared commitment registry), and
+        read spans must freeze on followers too so a promoted follower
+        still excludes writers from committed readers' pasts."""
+        return self.partition.members(self.partition.group_of(key))
+
+    def _send_commit(self, tx: Tx, ts: Timestamp,
+                     release: bool = True) -> Generator[Any, Any, None]:
+        """The commit fan-out, acked and retried under ``reliable_fanout``
+        (unanswered members are re-sent through :meth:`_rpc_many`)."""
+        if not self.reliable_fanout:
+            yield from super()._send_commit(tx, ts, release)
+            return
+        reqs = self._commit_reqs(tx, ts, release, ack=True)
+        # The decision is final: exhaustion weakens redundancy on the
+        # unanswered members (counted, audited by scan_lost_commits) but
+        # never un-commits — the mirrored-hold timeout is the backstop.
+        replies = yield from self._rpc_many(reqs)
+        self.stats["fanout_acked"] += len(replies)
+        if len(replies) < len(reqs):
+            self.stats["fanout_unacked"] += len(reqs) - len(replies)
+
+
+# -- the replication report -------------------------------------------------
+
+
+def replication_report(config: Any, servers: list, clients: list,
+                       controller: Any, injector: Any, history: Any,
+                       placement: Any) -> dict:
+    """``ClusterResult.replication_report`` of a replicated or WAL run;
+    ``controller`` / ``injector`` are None without failover / chaos."""
+    members = [s for s in servers if isinstance(s, ReplicaServer)]
+    coordinators = [c for c in clients if isinstance(c, ReplicaClient)]
+    promotions = list(controller.promotions) if controller else []
+    failover_latencies = []
+    if controller is not None and injector is not None:
+        # Latency = promotion time minus the old leader's most recent
+        # crash before it (epoch-change promotions follow a restart, so
+        # a prior crash event always exists).
+        for when, gid, old, new, epoch in promotions:
+            crashes = [t for (t, kind, sid) in injector.server_events
+                       if kind == "crash" and sid == old and t <= when]
+            if crashes:
+                failover_latencies.append(when - crashes[-1])
+    staleness = sorted(s for c in coordinators for s in c.read_staleness)
+    resync_latencies = sorted(lat for s in members
+                              for lat in s.resync_latencies)
+    durables = [s.durable for s in servers if s.durable is not None]
+    report = {
+        "replication": config.replication,
+        "durability": config.durability,
+        "promotions": [(t, gid, str(old), str(new), ep)
+                       for (t, gid, old, new, ep) in promotions],
+        "failover_latencies": failover_latencies,
+        "heartbeats_sent": controller.heartbeats_sent if controller else 0,
+        # Refusals broken down by first failing guard, so anti-entropy
+        # progress is observable ("dirty" must go to zero once every
+        # restarted member completed its full sync plan).
+        "snapshot_refused_by_reason": {
+            reason: sum(s.stats.get(f"snapshot_refused_{reason}", 0)
+                        for s in servers)
+            for reason in ("dirty", "floor", "unfrozen", "missing")},
+        "snapshot_served_resynced_by_server": {
+            str(s.server_id): s.stats.get("snapshot_served_resynced", 0)
+            for s in servers
+            if s.stats.get("resyncs", 0) > 0},
+        # Self-healing (DESIGN.md §5h).
+        "sync_pokes": controller.sync_pokes if controller else 0,
+        # The one member stat only the report shows (never filed in
+        # the metrics registry, so not a SERVER_COUNTERS row).
+        "sync_sessions": sum(s.stats.get("sync_sessions", 0)
+                             for s in servers),
+        "resyncs_by_server": {
+            str(s.server_id): s.stats.get("resyncs", 0)
+            for s in servers if s.stats.get("resyncs", 0) > 0},
+        "resync_latencies": resync_latencies,
+        "recruitments": [
+            (t, gid, str(old), str(new), ep)
+            for (t, gid, old, new, ep) in
+            (controller.recruitments if controller else [])],
+        "min_live_members": (controller.min_live_members
+                             if controller else None),
+        "dirty_at_end": sorted(str(s.server_id) for s in servers
+                               if s.snapshot_dirty),
+        "wal_records": sum(d.wal.records_appended for d in durables),
+        "wal_sync_records": sum(d.wal.records_by_kind.get("sync", 0)
+                                for d in durables),
+        "checkpoints": sum(d.checkpoints for d in durables),
+        "read_staleness": {
+            "count": len(staleness),
+            "mean": (sum(staleness) / len(staleness)
+                     if staleness else 0.0),
+            "p95": (staleness[int(0.95 * (len(staleness) - 1))]
+                    if staleness else 0.0),
+            "max": staleness[-1] if staleness else 0.0,
+        },
+    }
+    for report_key, stat in SERVER_COUNTERS:
+        if report_key is not None:
+            report[report_key] = sum(s.stats.get(stat, 0) for s in servers)
+    for stat in CLIENT_COUNTERS:
+        report[stat] = sum(c.stats[stat] for c in coordinators)
+    if history is not None and config.replication > 1:
+        # Audit the measurement window only: the settle period drains
+        # its commit fan-outs, but commits decided *during* settle can
+        # be mid-flight when the simulation halts.
+        report.update(scan_lost_commits(
+            history, placement, {s.server_id: s for s in servers},
+            before=config.warmup + config.measure))
+    return report
+
+
+def merge_replication_metrics(registry: MetricsRegistry, servers: list,
+                              clients: list) -> None:
+    """File the replication / durability counters in the registry: each
+    stat per server (``server.<stat>``, plus WAL records and checkpoints)
+    and per client (``client.<stat>``), and every follower-read staleness
+    sample.  Zero counts are skipped (absent labels read back as 0)."""
+    per_server = [(stat, registry.counter(f"server.{stat}"))
+                  for _report_key, stat in SERVER_COUNTERS]
+    wal_records = registry.counter("server.wal_records")
+    checkpoints = registry.counter("server.checkpoints")
+    for server in servers:
+        for stat, counter in per_server:
+            n = server.stats.get(stat, 0)
+            if n:
+                counter.inc(server.server_id, n)
+        durable = server.durable
+        if durable is not None:
+            if durable.wal.records_appended:
+                wal_records.inc(server.server_id,
+                                durable.wal.records_appended)
+            if durable.checkpoints:
+                checkpoints.inc(server.server_id, durable.checkpoints)
+    per_client = [(stat, registry.counter(f"client.{stat}"))
+                  for stat in CLIENT_COUNTERS]
+    staleness = registry.histogram("replication.read_staleness")
+    for client in clients:
+        if not isinstance(client, ReplicaClient):
+            continue
+        for stat, counter in per_client:
+            n = client.stats[stat]
+            if n:
+                counter.inc(client.client_id, n)
+        for sample in client.read_staleness:
+            staleness.observe(sample)

@@ -147,6 +147,16 @@ class _ServerBase:
     def _handle(self, msg: Any) -> None:  # pragma: no cover - overridden
         raise NotImplementedError
 
+    def latest_values(self) -> dict[Hashable, Any]:
+        """Latest committed value per key written here (never-written keys
+        are absent): what a drained scenario run checks its invariants
+        against.  Read off the version store; 2PL overrides."""
+        latest = {}
+        for key, versions, _floor in self.store.snapshot():
+            if versions and versions[-1][1] is not BOTTOM:
+                latest[key] = versions[-1][1]
+        return latest
+
     # -- overload control --------------------------------------------------
 
     # The service queue calls these hooks for every message: they read the
@@ -914,6 +924,10 @@ class TwoPLServer(_ServerBase):
     def version_count(self) -> int:
         return sum(1 for e in self._keys.values()
                    if e.version_ts is not None)
+
+    def latest_values(self) -> dict[Hashable, Any]:
+        return {key: e.value for key, e in self._keys.items()
+                if e.version_ts is not None}
 
 
 class BohmSequencerServer(_ServerBase):

@@ -23,7 +23,7 @@ from .export import (metrics_sidecar_path, read_metrics_json,
                      write_metrics_json, write_trace_jsonl)
 from .metrics import (Counter, Gauge, Histogram, MetricsRegistry, fold_trace,
                       merge_conflict_counts, merge_overload_counters,
-                      merge_replication_counters, merge_stripe_counts)
+                      merge_stripe_counts)
 from .profile import (ContentionProfile, KeyStats, StripeSignals,
                       profile_report)
 from .trace import (NULL_TRACER, EventKind, NullTracer, TraceEvent, Tracer,
@@ -34,7 +34,7 @@ __all__ = [
     "span_width",
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "fold_trace",
     "merge_conflict_counts", "merge_overload_counters",
-    "merge_replication_counters", "merge_stripe_counts",
+    "merge_stripe_counts",
     "ContentionProfile", "KeyStats", "StripeSignals", "profile_report",
     "write_trace_jsonl", "read_trace_jsonl", "write_metrics_json",
     "read_metrics_json", "metrics_sidecar_path", "trace_sidecar_path",

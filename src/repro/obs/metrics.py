@@ -15,8 +15,7 @@ from .trace import EventKind, TraceEvent
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "fold_trace",
            "merge_conflict_counts", "merge_overload_counters",
-           "merge_replication_counters", "merge_scenario_counters",
-           "merge_stripe_counts"]
+           "merge_scenario_counters", "merge_stripe_counts"]
 
 
 class Counter:
@@ -262,53 +261,6 @@ def merge_stripe_counts(registry: MetricsRegistry,
     for idx, n in enumerate(contention.get("conflicts", ())):
         if n:
             conflicts.inc(idx, n)
-
-
-def merge_replication_counters(registry: MetricsRegistry,
-                               servers: Iterable[Any],
-                               clients: Iterable[Any],
-                               server_counters: Iterable[tuple],
-                               client_counters: Iterable[str]) -> None:
-    """Merge replication/durability counters into the registry.
-
-    The counters are named by the caller — ``repro.dist.member``'s
-    ``SERVER_COUNTERS`` rows ``(report key, stat)`` and ``CLIENT_COUNTERS``
-    names, the same tables ``replication_report`` is summed from.  Server
-    side: each row's stat, labelled by server id, as ``server.<stat>``
-    (mirrored holds, snapshot reads served / refused and refused by
-    reason, the anti-entropy sync counters), plus WAL records and
-    checkpoints for durable servers.  Client side: each
-    stat labelled by client id as ``client.<stat>`` (follower reads,
-    snapshot fallbacks and commits, acked / unacked fan-outs), and every
-    follower-read staleness sample into the ``replication.read_staleness``
-    histogram.  Zero counts are skipped (absent labels read back as 0).
-    """
-    per_server = [(stat, registry.counter(f"server.{stat}"))
-                  for _report_key, stat in server_counters]
-    wal_records = registry.counter("server.wal_records")
-    checkpoints = registry.counter("server.checkpoints")
-    for server in servers:
-        for stat, counter in per_server:
-            n = server.stats.get(stat, 0)
-            if n:
-                counter.inc(server.server_id, n)
-        durable = getattr(server, "durable", None)
-        if durable is not None:
-            if durable.wal.records_appended:
-                wal_records.inc(server.server_id,
-                                durable.wal.records_appended)
-            if durable.checkpoints:
-                checkpoints.inc(server.server_id, durable.checkpoints)
-    per_client = [(stat, registry.counter(f"client.{stat}"))
-                  for stat in client_counters]
-    staleness = registry.histogram("replication.read_staleness")
-    for client in clients:
-        for stat, counter in per_client:
-            n = client.stats.get(stat, 0)
-            if n:
-                counter.inc(client.client_id, n)
-        for sample in getattr(client, "read_staleness", ()):
-            staleness.observe(sample)
 
 
 def merge_scenario_counters(registry: MetricsRegistry,

@@ -372,6 +372,10 @@ def _base_guard(result: Any) -> list[str]:
         failures.append("no final state captured")
     if result.history is None:
         failures.append("scenario runs must record the history")
+    elif not result.final_state and any(
+            rec.writes for rec in result.history.committed()):
+        # Invariants over an empty state pass vacuously.
+        failures.append("committed writes but the final state is empty")
     if not result.committed:
         failures.append("no transaction committed")
     return failures

@@ -5,7 +5,7 @@ import gc
 
 import pytest
 
-from repro.dist import ClusterConfig, run_cluster
+from repro.dist import ChaosConfig, ClusterConfig, run_cluster
 from repro.sim.simulator import Simulator
 from repro.sim.testbed import CLOUD_TESTBED, LOCAL_TESTBED
 from repro.verify import check_serializable
@@ -75,6 +75,25 @@ class TestClusterBehaviour:
             ClusterConfig(replication=3,
                           profile=LOCAL_TESTBED.with_servers(2))
         assert ClusterConfig(replication=3, num_servers=3).replication == 3
+
+    @pytest.mark.parametrize("chaos, replication, match", [
+        (ChaosConfig(server_restarts=2, downtime=0.4), 1,
+         r"downtime 0\.4 does not fit 2 restarts into a 0\.600s window"),
+        (ChaosConfig(leader_crashes=2, leader_downtime=0.4), 3,
+         r"leader_downtime 0\.4 does not fit 2 leader crashes"),
+        (ChaosConfig(follower_restarts=3, follower_downtime=0.25), 3,
+         r"follower_downtime 0\.25 does not fit 3 follower restarts"),
+    ])
+    def test_chaos_that_does_not_fit_the_window_rejected_at_config_time(
+            self, chaos, replication, match):
+        with pytest.raises(ValueError, match=match):
+            small_config("mvtil-early", chaos=chaos, num_servers=3,
+                         replication=replication)
+
+    def test_chaos_without_a_measurement_window_rejected_at_config_time(self):
+        with pytest.raises(ValueError, match="need end > start"):
+            small_config("mvtil-early", measure=0.0,
+                         chaos=ChaosConfig(client_crashes=1))
 
     def test_throughput_counts_window_only(self):
         res = run_cluster(small_config("mvtil-early"))

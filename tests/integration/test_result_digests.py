@@ -16,7 +16,9 @@ deliberate protocol change, and say so in CHANGES.md.
 
 The second half pins the *shape* that refactor produced: abort is an
 exception, the plain server is Alg. 13 and only a ``ReplicaServer`` speaks
-the replication-member wire, and a WAL-only restart is still reported.
+the replication-member wire, the plain MVTIL client is Alg. 11/12 and only
+a ``ReplicaClient`` fences, mirrors and reads snapshots, and a WAL-only
+restart is still reported.
 """
 
 from __future__ import annotations
@@ -32,13 +34,16 @@ import pytest
 from repro.bench.recipes import fingerprint
 from repro.core.timestamp import Timestamp
 from repro.dist import (ChaosConfig, ClusterConfig, CommitmentRegistry,
-                        MVTLServer, ReplicaServer, cluster, run_cluster)
+                        MVTLServer, ReplicaClient, ReplicaServer, cluster,
+                        run_cluster)
+from repro.clocks import PerfectClock
 from repro.dist.client import (BaseClient, BohmClient, MVTILClient,
                                MVTOClient, TwoPLClient)
 from repro.dist.messages import (HeartbeatReply, HeartbeatReq,
                                  SnapshotReadReply, SnapshotReadReq, SyncPoke)
 from repro.sim import (LOCAL_TESTBED, LatencyModel, LinkFaults, Network,
                        Simulator)
+from repro.repl.placement import ReplicatedPlacement
 from repro.workload import WorkloadConfig
 
 MIXED = WorkloadConfig(num_keys=60, tx_size=6, write_fraction=0.5)
@@ -188,8 +193,11 @@ def test_abort_is_an_exception_not_a_coroutine():
     for client in (MVTILClient, MVTOClient, TwoPLClient, BohmClient):
         assert not inspect.isgeneratorfunction(client._fail), client
     for helper in ("_check_deadline", "_admit", "_expect", "_expect_all",
-                   "_check_epoch", "_check_group", "_validate_groups"):
+                   "_check_epoch"):
         assert not inspect.isgeneratorfunction(getattr(BaseClient, helper))
+    for helper in ("_check_group", "_validate_groups"):
+        assert not inspect.isgeneratorfunction(getattr(ReplicaClient,
+                                                       helper))
     # The runner drives these two with ``yield from``: still generators.
     assert inspect.isgeneratorfunction(MVTOClient.write)
     assert inspect.isgeneratorfunction(TwoPLClient.commit)
@@ -247,6 +255,46 @@ def test_run_cluster_builds_replica_servers_exactly_when_replicated(
         replication=replication))
     assert built == ["ReplicaServer" if replication > 1
                      else "MVTLServer"] * 3
+
+
+def test_the_plain_mvtil_client_is_alg11_12():
+    source = inspect.getsource(MVTILClient)
+    for name in ("replication", "snapshot", "follower", "group_epoch",
+                 "mirror", "fanout", "_snap_floor"):
+        assert name not in source, name
+    sim = Simulator()
+    net = Network(sim, LatencyModel.from_mean(1e-4, cv=0.1),
+                  np.random.default_rng(0))
+    args = (sim, net, "c", 1, ReplicatedPlacement(["s0"]),
+            PerfectClock(lambda: sim.now), CommitmentRegistry(sim))
+    client = MVTILClient(*args)
+    for name in ("replication", "_snap_floor", "read_staleness",
+                 "server_of"):
+        assert not hasattr(client, name), name
+    assert len(client.stats) == 7
+    assert [p.name for p in inspect.signature(MVTILClient).parameters.values()
+            if p.kind is p.KEYWORD_ONLY] == [
+        "delta", "late", "gc_on_commit", "read_timeout", "defer_writes"]
+    with pytest.raises(TypeError, match="follower_reads"):
+        MVTILClient(*args, follower_reads=True)
+
+
+@pytest.mark.parametrize("replication", [1, 3])
+def test_run_cluster_builds_replica_clients_exactly_when_replicated(
+        replication, monkeypatch):
+    built = []
+    for name in ("MVTILClient", "ReplicaClient"):
+        real = getattr(cluster, name)
+        monkeypatch.setattr(
+            cluster, name,
+            lambda *a, _real=real, _name=name, **kw: (
+                built.append(_name) or _real(*a, **kw)))
+    run_cluster(ClusterConfig(
+        protocol="mvtil-early", profile=LOCAL_TESTBED, workload=MIXED,
+        num_servers=3, num_clients=2, seed=3, warmup=0.05, measure=0.05,
+        replication=replication))
+    assert built == ["ReplicaClient" if replication > 1
+                     else "MVTILClient"] * 2
 
 
 def test_a_wal_only_restart_still_reports_the_server_dirty():

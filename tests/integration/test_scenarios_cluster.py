@@ -9,7 +9,8 @@ put scenario scans on the follower-read path under ``replication > 1``.
 import pytest
 
 from repro.dist.cluster import ClusterConfig, run_cluster
-from repro.workload.scenarios import check_scenario, scenario_config
+from repro.workload.scenarios import (SCENARIOS, check_scenario,
+                                     scenario_config)
 
 
 def history_fingerprint(history):
@@ -93,3 +94,38 @@ class TestFollowerReadRouting:
         res = run_cluster(config)
         assert res.replication_report["follower_reads"] > 0
         assert res.replication_report["snapshot_commits"] > 0
+
+
+def _accepts_2pl(name):
+    try:
+        scenario_config(name, protocol="2pl")
+    except ValueError:
+        return False
+    return True
+
+
+TWO_PL_SCENARIOS = [name for name in SCENARIOS if _accepts_2pl(name)]
+
+
+class TestTwoPLScenarios:
+    """The final state of a 2PL run is its servers' latest committed
+    values, not an empty dict that passes every invariant vacuously."""
+
+    def test_the_scenarios_without_replication_accept_2pl(self):
+        assert TWO_PL_SCENARIOS == ["bank-transfer", "orders",
+                                    "secondary-index", "flash-crowd"]
+
+    @pytest.mark.parametrize("name", TWO_PL_SCENARIOS)
+    def test_2pl_run_checks_a_real_final_state(self, name):
+        res = run_cluster(scenario_config(name, seed=3, protocol="2pl",
+                                          warmup=0.1, measure=0.3))
+        assert res.committed > 0
+        assert res.final_state
+        assert check_scenario(name, res) == []
+
+    def test_an_empty_final_state_with_committed_writes_fails(self):
+        res = run_cluster(fast_config("bank-transfer"))
+        assert check_scenario("bank-transfer", res) == []
+        res.final_state = {}
+        assert check_scenario("bank-transfer", res) == [
+            "committed writes but the final state is empty"]
