@@ -45,7 +45,7 @@ subclass the cluster builds instead of :class:`MVTLServer` when
 from __future__ import annotations
 
 import zlib
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from typing import Any, Hashable
 
 import numpy as np
@@ -362,6 +362,13 @@ class MVTLServer(_ServerBase):
         self._proposer_id = (zlib.crc32(str(server_id).encode())
                              % (2**20) + 2**20)
         self.write_lock_timeout = write_lock_timeout
+        #: Armed write-lock timers, oldest first: ``(when, seq, tx_id,
+        #: key)`` under the key reserved at hold time.  ``write_lock_timeout``
+        #: is fixed per server, so the keys only grow and the head is the
+        #: next to fire; only the head is in the simulator's heap.  Like
+        #: heap entries, they survive a crash / restart.
+        self._lock_timers: deque[tuple[float, int, Hashable, Hashable]] = (
+            deque())
         self.locks = LockTable()
         self.store = VersionStore()
         #: Buffered values awaiting freeze: (tx, key) -> value (Alg. 13 l.3).
@@ -548,8 +555,21 @@ class MVTLServer(_ServerBase):
         the write-lock timeout."""
         self.locks.note_owner(tx_id, key)
         self.pending[(tx_id, key)] = value
-        self.sim.schedule(self.write_lock_timeout,
-                          self._write_lock_timeout, tx_id, key)
+        when, seq = self.sim.reserve(self.write_lock_timeout)
+        timers = self._lock_timers
+        timers.append((when, seq, tx_id, key))
+        if len(timers) == 1:
+            self.sim.schedule_at(when, seq, self._fire_lock_timer)
+
+    def _fire_lock_timer(self) -> None:
+        """Run the oldest armed write-lock timer at its own key, after
+        putting the next one in the heap."""
+        timers = self._lock_timers
+        _when, _seq, tx_id, key = timers.popleft()
+        if timers:
+            when, seq, _tx, _key = timers[0]
+            self.sim.schedule_at(when, seq, self._fire_lock_timer)
+        self._write_lock_timeout(tx_id, key)
 
     def _handle_batch_lock(self, req: MVTLBatchLockReq) -> None:
         """Apply a per-server batch of non-waiting write-lock requests.

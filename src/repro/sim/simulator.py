@@ -89,6 +89,27 @@ class Simulator:
         self._seq = seq + 1
         heappush(self._heap, (self.now + delay, seq, fn, args))
 
+    def reserve(self, delay: float) -> tuple[float, int]:
+        """Take the ``(time, seq)`` key ``schedule(delay, ...)`` would push
+        at now, without pushing anything.
+
+        A timer that is not its owner's next deadline waits outside the
+        heap and is pushed later with :meth:`schedule_at`.  Heap order is
+        decided by keys alone, so it pops exactly where it would have had
+        it been pushed now — as long as it is pushed before any event with
+        a later key pops.
+        """
+        if delay < 0:
+            raise ValueError("cannot schedule into the past")
+        seq = self._seq
+        self._seq = seq + 1
+        return self.now + delay, seq
+
+    def schedule_at(self, when: float, seq: int,
+                    fn: Callable[[], None]) -> None:
+        """Push ``fn()`` at a key taken earlier by :meth:`reserve`."""
+        heappush(self._heap, (when, seq, fn, ()))
+
     def spawn(self, gen: Generator[Any, Any, Any],
               name: str = "proc") -> "Process":
         """Start a coroutine process; its first step runs at the current time."""
@@ -121,13 +142,11 @@ class Simulator:
         heap = self._heap
         pop = heappop
         try:
-            while heap:
+            while heap and (max_events is None or fired < max_events):
                 when, _seq, fn, args = pop(heap)
                 self.now = when
                 fn(*args)
                 fired += 1
-                if max_events is not None and fired >= max_events:
-                    return
         finally:
             self.events_processed += fired
 
@@ -196,12 +215,17 @@ class Mailbox:
     """A FIFO message queue a process can ``Recv`` on.
 
     At most one process may wait at a time (each client owns its mailbox).
-    A waiting ``Recv`` with a timeout is guarded by a *wait token*: the token
-    advances whenever the wait ends (message or new registration), so a
-    stale timer from an earlier ``Recv`` can never interrupt a later one.
+    A timed ``Recv`` reserves its deadline key from the simulator when it
+    starts waiting (:meth:`Simulator.reserve`), but pushes a heap entry
+    only if none of this mailbox's entries would pop before it.  When an
+    entry pops it times out the wait that reserved it, or — that wait was
+    answered — re-arms at the live wait's key.  Most waits are answered
+    long before their deadline, so a mailbox keeps one entry in the heap
+    instead of one per ``Recv``, and a wait that does time out still fires
+    at exactly the key it reserved.
     """
 
-    __slots__ = ("sim", "_queue", "_waiter", "_wait_token")
+    __slots__ = ("sim", "_queue", "_waiter", "_deadline", "_armed")
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
@@ -209,14 +233,21 @@ class Mailbox:
         # and list.pop(0) is O(n) exactly when the backlog is deep.
         self._queue: deque[Any] = deque()
         self._waiter: Process | None = None
-        self._wait_token = 0
+        #: Reserved ``(time, seq)`` key of the live wait's timeout; None
+        #: when no timed wait is live.
+        self._deadline: tuple[float, int] | None = None
+        #: Keys of this mailbox's heap entries, the next to pop last.  A
+        #: key is appended only below every armed one (a wait shorter than
+        #: those armed), so the list stays sorted; it rarely holds more
+        #: than the two timeouts a client mixes.
+        self._armed: list[tuple[float, int]] = []
 
     def deliver(self, msg: Any) -> None:
         """Enqueue ``msg``; wakes the waiting process, if any."""
         if self._waiter is not None:
             proc = self._waiter
             self._waiter = None
-            self._wait_token += 1  # invalidate any pending timeout
+            self._deadline = None  # the armed entry will find no wait
             self.sim.schedule(0.0, proc._step, msg)
         else:
             self._queue.append(msg)
@@ -228,18 +259,30 @@ class Mailbox:
         if self._waiter is not None:
             raise RuntimeError("mailbox already has a waiting process")
         self._waiter = proc
-        self._wait_token += 1
         if timeout is not None:
-            # Bound method + args instead of a per-Recv closure: RPC-heavy
-            # clients register a timed Recv per reply awaited.
-            self.sim.schedule(timeout, self._on_timeout, proc,
-                              self._wait_token)
+            key = self._deadline = self.sim.reserve(timeout)
+            armed = self._armed
+            if not armed or key < armed[-1]:
+                armed.append(key)
+                self.sim.schedule_at(key[0], key[1], self._expire)
 
-    def _on_timeout(self, proc: Process, token: int) -> None:
-        if self._waiter is proc and self._wait_token == token:
+    def _expire(self) -> None:
+        """An armed entry popped: time out its wait, or re-arm."""
+        armed = self._armed
+        key = armed.pop()
+        deadline = self._deadline
+        if deadline is None:
+            return
+        if deadline == key:
+            proc = self._waiter
             self._waiter = None
-            self._wait_token += 1
+            self._deadline = None
             proc._step(RECV_TIMEOUT)
+        elif not armed or deadline < armed[-1]:
+            # The wait that reserved ``key`` was answered; the live one's
+            # key is later, so pushing it now keeps its place in the order.
+            armed.append(deadline)
+            self.sim.schedule_at(deadline[0], deadline[1], self._expire)
 
     def __len__(self) -> int:
         return len(self._queue)

@@ -7,7 +7,8 @@ from repro.core.intervals import IntervalSet, TsInterval
 from repro.core.locks import LockMode
 from repro.core.timestamp import BOTTOM, TS_INF, Timestamp
 from repro.dist.commitment import ABORT, CommitmentRegistry
-from repro.dist.messages import (CommitReq, MVTLReadReply, MVTLReadReq,
+from repro.dist.messages import (CommitReq, MVTLBatchLockReq,
+                                 MVTLReadReply, MVTLReadReq,
                                  MVTLWriteLockReply, MVTLWriteLockReq,
                                  PurgeReq, ReleaseReq)
 from repro.dist.server import MVTLServer
@@ -254,3 +255,88 @@ class TestCommitAndTimeout:
                                  TsInterval.point(T(3, 2))),
                              all_or_nothing=True)
         assert probe.acquired.is_empty
+
+
+class TestWriteLockTimers:
+    """Each granted write lock arms one timer at hold time +
+    ``write_lock_timeout`` (Alg. 13); only the server's next one sits in
+    the simulator's heap, but every one fires at its own instant."""
+
+    @staticmethod
+    def spy(h, probes=False):
+        """Record ``(now, tx, key)`` of every hold and every timer fire.
+        With ``probes``, each hold also schedules a ``("probe", tx, key)``
+        entry for the instant its timer is due: scheduled after the timer
+        was armed, it must fire right after it."""
+        holds, fired = [], []
+        server = h.server
+        hold, timeout = server._hold_write, server._write_lock_timeout
+
+        def spy_hold(tx, key, value):
+            holds.append((h.sim.now, tx, key))
+            hold(tx, key, value)
+            if probes:
+                h.sim.schedule(server.write_lock_timeout,
+                               lambda: fired.append(("probe", tx, key)))
+
+        def spy_timeout(tx, key):
+            fired.append((h.sim.now, tx, key))
+            timeout(tx, key)
+
+        server._hold_write = spy_hold
+        server._write_lock_timeout = spy_timeout
+        return holds, fired
+
+    @staticmethod
+    def point(v):
+        return IntervalSet.from_interval(TsInterval.point(T(v, 1)))
+
+    def test_timeouts_fire_at_hold_time_plus_timeout_in_hold_order(self):
+        h = Harness(write_lock_timeout=0.5)
+        holds, fired = self.spy(h, probes=True)
+        for i, key in enumerate(["a", "b", "c", "a"]):
+            h.write_lock(f"t{i}", key, "v", self.point(i + 1))
+        h.sim.run_until(h.sim.now + 0.3)
+        # Two holds at one instant: their timers tie on time and keep the
+        # order their keys were reserved in, each ahead of its probe.
+        h.send(MVTLBatchLockReq("t8", "cli", h.req_id(), items=(
+            ("e", "v", self.point(30)), ("f", "v", self.point(31)))))
+        h.write_lock("t9", "d", "v", self.point(20))
+        h.sim.run_until(h.sim.now + 2.0)
+        assert len(holds) == 7 and holds[4][0] == holds[5][0]
+        assert fired == [entry for t, tx, key in holds
+                         for entry in ((t + 0.5, tx, key), ("probe", tx, key))]
+        assert h.sim.pending_events == 0
+
+    def test_a_committed_holds_timer_is_a_noop(self):
+        h = Harness(write_lock_timeout=0.5)
+        _holds, fired = self.spy(h)
+        h.write_lock("t1", "k", "val", self.point(2))
+        h.commit("t1", T(2, 1), write_keys=("k",))
+        h.sim.run_until(h.sim.now + 1.0)
+        assert [tx for _t, tx, _k in fired] == ["t1"]
+        assert h.registry.decision_of("t1") == T(2, 1)  # not ABORT
+        assert h.server.store.version_at("k", T(2, 1)).value == "val"
+
+    def test_a_timer_armed_before_a_crash_fires_after_restart(self):
+        h = Harness(write_lock_timeout=0.5)
+        holds, fired = self.spy(h)
+        h.write_lock("t1", "k", "v", self.point(1))
+        h.server.crash()
+        h.sim.run_until(h.sim.now + 0.1)
+        h.server.restart()
+        h.write_lock("t2", "k", "v", self.point(2))
+        h.sim.run_until(h.sim.now + 1.0)
+        assert fired == [(t + 0.5, tx, key) for t, tx, key in holds]
+        # The pre-crash hold evaporated with the lock table: no-op.
+        assert h.registry.decision_of("t1") is None
+        assert h.registry.decision_of("t2") == ABORT
+
+    def test_two_holds_of_one_tx_key_both_fire(self):
+        h = Harness(write_lock_timeout=0.5)
+        holds, fired = self.spy(h)
+        h.write_lock("t1", "k", "v", self.point(1))
+        h.write_lock("t1", "k", "v", self.point(3))
+        h.sim.run_until(h.sim.now + 1.0)
+        assert [(tx, key) for _t, tx, key in holds] == [("t1", "k")] * 2
+        assert fired == [(t + 0.5, tx, key) for t, tx, key in holds]

@@ -192,6 +192,81 @@ class TestMailbox:
         sim.run()
         assert got == ["a", "b"]
 
+    def test_rearmed_timeout_keeps_its_place_among_same_instant_events(self):
+        """The first wait's timer is the only heap entry; when it pops
+        after that wait was answered it re-arms the second wait's timeout
+        at the key reserved when that wait began — ahead of a probe
+        scheduled later for the same instant."""
+        sim = Simulator()
+        box = Mailbox(sim)
+        log = []
+
+        def proc():
+            yield Recv(box, timeout=0.5)
+            log.append(("reply", sim.now))
+            msg = yield Recv(box, timeout=1.0)   # deadline 1.0, re-armed
+            log.append((msg, sim.now))
+
+        sim.spawn(proc())
+        sim.run_until(0.0)
+        box.deliver("a")
+        sim.run_until(0.0)
+        assert sim.pending_events == 1
+        sim.schedule(1.0, log.append, ("probe", 1.0))
+        sim.run()
+        assert log == [("reply", 0.0), (RECV_TIMEOUT, 1.0), ("probe", 1.0)]
+
+    def test_answered_wait_tied_with_the_live_deadline_does_not_fire_it(self):
+        """Two waits whose deadlines share an instant: the answered one's
+        timer pops first and is a no-op; a delivery scheduled between the
+        two reservations still beats the live timeout."""
+        sim = Simulator()
+        box = Mailbox(sim)
+        got = []
+
+        def proc():
+            got.append((yield Recv(box, timeout=1.0)))   # deadline 1.0
+            sim.schedule(0.5, box.deliver, "tie")        # lands at 1.0
+            got.append((yield Recv(box, timeout=0.5)))   # deadline 1.0
+            got.append(sim.now)
+
+        sim.spawn(proc())
+        sim.schedule(0.5, box.deliver, "a")
+        sim.run()
+        assert got == ["a", "tie", 1.0]
+
+    def test_short_wait_after_long_one_times_out_on_time(self):
+        sim = Simulator()
+        box = Mailbox(sim)
+        got = []
+
+        def proc():
+            yield Recv(box, timeout=64.0)
+            msg = yield Recv(box, timeout=0.25)
+            got.append((msg, sim.now))
+
+        sim.spawn(proc())
+        sim.schedule(1.0, box.deliver, "a")
+        sim.schedule(2.0, got.append, "probe")
+        sim.run()
+        assert got == [(RECV_TIMEOUT, 1.25), "probe"]
+
+    def test_answered_waits_keep_one_timer_in_the_heap(self):
+        sim = Simulator()
+        box = Mailbox(sim)
+
+        def proc():
+            for _ in range(100):
+                yield Recv(box, timeout=5.0)
+
+        sim.spawn(proc())
+        for i in range(100):
+            sim.schedule(0.01 * (i + 1), box.deliver, i)
+        sim.run_until(0.5)
+        assert sim.pending_events == 51  # 50 deliveries + one timer
+        sim.run()
+        assert sim.events_processed == 1 + 100 + 100 + 1
+
     def test_double_waiter_rejected(self):
         sim = Simulator()
         box = Mailbox(sim)
@@ -304,3 +379,17 @@ class TestEventCounterAndHeapSafety:
             sim.schedule(1.0, lambda obj, i=i: fired.append(i), Opaque())
         sim.run()
         assert fired == [0, 1, 2]
+
+
+class TestRunBudget:
+    def test_max_events_is_checked_before_popping(self):
+        sim = Simulator()
+        fired = []
+        for i in range(3):
+            sim.schedule(1.0, fired.append, i)
+        sim.run(max_events=0)
+        assert fired == [] and sim.pending_events == 3
+        sim.run(max_events=2)
+        assert fired == [0, 1] and sim.events_processed == 2
+        sim.run()
+        assert fired == [0, 1, 2] and sim.events_processed == 3
