@@ -19,12 +19,13 @@ exhibits a concrete cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Hashable
 
 from ..core.timestamp import TS_ZERO, Timestamp
 from .history import HistoryRecorder, TxRecord
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 __all__ = ["SerializabilityReport", "build_mvsg", "check_serializable"]
 
@@ -54,6 +55,10 @@ def build_mvsg(records: list[TxRecord]) -> nx.DiGraph:
     these indicate an engine bug more fundamental than a serializability
     violation.
     """
+    # networkx loads on the first MVSG build, not with ``repro``: this is
+    # the offline oracle, and the simulated run path never calls it.
+    import networkx as nx
+
     committed = [r for r in records if r.committed]
     graph = nx.DiGraph()
     graph.add_node(T_INIT)
@@ -112,19 +117,20 @@ def check_serializable(
     Accepts a recorder or a raw record list.  Returns a report; when the
     history is not serializable the report carries one offending cycle.
     """
+    import networkx as nx
+
     records = (history.records() if isinstance(history, HistoryRecorder)
                else list(history))
     try:
         graph = build_mvsg(records)
     except ValueError as exc:
         return SerializabilityReport(False, 0, 0, error=str(exc))
+    committed = sum(1 for r in records if r.committed)
     try:
         cycle_edges = nx.find_cycle(graph, orientation="original")
     except nx.NetworkXNoCycle:
-        committed = sum(1 for r in records if r.committed)
         return SerializabilityReport(True, committed,
                                      graph.number_of_edges())
     cycle_nodes = tuple(edge[0] for edge in cycle_edges)
-    committed = sum(1 for r in records if r.committed)
     return SerializabilityReport(False, committed, graph.number_of_edges(),
                                  cycle=cycle_nodes)
