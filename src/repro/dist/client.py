@@ -1,8 +1,9 @@
 """Transaction coordinators — the client side of the distributed protocols.
 
-Three client protocols over the simulated network, mirroring §8.1 ("our
-implementations of MVTO+ and 2PL use the same framework, but run a different
-client protocol and keep a different server state"):
+:class:`BaseClient` is §8.1's framework ("our implementations of MVTO+ and
+2PL use the same framework, but run a different client protocol and keep a
+different server state").  Two coordinators on it run against
+:class:`~repro.dist.server.MVTLServer`:
 
 * :class:`MVTILClient` — the paper's prototype (Alg. 11/12 with the §8
   interval policy): interval ``I = [t, t+delta]``, shrink on partial grants,
@@ -11,9 +12,9 @@ client protocol and keep a different server state"):
 * :class:`MVTOClient` — MVTO+ over the same servers: single timestamp,
   server-side waiting reads, no-wait commit-time point write locks; aborts
   release only write locks (read-timestamps persist — ghost aborts and all).
-* :class:`TwoPLClient` — strict 2PL: lock per access, client-side lock
-  timeout as deadlock prevention (the paper tunes this timeout for
-  throughput), commit installs values and releases.
+
+The baselines' coordinators sit beside their servers, in
+:mod:`repro.dist.twopl` and :mod:`repro.dist.bohm`.
 
 Client methods that talk to servers are **generators** — simulation
 coroutines to be driven with ``yield from`` inside a process (see
@@ -47,14 +48,12 @@ from ..sim.network import Network
 from ..sim.simulator import RECV_TIMEOUT, Mailbox, Recv, Simulator
 from ..repl.placement import ReplicatedPlacement
 from .commitment import ABORT, CommitmentRegistry
-from .messages import (BohmSubmitReq, ClockBroadcast, CommitReq, EpochReq,
-                       MVTLBatchLockReq,
-                       MVTLReadReq, MVTLWriteLockReq, OverloadedReply,
-                       ReleaseReq, Reply,
-                       TwoPLCommitReq, TwoPLLockReq, TwoPLReleaseReq)
+from .messages import (ClockBroadcast, CommitReq, EpochReq,
+                       MVTLBatchLockReq, MVTLReadReq, MVTLWriteLockReq,
+                       OverloadedReply, ReleaseReq, Reply)
 
-__all__ = ["BaseClient", "BohmClient", "CircuitBreaker", "MVTILClient",
-           "MVTOClient", "TwoPLClient", "Tx"]
+__all__ = ["BaseClient", "CircuitBreaker", "MVTILClient", "MVTOClient",
+           "Tx"]
 
 
 class Tx:
@@ -998,170 +997,4 @@ class MVTOClient(BaseClient):
             self._send(server, ReleaseReq(tx.id, self.client_id,
                                           self._next_req(), write_only=True))
         self.registry.forget(tx.id)
-        self._abort(tx, reason)
-
-
-class TwoPLClient(BaseClient):
-    """Strict-2PL coordinator (§8.1 baseline).
-
-    The lock-wait timeout is the deadlock-prevention mechanism, and the
-    paper tunes it per deployment ("we set the timeout such as to maximize
-    total throughput").  We automate that tuning: the client keeps an EWMA
-    of granted-lock round-trip times (which includes server queueing) and
-    times out at ``rtt_multiple`` times it — long enough that deep server
-    queues and ordinary waits behind a writer don't abort transactions
-    spuriously, short enough that genuine deadlocks break quickly.
-    ``lock_timeout`` is the floor.
-    """
-
-    name = "2pl"
-
-    def __init__(self, *args: Any, lock_timeout: float = 0.05,
-                 rtt_multiple: float = 3.0, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self.lock_timeout = lock_timeout
-        self.rtt_multiple = rtt_multiple
-        self._rtt_ewma: float | None = None
-
-    def _observe_rtt(self, rtt: float) -> None:
-        if self._rtt_ewma is None:
-            self._rtt_ewma = rtt
-        else:
-            self._rtt_ewma = 0.9 * self._rtt_ewma + 0.1 * rtt
-
-    def _current_timeout(self) -> float:
-        # Until the EWMA is calibrated (first granted lock), honour the
-        # configured timeout as-is: a fresh client must still break
-        # deadlocks within ``lock_timeout``, not some larger default.
-        if self._rtt_ewma is None:
-            return self.lock_timeout
-        return min(2.0, max(self.lock_timeout,
-                            self.rtt_multiple * self._rtt_ewma))
-
-    def begin(self, priority: bool = False,
-              read_only: bool = False) -> Tx:
-        # read_only: interface uniformity only (2PL has no snapshot path).
-        tx = Tx((self.client_id, next(self._tx_counter)),
-                self._tx_deadline(), priority)
-        tx.locked_keys = set()
-        self._begin_record(tx)
-        return tx
-
-    def read(self, tx: Tx, key: Hashable) -> Generator[Any, Any, Any]:
-        if key in tx.writeset:
-            return tx.writeset[key]
-        reply = yield from self._lock(tx, key, write=False)
-        tx.readset.append((key, reply.version_ts))
-        if self.history is not None:
-            self.history.record_read(tx.id, key, reply.version_ts)
-        if self.tracer.enabled:
-            self.tracer.read(tx.id, key, ts=reply.version_ts)
-        return reply.value
-
-    def write(self, tx: Tx, key: Hashable,
-              value: Any) -> Generator[Any, Any, None]:
-        yield from self._lock(tx, key, write=True)
-        tx.writeset[key] = value
-        if self.tracer.enabled:
-            self.tracer.write(tx.id, key)
-
-    def _lock(self, tx: Tx, key: Hashable,
-              write: bool) -> Generator[Any, Any, Any]:
-        self._check_deadline(tx)
-        server = self._route(tx, key)
-        self._admit(tx, server)
-        req = TwoPLLockReq(tx.id, self.client_id, self._next_req(), key=key,
-                           write=write,
-                           deadline=tx.deadline, critical=tx.priority)
-        tx.locked_keys.add(key)
-        sent_at = self.sim.now
-        # retries=0: the lock-wait timeout IS the deadlock prevention;
-        # re-sending would re-queue behind the same conflicting holder.
-        # breaker_timeouts=False: a wait lost to a lock holder is
-        # contention, not saturation — only OVERLOADED sheds trip the
-        # breaker here.
-        reply = yield from self._rpc(server, req,
-                                     timeout=self._current_timeout(),
-                                     retries=0, breaker_timeouts=False)
-        if reply is None:
-            # Lock-wait timeout: the paper's deadlock prevention.  Abort and
-            # release everything (the server drops our queued request too).
-            self._fail(tx, self._timeout_reason(tx,
-                                                AbortReason.LOCK_TIMEOUT))
-        if reply.__class__ is OverloadedReply:
-            self._fail(tx, AbortReason.OVERLOADED)
-        self._observe_rtt(self.sim.now - sent_at)
-        if self.tracer.enabled:
-            self.tracer.lock_acquire(tx.id, key, "write" if write else "read",
-                                     rtt=self.sim.now - sent_at)
-        return reply
-
-    def commit(self, tx: Tx) -> Generator[Any, Any, bool]:
-        commit_ts = Timestamp(self.sim.now, self.pid)
-        by_server: dict[Hashable, tuple[dict, list]] = {}
-        # Sorted: locked_keys is a set; see the MVTIL commit fan-out.
-        for key in sorted(tx.locked_keys, key=str):
-            server = self._route(tx, key)
-            writes, releases = by_server.setdefault(server, ({}, []))
-            if key in tx.writeset:
-                writes[key] = tx.writeset[key]
-            else:
-                releases.append(key)
-        for server, (writes, releases) in by_server.items():
-            self._send(server, TwoPLCommitReq(
-                tx.id, self.client_id, self._next_req(), writes=writes,
-                release_keys=tuple(releases), commit_ts=commit_ts))
-        return self._committed(tx, commit_ts)
-        yield  # pragma: no cover
-
-    def _fail(self, tx: Tx, reason: str) -> NoReturn:
-        by_server: dict[Hashable, list] = {}
-        for key in sorted(tx.locked_keys, key=str):
-            by_server.setdefault(self._route(tx, key), []).append(key)
-        for server, keys in by_server.items():
-            self._send(server, TwoPLReleaseReq(
-                tx.id, self.client_id, self._next_req(), keys=tuple(keys)))
-        self._abort(tx, reason)
-
-
-class BohmClient(BaseClient):
-    """Coordinator for the Bohm baseline: one submit RPC per transaction.
-
-    Bohm is non-interactive by design — the whole pre-declared
-    :class:`~repro.workload.generator.TxSpec` ships to the sequencer in a
-    single :class:`~repro.dist.messages.BohmSubmitReq`, and the reply (sent
-    when the transaction's batch executes) carries the outcome.  The runner
-    drives this through :meth:`run_spec` instead of the op-by-op
-    begin/read/write/commit protocol; there are no locks to release and no
-    commitment object, so the failure paths reduce to aborting locally on
-    an unanswered or overloaded RPC.  History recording happens inside the
-    sequencer's engine (the one place that knows versions and timestamps).
-    """
-
-    name = "bohm"
-
-    def run_spec(self, spec: Any) -> Generator[Any, Any, bool]:
-        """Execute one pre-declared transaction; True on commit.
-
-        Raises :class:`TransactionAborted` otherwise, like
-        :func:`repro.workload.runner.run_tx`.
-        """
-        tx = Tx((self.client_id, next(self._tx_counter)),
-                self._tx_deadline(), spec.critical)
-        # Single sequencer: every key routes to the same server, so any
-        # key (or none) picks it.
-        server = self.partition.servers[0]
-        self._admit(tx, server)
-        req = BohmSubmitReq(tx.id, self.client_id, self._next_req(),
-                            deadline=tx.deadline, critical=spec.critical,
-                            spec=spec)
-        reply = yield from self._rpc(server, req)
-        reply = self._expect(tx, reply, AbortReason.RPC_TIMEOUT)
-        if reply.committed:
-            return self._committed(tx, reply.commit_ts)
-        self._fail(tx, reply.abort_reason or AbortReason.USER_ABORT)
-
-    def _fail(self, tx: Tx, reason: str) -> NoReturn:
-        # No locks anywhere and no commitment object: the sequencer is the
-        # single authority, so failing is purely client-local bookkeeping.
         self._abort(tx, reason)

@@ -13,7 +13,8 @@ from __future__ import annotations
 import gc
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from functools import partial
+from typing import Any, Callable
 
 from ..clocks.clock import EpsilonSyncClock
 from ..obs.metrics import (fold_trace, merge_conflict_counts,
@@ -31,19 +32,121 @@ from ..workload.generator import WorkloadConfig, WorkloadGenerator
 from ..workload.runner import closed_loop_client
 from ..workload.scenarios import SCENARIOS, make_scenario_generator
 from ..workload.stats import RunStats, StateSampler
-from .client import (BaseClient, BohmClient, MVTILClient, MVTOClient,
-                     TwoPLClient)
+from .bohm import BohmClient, BohmSequencerServer
+from .client import BaseClient, MVTILClient, MVTOClient
 from .commitment import CommitmentRegistry
 from .failure import ChaosConfig, ChaosSchedule, CrashInjector, chaos_report
 from .gc_service import TimestampService
 from .member import (ReplicaClient, ReplicaServer, merge_replication_metrics,
                      replication_report)
-from .server import BohmSequencerServer, MVTLServer, TwoPLServer
+from .server import MVTLServer
+from .twopl import TwoPLClient, TwoPLServer
 
 __all__ = ["ClusterConfig", "ClusterResult", "run_cluster", "PROTOCOLS"]
 
-#: Protocols accepted by :class:`ClusterConfig`.
-PROTOCOLS = ("mvtil-early", "mvtil-late", "mvto", "2pl", "bohm")
+
+@dataclass(frozen=True)
+class ProtocolSpec:
+    """One protocol the cluster runs: §8.1's "same framework, but ... a
+    different client protocol and ... a different server state"."""
+
+    #: ``client(config, *BaseClient positionals, **BaseClient keywords)``.
+    client: Callable[..., BaseClient]
+    #: ``server(config, sim, net, sid, rng, registry=, consensus=, history=)``.
+    server: Callable[..., Any]
+    #: One node orders everything (Bohm's sequencer: its total order *is*
+    #: its concurrency control), whatever the profile's server count.
+    single_node: bool = False
+    #: ``replication > 1`` is possible: mirrored holds carry the
+    #: leader-granted interval locks, which only MVTIL takes.
+    replicable: bool = False
+    #: ``(uses, message)`` pairs, checked in order right after the
+    #: commitment backend is: a config ``uses`` holds for is refused.
+    refuses: tuple[tuple[Callable[[ClusterConfig], bool], str], ...] = ()
+
+
+def _mvtil_client(config: ClusterConfig, *args: Any, late: bool,
+                  **common: Any) -> BaseClient:
+    common.update(delta=config.delta, late=late,
+                  read_timeout=config.read_timeout,
+                  defer_writes=config.batching)
+    if config.replication > 1:
+        # A coordinator over replication groups does more than Alg. 11/12.
+        return ReplicaClient(*args, follower_reads=config.follower_reads,
+                             reliable_fanout=config.reliable_fanout,
+                             **common)
+    return MVTILClient(*args, **common)
+
+
+def _mvtl_server(config: ClusterConfig, sim: Simulator, net: Network,
+                 sid: str, rng: Any, **shared: Any) -> MVTLServer:
+    # A member of a replication group does more than Alg. 13's server.
+    cls = ReplicaServer if config.replication > 1 else MVTLServer
+    durable = (DurableStore(checkpoint_every=config.checkpoint_every)
+               if config.durability == "wal" else None)
+    return cls(sim, net, sid, config.profile, rng,
+               write_lock_timeout=config.write_lock_timeout,
+               queue_capacity=config.queue_capacity, durable=durable,
+               **shared)
+
+
+def _crash_chaos(config: ClusterConfig) -> bool:
+    return config.chaos is not None and config.chaos.any
+
+
+#: Protocols accepted by :class:`ClusterConfig`, by name.
+PROTOCOLS: dict[str, ProtocolSpec] = {
+    "mvtil-early": ProtocolSpec(partial(_mvtil_client, late=False),
+                                _mvtl_server, replicable=True),
+    "mvtil-late": ProtocolSpec(partial(_mvtil_client, late=True),
+                               _mvtl_server, replicable=True),
+    "mvto": ProtocolSpec(
+        lambda config, *args, **common: MVTOClient(
+            *args, batch_commit=config.batching, **common),
+        _mvtl_server),
+    # 2PL has no recovery protocol: its commit is fire-and-forget with no
+    # commitment object or write-lock timeout behind it, so a lost commit
+    # message silently diverges the servers.
+    "2pl": ProtocolSpec(
+        lambda config, *args, **common: TwoPLClient(
+            *args, lock_timeout=config.lock_timeout, **common),
+        lambda config, sim, net, sid, rng, **_: TwoPLServer(
+            sim, net, sid, config.profile, rng,
+            queue_capacity=config.queue_capacity),
+        refuses=(
+            (lambda c: c.faults is not None or _crash_chaos(c),
+             "fault injection requires a recovery protocol; 2pl does not "
+             "have one"),
+            (lambda c: c.durability == "wal",
+             "wal durability requires the MVTL commit machinery; 2pl has "
+             "no commit decisions to log or replay"),
+            (lambda c: c.commitment == "paxos",
+             "2pl has no commitment objects; only the local backend is "
+             "meaningful"))),
+    # The single sequencer is the one authority and its state is volatile:
+    # link faults are fine (dedup + retries absorb duplicates and losses),
+    # but there is no crash recovery.  History is recorded inside its
+    # engine, the one place that knows versions and commit timestamps.
+    "bohm": ProtocolSpec(
+        lambda config, *args, **common: BohmClient(
+            *args, **{**common, "history": None}),
+        lambda config, sim, net, sid, rng, history, **_: BohmSequencerServer(
+            sim, net, sid, config.profile, rng, history=history,
+            queue_capacity=config.queue_capacity),
+        single_node=True,
+        refuses=(
+            (_crash_chaos,
+             "crash chaos requires a recovery protocol; the bohm sequencer "
+             "does not have one"),
+            (lambda c: c.replication > 1 or c.follower_reads,
+             "bohm runs unreplicated (single sequencer)"),
+            (lambda c: c.durability == "wal",
+             "wal durability requires the MVTL commit machinery; bohm has "
+             "no per-key commit decisions to log"),
+            (lambda c: c.commitment == "paxos",
+             "bohm has no commitment objects; only the local backend is "
+             "meaningful"))),
+}
 
 
 @dataclass(frozen=True)
@@ -178,9 +281,10 @@ class ClusterConfig:
     scenario: str | None = None
 
     def __post_init__(self) -> None:
-        if self.protocol not in PROTOCOLS:
+        spec = PROTOCOLS.get(self.protocol)
+        if spec is None:
             raise ValueError(f"unknown protocol {self.protocol!r}; "
-                             f"expected one of {PROTOCOLS}")
+                             f"expected one of {tuple(PROTOCOLS)}")
         if self.queue_capacity is not None and self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1 (or None)")
         if self.tx_budget is not None and self.tx_budget <= 0:
@@ -188,30 +292,9 @@ class ClusterConfig:
         if self.commitment not in ("local", "paxos"):
             raise ValueError(f"unknown commitment backend "
                              f"{self.commitment!r}")
-        if self.protocol == "2pl" and (
-                self.faults is not None
-                or (self.chaos is not None and self.chaos.any)):
-            # 2PL has no recovery protocol: its commit is fire-and-forget
-            # with no commitment object or write-lock timeout behind it, so
-            # a lost commit message silently diverges the servers.
-            raise ValueError("fault injection requires a recovery protocol; "
-                             "2pl does not have one")
-        if self.protocol == "bohm":
-            # The single sequencer is the one authority and its state is
-            # volatile — link faults are fine (dedup + retries absorb
-            # duplicates and losses), but there is no crash recovery.
-            if self.chaos is not None and self.chaos.any:
-                raise ValueError("crash chaos requires a recovery protocol; "
-                                 "the bohm sequencer does not have one")
-            if self.replication > 1 or self.follower_reads:
-                raise ValueError("bohm runs unreplicated (single sequencer)")
-            if self.durability == "wal":
-                raise ValueError("wal durability requires the MVTL commit "
-                                 "machinery; bohm has no per-key commit "
-                                 "decisions to log")
-            if self.commitment != "local":
-                raise ValueError("bohm has no commitment objects; only the "
-                                 "local backend is meaningful")
+        for uses, message in spec.refuses:
+            if uses(self):
+                raise ValueError(message)
         if (self.commitment == "paxos" and self.chaos is not None
                 and self.chaos.server_restarts > 0):
             # Epoch validation is race-free only under the local commitment
@@ -226,10 +309,6 @@ class ClusterConfig:
         if self.durability not in ("memory", "wal"):
             raise ValueError(f"unknown durability mode {self.durability!r}; "
                              f"expected 'memory' or 'wal'")
-        if self.durability == "wal" and self.protocol == "2pl":
-            raise ValueError("wal durability requires the MVTL commit "
-                             "machinery; 2pl has no commit decisions to "
-                             "log or replay")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
         if self.replication < 1:
@@ -242,7 +321,7 @@ class ClusterConfig:
         if self.heartbeat_miss_limit < 1:
             raise ValueError("heartbeat_miss_limit must be >= 1")
         if self.replication > 1:
-            if self.protocol not in ("mvtil-early", "mvtil-late"):
+            if not spec.replicable:
                 raise ValueError("replication > 1 requires an MVTIL "
                                  "protocol (mirrored holds carry the "
                                  "leader-granted interval locks)")
@@ -276,7 +355,7 @@ class ClusterConfig:
             raise ValueError("chaos.follower_restarts requires "
                              "replication > 1 (an unreplicated group has "
                              "no followers to restart)")
-        if self.chaos is not None and self.chaos.any:
+        if _crash_chaos(self):
             # The window run_cluster lays the crashes into, computed the
             # same way, so both agree at the boundary.
             self.chaos.check_window(self.warmup, self.warmup + self.measure)
@@ -385,28 +464,6 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
             gc.enable()
 
 
-def _build_client(config: ClusterConfig, *args: Any,
-                  **common: Any) -> BaseClient:
-    """The protocol's coordinator; ``args`` are the BaseClient positionals."""
-    if config.protocol == "mvto":
-        return MVTOClient(*args, batch_commit=config.batching, **common)
-    if config.protocol == "2pl":
-        return TwoPLClient(*args, lock_timeout=config.lock_timeout, **common)
-    if config.protocol == "bohm":
-        # History is recorded inside the sequencer's engine — the one
-        # place that knows versions and commit timestamps.
-        return BohmClient(*args, **{**common, "history": None})
-    common.update(delta=config.delta, late=config.protocol.endswith("late"),
-                  read_timeout=config.read_timeout,
-                  defer_writes=config.batching)
-    if config.replication > 1:
-        # A coordinator over replication groups does more than Alg. 11/12.
-        return ReplicaClient(*args, follower_reads=config.follower_reads,
-                             reliable_fanout=config.reliable_fanout,
-                             **common)
-    return MVTILClient(*args, **common)
-
-
 def _drain_scenario(config: ClusterConfig, sim: Simulator,
                     servers: list[Any], partition: ReplicatedPlacement,
                     client_procs: dict[str, Any], scenario_gens: list[Any]
@@ -453,22 +510,21 @@ def _run_cluster(config: ClusterConfig) -> ClusterResult:
                   fault_rng=fault_rng)
     if config.faults is not None:
         net.set_default_faults(config.faults)
-    chaos_on = config.chaos is not None and config.chaos.any
+    chaos_on = _crash_chaos(config)
     chaos_rng = rngs.stream() if chaos_on else None
     registry = CommitmentRegistry(sim)
     history = HistoryRecorder() if config.record_history else None
     tracer = Tracer(now_fn=lambda: sim.now) if config.trace else None
 
+    spec = PROTOCOLS[config.protocol]
     num_servers = (config.num_servers if config.num_servers is not None
                    else config.profile.num_servers)
-    if config.protocol == "bohm":
-        # One sequencer node: Bohm's total order *is* its concurrency
-        # control, and a single arrival point defines it.
+    if spec.single_node:
         num_servers = 1
     server_ids = [f"server-{i}" for i in range(num_servers)]
     consensus = None
     acceptors_by_sid: dict[str, Any] = {}
-    if config.commitment == "paxos" and config.protocol != "2pl":
+    if config.commitment == "paxos":
         # One acceptor per storage server node ("all the servers in the
         # system as participants", §H.1).
         from .paxos import PaxosAcceptor, PaxosConsensus
@@ -477,26 +533,9 @@ def _run_cluster(config: ClusterConfig) -> ClusterResult:
             acceptors_by_sid[sid] = PaxosAcceptor(sim, net, aid)
         consensus = PaxosConsensus(sim, net, acceptor_ids,
                                    rng=rngs.stream())
-    # A member of a replication group does more than Alg. 13's server.
-    mvtl_server = ReplicaServer if config.replication > 1 else MVTLServer
-    servers: list[Any] = []
-    for sid in server_ids:
-        if config.protocol == "2pl":
-            servers.append(TwoPLServer(sim, net, sid, config.profile,
-                                       rngs.stream(),
-                                       queue_capacity=config.queue_capacity))
-        elif config.protocol == "bohm":
-            servers.append(BohmSequencerServer(
-                sim, net, sid, config.profile, rngs.stream(),
-                history=history, queue_capacity=config.queue_capacity))
-        else:
-            durable = (DurableStore(checkpoint_every=config.checkpoint_every)
-                       if config.durability == "wal" else None)
-            servers.append(mvtl_server(
-                sim, net, sid, config.profile, rngs.stream(), registry,
-                write_lock_timeout=config.write_lock_timeout,
-                consensus=consensus, history=history,
-                queue_capacity=config.queue_capacity, durable=durable))
+    servers = [spec.server(config, sim, net, sid, rngs.stream(),
+                           registry=registry, consensus=consensus,
+                           history=history) for sid in server_ids]
     if tracer is not None:
         for server in servers:
             server.tracer = tracer
@@ -525,7 +564,7 @@ def _run_cluster(config: ClusterConfig) -> ClusterResult:
         clock = EpsilonSyncClock(lambda: sim.now,
                                  config.profile.clock_skew,
                                  rng=rngs.stream(), fixed=True)
-        client = _build_client(
+        client = spec.client(
             config, sim, net, cid, i + 1, partition, clock, registry,
             history=history, consensus=consensus, tracer=tracer,
             rpc_timeout=config.rpc_timeout, rpc_retries=config.rpc_retries,

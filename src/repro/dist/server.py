@@ -1,4 +1,6 @@
-"""Storage servers (Alg. 13 and the §8.1 prototype's server side).
+"""The MVTL storage server (Alg. 13) on :class:`_ServerBase`, the wiring
+every server shares; the baselines' servers are in :mod:`repro.dist.twopl`
+and :mod:`repro.dist.bohm`.
 
 A server owns a partition of the keys and, per key, the lock and version
 state (§8.1 keeps two skip lists per key — here the interval-compressed
@@ -53,25 +55,21 @@ import numpy as np
 from ..core.intervals import EMPTY_SET, IntervalSet, TsInterval
 from ..core.locks import LockMode, LockTable
 from ..obs.trace import NULL_TRACER
-from ..core.timestamp import BOTTOM, TS_ZERO, Timestamp
+from ..core.timestamp import BOTTOM, Timestamp
 from ..core.versions import VersionStore
 from ..sim.network import Network
 from ..sim.server_queue import ServiceQueue
 from ..sim.simulator import Simulator
 from ..sim.testbed import TestbedProfile
 from ..repl.checkpoint import DurableStore
-from ..baselines.bohm import BohmEngine
 from .commitment import ABORT, CommitmentRegistry
-from .messages import (BohmSubmitReply, BohmSubmitReq,
-                       CommitAck, CommitReq, EpochReply, EpochReq,
+from .messages import (CommitAck, CommitReq, EpochReply, EpochReq,
                        MVTLBatchLockReply, MVTLBatchLockReq,
                        MVTLReadReply, MVTLReadReq, MVTLWriteLockReply,
                        MVTLWriteLockReq, OverloadedReply, PurgeReq,
-                       ReleaseReq, Reply, Request,
-                       TwoPLCommitReq, TwoPLLockReply, TwoPLLockReq,
-                       TwoPLReleaseReq)
+                       ReleaseReq, Reply, Request)
 
-__all__ = ["MVTLServer", "TwoPLServer", "BohmSequencerServer"]
+__all__ = ["MVTLServer"]
 
 #: Dedup-log marker: request arrived and is being executed (or parked) but
 #: has not produced a reply yet.
@@ -101,7 +99,11 @@ class _Resubmit:
 
 
 class _ServerBase:
-    """Shared wiring: service queue, network registration, parking, dedup."""
+    """Shared wiring: service queue, network, dispatch, parking, dedup."""
+
+    #: Message type -> handler method name, bound per instance: one
+    #: exact-type dict lookup per request instead of an isinstance chain.
+    _HANDLERS: dict[type, str] = {}
 
     #: Bound on the request-dedup log.  Entries are only needed while a
     #: client might still retry the request — a few RPC timeouts — so FIFO
@@ -143,9 +145,22 @@ class _ServerBase:
         self.tracer: Any = NULL_TRACER
         self.stats = {"requests": 0, "parked": 0, "dup_requests": 0,
                       "restarts": 0, "shed": 0, "expired": 0}
+        self._dispatch = {cls: getattr(self, name)
+                          for cls, name in self._HANDLERS.items()}
 
-    def _handle(self, msg: Any) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
+    def _handle(self, msg: Any) -> None:
+        self.stats["requests"] += 1
+        handler = self._dispatch.get(msg.__class__)
+        if handler is None:
+            raise TypeError(f"{type(self).__name__} got unknown message "
+                            f"{msg!r}")
+        handler(msg)
+
+    def _handle_epoch_req(self, msg: EpochReq) -> None:
+        self._reply(msg, EpochReply(msg.req_id, epoch=self.epoch))
+
+    def _ignore(self, msg: Any) -> None:
+        """Handler for a message this server has nothing to do for."""
 
     def latest_values(self) -> dict[Hashable, Any]:
         """Latest committed value per key written here (never-written keys
@@ -376,8 +391,6 @@ class MVTLServer(_ServerBase):
         self._state_multiplier = 1.0
         self._state_refresh_at = 0
         self.queue.service_time_fn = self._service_time
-        self._dispatch = {cls: getattr(self, name)
-                          for cls, name in self._HANDLERS.items()}
 
     def restart(self) -> None:
         """Rejoin after a crash: locks and buffered values are volatile and
@@ -455,13 +468,7 @@ class MVTLServer(_ServerBase):
             weight = self.CONTROL_MSG_WEIGHT * max(1, len(msg.entries))
         return self.profile.service_time * self._state_multiplier * weight
 
-    # -- dispatch -----------------------------------------------------------
-
-    #: Message type -> handler method name; bound per instance in
-    #: ``__init__`` so a single exact-type dict lookup replaces an
-    #: isinstance chain on every request.  Subclasses extend it with
-    #: ``{**MVTLServer._HANDLERS, ...}``.
-    _HANDLERS: dict[type, str] = {
+    _HANDLERS = {
         MVTLReadReq: "_handle_read",
         MVTLWriteLockReq: "_handle_write_lock",
         MVTLBatchLockReq: "_handle_batch_lock",
@@ -470,17 +477,6 @@ class MVTLServer(_ServerBase):
         PurgeReq: "_handle_purge",
         EpochReq: "_handle_epoch_req",
     }
-
-    def _handle_epoch_req(self, msg: EpochReq) -> None:
-        self._reply(msg, EpochReply(msg.req_id, epoch=self.epoch))
-
-    def _handle(self, msg: Any) -> None:
-        self.stats["requests"] += 1
-        handler = self._dispatch.get(msg.__class__)
-        if handler is None:
-            raise TypeError(f"{type(self).__name__} got unknown message "
-                            f"{msg!r}")
-        handler(msg)
 
     # -- reads ---------------------------------------------------------------
 
@@ -802,235 +798,3 @@ class MVTLServer(_ServerBase):
 
     def version_count(self) -> int:
         return self.store.version_count()
-
-
-class _TwoPLKey:
-    __slots__ = ("readers", "writer", "waitq", "value", "version_ts")
-
-    def __init__(self) -> None:
-        self.readers: set[Hashable] = set()
-        self.writer: Hashable | None = None
-        self.waitq: list[TwoPLLockReq] = []
-        self.value: Any = None
-        self.version_ts: Timestamp | None = None
-
-
-class TwoPLServer(_ServerBase):
-    """Strict-2PL storage server: one readers-writer lock per key (§8.1).
-
-    Waiters queue FIFO; the client enforces the deadlock-prevention timeout
-    (a timed-out client aborts and sends releases — the server then drops
-    its queued requests and held locks).
-    """
-
-    #: Same control-message discount as the MVTL server (fairness).
-    CONTROL_MSG_WEIGHT = 0.3
-
-    def __init__(self, sim: Simulator, net: Network, server_id: Hashable,
-                 profile: TestbedProfile, rng: np.random.Generator, *,
-                 queue_capacity: int | None = None) -> None:
-        super().__init__(sim, net, server_id, profile, rng,
-                         queue_capacity=queue_capacity)
-        self._keys: dict[Hashable, _TwoPLKey] = {}
-        self._aborted: set[Hashable] = set()
-        self.queue.service_time_fn = self._service_time
-
-    def _service_time(self, msg: Any = None) -> float:
-        weight = (self.CONTROL_MSG_WEIGHT
-                  if isinstance(msg, (TwoPLCommitReq, TwoPLReleaseReq,
-                                      PurgeReq))
-                  else 1.0)
-        return self.profile.service_time * weight
-
-    def _handle(self, msg: Any) -> None:
-        self.stats["requests"] += 1
-        if isinstance(msg, TwoPLLockReq):
-            self._handle_lock(msg)
-        elif isinstance(msg, TwoPLCommitReq):
-            self._handle_commit(msg)
-        elif isinstance(msg, TwoPLReleaseReq):
-            self._handle_tx_release(msg)
-        elif isinstance(msg, PurgeReq):
-            pass  # single-version store: nothing to purge
-        else:
-            raise TypeError(f"TwoPLServer got unknown message {msg!r}")
-
-    def _key(self, key: Hashable) -> _TwoPLKey:
-        entry = self._keys.get(key)
-        if entry is None:
-            entry = self._keys[key] = _TwoPLKey()
-        return entry
-
-    def _handle_lock(self, req: TwoPLLockReq) -> None:
-        if req.tx_id in self._aborted:
-            return  # client gave up; drop silently
-        entry = self._key(req.key)
-        if self._compatible(entry, req):
-            self._grant(entry, req)
-        else:
-            entry.waitq.append(req)
-            if self.tracer.enabled:
-                self._parked_at[id(req)] = self.sim.now
-            self._note_conflict(req.key)
-            self.stats["parked"] += 1
-
-    def _compatible(self, entry: _TwoPLKey, req: TwoPLLockReq) -> bool:
-        if req.write:
-            writer_ok = entry.writer in (None, req.tx_id)
-            readers_ok = not (entry.readers - {req.tx_id})
-            return writer_ok and readers_ok
-        return entry.writer in (None, req.tx_id)
-
-    def _grant(self, entry: _TwoPLKey, req: TwoPLLockReq) -> None:
-        if req.write:
-            entry.readers.discard(req.tx_id)
-            entry.writer = req.tx_id
-        elif entry.writer != req.tx_id:
-            entry.readers.add(req.tx_id)
-        value = entry.value if entry.version_ts is not None else BOTTOM
-        version_ts = entry.version_ts if entry.version_ts is not None else TS_ZERO
-        self._reply(req, TwoPLLockReply(req.req_id, granted=True,
-                                        value=value, version_ts=version_ts))
-
-    def _handle_commit(self, req: TwoPLCommitReq) -> None:
-        for key, value in req.writes.items():
-            entry = self._key(key)
-            entry.value = value
-            entry.version_ts = req.commit_ts
-            self._release_key(entry, req.tx_id)
-        for key in req.release_keys:
-            self._release_key(self._key(key), req.tx_id)
-
-    def _handle_tx_release(self, req: TwoPLReleaseReq) -> None:
-        self._aborted.add(req.tx_id)
-        for key in req.keys:
-            entry = self._keys.get(key)
-            if entry is not None:
-                remaining = []
-                for r in entry.waitq:
-                    if r.tx_id != req.tx_id:
-                        remaining.append(r)
-                    else:
-                        self._end_wait(key, r)
-                entry.waitq = remaining
-                self._release_key(entry, req.tx_id)
-
-    def _release_key(self, entry: _TwoPLKey, tx_id: Hashable) -> None:
-        entry.readers.discard(tx_id)
-        if entry.writer == tx_id:
-            entry.writer = None
-        # Grant waiters in FIFO order while compatible.
-        progressed = True
-        while progressed and entry.waitq:
-            progressed = False
-            head = entry.waitq[0]
-            if head.tx_id in self._aborted:
-                entry.waitq.pop(0)
-                self._end_wait(head.key, head)
-                progressed = True
-                continue
-            if self._compatible(entry, head):
-                entry.waitq.pop(0)
-                self._end_wait(head.key, head)
-                self._grant(entry, head)
-                progressed = True
-
-    # -- metrics ---------------------------------------------------------------
-
-    def lock_record_count(self) -> int:
-        return sum(len(e.readers) + (1 if e.writer else 0)
-                   for e in self._keys.values())
-
-    def version_count(self) -> int:
-        return sum(1 for e in self._keys.values()
-                   if e.version_ts is not None)
-
-    def latest_values(self) -> dict[Hashable, Any]:
-        return {key: e.value for key, e in self._keys.items()
-                if e.version_ts is not None}
-
-
-class BohmSequencerServer(_ServerBase):
-    """The Bohm baseline's single sequencing + execution node.
-
-    Whole pre-declared transactions arrive as
-    :class:`~repro.dist.messages.BohmSubmitReq`; arrival order at this
-    server's service queue *is* the serialization order (the
-    :class:`~repro.baselines.bohm.BohmEngine` stamps each submission with
-    the next total-order timestamp).  Execution is batched: a batch runs
-    when ``batch_size`` submissions have accumulated or when the periodic
-    flush timer finds pending work, and every transaction's reply is sent
-    at its batch's execution — the batching latency Bohm trades for its
-    zero-conflict-abort guarantee.
-
-    The dedup log in :class:`_ServerBase` keeps retried/duplicated submits
-    at-least-once safe: a retry of an already-sequenced transaction never
-    enters the engine twice, it just waits for (or re-receives) the cached
-    reply.  There is no recovery protocol — the sequencer is the one
-    authority and its state is volatile — so the cluster layer refuses
-    crash chaos for this protocol, exactly like 2PL.
-    """
-
-    def __init__(self, sim: Simulator, net: Network, server_id: Hashable,
-                 profile: TestbedProfile, rng: np.random.Generator, *,
-                 history: Any | None = None,
-                 queue_capacity: int | None = None,
-                 batch_size: int = 16,
-                 flush_interval: float = 0.01) -> None:
-        super().__init__(sim, net, server_id, profile, rng,
-                         queue_capacity=queue_capacity)
-        self.engine = BohmEngine(history=history, batch_size=batch_size)
-        self.flush_interval = flush_interval
-        #: BohmTx.id -> the submit request awaiting its batch's reply.
-        self._waiting: dict[int, BohmSubmitReq] = {}
-        sim.schedule(flush_interval, self._flush_tick)
-
-    @property
-    def store(self) -> VersionStore:
-        return self.engine.store
-
-    # -- dispatch ------------------------------------------------------------
-
-    def _handle(self, msg: Any) -> None:
-        if isinstance(msg, BohmSubmitReq):
-            self._handle_submit(msg)
-        elif isinstance(msg, PurgeReq):
-            self.engine.purge_before(msg.bound)
-        elif isinstance(msg, EpochReq):
-            self._reply(msg, EpochReply(msg.req_id, epoch=self.epoch))
-        elif isinstance(msg, ReleaseReq):
-            pass  # lock-free: nothing to release
-        else:
-            raise TypeError(f"BohmSequencerServer got unknown message "
-                            f"{msg!r}")
-
-    def _handle_submit(self, req: BohmSubmitReq) -> None:
-        tx = self.engine.submit(req.spec, pid=0)
-        self._waiting[tx.id] = req
-        if len(self.engine._pending) >= self.engine.batch_size:
-            self._run_batch()
-
-    def _flush_tick(self) -> None:
-        if not self.crashed and self.engine._pending:
-            self._run_batch()
-        self.sim.schedule(self.flush_interval, self._flush_tick)
-
-    def _run_batch(self) -> None:
-        for tx in self.engine.run_batch():
-            req = self._waiting.pop(tx.id, None)
-            if req is None:
-                continue  # submitter unknown (crashed client cleanup)
-            self._reply(req, BohmSubmitReply(
-                req.req_id, committed=tx.committed,
-                commit_ts=tx.ts if tx.committed else None,
-                abort_reason=(str(tx.abort_reason)
-                              if tx.abort_reason is not None else None),
-                epoch=self.epoch))
-
-    # -- metrics ---------------------------------------------------------------
-
-    def lock_record_count(self) -> int:
-        return 0  # Bohm's defining property
-
-    def version_count(self) -> int:
-        return self.engine.version_count()

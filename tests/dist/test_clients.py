@@ -11,10 +11,11 @@ import pytest
 
 from repro.clocks import PerfectClock, SkewedClock
 from repro.core.exceptions import TransactionAborted
-from repro.dist.client import MVTILClient, MVTOClient, TwoPLClient
+from repro.dist.client import MVTILClient, MVTOClient
 from repro.dist.commitment import CommitmentRegistry
 from repro.dist.gc_service import TimestampService
-from repro.dist.server import MVTLServer, TwoPLServer
+from repro.dist.server import MVTLServer
+from repro.dist.twopl import TwoPLClient, TwoPLServer
 from repro.repl.placement import ReplicatedPlacement
 from repro.sim.network import LatencyModel, Network
 from repro.sim.simulator import Simulator, Sleep
