@@ -1,13 +1,9 @@
 """Benchmark harness regenerating the paper's Figures 1-7."""
 
-from .figures import (figure1_concurrency_local, figure2_concurrency_cloud,
-                      figure3_write_fraction, figure4_small_transactions,
-                      figure5_num_servers, figure6_7_state_and_gc, full_mode)
+from .figures import full_mode
 from .reporting import FigurePoint, FigureResult, format_figure, save_figure
 
 __all__ = [
-    "figure1_concurrency_local", "figure2_concurrency_cloud",
-    "figure3_write_fraction", "figure4_small_transactions",
-    "figure5_num_servers", "figure6_7_state_and_gc", "full_mode",
+    "full_mode",
     "FigurePoint", "FigureResult", "format_figure", "save_figure",
 ]

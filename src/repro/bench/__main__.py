@@ -3,24 +3,25 @@
 Usage::
 
     python -m repro.bench fig1            # one figure
-    python -m repro.bench all             # everything
-    python -m repro.bench figures --workers 8   # everything, in parallel
+    python -m repro.bench figures         # every figure and the ablations
+    python -m repro.bench figures --workers 8   # ... over 8 worker procs
     REPRO_FULL=1 python -m repro.bench fig2   # the paper's full sweep
     python -m repro.bench fig1 --seeds 1 2 3 --out results/
-    python -m repro.bench fig4 --workers 4    # one figure, 4 worker procs
     python -m repro.bench engine          # threaded striped-engine bench
-    python -m repro.bench chaos           # a recipe (see --help for all ten)
+    python -m repro.bench chaos           # a recipe (see --help for all)
     python -m repro.bench scenario bank-transfer   # one zoo scenario
     python -m repro.bench arena --seeds 479243620  # a recipe at another seed
 
-Figures print an ASCII table and save the raw points as JSON.  Recipes
-(:mod:`repro.bench.recipes`) and ``engine`` print their report and exit
-non-zero on failure instead of writing files; a recipe takes one seed.
-
-``--workers N`` fans each figure's (config x seed) grid over N crash-
-isolated worker processes via :mod:`repro.exp`; the merged results are
-byte-identical to a serial run (see DESIGN.md §5d), so it is purely a
-wall-clock lever.
+Every name but ``engine`` is a row of :data:`repro.bench.recipes.RECIPES`
+and runs through :func:`~repro.bench.recipes.run_recipe`: it prints a
+byte-deterministic transcript and exits non-zero on a failed check.  A
+figure row (``fig1`` ... ``fig6``, whose runs make Figs. 6 and 7, and
+``ablations``) also saves its points as JSON under ``--out``, averages
+over ``--seeds``, and with ``--trace`` writes the runs' trace and metrics
+sidecars.  ``--workers N`` fans a figure row's cells over N crash-isolated
+worker processes via :mod:`repro.exp`; results merge in grid order, so the
+output is byte-identical to a serial run (DESIGN.md §5d).  Any other row
+takes exactly one seed.
 """
 
 from __future__ import annotations
@@ -30,23 +31,8 @@ import sys
 import threading
 import time
 
-from ..exp.harness import print_progress, run_figures
 from ..workload.scenarios import SCENARIOS
-from .figures import (figure1_concurrency_local, figure2_concurrency_cloud,
-                      figure3_write_fraction, figure4_small_transactions,
-                      figure5_num_servers, figure6_7_state_and_gc)
 from .recipes import RECIPES, run_recipe
-from .reporting import (RunObservations, format_figure, save_figure,
-                        save_observability)
-
-FIGURES = {
-    "fig1": figure1_concurrency_local,
-    "fig2": figure2_concurrency_cloud,
-    "fig3": figure3_write_fraction,
-    "fig4": figure4_small_transactions,
-    "fig5": figure5_num_servers,
-}
-
 
 def run_engine_bench(threads: int = 8, duration: float = 1.0,
                      keys_per_thread: int = 64) -> int:
@@ -127,18 +113,18 @@ def main(argv: list[str] | None = None) -> int:
             f"  {name:<19s} {recipe.doc.splitlines()[0]}"
             for name, recipe in RECIPES.items()))
     parser.add_argument("figure",
-                        choices=sorted(FIGURES) + ["fig6", "fig7", "all",
-                                                   "figures", "engine",
-                                                   *RECIPES],
-                        help="a figure ('figures' = all figures, intended "
-                             "with --workers), 'engine' = threaded "
-                             "striped-engine throughput, or a recipe")
+                        choices=["all", "figures", "engine", *RECIPES],
+                        help="a recipe (fig1 ... fig6 and ablations are "
+                             "the figure rows), 'figures' (or 'all') = "
+                             "every figure row, or 'engine' = threaded "
+                             "striped-engine throughput")
     parser.add_argument("name", nargs="?", default=None,
                         help="scenario name for 'scenario' (omit or 'all' "
                              "= every registered scenario)")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1],
                         help="seeds to average over (paper: 5 repetitions); "
-                             "a recipe takes exactly one")
+                             "a row that is not a figure sweep takes "
+                             "exactly one")
     parser.add_argument("--out", default="benchmarks/results",
                         help="directory for raw JSON output (figures only)")
     parser.add_argument("--workers", type=int, default=0,
@@ -156,61 +142,35 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.name is not None and args.figure != "scenario":
         parser.error("a scenario name is only valid with 'scenario'")
-    if args.figure == "engine" or args.figure in RECIPES:
-        ignored = [f"--{flag}" for flag in ("out", "workers", "trace")
-                   if getattr(args, flag) != parser.get_default(flag)]
-        if ignored:
-            parser.error(f"{', '.join(ignored)} only apply to figures, not "
-                         f"to {args.figure!r}")
+    figure_rows = [name for name, recipe in RECIPES.items()
+                   if recipe.figures is not None]
+    names = (figure_rows if args.figure in ("all", "figures")
+             else [args.figure])
+    ignored = [f"--{flag}" for flag in ("out", "workers", "trace")
+               if getattr(args, flag) != parser.get_default(flag)]
+    if ignored and not set(names) <= set(figure_rows):
+        parser.error(f"{', '.join(ignored)} only apply to figures, not "
+                     f"to {args.figure!r}")
     if args.figure == "engine":
         if args.seeds != parser.get_default("seeds"):
             parser.error("'engine' takes no seed")
         return run_engine_bench()
-    if args.figure in RECIPES:
-        if len(args.seeds) != 1:
-            parser.error(f"{args.figure!r} takes exactly one seed, got "
+    if len(set(args.seeds)) < len(args.seeds):
+        parser.error(f"--seeds repeats a seed: {args.seeds}")
+    for name in names if len(args.seeds) > 1 else ():
+        keys = [cell.key for seed in args.seeds
+                for cell in RECIPES[name].cells(seed)]
+        if len(set(keys)) < len(keys):
+            parser.error(f"{name!r} takes exactly one seed, got "
                          f"{args.seeds}")
-        only = None if args.name in (None, "all") else args.name
-        if only is not None and only not in SCENARIOS:
-            parser.error(f"unknown scenario {only!r}; expected one of "
-                         f"{sorted(SCENARIOS)} or 'all'")
-        return run_recipe(RECIPES[args.figure], args.seeds[0], only=only)
-
-    wanted = (sorted(FIGURES) + ["fig6"]
-              if args.figure in ("all", "figures") else [args.figure])
-
-    def run_fn(fn, obs):
-        """One figure sweep: in-process, or fanned over the worker pool."""
-        if args.workers > 0:
-            return run_figures(fn, tuple(args.seeds), args.workers, obs=obs,
-                               progress=print_progress)[0]
-        kwargs = {"seeds": tuple(args.seeds)}
-        if obs is not None:
-            kwargs["obs"] = obs
-        return fn(**kwargs)
-
-    for name in wanted:
-        start = time.time()
-        obs = RunObservations() if args.trace else None
-        if name in ("fig6", "fig7"):
-            fig6, fig7 = run_fn(figure6_7_state_and_gc, obs)
-            sidecar_anchor = None
-            for result in (fig6, fig7):
-                print(format_figure(result))
-                path = save_figure(result, args.out)
-                sidecar_anchor = sidecar_anchor or path
-                print(f"  -> {path}  [{time.time() - start:.0f}s]\n")
-            path = sidecar_anchor
-        else:
-            result = run_fn(FIGURES[name], obs)
-            print(format_figure(result))
-            path = save_figure(result, args.out)
-            print(f"  -> {path}  [{time.time() - start:.0f}s]\n")
-        if obs is not None and not obs.empty:
-            trace_path, metrics_path = save_observability(obs, path)
-            print(f"  -> {trace_path}")
-            print(f"  -> {metrics_path}\n")
-    return 0
+    only = None if args.name in (None, "all") else args.name
+    if only is not None and only not in SCENARIOS:
+        parser.error(f"unknown scenario {only!r}; expected one of "
+                     f"{sorted(SCENARIOS)} or 'all'")
+    return max(run_recipe(RECIPES[name], args.seeds, only=only,
+                          workers=args.workers, out_dir=args.out,
+                          trace=args.trace)
+               for name in names)
 
 
 if __name__ == "__main__":

@@ -7,18 +7,25 @@ run every simulated-cluster cell again with the same seed and compare
 :func:`fingerprint`\\ s, MVSG-check every recorded history, apply the
 row's own ``check``, print.  A row's transcript is byte-deterministic for
 a given seed; CI runs each row twice and diffs the output.
+
+The paper's figures are rows too (:mod:`repro.bench.figures`): a figure
+row also names the :class:`~repro.bench.reporting.FigureResult`\\ s its
+results make, which :func:`run_recipe` can write as JSON with
+observability sidecars, and its sweep keys end in the seed, so it takes
+several seeds and averages over them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from functools import partial
-from typing import Any, Callable, Iterable, Iterator
+from pathlib import Path
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..dist.cluster import ClusterConfig, ClusterResult
 from ..dist.failure import ChaosConfig
 from ..exp.grid import Cell
-from ..exp.harness import run_cells
+from ..exp.harness import print_progress, run_cells
 from ..policies.registry import registered_policies
 from ..repl import HEARTBEAT_INTERVAL, write_quorum
 from ..sim.network import LinkFaults
@@ -30,6 +37,9 @@ from ..workload.scenarios import (ARENA_FIXED_POLICIES, ARENA_POLICIES,
                                   bohm_chaos_config, check_scenario,
                                   ghost_abort_duel, policy_arena,
                                   scenario_config, serial_skew_duel)
+from . import figures as fig
+from .reporting import (FigureResult, RunObservations, save_figure,
+                        save_observability)
 
 __all__ = ["RECIPES", "Recipe", "fingerprint", "run_recipe"]
 
@@ -47,6 +57,8 @@ class Recipe:
     cells: Callable[[int], list[Cell]]
     report: Callable[[Results], Iterable[str]]
     check: Callable[[Results], Iterable[str]]
+    #: A figure row's figures, made from its results (None: not a figure).
+    figures: Callable[[Results], tuple[FigureResult, ...]] | None = None
 
     @property
     def doc(self) -> str:
@@ -62,24 +74,44 @@ def fingerprint(result: ClusterResult) -> tuple:
                  if f.name not in ("config", "history", "wall_s"))
 
 
-def run_recipe(recipe: Recipe, seed: int, only: str | None = None) -> int:
+def run_recipe(recipe: Recipe, seeds: Sequence[int], only: str | None = None,
+               workers: int = 0, out_dir: str | Path | None = None,
+               trace: bool = False) -> int:
     """Run one recipe, print its transcript, return the exit code.
 
     Simulated-cluster cells (no custom ``run``) run twice with the same
     seed and must agree on every fingerprint field; centralized-engine
     cells (theorem duels, the arena) run once.  ``only`` keeps the cells
-    whose key names it (``scenario <name>``).
+    whose key names it (``scenario <name>``).  The cells of every seed run
+    together, interleaved position by position, so a sweep averaged over
+    seeds runs in the order its points are read.  ``workers`` fans the
+    cells over that many worker processes (0 = in-process); ``trace``
+    traces every cluster run.  A figure row with ``out_dir`` set writes its
+    figures there as JSON, and with ``trace`` the runs' trace and metrics
+    sidecars beside the first.
     """
-    cells = [c for c in recipe.cells(seed) if only is None or only in c.key]
-    print(f"== {recipe.name}: {recipe.title.format(seed=seed)} ==")
-    runs = [run_cells(cells, workers=0),
-            run_cells([c for c in cells if c.run is None], workers=0)]
+    cells = [c for per_position in zip(*(recipe.cells(s) for s in seeds))
+             for c in per_position if only is None or only in c.key]
+    if trace:
+        cells = [c if c.run is not None
+                 else replace(c, config=replace(c.config, trace=True))
+                 for c in cells]
+    print(f"== {recipe.name}: "
+          f"{recipe.title.format(seed=' '.join(map(str, seeds)))} ==")
+    reruns = [c for c in cells if c.run is None]
+    outcomes = run_cells(cells + reruns, workers=workers,
+                         progress=print_progress if workers else None)
+    runs = [outcomes[:len(cells)], outcomes[len(cells):]]
     failures = [f"{out.label}: cell raised\n{out.error}"
                 for run in runs for out in run if not out.ok]
     if not failures:
         results = {out.key: out.result for out in runs[0]}
         for line in recipe.report(results):
             print(line)
+        if recipe.figures is not None and out_dir is not None:
+            for path in _save_figures(recipe.figures(results), results,
+                                      out_dir, trace):
+                print(f"  -> {path}")
         for out in runs[1]:
             if fingerprint(out.result) != fingerprint(results[out.key]):
                 failures.append(f"{out.label}: same-seed runs diverged")
@@ -97,6 +129,19 @@ def run_recipe(recipe: Recipe, seed: int, only: str | None = None) -> int:
         print(f"FAIL: {failure}")
     print(f"{recipe.name}: " + ("FAILED" if failures else "ok"))
     return 1 if failures else 0
+
+
+def _save_figures(figures: tuple[FigureResult, ...], results: Results,
+                  out: str | Path, traced: bool) -> list[Path]:
+    """Write each figure's JSON under ``out`` and, for a traced run, one
+    trace + metrics sidecar pair beside the first; returns the paths."""
+    paths = [save_figure(figure, out) for figure in figures]
+    if traced:
+        obs = RunObservations()
+        for res in results.values():
+            obs.add(res)
+        paths += save_observability(obs, paths[0])
+    return paths
 
 
 # -- smoke ------------------------------------------------------------------
@@ -827,7 +872,31 @@ def arena_check(results: Results) -> Iterator[str]:
 
 # -- The table --------------------------------------------------------------
 
+def _figure_row(name: str, title: str, cells: Callable[[int], list[Cell]],
+                figures: Callable[[Results], tuple[FigureResult, ...]],
+                check: Callable[[Results], Iterable[str]]) -> Recipe:
+    """A row whose report is the ASCII table of each of its figures."""
+    return Recipe(name, title, cells, partial(fig.figure_table, figures),
+                  check, figures)
+
+
 RECIPES: dict[str, Recipe] = {r.name: r for r in (
+    _figure_row("fig1", "concurrency level, local test bed (seed {seed})",
+                fig.fig1_cells, fig.fig1_figures, fig.fig1_check),
+    _figure_row("fig2", "concurrency level, cloud test bed (seed {seed})",
+                fig.fig2_cells, fig.fig2_figures, fig.fig2_check),
+    _figure_row("fig3", "fraction of writes (seed {seed})",
+                fig.fig3_cells, fig.fig3_figures, fig.fig3_check),
+    _figure_row("fig4", "small transactions (seed {seed})",
+                fig.fig4_cells, fig.fig4_figures, fig.fig4_check),
+    _figure_row("fig5", "number of servers, cloud test bed (seed {seed})",
+                fig.fig5_cells, fig.fig5_figures, fig.fig5_check),
+    _figure_row("fig6", "state size and performance over time, GC on and "
+                "off (seed {seed})",
+                fig.fig6_cells, fig.fig6_figures, fig.fig6_check),
+    _figure_row("ablations", "commitment backend, MVTIL knobs, key skew "
+                "(seed {seed})",
+                fig.ablation_cells, fig.ablation_figures, fig.ablation_check),
     Recipe("smoke", "batched vs unbatched commit path (same seed)",
            smoke_cells, smoke_report, smoke_check),
     Recipe("chaos", "seeded fault injection (same seed, two runs)",

@@ -11,9 +11,9 @@ grid order, so a parallel sweep is byte-identical to a serial one:
 * :mod:`repro.exp.harness` — the worker pool: crash-isolated process per
   cell, bounded concurrency, progress reporting, deterministic merge.
 
-A library, not a command: ``python -m repro.bench figures --workers N``
-drives the pool, and :mod:`repro.bench.recipes` runs its cells through
-:func:`run_cells` in-process.
+A library, not a command: :mod:`repro.bench.recipes` runs every row's
+cells through :func:`run_cells` — in-process, or over the pool for a
+figure row under ``python -m repro.bench <figure> --workers N``.
 
 Determinism argument (DESIGN.md §5d): a cell's outcome is a pure function
 of its :class:`~repro.dist.cluster.ClusterConfig` (all randomness flows
@@ -24,10 +24,9 @@ and is kept out of the simulation payload.
 """
 
 from .grid import Cell, derive_seeds, figure_grid  # noqa: F401
-from .harness import (CellOutcome, merged_payload, run_cells,  # noqa: F401
-                      run_figures)
+from .harness import CellOutcome, merged_payload, run_cells  # noqa: F401
 
 __all__ = [
     "Cell", "derive_seeds", "figure_grid",
-    "CellOutcome", "merged_payload", "run_cells", "run_figures",
+    "CellOutcome", "merged_payload", "run_cells",
 ]

@@ -13,13 +13,6 @@ randomness flows from ``cell.config.seed`` through the existing
 :func:`~repro.dist.cluster.run_cluster`, and grids derive per-cell seeds
 deterministically (:func:`repro.exp.grid.derive_seeds`) — so the worker
 count can never change a cell's outcome.
-
-:func:`run_figures` runs the unmodified figure functions of
-:mod:`repro.bench.figures` through the pool with a record/replay pass: the
-figure code is executed once with a recording runner to enumerate the
-(config x seed) grid it would run, the grid goes through the pool, and the
-figure code is executed again with the pooled results replayed in order.
-The sweep logic stays in one place; the harness never re-implements it.
 """
 
 from __future__ import annotations
@@ -33,11 +26,10 @@ from dataclasses import dataclass
 from multiprocessing.connection import wait as conn_wait
 from typing import Any, Callable, Sequence
 
-from ..dist.cluster import ClusterConfig, ClusterResult, run_cluster
+from ..dist.cluster import run_cluster
 from .grid import Cell
 
-__all__ = ["CellOutcome", "run_cells", "run_figures", "merged_payload",
-           "HarnessCellError", "print_progress"]
+__all__ = ["CellOutcome", "run_cells", "merged_payload", "print_progress"]
 
 
 @dataclass
@@ -83,10 +75,6 @@ class CellOutcome:
                 sim_events=res.sim_events,
             )
         return base
-
-
-class HarnessCellError(RuntimeError):
-    """A figure sweep needed a cell whose worker failed."""
 
 
 def merged_payload(outcomes: Sequence[CellOutcome]) -> bytes:
@@ -239,68 +227,3 @@ def print_progress(done: int, total: int, outcome: CellOutcome) -> None:
     print(f"[repro.exp] {done}/{total} {outcome.label}: {status} "
           f"({outcome.wall_s:.1f}s)", file=sys.stderr, flush=True)
 
-
-# ---------------------------------------------------------------------------
-# Figure sweeps through the pool (record / replay)
-# ---------------------------------------------------------------------------
-
-def _placeholder(config: ClusterConfig) -> ClusterResult:
-    """Inert result handed to figure code during the recording pass."""
-    return ClusterResult(
-        config=config, throughput=0.0, commit_rate=0.0, committed=0,
-        aborted=0, history=None, state_samples=[], completions=[],
-        messages_sent=0, server_stats=[])
-
-
-def run_figures(figure_fn: Callable[..., Any], seeds: Sequence[int],
-                workers: int,
-                obs: Any = None,
-                progress: Callable[[int, int, CellOutcome], None] | None
-                = None,
-                ) -> tuple[Any, list[CellOutcome]]:
-    """Run one figure function's whole sweep through the worker pool.
-
-    Returns ``(figure_result, outcomes)`` where ``figure_result`` is
-    exactly what ``figure_fn(seeds, obs=obs)`` returns when run serially —
-    the record/replay passes feed it the same results in the same order —
-    and ``outcomes`` carries per-cell timings.
-
-    Raises :class:`HarnessCellError` if a cell the figure needs failed;
-    the error message carries the worker's traceback.
-    """
-    from ..bench.figures import use_runner
-    from ..bench.reporting import RunObservations
-
-    recorded: list[ClusterConfig] = []
-
-    def record(config: ClusterConfig) -> ClusterResult:
-        recorded.append(config)
-        return _placeholder(config)
-
-    # Pass 1: enumerate the grid.  A throwaway RunObservations mirrors the
-    # real one so the figure requests the same (traced) configs.
-    with use_runner(record):
-        figure_fn(seeds, obs=RunObservations() if obs is not None else None)
-
-    cells = [Cell(key=("figure", i), config=cfg)
-             for i, cfg in enumerate(recorded)]
-    outcomes = run_cells(cells, workers=workers, progress=progress)
-
-    # Pass 2: replay pooled results into the figure code, in request order.
-    replay_idx = iter(range(len(recorded)))
-
-    def replay(config: ClusterConfig) -> ClusterResult:
-        i = next(replay_idx)
-        if recorded[i] != config:
-            raise HarnessCellError(
-                f"record/replay mismatch at cell {i}: figure function is "
-                f"not deterministic in its config sequence")
-        out = outcomes[i]
-        if out.result is None:
-            raise HarnessCellError(
-                f"cell {out.key} failed in a worker:\n{out.error}")
-        return out.result
-
-    with use_runner(replay):
-        figure_result = figure_fn(seeds, obs=obs)
-    return figure_result, outcomes

@@ -51,7 +51,7 @@ def stub_recipe(monkeypatch, runs, check=lambda results: []) -> Recipe:
 class TestDriver:
     def test_clean_recipe_prints_ok_and_exits_zero(self, monkeypatch, capsys):
         recipe = stub_recipe(monkeypatch, [result(), result()])
-        assert run_recipe(recipe, seed=3) == 0
+        assert run_recipe(recipe, seeds=[3]) == 0
         assert capsys.readouterr().out == (
             "== stub: canned runs (seed 3) ==\ncommitted=5\nstub: ok\n")
 
@@ -66,14 +66,14 @@ class TestDriver:
     def test_each_failure_kind_fails_the_run(self, monkeypatch, capsys, runs,
                                              check, expected):
         recipe = stub_recipe(monkeypatch, runs, check)
-        assert run_recipe(recipe, seed=3) == 1
+        assert run_recipe(recipe, seeds=[3]) == 1
         out = capsys.readouterr().out
         assert expected in out
         assert out.endswith("stub: FAILED\n")
 
     def test_raising_cell_fails_the_run(self, monkeypatch, capsys):
         recipe = stub_recipe(monkeypatch, [])  # next() raises StopIteration
-        assert run_recipe(recipe, seed=3) == 1
+        assert run_recipe(recipe, seeds=[3]) == 1
         assert "FAIL: cell: cell raised" in capsys.readouterr().out
 
 

@@ -4,15 +4,13 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import replace
 
 import pytest
 
 import repro.exp.harness as harness_mod
 from repro.dist.cluster import ClusterConfig
 from repro.exp.grid import Cell, derive_seeds, figure_grid
-from repro.exp.harness import (CellOutcome, HarnessCellError, merged_payload,
-                               run_cells, run_figures)
+from repro.exp.harness import CellOutcome, merged_payload, run_cells
 from repro.sim.testbed import LOCAL_TESTBED
 from repro.workload.generator import WorkloadConfig
 
@@ -144,40 +142,6 @@ class TestGrid:
         assert cells[-1].key == ("mvto", 20, 2)
         assert len({c.key for c in cells}) == 8
         assert cells[0].config.measure == 0.5
-
-
-class TestRunFigures:
-    def test_matches_serial_figure_run(self):
-        """Record/replay through the pool returns exactly the serial result."""
-        from repro.bench.figures import sweep_protocols
-
-        base = tiny_config()
-
-        def tiny_figure(seeds, obs=None):
-            return sweep_protocols(
-                base, xs=[4], protocols=("2pl", "mvtil-early"), seeds=seeds,
-                apply_x=lambda cfg, x: replace(cfg, num_clients=int(x)),
-                obs=obs)
-
-        serial = tiny_figure((1, 2))
-        pooled, outcomes = run_figures(tiny_figure, (1, 2), workers=2)
-        assert pooled == serial
-        assert len(outcomes) == 4  # 2 protocols x 1 x-value x 2 seeds
-        assert all(out.ok for out in outcomes)
-
-    def test_failed_cell_raises_harness_error(self, monkeypatch):
-        def raising_run_cluster(config):
-            raise RuntimeError("figure cell boom")
-
-        monkeypatch.setattr("repro.exp.harness.run_cluster",
-                            raising_run_cluster)
-
-        def tiny_figure(seeds, obs=None):
-            from repro.bench.figures import _execute
-            return [_execute(tiny_config(seed=s)) for s in seeds]
-
-        with pytest.raises(HarnessCellError, match="failed in a worker"):
-            run_figures(tiny_figure, (1,), workers=1)
 
 
 class TestCellOutcome:

@@ -67,7 +67,7 @@ def _skewed_clock_factory(source):
     return for_pid
 
 
-def test_thm4_serial_aborts(benchmark):
+def test_thm4_serial_aborts():
     """epsilon-clock has no serial aborts under skew; MVTO+ has many."""
 
     def run():
@@ -80,14 +80,14 @@ def test_thm4_serial_aborts(benchmark):
                                clock_for_pid=_skewed_clock_factory(src2)))
         return mvto_aborts, eps_aborts
 
-    mvto_aborts, eps_aborts = benchmark.pedantic(run, rounds=1, iterations=1)
+    mvto_aborts, eps_aborts = run()
     print(f"\nserial aborts under skew: MVTO+={mvto_aborts} "
           f"eps-clock={eps_aborts}")
     assert mvto_aborts > 0
     assert eps_aborts == 0
 
 
-def test_thm2_pref_commits_more(benchmark):
+def test_thm2_pref_commits_more():
     """MVTL-Pref (alternatives below) aborts less than MVTO+ under skew."""
 
     def run():
@@ -103,12 +103,12 @@ def test_thm2_pref_commits_more(benchmark):
             seed=5)
         return mvto_aborts, pref_aborts
 
-    mvto_aborts, pref_aborts = benchmark.pedantic(run, rounds=1, iterations=1)
+    mvto_aborts, pref_aborts = run()
     print(f"\naborts under skew: MVTO+={mvto_aborts} Pref={pref_aborts}")
     assert pref_aborts < mvto_aborts
 
 
-def test_thm3_priority_never_aborted_by_normals(benchmark):
+def test_thm3_priority_never_aborted_by_normals():
     """Critical transactions always commit against normal traffic."""
 
     def run():
@@ -133,11 +133,11 @@ def test_thm3_priority_never_aborted_by_normals(benchmark):
                     critical_aborts += 1
         return critical_aborts
 
-    critical_aborts = benchmark.pedantic(run, rounds=1, iterations=1)
+    critical_aborts = run()
     assert critical_aborts == 0
 
 
-def test_thm7_ghost_aborts(benchmark):
+def test_thm7_ghost_aborts():
     """Ghostbuster eliminates the ghost-abort schedule that kills MVTL-TO."""
 
     def ghost_schedule(policy):
@@ -159,7 +159,6 @@ def test_thm7_ghost_aborts(benchmark):
         return (ghost_schedule(MVTLTimestampOrdering()),
                 ghost_schedule(MVTLGhostbuster()))
 
-    to_committed, gb_committed = benchmark.pedantic(run, rounds=1,
-                                                    iterations=1)
+    to_committed, gb_committed = run()
     assert not to_committed   # MVTL-TO suffers the ghost abort
     assert gb_committed       # Ghostbuster does not
