@@ -157,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
         return run_engine_bench()
     if len(set(args.seeds)) < len(args.seeds):
         parser.error(f"--seeds repeats a seed: {args.seeds}")
-    for name in names if len(args.seeds) > 1 else ():
+    for name in names:
         keys = [cell.key for seed in args.seeds
                 for cell in RECIPES[name].cells(seed)]
         if len(set(keys)) < len(keys):

@@ -103,11 +103,15 @@ def _claim(claim: str, lhs: float, op: str, rhs: float) -> Iterator[str]:
 # Figures 1, 2 and 4: effect of concurrency level
 # ---------------------------------------------------------------------------
 
-def _client_sweep(base: ClusterConfig, clients: list[int],
-                  seed: int) -> list[Cell]:
-    return [Cell((n, proto, seed),
-                 replace(base, protocol=proto, num_clients=n, seed=seed))
-            for n in clients for proto in ALL_PROTOCOLS]
+def _client_sweep(base: ClusterConfig, clients: list[int], seed: int,
+                  series: tuple[str, ...] = ALL_PROTOCOLS) -> list[Cell]:
+    """Each series at each client count.  A series is a protocol name, or
+    ``<protocol>+batched`` for it on the batched commit path."""
+    return [Cell((n, label, seed),
+                 replace(base, protocol=label.removesuffix("+batched"),
+                         batching=label.endswith("+batched"),
+                         num_clients=n, seed=seed))
+            for n in clients for label in series]
 
 
 def fig1_cells(seed: int) -> list[Cell]:
@@ -117,15 +121,21 @@ def fig1_cells(seed: int) -> list[Cell]:
     keys, 3 servers.  Claims at the top of the sweep: (a) MVTIL-early
     out-throughputs MVTO+ and 2PL; (b) its commit rate beats MVTO+'s and
     stays above 0.7 ("it can commit at many serialization points").
+
+    Every figure runs the paper's wire protocol (``batching=False``): the
+    batched commit path defers MVTIL's write locks to one round at commit
+    instead of taking them as it writes (Alg. 11/12).  The unchecked
+    ``mvtil-early+batched`` series shows what that costs under contention.
     """
     full = full_mode()
     base = ClusterConfig(
         profile=LOCAL_TESTBED,
         workload=WorkloadConfig(num_keys=10_000, tx_size=20,
                                 write_fraction=0.25),
-        warmup=0.5, measure=3.0 if full else 1.5)
+        warmup=0.5, measure=3.0 if full else 1.5, batching=False)
     return _client_sweep(
-        base, [30, 90, 150, 300, 450, 600] if full else [30, 150, 600], seed)
+        base, [30, 90, 150, 300, 450, 600] if full else [30, 150, 600], seed,
+        ALL_PROTOCOLS + ("mvtil-early+batched",))
 
 
 def fig1_figures(results: Results) -> tuple[FigureResult]:
@@ -170,7 +180,7 @@ def fig2_cells(seed: int) -> list[Cell]:
         profile=CLOUD_TESTBED,
         workload=WorkloadConfig(num_keys=50_000, tx_size=20,
                                 write_fraction=0.25),
-        warmup=0.5, measure=3.0 if full else 1.5)
+        warmup=0.5, measure=3.0 if full else 1.5, batching=False)
     return _client_sweep(
         base, [25, 100, 200, 300, 400] if full else [25, 150, 400], seed)
 
@@ -205,14 +215,15 @@ def fig4_cells(seed: int) -> list[Cell]:
     about 5 % *faster* than MVTIL — the only setting in the evaluation
     where MVTIL loses; as concurrency grows MVTIL overtakes the
     alternatives again.  Claims: 2PL at least 0.9x MVTIL-early at the low
-    end; MVTIL-early above 2PL and MVTO+ at the high end.
+    end; MVTIL-early above 2PL and MVTO+ at the high end.  The high end
+    against 2PL misses here; EXPERIMENTS.md (Fig. 4) records by how much.
     """
     full = full_mode()
     base = ClusterConfig(
         profile=LOCAL_TESTBED,
         workload=WorkloadConfig(num_keys=10_000, tx_size=8,
                                 write_fraction=0.5),
-        warmup=0.5, measure=3.0 if full else 1.5)
+        warmup=0.5, measure=3.0 if full else 1.5, batching=False)
     return _client_sweep(
         base, [15, 60, 150, 300, 450, 600] if full else [15, 150, 600], seed)
 
@@ -260,7 +271,7 @@ def fig3_cells(seed: int) -> list[Cell]:
     base = ClusterConfig(
         profile=LOCAL_TESTBED, num_clients=90,
         workload=WorkloadConfig(num_keys=10_000, tx_size=20),
-        warmup=0.5, measure=3.0 if full else 1.5)
+        warmup=0.5, measure=3.0 if full else 1.5, batching=False)
     return [Cell((wf, proto, seed),
                  replace(base, protocol=proto, seed=seed,
                          workload=replace(base.workload, write_fraction=wf)))
@@ -320,7 +331,8 @@ def fig5_cells(seed: int) -> list[Cell]:
             profile=CLOUD_TESTBED, num_clients=400,
             workload=WorkloadConfig(num_keys=100_000, tx_size=20,
                                     write_fraction=wf),
-            warmup=0.5, measure=2.5 if full else 1.5, seed=seed)
+            warmup=0.5, measure=2.5 if full else 1.5, seed=seed,
+            batching=False)
         cells += [Cell((n, f"{proto}@w{int(wf * 100)}", seed),
                        replace(base, protocol=proto, num_servers=n))
                   for n in servers for proto in ALL_PROTOCOLS]
@@ -389,7 +401,8 @@ def fig6_cells(seed: int) -> list[Cell]:
         workload=WorkloadConfig(num_keys=1_500, tx_size=20,
                                 write_fraction=0.5),
         warmup=0.0, measure=60.0 if full else 30.0, gc_period=6.0,
-        state_sample_period=2.0, record_completions=True, seed=seed)
+        state_sample_period=2.0, record_completions=True, seed=seed,
+        batching=False)
     return [Cell((label,), replace(base, protocol=proto, gc_enabled=gc))
             for label, proto, gc in _FIG6_VARIANTS]
 
@@ -437,9 +450,7 @@ def fig6_check(results: Results) -> Iterator[str]:
     fig6, fig7 = fig6_figures(results)
 
     def series(label, metric):
-        pts = sorted((p for p in fig6.points if p.protocol == label),
-                     key=lambda p: p.x)
-        return [p.extra[metric] for p in pts]
+        return [p.extra[metric] for p in fig6.series(label)]
 
     # Fig. 6 (a) growth without GC: final state >> early state.
     for label in ("mvto+", "mvtil-early"):
@@ -463,13 +474,8 @@ def fig6_check(results: Results) -> Iterator[str]:
     yield from _claim("fig6: mvtil-gc peak locks below half mvtil-early's",
                       max(l_gc), "<", 0.5 * max(locks_nogc))
 
-    def thr_series(label):
-        pts = sorted((p for p in fig7.points if p.protocol == label),
-                     key=lambda p: p.x)
-        return [p.throughput for p in pts]
-
-    nogc = thr_series("mvtil-early")
-    gc = thr_series("mvtil-gc")
+    nogc = [p.throughput for p in fig7.series("mvtil-early")]
+    gc = [p.throughput for p in fig7.series("mvtil-gc")]
     # Fig. 7 (a) degradation without GC: last window clearly below the first.
     yield from _claim("fig7: mvtil-early last window below 0.8x its first",
                       nogc[-1], "<", 0.8 * nogc[0])
@@ -509,7 +515,8 @@ def ablation_cells(seed: int) -> list[Cell]:
 
     Each family runs at its own fixed offset from the seed.
     """
-    local = dict(profile=LOCAL_TESTBED, warmup=0.5, measure=1.5)
+    local = dict(profile=LOCAL_TESTBED, warmup=0.5, measure=1.5,
+                 batching=False)
     commitment = ClusterConfig(
         protocol="mvtil-early", num_clients=40, seed=20 + seed,
         workload=WorkloadConfig(num_keys=3_000, tx_size=10,
@@ -540,37 +547,33 @@ def ablation_cells(seed: int) -> list[Cell]:
 
 
 def ablation_figures(results: Results) -> tuple[FigureResult, ...]:
-    def points(family: str, point) -> list[FigurePoint]:
-        return [point(key[1:], res) for key, res in results.items()
-                if key[0] == family]
+    def family(name: str) -> list[tuple[tuple, Any]]:
+        return [(key[1:], res) for key, res in results.items()
+                if key[0] == name]
 
-    def plain(x, proto, res) -> FigurePoint:
+    def point(x, proto: str, res, **extra) -> FigurePoint:
         return FigurePoint(x=x, protocol=proto, throughput=res.throughput,
-                           commit_rate=res.commit_rate)
-
-    def commitment(key, res) -> FigurePoint:
-        per_commit = res.messages_sent / max(1, res.committed)
-        return FigurePoint(
-            x=0, protocol=key[0], throughput=res.throughput,
-            commit_rate=res.commit_rate,
-            extra={"messages_per_commit": round(per_commit, 1)})
+                           commit_rate=res.commit_rate, extra=extra)
 
     return (
         FigureResult("ablation-commitment",
                      "Commitment backend: local vs Paxos", "-",
-                     points("commitment", commitment)),
+                     [point(0, backend, res, messages_per_commit=round(
+                         res.messages_sent / max(1, res.committed), 1))
+                      for (backend,), res in family("commitment")]),
         FigureResult("ablation-early-late", "MVTIL-early vs MVTIL-late", "-",
-                     points("early-late",
-                            lambda key, res: plain(0, key[0], res))),
+                     [point(0, proto, res)
+                      for (proto,), res in family("early-late")]),
         FigureResult("ablation-delta", "MVTIL interval width", "delta (s)",
-                     points("delta", lambda key, res: plain(
-                         key[0], "mvtil-early", res))),
+                     [point(delta, "mvtil-early", res)
+                      for (delta,), res in family("delta")]),
         FigureResult("ablation-restarts", "Restart budget (§8.1)",
                      "max restarts",
-                     points("restarts", lambda key, res: plain(
-                         key[0], "mvtil-early", res))),
+                     [point(restarts, "mvtil-early", res)
+                      for (restarts,), res in family("restarts")]),
         FigureResult("ablation-skew", "Zipf key-popularity skew", "zipf s",
-                     points("skew", lambda key, res: plain(*key, res))),
+                     [point(s, proto, res)
+                      for (s, proto), res in family("skew")]),
     )
 
 

@@ -132,10 +132,10 @@ def run_recipe(recipe: Recipe, seeds: Sequence[int], only: str | None = None,
 
 
 def _save_figures(figures: tuple[FigureResult, ...], results: Results,
-                  out: str | Path, traced: bool) -> list[Path]:
-    """Write each figure's JSON under ``out`` and, for a traced run, one
-    trace + metrics sidecar pair beside the first; returns the paths."""
-    paths = [save_figure(figure, out) for figure in figures]
+                  out_dir: str | Path, traced: bool) -> list[Path]:
+    """Write each figure's JSON under ``out_dir`` and, for a traced run,
+    one trace + metrics sidecar pair beside the first; returns the paths."""
+    paths = [save_figure(figure, out_dir) for figure in figures]
     if traced:
         obs = RunObservations()
         for res in results.values():

@@ -1,9 +1,9 @@
 """Rendering and persisting figure results.
 
-Each figure function in :mod:`repro.bench.figures` returns a
-:class:`FigureResult`; this module renders it as the ASCII analogue of the
-paper's plot (one row per x value, one column pair per protocol) and can
-persist the raw numbers as JSON for EXPERIMENTS.md bookkeeping.
+Each figure row of :mod:`repro.bench.figures` makes
+:class:`FigureResult`\\ s; this module renders one as the ASCII analogue of
+the paper's plot (one row per x value, one column pair per protocol) and
+can persist the raw numbers as JSON for EXPERIMENTS.md bookkeeping.
 """
 
 from __future__ import annotations
@@ -117,9 +117,9 @@ def save_figure(result: FigureResult, directory: str | Path) -> Path:
 
 
 class RunObservations:
-    """Traces and metrics collected across one figure's cluster runs.
+    """Traces and metrics collected across one figure row's cluster runs.
 
-    Figure functions append each traced :class:`~repro.dist.cluster.
+    The recipe driver appends each traced :class:`~repro.dist.cluster.
     ClusterResult`; :func:`save_observability` then writes one combined
     JSONL trace and one metrics sidecar next to the figure's results JSON.
     """
