@@ -27,7 +27,7 @@ from __future__ import annotations
 import operator
 import os
 from dataclasses import replace
-from typing import Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 import numpy as np
 
@@ -36,6 +36,9 @@ from ..exp.grid import Cell
 from ..sim.testbed import CLOUD_TESTBED, LOCAL_TESTBED
 from ..workload.generator import WorkloadConfig
 from .reporting import FigurePoint, FigureResult, format_figure
+
+if TYPE_CHECKING:
+    from .recipes import Results
 
 __all__ = [
     "full_mode", "figure_table",
@@ -47,9 +50,6 @@ __all__ = [
     "fig6_cells", "fig6_figures", "fig6_check",
     "ablation_cells", "ablation_figures", "ablation_check",
 ]
-
-#: Results of a row's cells, keyed by cell key in cell order.
-Results = dict[tuple, Any]
 
 #: Protocol sets as plotted in the paper.
 ALL_PROTOCOLS = ("mvto", "2pl", "mvtil-early", "mvtil-late")
@@ -97,6 +97,14 @@ def _claim(claim: str, lhs: float, op: str, rhs: float) -> Iterator[str]:
     does not hold, the failure string names the claim and both numbers."""
     if not _OPS[op](lhs, rhs):
         yield f"{claim}: {lhs:g} {op} {rhs:g} does not hold"
+
+
+def _mvtil_leads(fig: FigureResult, x: float, where: str) -> Iterator[str]:
+    """MVTIL-early out-throughputs MVTO+ and 2PL at ``x``."""
+    mvtil = fig.at(x, "mvtil-early")
+    for proto in ("mvto", "2pl"):
+        yield from _claim(f"{where}, mvtil-early throughput above {proto}'s",
+                          mvtil.throughput, ">", fig.at(x, proto).throughput)
 
 
 # ---------------------------------------------------------------------------
@@ -149,17 +157,12 @@ def fig1_check(results: Results) -> Iterator[str]:
     [fig] = fig1_figures(results)
     hi = fig.xs()[-1]
     mvtil = fig.at(hi, "mvtil-early")
-    mvto = fig.at(hi, "mvto")
-    twopl = fig.at(hi, "2pl")
     where = f"at {hi:g} clients"
     # (a) MVTIL wins at high concurrency.
-    yield from _claim(f"{where}, mvtil-early throughput above mvto's",
-                      mvtil.throughput, ">", mvto.throughput)
-    yield from _claim(f"{where}, mvtil-early throughput above 2pl's",
-                      mvtil.throughput, ">", twopl.throughput)
+    yield from _mvtil_leads(fig, hi, where)
     # (b) commit-rate separation at high concurrency.
     yield from _claim(f"{where}, mvtil-early commit rate above mvto's",
-                      mvtil.commit_rate, ">", mvto.commit_rate)
+                      mvtil.commit_rate, ">", fig.at(hi, "mvto").commit_rate)
     # MVTIL's commit rate stays reasonably high even at the top of the sweep.
     yield from _claim(f"{where}, mvtil-early commit rate above 0.7",
                       mvtil.commit_rate, ">", 0.7)
@@ -195,16 +198,11 @@ def fig2_figures(results: Results) -> tuple[FigureResult]:
 def fig2_check(results: Results) -> Iterator[str]:
     [fig] = fig2_figures(results)
     hi = fig.xs()[-1]
-    mvtil = fig.at(hi, "mvtil-early")
-    mvto = fig.at(hi, "mvto")
-    twopl = fig.at(hi, "2pl")
     where = f"at {hi:g} clients"
-    yield from _claim(f"{where}, mvtil-early throughput above mvto's",
-                      mvtil.throughput, ">", mvto.throughput)
-    yield from _claim(f"{where}, mvtil-early throughput above 2pl's",
-                      mvtil.throughput, ">", twopl.throughput)
+    yield from _mvtil_leads(fig, hi, where)
     yield from _claim(f"{where}, mvtil-early throughput above 1.05x 2pl's",
-                      mvtil.throughput, ">", 1.05 * twopl.throughput)
+                      fig.at(hi, "mvtil-early").throughput, ">",
+                      1.05 * fig.at(hi, "2pl").throughput)
 
 
 def fig4_cells(seed: int) -> list[Cell]:
@@ -245,13 +243,7 @@ def fig4_check(results: Results) -> Iterator[str]:
                       fig.at(lo, "2pl").throughput, ">",
                       0.9 * fig.at(lo, "mvtil-early").throughput)
     # High concurrency: MVTIL ahead again.
-    mvtil = fig.at(hi, "mvtil-early")
-    yield from _claim(f"at {hi:g} clients, mvtil-early throughput above "
-                      f"2pl's", mvtil.throughput, ">",
-                      fig.at(hi, "2pl").throughput)
-    yield from _claim(f"at {hi:g} clients, mvtil-early throughput above "
-                      f"mvto's", mvtil.throughput, ">",
-                      fig.at(hi, "mvto").throughput)
+    yield from _mvtil_leads(fig, hi, f"at {hi:g} clients")
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +294,7 @@ def fig3_check(results: Results) -> Iterator[str]:
                       "100%", fig.at(0.5, "mvto").commit_rate, "<",
                       fig.at(1.0, "mvto").commit_rate)
     # (c) MVTIL wins at the balanced mix.
-    mid_mvtil = fig.at(0.5, "mvtil-early")
-    for proto in ("mvto", "2pl"):
-        yield from _claim(f"at 50% writes, mvtil-early throughput above "
-                          f"{proto}'s", mid_mvtil.throughput, ">",
-                          fig.at(0.5, proto).throughput)
+    yield from _mvtil_leads(fig, 0.5, "at 50% writes")
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,7 @@ _SMOKE_PROTOCOLS = ("mvtil-early", "mvtil-late", "mvto")
 
 
 def smoke_cells(seed: int) -> list[Cell]:
-    """CI check: batching must change the wire cost, not the outcomes.
+    """CI check: at low contention batching changes the wire cost only.
 
     Runs each MVTL-family protocol with the same seed — commit-path
     batching on and off — on a low-contention workload where every attempt
