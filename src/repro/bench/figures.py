@@ -360,10 +360,10 @@ def fig5_check(results: Results) -> Iterator[str]:
 # Figures 6 + 7: state size and performance over time, GC on and off
 # ---------------------------------------------------------------------------
 
-#: (series label, protocol, purge service on).
-_FIG6_VARIANTS = (("mvto+", "mvto", False),
-                  ("mvtil-early", "mvtil-early", False),
-                  ("mvtil-gc", "mvtil-early", True))
+#: (series label, protocol, purge period; None = no purge service).
+_FIG6_VARIANTS = (("mvto+", "mvto", None),
+                  ("mvtil-early", "mvtil-early", None),
+                  ("mvtil-gc", "mvtil-early", 6.0))
 _FIG7_WINDOW = 5.0
 
 
@@ -388,11 +388,11 @@ def fig6_cells(seed: int) -> list[Cell]:
         num_clients=20 if full else 12,
         workload=WorkloadConfig(num_keys=1_500, tx_size=20,
                                 write_fraction=0.5),
-        warmup=0.0, measure=60.0 if full else 30.0, gc_period=6.0,
+        warmup=0.0, measure=60.0 if full else 30.0,
         state_sample_period=2.0, record_completions=True, seed=seed,
         batching=False)
-    return [Cell((label,), replace(base, protocol=proto, gc_enabled=gc))
-            for label, proto, gc in _FIG6_VARIANTS]
+    return [Cell((label,), replace(base, protocol=proto, gc_period=period))
+            for label, proto, period in _FIG6_VARIANTS]
 
 
 def _windowed(res, window: float):

@@ -29,11 +29,12 @@ from ..exp.harness import print_progress, run_cells
 from ..policies.registry import registered_policies
 from ..repl import HEARTBEAT_INTERVAL, write_quorum
 from ..sim.network import LinkFaults
-from ..sim.testbed import CLOUD_TESTBED, LOCAL_TESTBED
+from ..sim.testbed import LOCAL_TESTBED
 from ..verify import check_serializable
 from ..workload.generator import WorkloadConfig
 from ..workload.scenarios import (ARENA_FIXED_POLICIES, ARENA_POLICIES,
-                                  BOHM_CHAOS_SCENARIOS, SCENARIOS,
+                                  BOHM_CHAOS_SCENARIOS, OVERLOAD_CONTROLS,
+                                  OVERLOAD_TESTBED, SCENARIOS,
                                   bohm_chaos_config, check_scenario,
                                   ghost_abort_duel, policy_arena,
                                   scenario_config, serial_skew_duel)
@@ -572,20 +573,16 @@ def overload_cells(seed: int) -> list[Cell]:
     * determinism — the whole ramp, repeated with the same seed,
       reproduces identical commit/abort/shed/expired counters.
     """
-    # Scarce capacity on purpose: 4 single-slot servers at 1 ms/request
-    # saturate near 650 txs/s for 6-op transactions — a handful of
-    # closed-loop clients already fills that, so the ramp's tail is deep
-    # overload, not mild pressure.
+    # The overload testbed saturates near 650 txs/s for 6-op transactions
+    # — a handful of closed-loop clients already fills that, so the
+    # ramp's tail is deep overload, not mild pressure.
     base = ClusterConfig(
-        profile=replace(CLOUD_TESTBED, num_servers=4, service_time=1e-3),
         workload=WorkloadConfig(num_keys=50_000, tx_size=6,
                                 write_fraction=0.25,
                                 critical_fraction=0.2),
         seed=seed, warmup=0.5, measure=2.0, protocol="mvtil-early",
-        read_timeout=0.04, rpc_timeout=0.08, rpc_retries=1)
-    controlled = replace(base, queue_capacity=16, tx_budget=0.15,
-                         admission_control=True, breaker_threshold=8,
-                         breaker_cooldown=0.1)
+        **OVERLOAD_TESTBED)
+    controlled = replace(base, **OVERLOAD_CONTROLS)
     return [Cell((mode, n), replace(cfg, num_clients=n))
             for mode, cfg in (("controlled", controlled),
                               ("unbounded", base))

@@ -21,6 +21,9 @@ from .server import _ServerBase
 
 __all__ = ["BohmClient", "BohmSequencerServer"]
 
+#: Seconds between the sequencer's flushes of a partial batch.
+FLUSH_INTERVAL = 0.01
+
 
 class BohmClient(BaseClient):
     """Coordinator for the Bohm baseline: one submit RPC per transaction.
@@ -73,10 +76,10 @@ class BohmSequencerServer(_ServerBase):
     server's service queue *is* the serialization order (the
     :class:`~repro.baselines.bohm.BohmEngine` stamps each submission with
     the next total-order timestamp).  Execution is batched: a batch runs
-    when ``batch_size`` submissions have accumulated or when the periodic
-    flush timer finds pending work, and every transaction's reply is sent
-    at its batch's execution — the batching latency Bohm trades for its
-    zero-conflict-abort guarantee.
+    when the engine's ``batch_size`` submissions have accumulated or when
+    the periodic flush timer finds pending work, and every transaction's
+    reply is sent at its batch's execution — the batching latency Bohm
+    trades for its zero-conflict-abort guarantee.
 
     The dedup log in :class:`_ServerBase` keeps retried/duplicated submits
     at-least-once safe: a retry of an already-sequenced transaction never
@@ -87,16 +90,13 @@ class BohmSequencerServer(_ServerBase):
     def __init__(self, sim: Simulator, net: Network, server_id: Hashable,
                  profile: TestbedProfile, rng: np.random.Generator, *,
                  history: Any | None = None,
-                 queue_capacity: int | None = None,
-                 batch_size: int = 16,
-                 flush_interval: float = 0.01) -> None:
+                 queue_capacity: int | None = None) -> None:
         super().__init__(sim, net, server_id, profile, rng,
                          queue_capacity=queue_capacity)
-        self.engine = BohmEngine(history=history, batch_size=batch_size)
-        self.flush_interval = flush_interval
+        self.engine = BohmEngine(history=history)
         #: BohmTx.id -> the submit request awaiting its batch's reply.
         self._waiting: dict[int, BohmSubmitReq] = {}
-        sim.schedule(flush_interval, self._flush_tick)
+        sim.schedule(FLUSH_INTERVAL, self._flush_tick)
 
     @property
     def store(self) -> VersionStore:
@@ -121,7 +121,7 @@ class BohmSequencerServer(_ServerBase):
     def _flush_tick(self) -> None:
         if not self.crashed and self.engine._pending:
             self._run_batch()
-        self.sim.schedule(self.flush_interval, self._flush_tick)
+        self.sim.schedule(FLUSH_INTERVAL, self._flush_tick)
 
     def _run_batch(self) -> None:
         for tx in self.engine.run_batch():

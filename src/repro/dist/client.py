@@ -562,12 +562,11 @@ class MVTILClient(BaseClient):
     """The MVTIL coordinator (§8, Alg. 11/12)."""
 
     def __init__(self, *args: Any, delta: float = 0.005, late: bool = False,
-                 gc_on_commit: bool = True, read_timeout: float = 0.25,
-                 defer_writes: bool = False, **kwargs: Any) -> None:
+                 read_timeout: float = 0.25, defer_writes: bool = False,
+                 **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         self.delta = delta
         self.late = late
-        self.gc_on_commit = gc_on_commit
         #: Bound on a read's server-side lock wait.  Waiting reads can form
         #: wait cycles with writers (the deadlock risk §4.3 notes for
         #: waiting policies); timing out and restarting the transaction is
@@ -710,9 +709,9 @@ class MVTILClient(BaseClient):
         ts = decision
         # One CommitReq per touched server: freeze+install the write keys,
         # freeze the read-lock prefixes (they seal the serialization
-        # decision), and — if gc_on_commit — release the rest.  The server
-        # applies all of it atomically under the key latches (§8.1).
-        yield from self._send_commit(tx, ts, release=self.gc_on_commit)
+        # decision), and release the rest.  The server applies all of it
+        # atomically under the key latches (§8.1).
+        yield from self._send_commit(tx, ts)
         return self._committed(tx, ts)
 
     def _batch_write_locks(self, tx: Tx
@@ -764,7 +763,7 @@ class MVTILClient(BaseClient):
         """Servers a key's commit-time state must reach: its partition."""
         return (self.partition.server_of(key),)
 
-    def _commit_reqs(self, tx: Tx, ts: Timestamp, release: bool,
+    def _commit_reqs(self, tx: Tx, ts: Timestamp,
                      ack: bool = False) -> dict[Hashable, CommitReq]:
         """Alg. 11 commit tail + gc: one CommitReq per destination server."""
         spans_by_server: dict[Hashable, dict[Hashable, IntervalSet]] = {}
@@ -798,18 +797,18 @@ class MVTILClient(BaseClient):
                 tx.id, self.client_id, self._next_req(), ts=ts,
                 write_keys=keys,
                 spans=spans_by_server.get(server, {}),
-                release=release,
+                release=True,
                 # Redo payload: lets a server that lost its pending buffer
                 # in a crash still install the right values.
                 values={k: tx.writeset[k] for k in keys},
                 ack=ack)
         return reqs
 
-    def _send_commit(self, tx: Tx, ts: Timestamp,
-                     release: bool = True) -> Generator[Any, Any, None]:
+    def _send_commit(self, tx: Tx, ts: Timestamp
+                     ) -> Generator[Any, Any, None]:
         """Send the commit requests fire-and-forget (the paper's
         notification).  A generator, so a subclass may await acks."""
-        for server, req in self._commit_reqs(tx, ts, release).items():
+        for server, req in self._commit_reqs(tx, ts).items():
             self._send(server, req)
         return
         yield  # pragma: no cover - generator for the subclass's sake

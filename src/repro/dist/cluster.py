@@ -42,7 +42,35 @@ from .member import (ReplicaClient, ReplicaServer, merge_replication_metrics,
 from .server import MVTLServer
 from .twopl import TwoPLClient, TwoPLServer
 
-__all__ = ["ClusterConfig", "ClusterResult", "run_cluster", "PROTOCOLS"]
+__all__ = ["ClusterConfig", "ClusterResult", "run_cluster", "PROTOCOLS",
+           "RULES", "ConfigRefused"]
+
+
+class ConfigRefused(ValueError):
+    """A :class:`ClusterConfig` that breaks the :data:`RULES` row named
+    ``rule``; the exception's text is that row's message."""
+
+    def __init__(self, rule: str, message: str) -> None:
+        super().__init__(message)
+        self.rule = rule
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One row of :data:`RULES`: a config ``refuses`` holds for is refused
+    with ``message`` (a function of the config where the text names one
+    of its values)."""
+
+    name: str
+    refuses: Callable[[ClusterConfig], bool]
+    message: str | Callable[[ClusterConfig], str]
+
+    def check(self, config: ClusterConfig) -> None:
+        """Raise :class:`ConfigRefused` if this row refuses ``config``."""
+        if self.refuses(config):
+            message = self.message
+            raise ConfigRefused(self.name, message if isinstance(message, str)
+                                else message(config))
 
 
 @dataclass(frozen=True)
@@ -60,9 +88,10 @@ class ProtocolSpec:
     #: ``replication > 1`` is possible: mirrored holds carry the
     #: leader-granted interval locks, which only MVTIL takes.
     replicable: bool = False
-    #: ``(uses, message)`` pairs, checked in order right after the
-    #: commitment backend is: a config ``uses`` holds for is refused.
-    refuses: tuple[tuple[Callable[[ClusterConfig], bool], str], ...] = ()
+    #: What this protocol cannot run, in order: :data:`RULES` checks these
+    #: rows, for configs naming this protocol, right after the commitment
+    #: backend.
+    refuses: tuple[Rule, ...] = ()
 
 
 def _mvtil_client(config: ClusterConfig, *args: Any, late: bool,
@@ -108,21 +137,21 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
     # commitment object or write-lock timeout behind it, so a lost commit
     # message silently diverges the servers.
     "2pl": ProtocolSpec(
-        lambda config, *args, **common: TwoPLClient(
-            *args, lock_timeout=config.lock_timeout, **common),
+        lambda config, *args, **common: TwoPLClient(*args, **common),
         lambda config, sim, net, sid, rng, **_: TwoPLServer(
             sim, net, sid, config.profile, rng,
             queue_capacity=config.queue_capacity),
         refuses=(
-            (lambda c: c.faults is not None or _crash_chaos(c),
-             "fault injection requires a recovery protocol; 2pl does not "
-             "have one"),
-            (lambda c: c.durability == "wal",
-             "wal durability requires the MVTL commit machinery; 2pl has "
-             "no commit decisions to log or replay"),
-            (lambda c: c.commitment == "paxos",
-             "2pl has no commitment objects; only the local backend is "
-             "meaningful"))),
+            Rule("2pl-no-recovery",
+                 lambda c: c.faults is not None or _crash_chaos(c),
+                 "fault injection requires a recovery protocol; 2pl does not "
+                 "have one"),
+            Rule("2pl-no-wal", lambda c: c.durability == "wal",
+                 "wal durability requires the MVTL commit machinery; 2pl "
+                 "has no commit decisions to log or replay"),
+            Rule("2pl-no-paxos", lambda c: c.commitment == "paxos",
+                 "2pl has no commitment objects; only the local backend is "
+                 "meaningful"))),
     # The single sequencer is the one authority and its state is volatile:
     # link faults are fine (dedup + retries absorb duplicates and losses),
     # but there is no crash recovery.  History is recorded inside its
@@ -135,18 +164,134 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
             queue_capacity=config.queue_capacity),
         single_node=True,
         refuses=(
-            (_crash_chaos,
-             "crash chaos requires a recovery protocol; the bohm sequencer "
-             "does not have one"),
-            (lambda c: c.replication > 1 or c.follower_reads,
-             "bohm runs unreplicated (single sequencer)"),
-            (lambda c: c.durability == "wal",
-             "wal durability requires the MVTL commit machinery; bohm has "
-             "no per-key commit decisions to log"),
-            (lambda c: c.commitment == "paxos",
-             "bohm has no commitment objects; only the local backend is "
-             "meaningful"))),
+            Rule("bohm-no-recovery", _crash_chaos,
+                 "crash chaos requires a recovery protocol; the bohm "
+                 "sequencer does not have one"),
+            Rule("bohm-unreplicated",
+                 lambda c: c.replication > 1 or c.follower_reads,
+                 "bohm runs unreplicated (single sequencer)"),
+            Rule("bohm-no-wal", lambda c: c.durability == "wal",
+                 "wal durability requires the MVTL commit machinery; bohm "
+                 "has no per-key commit decisions to log"),
+            Rule("bohm-no-paxos", lambda c: c.commitment == "paxos",
+                 "bohm has no commitment objects; only the local backend is "
+                 "meaningful"))),
 }
+
+
+def _num_servers(c: ClusterConfig) -> int:
+    """The storage servers ``c`` asks for (None = the profile's count)."""
+    return (c.num_servers if c.num_servers is not None
+            else c.profile.num_servers)
+
+
+def _window_error(c: ClusterConfig) -> str | None:
+    # The window run_cluster lays the crashes into, computed the same way,
+    # so both agree at the boundary.
+    return (c.chaos.window_error(c.warmup, c.warmup + c.measure)
+            if _crash_chaos(c) else None)
+
+
+def _for_protocol(name: str, rule: Rule) -> Rule:
+    """``rule`` of ``PROTOCOLS[name].refuses``, for configs naming it."""
+    return Rule(rule.name, lambda c: c.protocol == name and rule.refuses(c),
+                rule.message)
+
+
+#: Everything :class:`ClusterConfig` refuses, in the order it checks: the
+#: first row whose ``refuses`` holds is the :class:`ConfigRefused` raised.
+#: Rows after ``unknown-protocol`` may look the protocol up.
+RULES: tuple[Rule, ...] = (
+    Rule("unknown-protocol", lambda c: c.protocol not in PROTOCOLS,
+         lambda c: f"unknown protocol {c.protocol!r}; "
+                   f"expected one of {tuple(PROTOCOLS)}"),
+    Rule("queue-capacity",
+         lambda c: c.queue_capacity is not None and c.queue_capacity < 1,
+         "queue_capacity must be >= 1 (or None)"),
+    Rule("tx-budget", lambda c: c.tx_budget is not None and c.tx_budget <= 0,
+         "tx_budget must be positive (or None)"),
+    Rule("unknown-commitment",
+         lambda c: c.commitment not in ("local", "paxos"),
+         lambda c: f"unknown commitment backend {c.commitment!r}"),
+    *(_for_protocol(name, rule) for name, spec in PROTOCOLS.items()
+      for rule in spec.refuses),
+    # Epoch validation is race-free only under the local commitment
+    # backend (reply handling and decision share one simulation step).
+    # With Paxos a restart can slip between the epoch check and the
+    # multi-round decision; §H.1's servers-may-fail model assumes
+    # replicated (durable) lock state instead of volatile state that
+    # restarts empty.
+    Rule("paxos-server-restarts",
+         lambda c: (c.commitment == "paxos" and c.chaos is not None
+                    and c.chaos.server_restarts > 0),
+         "server restarts are not supported with the paxos commitment "
+         "backend (volatile lock loss can race the multi-round decision)"),
+    Rule("unknown-durability",
+         lambda c: c.durability not in ("memory", "wal"),
+         lambda c: f"unknown durability mode {c.durability!r}; "
+                   f"expected 'memory' or 'wal'"),
+    Rule("checkpoint-every", lambda c: c.checkpoint_every < 0,
+         "checkpoint_every must be >= 0"),
+    Rule("replication-positive", lambda c: c.replication < 1,
+         "replication must be >= 1"),
+    Rule("replication-exceeds-servers",
+         lambda c: c.replication > _num_servers(c),
+         lambda c: f"replication={c.replication} needs at least that many "
+                   f"servers (have {_num_servers(c)})"),
+    Rule("heartbeat-miss-limit", lambda c: c.heartbeat_miss_limit < 1,
+         "heartbeat_miss_limit must be >= 1"),
+    Rule("replication-needs-mvtil",
+         lambda c: c.replication > 1 and not PROTOCOLS[c.protocol].replicable,
+         "replication > 1 requires an MVTIL protocol (mirrored holds carry "
+         "the leader-granted interval locks)"),
+    Rule("replication-needs-batching",
+         lambda c: c.replication > 1 and not c.batching,
+         "replication > 1 requires batching (write locks are mirrored from "
+         "the per-server batch grants)"),
+    Rule("replication-needs-local-commitment",
+         lambda c: c.replication > 1 and c.commitment != "local",
+         "replication > 1 requires the local commitment backend (the "
+         "registry is the replicated decision store)"),
+    Rule("follower-reads-need-replication",
+         lambda c: c.follower_reads and c.replication <= 1,
+         "follower_reads requires replication > 1"),
+    Rule("sync-batch", lambda c: c.sync_batch < 1,
+         "sync_batch must be >= 1"),
+    Rule("hardening-needs-replication",
+         lambda c: (c.anti_entropy or c.reliable_fanout)
+         and c.replication <= 1,
+         "anti_entropy and reliable_fanout require replication > 1 (they "
+         "harden the replica machinery)"),
+    Rule("recruitment-needs-anti-entropy",
+         lambda c: c.recruitment and not c.anti_entropy,
+         "recruitment requires anti_entropy (a recruit joins through the "
+         "catch-up sync path)"),
+    Rule("leader-crashes-need-replication",
+         lambda c: (c.chaos is not None and c.chaos.leader_crashes > 0
+                    and c.replication <= 1),
+         "chaos.leader_crashes requires replication > 1 (a failover "
+         "controller must exist to promote a follower)"),
+    Rule("follower-restarts-need-replication",
+         lambda c: (c.chaos is not None and c.chaos.follower_restarts > 0
+                    and c.replication <= 1),
+         "chaos.follower_restarts requires replication > 1 (an "
+         "unreplicated group has no followers to restart)"),
+    Rule("chaos-window", lambda c: _window_error(c) is not None,
+         _window_error),
+    Rule("unknown-scenario",
+         lambda c: c.scenario is not None and c.scenario not in SCENARIOS,
+         lambda c: f"unknown scenario {c.scenario!r}; "
+                   f"expected one of {sorted(SCENARIOS)}"),
+    # A zero period reschedules the timestamp service at delay 0 forever.
+    Rule("gc-period", lambda c: c.gc_period is not None and c.gc_period <= 0,
+         "gc_period must be positive (or None)"),
+    # An empty window runs and reports nothing measured.
+    Rule("measurement-window", lambda c: c.warmup < 0 or c.measure <= 0,
+         "warmup must be >= 0 and measure positive"),
+    # Fewer than one attempt sends no request at all.
+    Rule("rpc-retries", lambda c: c.rpc_retries < 0,
+         "rpc_retries must be >= 0"),
+)
 
 
 @dataclass(frozen=True)
@@ -165,8 +310,6 @@ class ClusterConfig:
     delta: float = 0.005
     #: MVTIL read-lock wait bound (deadlock resolution for waiting reads).
     read_timeout: float = 0.25
-    #: 2PL lock-wait timeout (tuned for throughput, §8.4.1).
-    lock_timeout: float = 0.05
     #: Server-side unfrozen-write-lock timeout (§H failure handling).
     write_lock_timeout: float = 2.0
     #: Restarts per transaction before giving up (§8.1).
@@ -181,9 +324,9 @@ class ClusterConfig:
     #: per-server).  Drops commit-path messages from O(written keys) to
     #: O(servers touched).  False reproduces the per-key wire protocol.
     batching: bool = True
-    #: Run the timestamp service (version/lock purging + clock floor).
-    gc_enabled: bool = True
-    gc_period: float = 15.0
+    #: Seconds between timestamp-service broadcasts (version/lock purging
+    #: + clock floor); None = no timestamp service.
+    gc_period: float | None = 15.0
     #: Record the full history and check nothing with it here (the caller
     #: runs the MVSG checker); heavy for long runs.
     record_history: bool = False
@@ -281,87 +424,8 @@ class ClusterConfig:
     scenario: str | None = None
 
     def __post_init__(self) -> None:
-        spec = PROTOCOLS.get(self.protocol)
-        if spec is None:
-            raise ValueError(f"unknown protocol {self.protocol!r}; "
-                             f"expected one of {tuple(PROTOCOLS)}")
-        if self.queue_capacity is not None and self.queue_capacity < 1:
-            raise ValueError("queue_capacity must be >= 1 (or None)")
-        if self.tx_budget is not None and self.tx_budget <= 0:
-            raise ValueError("tx_budget must be positive (or None)")
-        if self.commitment not in ("local", "paxos"):
-            raise ValueError(f"unknown commitment backend "
-                             f"{self.commitment!r}")
-        for uses, message in spec.refuses:
-            if uses(self):
-                raise ValueError(message)
-        if (self.commitment == "paxos" and self.chaos is not None
-                and self.chaos.server_restarts > 0):
-            # Epoch validation is race-free only under the local commitment
-            # backend (reply handling and decision share one simulation
-            # step).  With Paxos a restart can slip between the epoch check
-            # and the multi-round decision; §H.1's servers-may-fail model
-            # assumes replicated (durable) lock state instead of volatile
-            # state that restarts empty.
-            raise ValueError("server restarts are not supported with the "
-                             "paxos commitment backend (volatile lock loss "
-                             "can race the multi-round decision)")
-        if self.durability not in ("memory", "wal"):
-            raise ValueError(f"unknown durability mode {self.durability!r}; "
-                             f"expected 'memory' or 'wal'")
-        if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be >= 0")
-        if self.replication < 1:
-            raise ValueError("replication must be >= 1")
-        num_servers = (self.num_servers if self.num_servers is not None
-                       else self.profile.num_servers)
-        if self.replication > num_servers:
-            raise ValueError(f"replication={self.replication} needs at "
-                             f"least that many servers (have {num_servers})")
-        if self.heartbeat_miss_limit < 1:
-            raise ValueError("heartbeat_miss_limit must be >= 1")
-        if self.replication > 1:
-            if not spec.replicable:
-                raise ValueError("replication > 1 requires an MVTIL "
-                                 "protocol (mirrored holds carry the "
-                                 "leader-granted interval locks)")
-            if not self.batching:
-                raise ValueError("replication > 1 requires batching "
-                                 "(write locks are mirrored from the "
-                                 "per-server batch grants)")
-            if self.commitment != "local":
-                raise ValueError("replication > 1 requires the local "
-                                 "commitment backend (the registry is the "
-                                 "replicated decision store)")
-        if self.follower_reads and self.replication <= 1:
-            raise ValueError("follower_reads requires replication > 1")
-        if self.sync_batch < 1:
-            raise ValueError("sync_batch must be >= 1")
-        if (self.anti_entropy or self.reliable_fanout) \
-                and self.replication <= 1:
-            raise ValueError("anti_entropy and reliable_fanout require "
-                             "replication > 1 (they harden the replica "
-                             "machinery)")
-        if self.recruitment and not self.anti_entropy:
-            raise ValueError("recruitment requires anti_entropy (a recruit "
-                             "joins through the catch-up sync path)")
-        if (self.chaos is not None and self.chaos.leader_crashes > 0
-                and self.replication <= 1):
-            raise ValueError("chaos.leader_crashes requires replication > 1 "
-                             "(a failover controller must exist to promote "
-                             "a follower)")
-        if (self.chaos is not None and self.chaos.follower_restarts > 0
-                and self.replication <= 1):
-            raise ValueError("chaos.follower_restarts requires "
-                             "replication > 1 (an unreplicated group has "
-                             "no followers to restart)")
-        if _crash_chaos(self):
-            # The window run_cluster lays the crashes into, computed the
-            # same way, so both agree at the boundary.
-            self.chaos.check_window(self.warmup, self.warmup + self.measure)
-        if self.scenario is not None and self.scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}; "
-                             f"expected one of {sorted(SCENARIOS)}")
+        for rule in RULES:
+            rule.check(self)
 
 
 @dataclass
@@ -517,10 +581,7 @@ def _run_cluster(config: ClusterConfig) -> ClusterResult:
     tracer = Tracer(now_fn=lambda: sim.now) if config.trace else None
 
     spec = PROTOCOLS[config.protocol]
-    num_servers = (config.num_servers if config.num_servers is not None
-                   else config.profile.num_servers)
-    if spec.single_node:
-        num_servers = 1
+    num_servers = 1 if spec.single_node else _num_servers(config)
     server_ids = [f"server-{i}" for i in range(num_servers)]
     consensus = None
     acceptors_by_sid: dict[str, Any] = {}
@@ -619,11 +680,10 @@ def _run_cluster(config: ClusterConfig) -> ClusterResult:
             sync_batch=config.sync_batch)
         controller.start()
 
-    service = TimestampService(sim, net, server_ids, client_ids,
-                               horizon=config.profile.gc_horizon,
-                               period=config.gc_period,
-                               enabled=config.gc_enabled)
-    service.start()
+    if config.gc_period is not None:
+        TimestampService(sim, net, server_ids, client_ids,
+                         horizon=config.profile.gc_horizon,
+                         period=config.gc_period).start()
 
     sampler = None
     if config.state_sample_period > 0:

@@ -178,29 +178,35 @@ class ChaosConfig:
         return bool(self.client_crashes or self.server_restarts
                     or self.leader_crashes or self.follower_restarts)
 
-    def check_window(self, start: float, end: float) -> None:
-        """Raise unless every crash fits the window ``[start, end]``: each
-        crash/restart pair needs a disjoint slot longer than its downtime.
-        Both :meth:`ChaosSchedule.generate` and ``ClusterConfig`` call it."""
+    def window_error(self, start: float, end: float) -> str | None:
+        """Why the crashes do not fit the window ``[start, end]``, or None:
+        each crash/restart pair needs a disjoint slot longer than its
+        downtime.  ``ClusterConfig``'s ``chaos-window`` rule reads it."""
         if end <= start:
-            raise ValueError("need end > start")
+            return "need end > start"
         span = end - start
         n = self.server_restarts
         if n and self.downtime >= span / n:
-            raise ValueError(
-                f"downtime {self.downtime} does not fit "
-                f"{n} restarts into a {span:.3f}s window: each restart "
-                f"needs a disjoint slot > {self.downtime}s, so the "
-                f"window must be longer than "
-                f"{n * self.downtime:.3f}s (n * downtime)")
+            return (f"downtime {self.downtime} does not fit "
+                    f"{n} restarts into a {span:.3f}s window: each restart "
+                    f"needs a disjoint slot > {self.downtime}s, so the "
+                    f"window must be longer than "
+                    f"{n * self.downtime:.3f}s (n * downtime)")
         for name, downtime, n, what in (
                 ("leader_downtime", self.leader_downtime,
                  self.leader_crashes, "leader crashes"),
                 ("follower_downtime", self.follower_downtime,
                  self.follower_restarts, "follower restarts")):
             if n and downtime >= span / n:
-                raise ValueError(f"{name} {downtime} does not fit {n} "
-                                 f"{what} into a {span:.3f}s window")
+                return (f"{name} {downtime} does not fit {n} "
+                        f"{what} into a {span:.3f}s window")
+        return None
+
+    def check_window(self, start: float, end: float) -> None:
+        """Raise :meth:`window_error`'s reason, if there is one."""
+        error = self.window_error(start, end)
+        if error is not None:
+            raise ValueError(error)
 
 
 @dataclass(frozen=True, order=True)

@@ -26,20 +26,17 @@ class TimestampService:
 
     def __init__(self, sim: Simulator, net: Network,
                  servers: Iterable[Hashable], clients: Iterable[Hashable],
-                 *, horizon: float, period: float = 15.0,
-                 enabled: bool = True) -> None:
+                 *, horizon: float, period: float = 15.0) -> None:
         self.sim = sim
         self.net = net
         self.servers = list(servers)
         self.clients = list(clients)
         self.horizon = horizon
         self.period = period
-        self.enabled = enabled
         self.broadcasts = 0
 
     def start(self) -> None:
-        if self.enabled:
-            self.sim.schedule(self.period, self._tick)
+        self.sim.schedule(self.period, self._tick)
 
     def _tick(self) -> None:
         t = self.sim.now - self.horizon

@@ -628,14 +628,14 @@ class ReplicaClient(MVTILClient):
         still excludes writers from committed readers' pasts."""
         return self.partition.members(self.partition.group_of(key))
 
-    def _send_commit(self, tx: Tx, ts: Timestamp,
-                     release: bool = True) -> Generator[Any, Any, None]:
+    def _send_commit(self, tx: Tx, ts: Timestamp
+                     ) -> Generator[Any, Any, None]:
         """The commit fan-out, acked and retried under ``reliable_fanout``
         (unanswered members are re-sent through :meth:`_rpc_many`)."""
         if not self.reliable_fanout:
-            yield from super()._send_commit(tx, ts, release)
+            yield from super()._send_commit(tx, ts)
             return
-        reqs = self._commit_reqs(tx, ts, release, ack=True)
+        reqs = self._commit_reqs(tx, ts, ack=True)
         # The decision is final: exhaustion weakens redundancy on the
         # unanswered members (counted, audited by scan_lost_commits) but
         # never un-commits — the mirrored-hold timeout is the backstop.

@@ -35,6 +35,9 @@ from ..sim.simulator import RECV_TIMEOUT, Mailbox, Recv, Simulator
 
 __all__ = ["Ballot", "PaxosAcceptor", "PaxosConsensus"]
 
+#: Seconds a proposer waits for a quorum in each phase before backing off.
+PHASE_TIMEOUT = 0.05
+
 
 @dataclass(frozen=True, slots=True, order=True)
 class Ballot:
@@ -164,15 +167,13 @@ class PaxosConsensus:
 
     def __init__(self, sim: Simulator, net: Network,
                  acceptors: list[Hashable],
-                 rng: np.random.Generator | None = None, *,
-                 phase_timeout: float = 0.05) -> None:
+                 rng: np.random.Generator | None = None) -> None:
         if not acceptors:
             raise ValueError("need at least one acceptor")
         self.sim = sim
         self.net = net
         self.acceptors = list(acceptors)
         self.quorum = len(self.acceptors) // 2 + 1
-        self.phase_timeout = phase_timeout
         self._rng = rng if rng is not None else np.random.default_rng()
         #: tx -> decided outcome, once learned by any proposer.
         self.learned: dict[Hashable, Any] = {}
@@ -227,7 +228,7 @@ class PaxosConsensus:
                               src=node_id)
             promises: list[_Promise] = []
             highest_nack = None
-            deadline = self.sim.now + self.phase_timeout
+            deadline = self.sim.now + PHASE_TIMEOUT
             while (len(promises) < self.quorum
                    and self.sim.now < deadline):
                 msg = yield Recv(mailbox, timeout=deadline - self.sim.now)
@@ -261,7 +262,7 @@ class PaxosConsensus:
                               _Accept(tx_id, ballot, chosen, node_id),
                               src=node_id)
             accepted = 0
-            deadline = self.sim.now + self.phase_timeout
+            deadline = self.sim.now + PHASE_TIMEOUT
             while accepted < self.quorum and self.sim.now < deadline:
                 msg = yield Recv(mailbox, timeout=deadline - self.sim.now)
                 if msg is RECV_TIMEOUT:
@@ -278,6 +279,6 @@ class PaxosConsensus:
 
     def _backoff(self, round_no: int) -> Generator[Any, Any, None]:
         from ..sim.simulator import Sleep
-        base = self.phase_timeout * 0.5
+        base = PHASE_TIMEOUT * 0.5
         yield Sleep(float(self._rng.uniform(0.2, 1.0)) * base
                     * min(8, round_no))

@@ -20,6 +20,11 @@ from .server import _ServerBase
 
 __all__ = ["TwoPLClient", "TwoPLServer"]
 
+#: Floor of a 2PL lock wait, in seconds (tuned for throughput, §8.4.1).
+LOCK_TIMEOUT = 0.05
+#: A calibrated lock wait times out at this many granted-lock round trips.
+RTT_MULTIPLE = 3.0
+
 
 class TwoPLClient(BaseClient):
     """Strict-2PL coordinator (§8.1 baseline).
@@ -28,19 +33,16 @@ class TwoPLClient(BaseClient):
     paper tunes it per deployment ("we set the timeout such as to maximize
     total throughput").  We automate that tuning: the client keeps an EWMA
     of granted-lock round-trip times (which includes server queueing) and
-    times out at ``rtt_multiple`` times it — long enough that deep server
+    times out at ``RTT_MULTIPLE`` times it — long enough that deep server
     queues and ordinary waits behind a writer don't abort transactions
     spuriously, short enough that genuine deadlocks break quickly.
-    ``lock_timeout`` is the floor.
+    ``LOCK_TIMEOUT`` is the floor.
     """
 
     name = "2pl"
 
-    def __init__(self, *args: Any, lock_timeout: float = 0.05,
-                 rtt_multiple: float = 3.0, **kwargs: Any) -> None:
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        self.lock_timeout = lock_timeout
-        self.rtt_multiple = rtt_multiple
         self._rtt_ewma: float | None = None
 
     def _observe_rtt(self, rtt: float) -> None:
@@ -50,13 +52,12 @@ class TwoPLClient(BaseClient):
             self._rtt_ewma = 0.9 * self._rtt_ewma + 0.1 * rtt
 
     def _current_timeout(self) -> float:
-        # Until the EWMA is calibrated (first granted lock), honour the
-        # configured timeout as-is: a fresh client must still break
-        # deadlocks within ``lock_timeout``, not some larger default.
+        # Until the EWMA is calibrated (first granted lock), use the floor
+        # as-is: a fresh client must still break deadlocks within
+        # ``LOCK_TIMEOUT``, not some larger default.
         if self._rtt_ewma is None:
-            return self.lock_timeout
-        return min(2.0, max(self.lock_timeout,
-                            self.rtt_multiple * self._rtt_ewma))
+            return LOCK_TIMEOUT
+        return min(2.0, max(LOCK_TIMEOUT, RTT_MULTIPLE * self._rtt_ewma))
 
     def begin(self, priority: bool = False,
               read_only: bool = False) -> Tx:

@@ -41,6 +41,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
+from ..sim.testbed import CLOUD_TESTBED
 from .generator import (Op, TxSpec, WorkloadConfig, WorkloadGenerator,
                         zipf_probabilities)
 
@@ -52,7 +53,8 @@ __all__ = ["SCENARIOS", "Scenario", "ScenarioCellSummary",
            "ARENA_FIXED_POLICIES", "ARENA_POLICIES", "policy_arena",
            "PolicyCellConfig", "PolicyArenaSummary", "run_policy_cell",
            "BOHM_CHAOS_SCENARIOS", "bohm_chaos_config",
-           "BohmChaosSummary", "reduce_bohm_chaos_cell"]
+           "BohmChaosSummary", "reduce_bohm_chaos_cell",
+           "OVERLOAD_TESTBED", "OVERLOAD_CONTROLS"]
 
 
 # ---------------------------------------------------------------------------
@@ -562,17 +564,16 @@ def _scan_vs_oltp_overrides() -> dict:
                 record_history=True)
 
 
-def _flash_crowd_overrides() -> dict:
-    from ..sim.testbed import CLOUD_TESTBED
-    # Deliberately scarce capacity (the PR-4 overload testbed): 4
-    # single-slot servers at 1 ms/request saturate under a few dozen
-    # closed-loop clients, so burst phases hit real shedding/deadlines.
-    profile = replace(CLOUD_TESTBED, num_servers=4, service_time=1e-3)
-    return dict(protocol="mvtil-early", num_clients=24, profile=profile,
-                warmup=0.4, measure=1.2, queue_capacity=16, tx_budget=0.15,
-                admission_control=True, breaker_threshold=8,
-                breaker_cooldown=0.1, read_timeout=0.04, rpc_timeout=0.08,
-                rpc_retries=1, record_history=True)
+#: The overload testbed (``ClusterConfig`` fields): deliberately scarce
+#: capacity -- 4 single-slot servers at 1 ms/request saturate under a few
+#: dozen closed-loop clients -- and clients that time out and retry fast.
+OVERLOAD_TESTBED = dict(
+    profile=replace(CLOUD_TESTBED, num_servers=4, service_time=1e-3),
+    read_timeout=0.04, rpc_timeout=0.08, rpc_retries=1)
+#: The overload controls on top of it: bounded queues, per-transaction
+#: deadlines, admission control with fast-cooling breakers.
+OVERLOAD_CONTROLS = dict(queue_capacity=16, tx_budget=0.15,
+                         admission_control=True, breaker_cooldown=0.1)
 
 
 def _registry() -> dict[str, Scenario]:
@@ -620,7 +621,11 @@ def _registry() -> dict[str, Scenario]:
             workload=WorkloadConfig(num_keys=2_000, tx_size=3,
                                     write_fraction=0.5,
                                     critical_fraction=0.15),
-            overrides=_flash_crowd_overrides(),
+            # Burst phases on the overload testbed hit real shedding and
+            # deadlines.
+            overrides=dict(protocol="mvtil-early", num_clients=24,
+                           warmup=0.4, measure=1.2, record_history=True,
+                           **OVERLOAD_TESTBED, **OVERLOAD_CONTROLS),
             check=check_flash_crowd),
     ]
     return {s.name: s for s in scenarios}

@@ -39,9 +39,9 @@ def panel_cells(seed):
 def state_cells(seed):
     """MVTIL without and with GC, keyed like Figs. 6-7."""
     return [Cell((label,), replace(TINY, protocol="mvtil-early", seed=seed,
-                                   gc_enabled=gc, state_sample_period=0.1,
+                                   gc_period=gc, state_sample_period=0.1,
                                    record_completions=True))
-            for label, gc in (("mvtil-early", False), ("mvtil-gc", True))]
+            for label, gc in (("mvtil-early", None), ("mvtil-gc", 15.0))]
 
 
 def ablation_cells(seed):

@@ -234,10 +234,10 @@ class TestTwoPLClientProtocol:
         cluster = MiniCluster(server_cls=TwoPLServer, num_servers=1)
         a = TwoPLClient(cluster.sim, cluster.net, "a", 1, cluster.partition,
                         PerfectClock(lambda: cluster.sim.now),
-                        cluster.registry, lock_timeout=0.05)
+                        cluster.registry)
         b = TwoPLClient(cluster.sim, cluster.net, "b", 2, cluster.partition,
                         PerfectClock(lambda: cluster.sim.now),
-                        cluster.registry, lock_timeout=0.05)
+                        cluster.registry)
         log = []
 
         def holder():

@@ -34,7 +34,7 @@ class TestSerializabilityAllProtocols:
 
     @pytest.mark.parametrize("protocol", ["mvtil-early", "mvto"])
     def test_serializable_with_purging(self, protocol):
-        cfg = small_config(protocol, gc_enabled=True, gc_period=0.2,
+        cfg = small_config(protocol, gc_period=0.2,
                            profile=LOCAL_TESTBED.with_servers(2),
                            warmup=0.2, measure=1.0)
         # Shrink the horizon so purging actually happens within the run.

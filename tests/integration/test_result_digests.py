@@ -308,7 +308,7 @@ def test_the_plain_mvtil_client_is_alg11_12():
     assert len(client.stats) == 7
     assert [p.name for p in inspect.signature(MVTILClient).parameters.values()
             if p.kind is p.KEYWORD_ONLY] == [
-        "delta", "late", "gc_on_commit", "read_timeout", "defer_writes"]
+        "delta", "late", "read_timeout", "defer_writes"]
     with pytest.raises(TypeError, match="follower_reads"):
         MVTILClient(*args, follower_reads=True)
 
