@@ -556,12 +556,6 @@ class MVTLEngine:
         with self._stripes[self.stripe_of(key)]:
             return self.store.latest_before(key, ts)
 
-    def held_union(self, tx: Transaction, key: Hashable) -> IntervalSet:
-        """Timestamps ``tx`` holds in either mode on ``key``."""
-        with self._stripes[self.stripe_of(key)]:
-            return (self.locks.held(tx.id, key, LockMode.READ)
-                    .union(self.locks.held(tx.id, key, LockMode.WRITE)))
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------

@@ -171,7 +171,7 @@ class KeyLockState:
     """
 
     __slots__ = ("_owners", "version", "_sealed_read", "_sealed_write",
-                 "_sealed_spans", "_rc_version", "_rc_count")
+                 "_sealed_spans", "_rc_version", "_rc_count", "_rejoin")
 
     #: Owner id reported for conflicts with sealed (ownerless) lock state.
     SEALED = "<sealed>"
@@ -203,6 +203,11 @@ class KeyLockState:
         # across every key far more often than most keys change.
         self._rc_version: int = -1
         self._rc_count: int = 0
+        # The purge walk of the LockTable this state belongs to, while the
+        # state is off it (empty since the last sweep): the next owner
+        # record puts it back.  None while walked, outside a table, or
+        # before the table's first sweep.
+        self._rejoin: dict | None = None
 
     # -- queries -----------------------------------------------------------
 
@@ -392,6 +397,8 @@ class KeyLockState:
         prefix = lo + fh
         if mine is None:
             mine = self._owners[owner] = _OwnerLocks()
+            if self._rejoin is not None:
+                self._walk_again()
         held = mine.read
         merged = iv_union(held, prefix)
         if merged is not held:
@@ -511,17 +518,20 @@ class KeyLockState:
         Called when the versions covered by these locks are purged (§6):
         the lock state "can be discarded when the associated versions are
         purged".  Returns the number of owners whose state changed.
+        """
+        return self._purge(bound.flat)
 
-        A periodic purge visits every key and changes few, so the no-op
+    def _purge(self, bound_flat: tuple) -> int:
+        """:meth:`purge_below` for a bound already in flat form.
+
+        A periodic purge visits many keys and changes few, so the no-op
         case is decided by comparisons alone: runs are sorted, hence a run
         whose *first* piece starts above the bound's upper end cannot meet
         the bound — whatever its lower end is.
         """
-        hi = bound.hi
-        hi_v = hi.value
-        hi_p = hi.pid
-        # ``_starts_by``, written out: this is what every key of every
-        # sweep pays.
+        lo_v, lo_p, hi_v, hi_p = bound_flat
+        # ``_starts_by``, written out: this is what every walked key of
+        # every sweep pays.
         read = self._sealed_read
         write = self._sealed_write
         sealed = (
@@ -535,9 +545,6 @@ class KeyLockState:
             or _starts_by(rec.write, hi_v, hi_p)] if self._owners else ()
         if not sealed and not reached:
             return 0
-        bound_flat = bound.flat
-        lo_v = bound_flat[0]
-        lo_p = bound_flat[1]
         changed = 0
         if sealed:
             sealed_read = iv_subtract(read, bound_flat)
@@ -549,20 +556,22 @@ class KeyLockState:
                 # removed, keep every surviving piece as its own record.
                 # The metric tracks an implementation without merging, so
                 # purging must not collapse surviving records into the
-                # compacted form.  Most records lie wholly above the bound
-                # (kept as they are) or wholly inside it (dropped); only one
-                # that straddles an end of the bound needs the kernel.
+                # compacted form.  ``iv_subtract`` of one piece from one
+                # piece, written out: a record outside the bound is kept as
+                # it is, and one that sticks out of an end of it keeps that
+                # end (both ends, for an interior bound inside it).
                 spans: list[tuple] = []
                 for span in self._sealed_spans:
                     s_lo_v, s_lo_p, s_hi_v, s_hi_p = span
-                    if s_lo_v > hi_v or (s_lo_v == hi_v and s_lo_p > hi_p):
+                    if (s_lo_v > hi_v or (s_lo_v == hi_v and s_lo_p > hi_p)
+                            or s_hi_v < lo_v
+                            or (s_hi_v == lo_v and s_hi_p < lo_p)):
                         spans.append(span)
-                    elif (s_hi_v > hi_v or (s_hi_v == hi_v and s_hi_p > hi_p)
-                          or s_lo_v < lo_v
-                          or (s_lo_v == lo_v and s_lo_p < lo_p)):
-                        rest = iv_subtract(span, bound_flat)
-                        for i in range(0, len(rest), 4):
-                            spans.append(rest[i:i + 4])
+                        continue
+                    if s_lo_v < lo_v or (s_lo_v == lo_v and s_lo_p < lo_p):
+                        spans.append((s_lo_v, s_lo_p, lo_v, lo_p - 1))
+                    if s_hi_v > hi_v or (s_hi_v == hi_v and s_hi_p > hi_p):
+                        spans.append((hi_v, hi_p + 1, s_hi_v, s_hi_p))
                 self._sealed_spans = spans
                 changed += 1
         for owner, rec in reached:
@@ -586,6 +595,11 @@ class KeyLockState:
 
     # -- internals ---------------------------------------------------------
 
+    def _walk_again(self) -> None:
+        """Back on the table's purge walk: this state holds locks again."""
+        self._rejoin[self] = None
+        self._rejoin = None
+
     def _prune(self, owner: TxId, rec: _OwnerLocks) -> None:
         if not (rec.read or rec.write):
             del self._owners[owner]
@@ -595,6 +609,8 @@ class KeyLockState:
         rec = self._owners.get(owner)
         if rec is None:
             rec = self._owners[owner] = _OwnerLocks()
+            if self._rejoin is not None:
+                self._walk_again()
         if mode is LockMode.READ:
             held = rec.read
             merged = iv_union(held, flat)
@@ -733,16 +749,26 @@ class LockTable:
     stripe held — the engine provides that.
     """
 
-    __slots__ = ("_keys", "_owner_keys")
+    __slots__ = ("_keys", "_owner_keys", "_walk")
 
     def __init__(self) -> None:
         self._keys: dict[Hashable, KeyLockState] = {}
         self._owner_keys: dict[TxId, set[Hashable]] = {}
+        # What a purge sweep visits: every state that gained an owner since
+        # a sweep last found it empty, as dict keys (insertion-ordered).  A
+        # state leaves when a sweep finds it empty and comes back through
+        # its ``_rejoin`` on its next owner record, so no other caller pays
+        # for this, and an empty state — most of a long run's keys — costs
+        # a sweep nothing.  None until the first sweep, which walks every
+        # state: a table nobody purges keeps no walk.
+        self._walk: dict[KeyLockState, None] | None = None
 
     def state(self, key: Hashable) -> KeyLockState:
         st = self._keys.get(key)
         if st is None:
             st = self._keys[key] = KeyLockState()
+            # Walked from its first owner on (no walk before a sweep).
+            st._rejoin = self._walk
         return st
 
     def peek(self, key: Hashable) -> KeyLockState | None:
@@ -817,11 +843,12 @@ class LockTable:
 
     def total_record_count(self) -> int:
         """Total stored lock intervals across keys (Fig. 6 metric)."""
-        # Reads the per-key memo directly when it is current (the common
-        # case on a periodic state-size refresh) — one attribute compare
-        # instead of a method call per key.
+        # An empty state counts nothing, so once a sweep has made the walk,
+        # the walked states are all there is to add up.  Reads the per-key memo directly when it is current
+        # (the common case on a periodic state-size refresh) — one
+        # attribute compare instead of a method call per key.
         total = 0
-        for st in self._keys.values():
+        for st in self._keys.values() if self._walk is None else self._walk:
             if st._rc_version == st.version:
                 total += st._rc_count
             else:
@@ -832,7 +859,17 @@ class LockTable:
         """Drop all lock state inside ``bound`` on every key (§6); returns
         the number of (key, owner) states that changed.  Whole-table: the
         threaded engine calls it with every stripe held."""
+        bound_flat = bound.flat
+        walk = self._walk
+        if walk is None:
+            walk = self._walk = dict.fromkeys(self._keys.values())
         changed = 0
-        for st in self._keys.values():
-            changed += st.purge_below(bound)
+        emptied = []
+        for st in walk:
+            changed += st._purge(bound_flat)
+            if not (st._owners or st._sealed_read or st._sealed_write):
+                emptied.append(st)
+        for st in emptied:
+            del walk[st]
+            st._rejoin = walk
         return changed

@@ -136,7 +136,7 @@ class VersionStore:
     first access, matching "initially Values[k, 0] = BOTTOM for every k".
     """
 
-    __slots__ = ("_keys", "_purge_floor", "_total", "changed")
+    __slots__ = ("_keys", "_purge_floor", "_total", "changed", "_walk")
 
     def __init__(self) -> None:
         self._keys: dict[Hashable, _KeyVersions] = {}
@@ -150,6 +150,13 @@ class VersionStore:
         #: checkpointer has asked (:meth:`track_changes`); None until then,
         #: so a store nobody checkpoints holds no set.
         self.changed: set[Hashable] | None = None
+        # The chains a purge can shorten — every chain of two or more
+        # versions, since a purge keeps the newest one below its bound.
+        # A chain joins when it grows to two and leaves when a sweep finds
+        # it shorter, so a sweep walks what it may change, not every key.
+        # None until the first sweep, which walks every chain: a store
+        # nobody purges keeps no walk.
+        self._walk: dict[Hashable, _KeyVersions] | None = None
 
     def _chain(self, key: Hashable) -> _KeyVersions:
         chain = self._keys.get(key)
@@ -187,15 +194,21 @@ class VersionStore:
 
         Also finalizes a PENDING version at the same timestamp.
         """
-        if self._chain(key).install(ts, value):
+        chain = self._chain(key)
+        if chain.install(ts, value):
             self._total += 1
+            if self._walk is not None and len(chain.ts_v) == 2:
+                self._walk[key] = chain
         if self.changed is not None:
             self.changed.add(key)
 
     def install_pending(self, key: Hashable, ts: Timestamp) -> None:
         """Reserve (key, ts) with the PENDING marker (§6 atomic-block removal)."""
-        if self._chain(key).install(ts, PENDING):
+        chain = self._chain(key)
+        if chain.install(ts, PENDING):
             self._total += 1
+            if self._walk is not None and len(chain.ts_v) == 2:
+                self._walk[key] = chain
         if self.changed is not None:
             self.changed.add(key)
 
@@ -225,13 +238,18 @@ class VersionStore:
         bound_v = bound.value
         bound_p = bound.pid
         changed = self.changed
-        for key, chain in self._keys.items():
+        walk = self._walk
+        if walk is None:
+            walk = self._walk = dict(self._keys)
+        short = []
+        for key, chain in walk.items():
             # A purge keeps the newest version below the bound, so it drops
             # something only where the *second* version is below it too —
-            # tested here, before any call: a periodic sweep finds almost
-            # every chain untouched.
+            # tested here, before any call: a periodic sweep finds most
+            # walked chains untouched.
             ts_v = chain.ts_v
             if len(ts_v) < 2:
+                short.append(key)
                 continue
             second = ts_v[1]
             if second > bound_v or (second == bound_v
@@ -242,6 +260,10 @@ class VersionStore:
             self._raise_floor(key, kept)
             if changed is not None:
                 changed.add(key)
+            if len(ts_v) < 2:
+                short.append(key)
+        for key in short:
+            del walk[key]
         self._total -= dropped
         return dropped
 
@@ -321,6 +343,8 @@ class VersionStore:
         chain.ts_p = [ts.pid for ts, _ in versions]
         chain.values = [value for _, value in versions]
         self._total += len(chain)
+        if self._walk is not None and len(chain) >= 2:
+            self._walk[key] = chain
         if floor is not None:
             self._raise_floor(key, floor)
         if self.changed is not None:

@@ -16,11 +16,12 @@ reply cache) is wiped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable, Sequence
+from itertools import islice
+from typing import Any, Callable, Hashable, Iterable
 
 from ..core.timestamp import Timestamp
 from ..core.versions import VersionStore
-from .wal import WriteAheadLog, decode_value, encode_value, tuple_header
+from .wal import WriteAheadLog, decode_value, encode_value
 
 __all__ = ["encode_snapshot", "decode_snapshot", "RecoveredState",
            "DurableStore"]
@@ -32,54 +33,15 @@ SYNC = "sync"
 
 _SNAPSHOT_VERSION = 1
 
-#: A snapshot is ``encode_value(("ckpt", version, rows, dedup, floor))``
-#: with ``rows = tuple(store.snapshot())``; this is everything before the
-#: rows tuple.
-_SNAPSHOT_HEAD = (tuple_header(5) + encode_value("ckpt")
-                  + encode_value(_SNAPSHOT_VERSION))
-
-#: Dedup pairs and their encodings, in log order (see ``_assemble``).
-_PairCache = tuple[Sequence[tuple[Any, Any]], Sequence[bytes]]
-_NO_PAIRS: _PairCache = ((), ())
+#: One row of :meth:`VersionStore.snapshot`: ``(key, versions, floor)``.
+_Row = tuple[Hashable, tuple[tuple[Timestamp, Any], ...], "Timestamp | None"]
 
 
-def _assemble(store: VersionStore, rows: "dict[Hashable, bytes]",
-              dedup: "Iterable[tuple[Any, Any]]", pairs: _PairCache,
-              stable_floor: "Timestamp | None"
-              ) -> tuple[bytes, _PairCache]:
-    """Snapshot bytes from cached pieces; the one snapshot encoder.
-
-    ``rows`` maps a key to the encoding of its ``snapshot_row``; a missing
-    row is encoded now and added.  ``pairs`` is what the previous call
-    returned beside the bytes: the dedup pairs it saw and their encodings,
-    in order.  The cache returned holds the pairs seen *this* time only,
-    so it never outgrows the dedup log.
-    """
-    parts = [_SNAPSHOT_HEAD, tuple_header(store.key_count())]
-    for key in store.keys():
-        blob = rows.get(key)
-        if blob is None:
-            blob = rows[key] = encode_value(store.snapshot_row(key))
-        parts.append(blob)
-    # The dedup log loses pairs on the left and gains them on the right, so
-    # the pairs still here from last time come in last time's order: walk
-    # both in step.  Matched by identity — ``(1, 7)`` and ``(True, 7)`` are
-    # equal, hash alike and encode differently, while a live dedup mapping
-    # yields the same tuple objects checkpoint after checkpoint.  Any other
-    # order only costs re-encoding.
-    old_pairs, old_blobs = pairs
-    seen: list = []
-    blobs: "list[bytes]" = []
-    at, end = 0, len(old_pairs)
-    for pair in dedup:
-        while at < end and old_pairs[at] is not pair:
-            at += 1
-        blobs.append(old_blobs[at] if at < end else encode_value(pair))
-        seen.append(pair)
-    parts.append(tuple_header(len(blobs)))
-    parts += blobs
-    parts.append(encode_value(stable_floor))
-    return b"".join(parts), (seen, blobs)
+def _encode(rows: "Iterable[_Row]", dedup: "Iterable[tuple[Any, Any]]",
+            stable_floor: "Timestamp | None") -> bytes:
+    """Snapshot bytes from its pieces; the one snapshot assembler."""
+    return encode_value(("ckpt", _SNAPSHOT_VERSION, tuple(rows),
+                         tuple(dedup), stable_floor))
 
 
 def encode_snapshot(store: VersionStore,
@@ -91,7 +53,7 @@ def encode_snapshot(store: VersionStore,
     (a server passes its live ordered mapping); it is read exactly once,
     here.
     """
-    return _assemble(store, {}, dedup, _NO_PAIRS, stable_floor)[0]
+    return _encode(store.snapshot(), dedup, stable_floor)
 
 
 def decode_snapshot(blob: bytes) -> tuple[VersionStore,
@@ -130,16 +92,22 @@ class DurableStore:
     every that-many logged records; 0 disables checkpointing, leaving pure
     log replay.
 
-    A checkpoint costs what changed since the last one, not the size of
-    the store: the encoded row of every key and the encoding of every
-    dedup pair are kept, the store is asked which keys changed
-    (:meth:`VersionStore.track_changes`), and only those rows are encoded
-    again before the pieces are joined — into exactly the bytes
-    :func:`encode_snapshot` gives for the same state.
+    Bytes are produced on read, not on write.  A checkpoint encodes
+    nothing: it takes :meth:`VersionStore.snapshot_row` of each key the
+    store reports changed since the last one
+    (:meth:`VersionStore.track_changes`), keeping every other key's row
+    from before, and copies the dedup pairs and the floor.  The first
+    :meth:`snapshot` after it assembles the bytes — exactly what
+    :func:`encode_snapshot` gives for the state at checkpoint time — and
+    keeps them until the next checkpoint.  The WAL frames its records the
+    same way, on read.  Nothing reads either but recovery (and tests), so
+    a run pays the codec for what it recovers, and recovery still decodes
+    real bytes.
     """
 
-    __slots__ = ("wal", "checkpoint_every", "checkpoints", "_snapshot",
-                 "_since_checkpoint", "_dirty", "_rows", "_pairs")
+    __slots__ = ("wal", "checkpoint_every", "checkpoints",
+                 "_since_checkpoint", "_dirty", "_rows", "_dedup", "_floor",
+                 "_blob")
 
     def __init__(self, *, checkpoint_every: int = 0) -> None:
         if checkpoint_every < 0:
@@ -147,15 +115,17 @@ class DurableStore:
         self.wal = WriteAheadLog()
         self.checkpoint_every = checkpoint_every
         self.checkpoints = 0
-        self._snapshot: bytes | None = None
         self._since_checkpoint = 0
         #: The changed-key set of the store being followed (the store adds,
         #: a checkpoint clears; until the first checkpoint, a set no store
-        #: has), that store's encoded rows, and the last checkpoint's dedup
-        #: pairs with their encodings.
+        #: has) and, as of the last checkpoint, that store's rows by key in
+        #: the store's key order, its dedup pairs and its floor.
         self._dirty: "set[Hashable]" = set()
-        self._rows: "dict[Hashable, bytes]" = {}
-        self._pairs = _NO_PAIRS
+        self._rows: "dict[Hashable, _Row | None]" = {}
+        self._dedup: "tuple[tuple[Any, Any], ...]" = ()
+        self._floor: "Timestamp | None" = None
+        #: The last checkpoint's bytes, once read.
+        self._blob: bytes | None = None
 
     # -- logging -----------------------------------------------------------
 
@@ -200,7 +170,7 @@ class DurableStore:
         """Checkpoint if ``checkpoint_every`` records have been logged.
 
         Called after every WAL record, so ``dedup`` must be cheap to pass:
-        it is only iterated (by :func:`encode_snapshot`) when a checkpoint
+        it is only iterated (copied by :meth:`checkpoint`) when a checkpoint
         actually fires.
         """
         if (self.checkpoint_every
@@ -212,22 +182,44 @@ class DurableStore:
     def checkpoint(self, store: VersionStore,
                    dedup: "Iterable[tuple[Any, Any]]",
                    stable_floor: "Timestamp | None") -> None:
-        """Snapshot the live state and truncate the log it supersedes."""
-        if store.changed is not self._dirty:
-            # Not the store the cached rows describe — the first checkpoint,
+        """Capture the live state and truncate the log it supersedes."""
+        dirty = self._dirty
+        if store.changed is not dirty:
+            # Not the store the kept rows describe — the first checkpoint,
             # or ``restart()`` installed a recovered store (or somebody else
             # took over its change feed): start over with every row.
             self._dirty = store.track_changes()
-            self._rows = {}
+            self._rows = {key: store.snapshot_row(key)
+                          for key in store.keys()}
         else:
-            for key in self._dirty:
-                self._rows.pop(key, None)
-            self._dirty.clear()
-        self._snapshot, self._pairs = _assemble(
-            store, self._rows, dedup, self._pairs, stable_floor)
+            rows = self._rows
+            # Keys only ever join a store, at the end: the new ones keep
+            # the store's order (and its own key objects) here, and the
+            # change feed, which has them all, fills them in.
+            for key in islice(store.keys(), len(rows), None):
+                rows[key] = None
+            for key in dirty:
+                rows[key] = store.snapshot_row(key)
+            dirty.clear()
+        self._dedup = tuple(dedup)
+        self._floor = stable_floor
+        self._blob = None
         self.wal.truncate()
         self._since_checkpoint = 0
         self.checkpoints += 1
+
+    def snapshot(self) -> bytes | None:
+        """The latest checkpoint's bytes (None before the first one),
+        assembled on the first read after it."""
+        if self._blob is None and self.checkpoints:
+            # ``7`` and ``7.0`` are one key to the store and two to the
+            # codec: a row taken under another spelling than the store's
+            # own key object is re-keyed.
+            self._blob = _encode(
+                (row if row[0] is key else (key,) + row[1:]
+                 for key, row in self._rows.items()),
+                self._dedup, self._floor)
+        return self._blob
 
     # -- recovery ----------------------------------------------------------
 
@@ -242,8 +234,9 @@ class DurableStore:
         module writes (only decided commits are logged) but keeps recovery
         sound if a log is shared or hand-built.
         """
-        if self._snapshot is not None:
-            store, dedup, stable_floor = decode_snapshot(self._snapshot)
+        blob = self.snapshot()
+        if blob is not None:
+            store, dedup, stable_floor = decode_snapshot(blob)
         else:
             store, dedup, stable_floor = VersionStore(), [], None
         seen = set(dedup)

@@ -25,8 +25,8 @@ from typing import Any, Iterator
 
 from ..core.timestamp import BOTTOM, Timestamp
 
-__all__ = ["encode_value", "decode_value", "tuple_header", "frame",
-           "replay_records", "WriteAheadLog"]
+__all__ = ["encode_value", "decode_value", "frame", "replay_records",
+           "WriteAheadLog"]
 
 _HEADER = struct.Struct("<II")   # (payload length, crc32)
 _F64 = struct.Struct("<d")
@@ -116,16 +116,6 @@ def encode_value(value: Any) -> bytes:
     out = bytearray()
     _encode_into(out, value)
     return bytes(out)
-
-
-def tuple_header(count: int) -> bytes:
-    """The bytes that open an encoded tuple of ``count`` items.
-
-    The codec is context-free — ``encode_value(items)`` is this header
-    followed by each item's own ``encode_value`` — so a large tuple can be
-    assembled from separately encoded (and cached) items.
-    """
-    return _T_TUPLE + _U32.pack(count)
 
 
 def _decode_at(data: bytes, pos: int) -> tuple[Any, int]:
@@ -240,12 +230,25 @@ class WriteAheadLog:
     server object drops its *volatile* state on ``crash()`` but keeps the
     :class:`~repro.repl.checkpoint.DurableStore` (and thus this buffer),
     exactly as a real process keeps its disk.
+
+    Framing is lazy: :meth:`append` keeps the record, and the bytes are
+    produced — every pending record, in log order — when something reads
+    them (:meth:`image`, :meth:`replay`, :attr:`size_bytes`).  Nothing but
+    recovery and tests reads a log, and most of a log is truncated by the
+    next checkpoint unread, so the codec runs for the records somebody
+    reads.  The bytes are the ones eager framing gives, as long as a
+    record is not mutated after ``append`` (the servers log tuples of
+    immutable values).  A record the codec refuses raises ``TypeError`` at
+    the first read (and at every read after it), not at ``append``.
     """
 
-    __slots__ = ("_buf", "records_appended", "records_by_kind")
+    __slots__ = ("_buf", "_pending", "records_appended", "records_by_kind")
 
     def __init__(self) -> None:
         self._buf = bytearray()
+        #: Records appended since the bytes were last produced, oldest
+        #: first; framed onto ``_buf`` by :meth:`_framed`.
+        self._pending: list[Any] = []
         self.records_appended = 0
         #: Lifetime append counts per record kind (first tuple element) —
         #: survives :meth:`truncate` like ``records_appended``, so the obs
@@ -254,25 +257,43 @@ class WriteAheadLog:
         self.records_by_kind: dict[Any, int] = {}
 
     def append(self, record: Any) -> None:
-        self._buf += frame(encode_value(record))
+        self._pending.append(record)
         self.records_appended += 1
         kind = record[0] if isinstance(record, tuple) and record else None
         self.records_by_kind[kind] = self.records_by_kind.get(kind, 0) + 1
 
+    def _framed(self) -> bytearray:
+        """The on-disk bytes, after framing every pending record."""
+        pending = self._pending
+        if pending:
+            # All or nothing: a refused record leaves the buffer as it was.
+            self._buf += b"".join([frame(encode_value(record))
+                                   for record in pending])
+            pending.clear()
+        return self._buf
+
     def image(self) -> bytes:
         """The raw on-disk bytes (for tests and torn-tail simulation)."""
-        return bytes(self._buf)
+        return bytes(self._framed())
+
+    def load_image(self, data: bytes) -> None:
+        """Make ``data`` the on-disk bytes, as if the log had been written
+        up to them — a torn tail is any prefix of :meth:`image`.  Counters
+        are untouched: they count appends, not what the disk holds."""
+        self._buf = bytearray(data)
+        self._pending.clear()
 
     def replay(self) -> list[Any]:
-        return replay_records(self._buf)
+        return replay_records(self._framed())
 
     def truncate(self) -> None:
         """Discard all records (called after a checkpoint supersedes them)."""
         self._buf.clear()
+        self._pending.clear()
 
     @property
     def size_bytes(self) -> int:
-        return len(self._buf)
+        return len(self._framed())
 
     def __len__(self) -> int:
         return self.records_appended

@@ -1,9 +1,10 @@
-"""Differential suite: every checkpoint equals the full encoding.
+"""Differential suite: every checkpoint reads back as the full encoding.
 
-``DurableStore.checkpoint`` re-encodes only what changed since the previous
-checkpoint.  The contract is that nobody can tell: after *every* checkpoint
-the stored snapshot is byte-for-byte the one-shot encoding of the whole
-state, spelled out here as the reference —
+``DurableStore.checkpoint`` captures what changed since the previous
+checkpoint and encodes nothing; the bytes are assembled on the first read.
+The contract is that nobody can tell: whenever a checkpoint is read, its
+bytes are the one-shot encoding of the whole state *as it was at that
+checkpoint*, spelled out here as the reference —
 
     encode_value(("ckpt", 1, tuple(store.snapshot()), tuple(dedup), floor))
 
@@ -12,8 +13,9 @@ rule machine drives one :class:`VersionStore` and one :class:`DurableStore`
 through everything that can change a snapshot row (install, PENDING then
 finalise or drop, both purges, ``load_chain``, a first read that creates a
 chain), the dedup log (append, evict from the left) and the floor, and
-through the edges of *when* a checkpoint is taken: twice in a row, right
-after a purge that emptied nothing, and on a different store object
+through the edges of *when* a checkpoint is taken and read: read at once,
+read only after later rules changed the state, twice in a row, right after
+a purge that emptied nothing, and on a different store object
 (``recover()`` then checkpoint the recovered store with the same
 ``DurableStore``, as ``MVTLServer.restart`` does).
 
@@ -37,10 +39,11 @@ from repro.dist.failure import ChaosConfig
 from repro.repl import checkpoint
 from repro.repl.checkpoint import (DurableStore, decode_snapshot,
                                    encode_snapshot)
-from repro.repl.wal import encode_value
+from repro.repl.wal import WriteAheadLog, encode_value
 from repro.sim.network import LinkFaults
 from repro.sim.testbed import LOCAL_TESTBED
 from repro.workload import WorkloadConfig
+from tests.repl import wal_model
 
 # Few keys and a coarse timestamp grid: installs collide with PENDING
 # reservations, purges land between versions, and "never seen" keys stay
@@ -76,6 +79,8 @@ class CheckpointMachine(RuleBasedStateMachine):
         self.reserved: list = []  # (key, ts) PENDING installs still open
         self.serial = 0
         self.checked = 0
+        #: The reference bytes of the last checkpoint, taken when it was.
+        self.expected = None
 
     # -- the version store ---------------------------------------------------
 
@@ -157,21 +162,41 @@ class CheckpointMachine(RuleBasedStateMachine):
 
     @rule()
     def checkpoint(self):
-        self.durable.checkpoint(self.store, self.dedup, self.floor)
-        blob = self.durable._snapshot
-        assert blob == reference(self.store, self.dedup, self.floor)
+        self.checkpoint_unread()
+        blob = self.durable.snapshot()
+        assert blob == self.expected
         back, dedup, floor = decode_snapshot(blob)
         assert back.snapshot() == self.store.snapshot()
         assert dedup == list(self.dedup)
         assert floor == self.floor
+
+    @rule()
+    def checkpoint_unread(self):
+        """Capture now; whatever later rules change, a read must give the
+        state as it was here."""
+        self.durable.checkpoint(self.store, self.dedup, self.floor)
+        self.expected = reference(self.store, self.dedup, self.floor)
         self.checked += 1
+
+    @rule(key=keys, ts=stamps, value=values, pair=pairs, bound=stamps)
+    def checkpoint_then_change(self, key, ts, value, pair, bound):
+        self.checkpoint_unread()
+        self.install(key, ts, value, logged=True)
+        self.purge(bound, logged=False)
+        self.dedup_append(pair)
+        self.raise_floor(bound)
+        self.read_snapshot()
+
+    @rule()
+    def read_snapshot(self):
+        assert self.durable.snapshot() == self.expected
 
     @rule()
     def checkpoint_twice(self):
         self.checkpoint()
-        first = self.durable._snapshot
+        first = self.durable.snapshot()
         self.checkpoint()
-        assert self.durable._snapshot == first
+        assert self.durable.snapshot() == first
 
     @rule()
     def checkpoint_after_empty_purge(self):
@@ -226,11 +251,11 @@ def test_snapshot_layout_is_the_documented_concatenation():
 
 def test_equal_pairs_of_different_types_keep_their_own_encoding():
     """``(1, 7) == (1.0, 7) == (True, 7)`` and all three hash alike; the
-    codec tells them apart, so a cached pair encoding must too."""
+    codec tells them apart, so a kept pair must keep its own type."""
     store, durable = VersionStore(), DurableStore()
     for pair in ((1, 7), (1.0, 7), (True, 7), (1, 7)):
         durable.checkpoint(store, [pair], None)
-        assert durable._snapshot == reference(store, [pair], None)
+        assert durable.snapshot() == reference(store, [pair], None)
 
 
 def test_two_durable_stores_on_one_version_store_stay_exact():
@@ -243,7 +268,7 @@ def test_two_durable_stores_on_one_version_store_stay_exact():
         store.install(f"k{i}", Timestamp(1.0, 0), i)
         for durable in (one, two) if i % 2 else (two, one, one):
             durable.checkpoint(store, (), None)
-            assert durable._snapshot == reference(store, (), None)
+            assert durable.snapshot() == reference(store, (), None)
 
 
 def test_every_checkpoint_of_a_selfheal_run_is_the_full_encoding(monkeypatch):
@@ -251,15 +276,39 @@ def test_every_checkpoint_of_a_selfheal_run_is_the_full_encoding(monkeypatch):
     checkpoint every 8 records, lossy links, one leader crash and restart —
     with every checkpoint any server takes cross-checked against the full
     encoding, the post-restart ones (a recovered store under the same
-    ``DurableStore``) included."""
+    ``DurableStore``) included.  Each checkpoint is read when the next one
+    is taken, at recovery and at the end — after the state moved on — and
+    each WAL image beside it is compared with the eager log fed the same
+    records."""
     taken = []  # (durable, store) per checkpoint
     plain = DurableStore.checkpoint
+    plain_recover = DurableStore.recover
+    plain_append = WriteAheadLog.append
+    eager = {}     # each WAL -> the eager model log fed the same appends
+    expected = {}  # each DurableStore -> its last checkpoint's reference
+
+    def mirrored(self, record):
+        plain_append(self, record)
+        eager.setdefault(self, wal_model.WriteAheadLog()).append(record)
+
+    def read_back(durable):
+        model = eager.get(durable.wal)
+        assert durable.wal.image() == (model.image() if model else b"")
+        assert durable.snapshot() == expected.get(durable)
 
     def checked(self, store, dedup, stable_floor):
+        read_back(self)
         plain(self, store, dedup, stable_floor)
-        assert self._snapshot == reference(store, dedup, stable_floor)
+        eager.setdefault(self.wal, wal_model.WriteAheadLog()).truncate()
+        expected[self] = reference(store, dedup, stable_floor)
         taken.append((self, store))
 
+    def recovering(self, **kwargs):
+        read_back(self)
+        return plain_recover(self, **kwargs)
+
+    monkeypatch.setattr(WriteAheadLog, "append", mirrored)
+    monkeypatch.setattr(DurableStore, "recover", recovering)
     monkeypatch.setattr(DurableStore, "checkpoint", checked)
     result = run_cluster(ClusterConfig(
         protocol="mvtil-early",
@@ -281,25 +330,90 @@ def test_every_checkpoint_of_a_selfheal_run_is_the_full_encoding(monkeypatch):
     for durable, store in taken:
         stores.setdefault(id(durable), []).append(store)
     assert any(len({id(s) for s in seen}) > 1 for seen in stores.values())
+    for durable in expected:
+        read_back(durable)
 
 
-# -- the cache itself ---------------------------------------------------------
+# -- the cost contract ---------------------------------------------------------
 # Everything above holds for any correct encoder (and passed on the
-# always-full one); these name what the incremental one keeps.
+# always-full one); these name what a checkpoint and a read may cost.
 
-def test_the_pair_cache_never_outgrows_the_dedup_log():
-    store, durable = VersionStore(), DurableStore()
-    log = [("c", i) for i in range(50)]
+def _count_work(monkeypatch):
+    """Record every ``snapshot_row`` key and every top-level encode the
+    checkpoint module makes from now on."""
+    rows, encoded = [], []
+    plain_row = VersionStore.snapshot_row
+    monkeypatch.setattr(
+        VersionStore, "snapshot_row",
+        lambda self, key: rows.append(key) or plain_row(self, key))
+    plain_encode = checkpoint.encode_value
+    monkeypatch.setattr(checkpoint, "encode_value",
+                        lambda value: encoded.append(value)
+                        or plain_encode(value))
+    return rows, encoded
+
+
+def _twenty_keys():
+    store = VersionStore()
+    for i in range(20):
+        store.install(f"k{i}", Timestamp(1.0, i), i)
+    return store, OrderedDict((("c", i), None) for i in range(30))
+
+
+def test_a_checkpoint_takes_only_changed_rows_and_encodes_nothing(
+        monkeypatch):
+    store, log = _twenty_keys()
+    durable = DurableStore()
+    rows, encoded = _count_work(monkeypatch)
     durable.checkpoint(store, log, None)
-    assert [len(part) for part in durable._pairs] == [50, 50]
-    durable.checkpoint(store, log[45:], None)
-    assert [len(part) for part in durable._pairs] == [5, 5]
-    assert durable._snapshot == reference(store, log[45:], None)
+    assert rows == [f"k{i}" for i in range(20)]  # the first takes every row
+    assert encoded == []
+
+    del rows[:]
+    store.install("k3", Timestamp(2.0, 0), "new")
+    store.latest_before("fresh", Timestamp(1.0, 0))  # first read: a new row
+    log.popitem(last=False)
+    log[("c", 30)] = None
+    floor = Timestamp(0.5, 0)
+    durable.checkpoint(store, log, floor)
+    assert sorted(rows) == ["fresh", "k3"]
+    assert encoded == []
+    durable.checkpoint(store, log, floor)  # nothing changed since
+    assert sorted(rows) == ["fresh", "k3"]
+    assert encoded == []
+    assert durable.snapshot() == reference(store, log, floor)
+
+
+def test_the_first_read_assembles_and_a_second_encodes_nothing(monkeypatch):
+    store, log = _twenty_keys()
+    durable = DurableStore()
+    durable.checkpoint(store, log, None)
+    expected = reference(store, log, None)
+    expected_rows = store.snapshot()
+    store.install("k3", Timestamp(2.0, 0), "after")  # not in the checkpoint
+    log[("c", 30)] = None
+    rows, encoded = _count_work(monkeypatch)
+    blob = durable.snapshot()
+    assert blob == expected
+    assert len(encoded) == 1 and rows == []  # assembled here, in one go
+    assert durable.snapshot() is blob
+    recovered = durable.recover()
+    assert len(encoded) == 1 and rows == []  # read twice more, encoded once
+    assert recovered.store.snapshot() == expected_rows
+
+
+def test_no_checkpoint_reads_as_none():
+    durable = DurableStore()
+    assert durable.snapshot() is None
+    durable.log_commit(("c", 1), Timestamp(1.0, 1), (("x", "a"),))
+    assert durable.snapshot() is None
+    assert durable.recover().store.version_at(
+        "x", Timestamp(1.0, 1)).value == "a"
 
 
 def test_one_shot_encoding_leaves_change_tracking_alone():
-    """``encode_snapshot`` is the same assembler with an empty cache: it
-    must not take over (or switch on) the store's change feed."""
+    """``encode_snapshot`` reads the store without following it: it must
+    not take over (or switch on) the store's change feed."""
     store = VersionStore()
     store.install("x", Timestamp(1.0, 1), "a")
     assert encode_snapshot(store, (), None) == reference(store, (), None)
@@ -311,28 +425,4 @@ def test_one_shot_encoding_leaves_change_tracking_alone():
     assert encode_snapshot(store, (), None) == reference(store, (), None)
     assert store.changed is feed and feed == {"x"}
     durable.checkpoint(store, (), None)
-    assert durable._snapshot == reference(store, (), None)
-
-
-def test_a_checkpoint_encodes_only_what_changed(monkeypatch):
-    encoded = []
-    plain = checkpoint.encode_value
-    monkeypatch.setattr(checkpoint, "encode_value",
-                        lambda value: encoded.append(value) or plain(value))
-    store, durable = VersionStore(), DurableStore()
-    for i in range(20):
-        store.install(f"k{i}", Timestamp(1.0, i), i)
-    log = OrderedDict((("c", i), None) for i in range(30))
-    durable.checkpoint(store, log, None)
-    assert len(encoded) == 20 + 30 + 1  # every row, every pair, the floor
-
-    del encoded[:]
-    store.install("k3", Timestamp(2.0, 0), "new")
-    store.latest_before("fresh", Timestamp(1.0, 0))  # first read: a new row
-    log.popitem(last=False)
-    log[("c", 30)] = None
-    floor = Timestamp(0.5, 0)
-    durable.checkpoint(store, log, floor)
-    assert encoded == [store.snapshot_row("k3"), store.snapshot_row("fresh"),
-                       ("c", 30), floor]
-    assert durable._snapshot == reference(store, log, floor)
+    assert durable.snapshot() == reference(store, (), None)

@@ -124,6 +124,35 @@ class TestTornTail:
             assert got == records
 
 
+
+class TestLazyFraming:
+    def test_append_frames_nothing_until_a_read(self, monkeypatch):
+        from repro.repl import wal as wal_module
+        encoded = []
+        plain = wal_module.encode_value
+        monkeypatch.setattr(wal_module, "encode_value",
+                            lambda value: encoded.append(value) or plain(value))
+        log = WriteAheadLog()
+        for record in RECORDS:
+            log.append(record)
+        assert encoded == [] and len(log) == len(RECORDS)
+        assert log.image() == _image(RECORDS)
+        assert encoded == RECORDS
+        assert log.replay() == RECORDS and log.size_bytes == len(_image(RECORDS))
+        assert encoded == RECORDS  # framed once, read three times
+
+    def test_a_refused_record_surfaces_at_every_read(self):
+        log = WriteAheadLog()
+        log.append(RECORDS[0])
+        log.append(("purge", object()))
+        assert len(log) == 2 and log.records_by_kind == {
+            RECORDS[0][0]: 1, "purge": 1}
+        for read in (log.image, log.replay, lambda: log.size_bytes):
+            with pytest.raises(TypeError):
+                read()
+        log.truncate()
+        assert log.image() == b"" and len(log) == 2
+
 def _store_with(entries):
     store = VersionStore()
     for key, ts, value in entries:
@@ -217,8 +246,8 @@ class TestDurableStore:
             assert dedup.reads == (1 if fired else 0)
         # Same bytes as the eager tuple every call site used to build, and
         # as the ordered mapping the servers pass now.
-        assert durable._snapshot == encode_snapshot(store, tuple(pairs), None)
-        assert durable._snapshot == encode_snapshot(
+        assert durable.snapshot() == encode_snapshot(store, tuple(pairs), None)
+        assert durable.snapshot() == encode_snapshot(
             store, dict.fromkeys(pairs), None)
         assert durable.recover().dedup == pairs
 
@@ -235,7 +264,7 @@ class TestDurableStore:
         for i in range(3):
             durable.log_commit(("c", i), Timestamp(float(i + 1), 1),
                                ((f"k{i}", i),), "c", i)
-        durable.wal._buf = bytearray(
+        durable.wal.load_image(
             durable.wal.image()[:durable.wal.size_bytes - 3])
         rec = durable.recover()
         assert rec.store.version_at("k0", Timestamp(1.0, 1)).value == 0
