@@ -33,7 +33,9 @@ class BackgroundCollector:
     """Deferred lock GC + version purging for an :class:`MVTLEngine`.
 
     Use either programmatically (:meth:`collect_now`) or as a daemon thread
-    (:meth:`start` / :meth:`stop`).
+    (:meth:`start` / :meth:`stop`).  A transaction the engine already
+    collected — at commit (``commit-gc``) or at an abort the policy
+    collects — is skipped: Algorithm 1 runs ``gc`` once per transaction.
 
     Parameters
     ----------
@@ -66,9 +68,12 @@ class BackgroundCollector:
     # -- registration -----------------------------------------------------------
 
     def note_finished(self, tx: Transaction) -> None:
-        """Tell the collector that ``tx`` ended (commit or abort)."""
+        """Tell the collector that ``tx`` ended (commit or abort); a
+        transaction the engine already collected is not queued."""
         if tx.is_active:
             raise ValueError("transaction is still active")
+        if tx.collected:
+            return
         with self._lock:
             self._finished.append((time.monotonic(), tx))
 

@@ -25,9 +25,10 @@ is hashed onto ``stripes`` independent mutex+condition pairs, so acquires on
 keys in different stripes never contend and a release only wakes waiters of
 the released key's stripe.  The locking discipline:
 
-* per-key operations (acquire/release/frozen-range queries) hold exactly the
+* per-key operations (acquire/release/frozen-range queries, and the
+  one-pass MVTIL read :meth:`MVTLEngine.read_prefix`) hold exactly the
   key's stripe;
-* cross-key operations (the commit freeze pass, GC's freeze+release sweep,
+* cross-key operations (commit with its commit-time GC, background GC,
   whole-table metrics) collect the stripes of every key involved and acquire
   them in ascending stripe-index order — a global canonical order, so two
   cross-key operations can never deadlock against each other, and a
@@ -45,10 +46,9 @@ from __future__ import annotations
 import threading
 import time
 import zlib
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import count
-from typing import Any, Callable, Hashable, Iterable, Iterator
+from typing import Any, Callable, Hashable, Iterable
 
 from ..clocks.clock import Clock, LogicalClock
 from ..obs.trace import NULL_TRACER
@@ -58,9 +58,10 @@ from .exceptions import (AbortReason, DeadlockError, PolicyError,
 from .intervals import EMPTY_SET, IntervalSet, TsInterval
 from .locks import Conflict, LockMode, LockTable
 from .policy import MVTLPolicy
-from .timestamp import TS_ZERO, Timestamp
+from .timestamp import TS_INF, TS_ZERO, Timestamp
 from .transaction import Transaction, TxStatus
-from .versions import VersionStore
+from .versions import Version, VersionStore
+from .._fastcore import iv_intersect, iv_seek, iv_union
 
 __all__ = ["MVTLEngine", "EngineAcquireResult", "DEFAULT_STRIPES"]
 
@@ -76,6 +77,9 @@ _UNSET_TIMEOUT: Any = object()
 #: Poll quantum for condition waits: an upper bound on how long a waiter can
 #: oversleep a wakeup it missed, and the cadence of deadlock re-checks.
 _WAIT_QUANTUM = 0.05
+
+#: ``(TS_ZERO, +inf]`` as a flat quad: where commit candidates start.
+_AFTER_ZERO = (TS_ZERO.value, TS_ZERO.pid + 1, TS_INF.value, TS_INF.pid)
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,23 +193,28 @@ class MVTLEngine:
         """Ascending, deduplicated stripe indices for ``keys``."""
         return tuple(sorted({self.stripe_of(k) for k in keys}))
 
-    @contextmanager
-    def _locked_stripes(self, indices: tuple[int, ...]) -> Iterator[None]:
-        """Hold the given stripes, acquired in canonical (ascending) order.
+    def _acquire_stripes(self, indices: tuple[int, ...]) -> None:
+        """Take the given stripes in canonical (ascending) order.
 
         ``indices`` must be sorted ascending and deduplicated
         (:meth:`_stripe_indices` guarantees this) — the canonical order is
-        what makes concurrent cross-key operations deadlock-free.
+        what makes concurrent cross-key operations deadlock-free.  Pair
+        with :meth:`_release_stripes` in a ``finally``.
         """
+        stripes = self._stripes
         taken = 0
         try:
             for i in indices:
-                self._stripes[i].acquire()
+                stripes[i].acquire()
                 taken += 1
-            yield
-        finally:
-            for i in reversed(indices[:taken]):
-                self._stripes[i].release()
+        except BaseException:
+            self._release_stripes(indices[:taken])
+            raise
+
+    def _release_stripes(self, indices: tuple[int, ...]) -> None:
+        stripes = self._stripes
+        for i in reversed(indices):
+            stripes[i].release()
 
     def _notify_stripes(self, indices: tuple[int, ...]) -> None:
         """Wake waiters of stripes the caller currently holds."""
@@ -282,6 +291,11 @@ class MVTLEngine:
         transaction and garbage-collecting its locks, if the policy asks
         for commit-time GC — when the policy picks a commit timestamp
         outside the locked candidate set.
+
+        The decision, the freezes and installs, and commit-time GC run
+        under one acquisition of the stripes of every key the transaction
+        read, wrote or holds a lock on (GC's keys are a subset), followed
+        by one wake-up pass over them.
         """
         self._check_active(tx)
         try:
@@ -292,10 +306,12 @@ class MVTLEngine:
             return False
         keys = set(tx.writeset)
         keys.update(k for k, _ in tx.readset)
+        keys.update(self.locks.keys_of(tx.id))
         indices = self._stripe_indices(keys)
         committed = False
         policy_error: PolicyError | None = None
-        with self._locked_stripes(indices):
+        self._acquire_stripes(indices)
+        try:
             candidates = self._candidates(tx)
             commit_ts = (self.policy.commit_ts(self, tx, candidates)
                          if candidates else None)
@@ -323,13 +339,14 @@ class MVTLEngine:
                 if self.tracer.enabled:
                     self.tracer.commit(tx.id, ts=commit_ts)
                 committed = True
-                self._notify_stripes(indices)
-        # GC re-acquires stripes, so it must run with none held; the
-        # PolicyError surfaces only after the aborted transaction's
-        # unfrozen locks are collected — other transactions must not be
-        # left blocking on a dead owner while the caller handles the error.
-        if self.policy.commit_gc(self, tx):
-            self.gc(tx)
+            # The PolicyError surfaces only after the aborted transaction's
+            # unfrozen locks are collected — other transactions must not be
+            # left blocking on a dead owner while the caller handles it.
+            if self.policy.commit_gc(self, tx):
+                self._collect(tx)
+            self._notify_stripes(indices)
+        finally:
+            self._release_stripes(indices)
         self.policy.on_finish(self, tx)
         if policy_error is not None:
             raise policy_error
@@ -346,32 +363,44 @@ class MVTLEngine:
 
         For a committed transaction: freeze the read-locks between each read
         version and the commit timestamp, then release everything unfrozen.
-        May be called eagerly at commit (``commit-gc``) or later in the
-        background.
+        Runs at commit (``commit-gc``, inside commit's stripe block) or
+        later in the background.  Idempotent: a transaction is collected
+        once, and ``gc`` on a collected one returns at once, taking no
+        stripe.
         """
         if tx.is_active:
             raise TransactionStateError("gc() on an active transaction")
-        freeze_reads = tx.committed and tx.commit_ts is not None
+        if tx.collected:
+            return
         keys = set(self.locks.keys_of(tx.id))
-        if freeze_reads:
+        if tx.committed:
             keys.update(k for k, _ in tx.readset)
         indices = self._stripe_indices(keys)
-        with self._locked_stripes(indices):
-            if freeze_reads:
-                for key, tr in tx.readset:
-                    if tr < tx.commit_ts:
-                        span = TsInterval.open_closed(tr, tx.commit_ts)
-                        self.locks.freeze(tx.id, key, LockMode.READ, span)
-                        if self.tracer.enabled:
-                            self.tracer.freeze(tx.id, key,
-                                               LockMode.READ.value,
-                                               span=span)
-            # Seal rather than merely release: folding the frozen remainder
-            # into each key's ownerless aggregate keeps conflict checks
-            # O(active transactions) — dead-owner records otherwise pile up
-            # and every read's frozen_write_ranges() scan grows unboundedly.
-            self.locks.seal_all(tx.id)
+        self._acquire_stripes(indices)
+        try:
+            self._collect(tx)
             self._notify_stripes(indices)
+        finally:
+            self._release_stripes(indices)
+
+    def _collect(self, tx: Transaction) -> None:
+        """The body of :meth:`gc`: the caller holds the stripes of every key
+        ``tx`` holds a lock on and, if it committed, of every key it read."""
+        if tx.committed:
+            commit_ts = tx.commit_ts
+            for key, tr in tx.readset:
+                if tr < commit_ts:
+                    span = TsInterval.open_closed(tr, commit_ts)
+                    self.locks.freeze(tx.id, key, LockMode.READ, span)
+                    if self.tracer.enabled:
+                        self.tracer.freeze(tx.id, key, LockMode.READ.value,
+                                           span=span)
+        # Seal rather than merely release: folding the frozen remainder
+        # into each key's ownerless aggregate keeps conflict checks
+        # O(active transactions) — dead-owner records otherwise pile up
+        # and every read's conflict walk grows unboundedly.
+        self.locks.seal_all(tx.id)
+        tx.collected = True
 
     # ------------------------------------------------------------------
     # Primitives used by policies
@@ -527,7 +556,8 @@ class MVTLEngine:
         """Back out of a failed commit-time write-lock pass (Alg. 3/8)."""
         keys = self.locks.keys_of(tx.id)
         indices = self._stripe_indices(keys)
-        with self._locked_stripes(indices):
+        self._acquire_stripes(indices)
+        try:
             for key in keys:
                 state = self.locks.peek(key)
                 if state is None:
@@ -538,6 +568,8 @@ class MVTLEngine:
                 if not releasable.is_empty:
                     state.release(tx.id, LockMode.WRITE, releasable)
             self._notify_stripes(indices)
+        finally:
+            self._release_stripes(indices)
 
     def frozen_write_ranges(self, key: Hashable) -> IntervalSet:
         """Union of all frozen write locks on ``key``."""
@@ -555,6 +587,41 @@ class MVTLEngine:
         """
         with self._stripes[self.stripe_of(key)]:
             return self.store.latest_before(key, ts)
+
+    def read_prefix(self, tx: Transaction, key: Hashable, upper: Timestamp
+                    ) -> tuple[Version, IntervalSet] | None:
+        """Read ``key`` below ``upper`` and read-lock what protects it, in
+        one pass under the key's stripe (the Alg. 13 read of the DES
+        server, without waiting).
+
+        Picks ``tr`` = the latest version strictly below ``upper``, then
+        read-locks the contiguous range just above it: ``(tr, upper]`` cut
+        at the first frozen write lock, then at the first write lock of
+        another owner (the lookup is strictly below ``upper``, so that
+        range is never empty).  Returns ``(version, locked)`` — ``locked``
+        is empty when a write lock sits directly above ``tr`` — or None
+        when the version below ``upper`` was purged.  Nothing is left
+        locked outside ``locked``, and no commit can land between the
+        lookup and the grant.
+        """
+        idx = self.stripe_of(key)
+        with self._stripes[idx]:
+            version = self.store.latest_before(key, upper)
+            if version is None:
+                return None  # purged (§6): the transaction must abort
+            tr = version.ts
+            locked, contended = self.locks.state(key).acquire_read_after(
+                tx.id, tr, upper)
+            if contended:
+                self._stripe_conflicts[idx] += 1
+            if locked:
+                self.locks.note_owner(tx.id, key)
+        if self.tracer.enabled:
+            self.tracer.lock_acquire(
+                tx.id, key, LockMode.READ.value,
+                requested=TsInterval.open_closed(tr, upper), granted=locked,
+                conflicts=int(contended), timed_out=False, deadlock=False)
+        return version, locked
 
     # ------------------------------------------------------------------
     # Internals
@@ -603,40 +670,56 @@ class MVTLEngine:
         just above the version read; write-set keys contribute the held
         write-lock set.  TS_ZERO is excluded: every key's initial version
         lives there, so it can never be a commit point.  Caller must hold
-        the stripes of every readset/writeset key.
+        the stripes of every readset/writeset key.  Computed on flat quads;
+        only the result is wrapped.
         """
-        cand = IntervalSet.from_interval(TsInterval.after(TS_ZERO))
+        cand = _AFTER_ZERO
         for key, tr in tx.readset:
-            cover = self._contiguous_cover(tx, key, tr)
-            cand = cand.intersect(cover)
-            if cand.is_empty:
-                return cand
+            cand = iv_intersect(cand, self._contiguous_cover(tx, key, tr))
+            if not cand:
+                return EMPTY_SET
         for key in tx.writeset:
-            cand = cand.intersect(self.locks.held(tx.id, key, LockMode.WRITE))
-            if cand.is_empty:
-                return cand
-        return cand
+            cand = iv_intersect(
+                cand, self.locks.held(tx.id, key, LockMode.WRITE).flat)
+            if not cand:
+                return EMPTY_SET
+        return IntervalSet._from_flat(cand)
 
     def _contiguous_cover(self, tx: Transaction, key: Hashable,
-                          tr: Timestamp) -> IntervalSet:
-        held = (self.locks.held(tx.id, key, LockMode.READ)
-                .union(self.locks.held(tx.id, key, LockMode.WRITE)))
-        for piece in held:
-            if piece.contains_just_after(tr):
-                clipped = piece.intersect(TsInterval.after(tr))
-                if clipped is not None:
-                    return IntervalSet.from_interval(clipped)
-        return EMPTY_SET
+                          tr: Timestamp) -> tuple:
+        """``tx``'s contiguous lock coverage (read or write) of ``key``
+        from the timestamp just after ``tr`` up, as a flat quad; ``()`` when
+        that timestamp is not locked."""
+        state = self.locks.peek(key)
+        if state is None:
+            return ()
+        held = iv_union(state.held(tx.id, LockMode.READ).flat,
+                        state.held(tx.id, LockMode.WRITE).flat)
+        v = tr.value
+        p = tr.pid + 1
+        i = iv_seek(held, v, p)
+        if i == len(held):
+            return ()
+        lo_v = held[i]
+        if lo_v < v or (lo_v == v and held[i + 1] <= p):
+            return (v, p, held[i + 2], held[i + 3])
+        return ()
 
     # -- metrics --------------------------------------------------------------
 
     def lock_record_count(self) -> int:
-        with self._locked_stripes(self._all_stripe_indices):
+        self._acquire_stripes(self._all_stripe_indices)
+        try:
             return self.locks.total_record_count()
+        finally:
+            self._release_stripes(self._all_stripe_indices)
 
     def version_count(self) -> int:
-        with self._locked_stripes(self._all_stripe_indices):
+        self._acquire_stripes(self._all_stripe_indices)
+        try:
             return self.store.version_count()
+        finally:
+            self._release_stripes(self._all_stripe_indices)
 
     def purge_versions_before(self, bound: Timestamp) -> int:
         """Purge old versions and their lock state (§6), stripe-safely.
@@ -649,10 +732,13 @@ class MVTLEngine:
         concurrent installs).
         """
         bound_iv = TsInterval.closed_open(Timestamp(float("-inf"), 0), bound)
-        with self._locked_stripes(self._all_stripe_indices):
+        self._acquire_stripes(self._all_stripe_indices)
+        try:
             purged = self.store.purge_before(bound)
             self.locks.purge_below(bound_iv)
             return purged
+        finally:
+            self._release_stripes(self._all_stripe_indices)
 
     def stripe_contention(self) -> dict[str, tuple[int, ...]]:
         """Per-stripe contention counters since construction.

@@ -43,12 +43,15 @@ class Transaction:
         ``{key: value}`` — deferred writes, exposed only at commit.
     commit_ts:
         Serialization timestamp once committed, else None.
+    collected:
+        Whether the engine has garbage-collected the transaction's locks
+        (Algorithm 1 ``gc``, at commit or later); it is collected once.
     state:
         Policy-private namespace.
     """
 
     __slots__ = ("id", "pid", "readset", "writeset", "status", "commit_ts",
-                 "abort_reason", "state", "priority")
+                 "abort_reason", "state", "priority", "collected")
 
     def __init__(self, tx_id: Hashable, pid: int = 0,
                  priority: bool = False) -> None:
@@ -60,6 +63,7 @@ class Transaction:
         self.status = TxStatus.ACTIVE
         self.commit_ts: Timestamp | None = None
         self.abort_reason: str | None = None
+        self.collected = False
         self.state = SimpleNamespace()
 
     # -- convenience ---------------------------------------------------------

@@ -87,26 +87,14 @@ class MVTIL(MVTLPolicy):
         interval: IntervalSet = tx.state.interval
         if interval.is_empty:
             return None
-        m = interval.pick_high()
-        got = self.read_lock_interval(engine, tx, key, m, wait=False)
+        # One pass under the key's stripe: the version below the top of I
+        # and the contiguous read lock just above it.
+        got = engine.read_prefix(tx, key, interval.pick_high())
         if got is None:
-            return None
-        version, locked = got
-        # Non-waiting acquisition can fragment around other transactions'
-        # unfrozen write locks; only the contiguous piece adjacent to the
-        # version protects the read.  Drop (and release) the rest.
-        prefix = None
-        for piece in locked:
-            if piece.contains_just_after(version.ts):
-                prefix = piece
-                break
-        if prefix is None:
-            engine.release(tx, key, LockMode.READ, locked)
-            tx.state.interval = IntervalSet.empty()
-            return None  # cannot protect the read: I becomes empty
-        leftovers = locked.subtract(IntervalSet.from_interval(prefix))
-        if not leftovers.is_empty:
-            engine.release(tx, key, LockMode.READ, leftovers)
+            return None  # purged (§6)
+        version, prefix = got
+        # I <- the part of I the read protects; empty when a write lock
+        # sits directly above the version.
         new_interval = interval.intersect(prefix)
         tx.state.interval = new_interval
         if new_interval.is_empty:

@@ -1,14 +1,15 @@
 """Tests for the background collector (deferred Algorithm 1 gc)."""
 
+import threading
 import time
 
 import pytest
 
 from repro.core.collector import BackgroundCollector
 from repro.core.engine import MVTLEngine
-from repro.core.locks import LockMode
+from repro.core.locks import LockMode, LockTable
 from repro.core.timestamp import Timestamp
-from repro.policies import MVTLTimestampOrdering
+from repro.policies import MVTIL, MVTLTimestampOrdering
 
 
 @pytest.fixture
@@ -86,6 +87,127 @@ class TestCollectNow:
         collector.collect_now()
         assert engine.store.version_count() < before
         assert collector.stats["purged_versions"] > 0
+
+
+class _CountingLock:
+    """An RLock that counts acquisitions (condition waits excluded)."""
+
+    def __init__(self, counts):
+        self._lock = threading.RLock()
+        self._counts = counts
+
+    def acquire(self, *args, **kwargs):
+        self._counts["stripes"] += 1
+        return self._lock.acquire(*args, **kwargs)
+
+    def release(self):
+        self._lock.release()
+
+    def __enter__(self):
+        self.acquire()
+        return self
+
+    def __exit__(self, *exc):
+        self.release()
+
+    def _is_owned(self):
+        return self._lock._is_owned()
+
+    def _release_save(self):
+        return self._lock._release_save()
+
+    def _acquire_restore(self, state):
+        self._lock._acquire_restore(state)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Stripe acquisitions (of an engine built by :func:`counting_engine`)
+    and ``LockTable.seal_all`` calls."""
+    counts = {"stripes": 0, "seals": 0}
+    seal_all = LockTable.seal_all
+
+    def counting_seal_all(self, owner, keep_all_reads=False):
+        counts["seals"] += 1
+        seal_all(self, owner, keep_all_reads)
+
+    monkeypatch.setattr(LockTable, "seal_all", counting_seal_all)
+    return counts
+
+
+def counting_engine(policy, counts):
+    engine = MVTLEngine(policy)
+    engine._stripes = tuple(
+        threading.Condition(_CountingLock(counts))
+        for _ in engine._stripes)
+    return engine
+
+
+def read_write_commit(engine, pid, read_key, write_key, value):
+    tx = engine.begin(pid=pid)
+    engine.read(tx, read_key)
+    engine.write(tx, write_key, value)
+    assert engine.commit(tx)
+    return tx
+
+
+class TestCollectedOnce:
+    """Algorithm 1 runs gc once per transaction: at commit, or later."""
+
+    def test_commit_gc_transaction_is_not_collected_again(self, counted):
+        engine = counting_engine(MVTIL(), counted)
+        collector = BackgroundCollector(engine)
+        t1 = read_write_commit(engine, 1, "x", "k", "v1")
+        t2 = read_write_commit(engine, 2, "k", "y", "v2")
+        assert t1.collected and t2.collected
+        assert counted["seals"] == 2
+        collector.note_finished(t1)
+        collector.note_finished(t2)
+        assert collector.pending == 0
+        stripes = counted["stripes"]
+        assert collector.collect_now() == 0
+        engine.gc(t1)  # a direct call is a no-op too
+        assert counted["stripes"] == stripes  # no stripe re-taken
+        assert counted["seals"] == 2  # nothing re-sealed
+        assert engine.locks.owners() == []
+
+    def test_collected_abort_is_not_queued(self, counted):
+        engine = counting_engine(MVTIL(), counted)
+        collector = BackgroundCollector(engine)
+        tx = engine.begin(pid=1)
+        engine.read(tx, "x")
+        engine.abort(tx)  # MVTIL collects aborted transactions at once
+        assert tx.collected and counted["seals"] == 1
+        collector.note_finished(tx)
+        assert collector.pending == 0
+        assert engine.locks.peek("x").held(tx.id, LockMode.READ).is_empty
+
+    def test_mvtil_without_commit_gc_is_still_collected(self, counted):
+        engine = counting_engine(MVTIL(gc_on_commit=False), counted)
+        collector = BackgroundCollector(engine)
+        tx = read_write_commit(engine, 1, "x", "k", "v")
+        assert not tx.collected and counted["seals"] == 0
+        state = engine.locks.peek("x")
+        assert tx.id in state.owners()
+        collector.note_finished(tx)
+        assert collector.collect_now() == 1
+        assert tx.collected and counted["seals"] == 1
+        # The read span up to the commit timestamp was frozen and sealed.
+        assert tx.id not in state.owners()
+        assert state.sealed_read_ranges().contains(tx.commit_ts)
+        collector.note_finished(tx)
+        assert collector.collect_now() == 0
+        assert counted["seals"] == 1
+
+    def test_mvtl_to_is_still_collected(self, counted):
+        engine = counting_engine(MVTLTimestampOrdering(), counted)
+        collector = BackgroundCollector(engine)
+        t1 = read_write_commit(engine, 1, "x", "k", "v")
+        assert not t1.collected and counted["seals"] == 0
+        collector.note_finished(t1)
+        assert collector.collect_now() == 1
+        assert t1.collected and counted["seals"] == 1
+        assert engine.locks.owners() == []
 
 
 class TestDaemonMode:

@@ -9,8 +9,12 @@ Two regimes:
   recorded history must still be one-copy serializable.
 """
 
+import sys
 import threading
 
+import pytest
+
+from repro.core.collector import BackgroundCollector
 from repro.core.engine import DEFAULT_STRIPES, MVTLEngine
 from repro.core.exceptions import TransactionAborted
 from repro.policies import MVTIL, MVTLPessimistic
@@ -133,3 +137,47 @@ class TestHotKeyset:
         report = check_serializable(history)
         assert report.serializable, report
         assert engine.num_stripes == DEFAULT_STRIPES
+
+
+class TestCollectorSweeps:
+    @pytest.mark.parametrize("gc_on_commit", [True, False])
+    def test_commits_interleaved_with_sweeps(self, gc_on_commit):
+        # Two threads on a shared keyset, each sweeping the collector every
+        # few transactions (the perflab engine-threads shape): commit-time
+        # GC and background sweeps interleave on the same stripes.  A short
+        # switch interval makes the interpreter interleave them finely.
+        history = HistoryRecorder()
+        engine = MVTLEngine(MVTIL(delta=0.002, gc_on_commit=gc_on_commit),
+                            default_timeout=10.0, history=history)
+        collector = BackgroundCollector(engine)
+        keys = [f"k{j}" for j in range(6)]
+        committed = [0, 0]
+
+        def worker(i):
+            for n in range(4 * TXS_PER_THREAD):
+                tx = engine.begin(pid=i + 1)
+                try:
+                    engine.read(tx, keys[(i + n) % len(keys)])
+                    engine.write(tx, keys[(i + 2 * n) % len(keys)], (i, n))
+                    if engine.commit(tx):
+                        committed[i] += 1
+                except TransactionAborted:
+                    pass
+                collector.note_finished(tx)
+                if n % 5 == 4:
+                    collector.collect_now()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _run_threads(worker, threads=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sum(committed) > 0
+        report = check_serializable(history)
+        assert report.serializable, report
+        collector.collect_now()
+        assert collector.pending == 0
+        assert engine.locks.owners() == []
+        for key in keys:
+            assert not list(engine.locks.state(key).owners()), key

@@ -9,26 +9,29 @@ docstring: the engine derives commit candidates exclusively from the lock
 table, so a key read without locks contributes an *empty* cover — it can
 never smuggle an unlocked timestamp into the candidate set, and a
 transaction whose only cover is empty aborts with NO_COMMON_TIMESTAMP
-rather than committing at an unlocked point.
+rather than committing at an unlocked point.  The same edge cases are
+pinned for ``MVTLEngine.read_prefix``, the one-pass read MVTIL uses.
 """
+
+import pytest
 
 from repro.clocks.clock import PerfectClock
 from repro.core.engine import MVTLEngine
-from repro.core.exceptions import AbortReason
+from repro.core.exceptions import AbortReason, TransactionAborted
 from repro.core.intervals import IntervalSet, TsInterval
 from repro.core.locks import LockMode
 from repro.core.timestamp import Timestamp
-from repro.policies import MVTLTimestampOrdering
+from repro.policies import MVTIL, MVTLTimestampOrdering
 
 
 def ts(value: float, pid: int = 0) -> Timestamp:
     return Timestamp(float(value), pid)
 
 
-def make_engine(now: float = 5.0):
+def make_engine(now: float = 5.0, policy=None):
     """Engine on a pinned clock; tests adjust ``src[0]`` to steer begin ts."""
     src = [now]
-    engine = MVTLEngine(MVTLTimestampOrdering(),
+    engine = MVTLEngine(policy or MVTLTimestampOrdering(),
                         clock=PerfectClock(source=lambda: src[0]),
                         default_timeout=0.01)
     return engine, src
@@ -92,6 +95,118 @@ class TestEmptyLockedSetPaths:
         assert version.ts == ts(1.0)
         assert locked.is_empty
         assert engine.locks.held(reader.id, "k", LockMode.READ).is_empty
+
+
+def conflicts(engine) -> int:
+    return sum(engine.stripe_contention()["conflicts"])
+
+
+class TestOnePassReadPaths:
+    """The same edge cases through ``MVTLEngine.read_prefix``, the one-pass
+    read MVTIL uses: one stripe acquisition, nothing locked beyond the
+    prefix it returns, and an MVTIL read that cannot be protected ends
+    with an empty interval."""
+
+    def mvtil_read(self, engine, src, key, begin_at, delta=1.0):
+        """Begin an MVTIL transaction at ``begin_at`` and read ``key``;
+        returns the transaction and the abort reason (None on success)."""
+        src[0] = begin_at
+        engine.policy.delta = delta
+        tx = engine.begin(pid=1)
+        try:
+            engine.read(tx, key)
+        except TransactionAborted as exc:
+            return tx, exc.reason
+        return tx, None
+
+    def test_frozen_write_directly_above_tr(self):
+        engine, src = make_engine(policy=MVTIL())
+        engine.store.install("k", ts(1.0), "v1")
+        freeze_write(engine, "k", 1.0, 1.5)
+        reader = engine.begin()
+        version, locked = engine.read_prefix(reader, "k", ts(1.2))
+        assert version.ts == ts(1.0)
+        assert locked.is_empty
+        assert engine.locks.held(reader.id, "k", LockMode.READ).is_empty
+        assert "k" not in engine.locks.keys_of(reader.id)
+        # A version boundary the lookup raced with, not contention.
+        assert conflicts(engine) == 0
+        tx, reason = self.mvtil_read(engine, src, "k", 1.1, delta=0.1)
+        assert reason == AbortReason.READ_FAILED
+        assert tx.state.interval.is_empty
+
+    def test_unfrozen_write_directly_above_tr(self):
+        engine, src = make_engine(policy=MVTIL())
+        engine.store.install("k", ts(1.0), "v1")
+        writer = engine.begin(pid=9)
+        engine.acquire(writer, "k", LockMode.WRITE,
+                       TsInterval.open_closed(ts(1.0), ts(4.0)), wait=False)
+        reader = engine.begin()
+        version, locked = engine.read_prefix(reader, "k", ts(3.0))
+        assert version.ts == ts(1.0)
+        assert locked.is_empty
+        assert engine.locks.held(reader.id, "k", LockMode.READ).is_empty
+        assert conflicts(engine) == 1
+        tx, reason = self.mvtil_read(engine, src, "k", 2.0)
+        assert reason == AbortReason.READ_FAILED
+        assert tx.state.interval.is_empty
+        assert engine.locks.held(tx.id, "k", LockMode.READ).is_empty
+
+    def test_nothing_locked_beyond_the_prefix(self):
+        # Another owner's write lock inside (tr, upper]: the prefix stops
+        # just below it and the range above it is not locked at all (the
+        # three-pass read locked it and then released it).
+        engine, src = make_engine(policy=MVTIL())
+        engine.store.install("k", ts(1.0), "v1")
+        writer = engine.begin(pid=9)
+        engine.acquire(writer, "k", LockMode.WRITE,
+                       TsInterval.closed(ts(2.0), ts(2.5)), wait=False)
+        tx, reason = self.mvtil_read(engine, src, "k", 1.5, delta=2.0)
+        assert reason is None
+        prefix = TsInterval.closed_open(ts(1.0, 1), ts(2.0))
+        assert (engine.locks.held(tx.id, "k", LockMode.READ)
+                == IntervalSet.from_interval(prefix))
+        assert tx.state.interval == IntervalSet.from_interval(
+            TsInterval.closed(ts(1.5, 1), prefix.hi))
+        assert conflicts(engine) == 1
+
+    def test_version_at_upper_is_not_read(self):
+        # ``tr >= upper`` cannot arise: the lookup is strictly below upper,
+        # so a version at upper itself is skipped and (tr, upper] is locked.
+        engine, _ = make_engine(policy=MVTIL())
+        engine.store.install("k", ts(1.0), "v1")
+        engine.store.install("k", ts(2.0), "v2")
+        reader = engine.begin()
+        version, locked = engine.read_prefix(reader, "k", ts(2.0))
+        assert version.ts == ts(1.0)
+        assert locked == IntervalSet.from_interval(
+            TsInterval.open_closed(ts(1.0), ts(2.0)))
+
+    def test_purged_version(self):
+        engine, src = make_engine(policy=MVTIL())
+        engine.store.install("k", ts(1.0), "v1")
+        engine.store.install("k", ts(3.0), "v3")
+        engine.purge_versions_before(ts(4.0))
+        reader = engine.begin()
+        assert engine.read_prefix(reader, "k", ts(2.0)) is None
+        assert "k" not in engine.locks.keys_of(reader.id)
+        tx, reason = self.mvtil_read(engine, src, "k", 1.5)
+        assert reason == AbortReason.READ_FAILED
+        # The read failed before any lock: the interval is left as it was.
+        assert tx.state.interval == IntervalSet.from_interval(
+            TsInterval.closed(ts(1.5, 1), ts(2.5, 1)))
+
+    @pytest.mark.parametrize("late", [False, True])
+    def test_mvtil_read_then_commit(self, late):
+        # Control: an uncontended one-pass read protects the read and the
+        # transaction commits inside it.
+        engine, src = make_engine(policy=MVTIL(late=late))
+        engine.store.install("k", ts(1.0), "v1")
+        tx, reason = self.mvtil_read(engine, src, "k", 2.0)
+        assert reason is None
+        assert engine.commit(tx)
+        assert ts(2.0, 1) <= tx.commit_ts <= ts(3.0, 1)
+        assert tx.collected
 
 
 class TestCandidatesStayWithinLockedTimestamps:
