@@ -26,8 +26,8 @@ keys in different stripes never contend and a release only wakes waiters of
 the released key's stripe.  The locking discipline:
 
 * per-key operations (acquire/release/frozen-range queries, and the
-  one-pass MVTIL read :meth:`MVTLEngine.read_prefix`) hold exactly the
-  key's stripe;
+  one-pass MVTIL read and write :meth:`MVTLEngine.read_prefix` /
+  :meth:`MVTLEngine.try_acquire`) hold exactly the key's stripe;
 * cross-key operations (commit with its commit-time GC, background GC,
   whole-table metrics) collect the stripes of every key involved and acquire
   them in ascending stripe-index order — a global canonical order, so two
@@ -56,12 +56,12 @@ from .deadlock import WaitForGraph
 from .exceptions import (AbortReason, DeadlockError, PolicyError,
                          TransactionAborted, TransactionStateError)
 from .intervals import EMPTY_SET, IntervalSet, TsInterval
-from .locks import Conflict, LockMode, LockTable
+from .locks import AcquireResult, Conflict, LockMode, LockTable
 from .policy import MVTLPolicy
 from .timestamp import TS_INF, TS_ZERO, Timestamp
 from .transaction import Transaction, TxStatus
 from .versions import Version, VersionStore
-from .._fastcore import iv_intersect, iv_seek, iv_union
+from .._fastcore import iv_intersect, iv_union
 
 __all__ = ["MVTLEngine", "EngineAcquireResult", "DEFAULT_STRIPES"]
 
@@ -292,10 +292,13 @@ class MVTLEngine:
         for commit-time GC — when the policy picks a commit timestamp
         outside the locked candidate set.
 
-        The decision, the freezes and installs, and commit-time GC run
-        under one acquisition of the stripes of every key the transaction
-        read, wrote or holds a lock on (GC's keys are a subset), followed
-        by one wake-up pass over them.
+        The decision, the installs and commit-time GC run under one
+        acquisition of the stripes of every key the transaction read, wrote
+        or holds a lock on (GC's keys are a subset), followed by one
+        wake-up pass over them.  With commit-time GC, :meth:`_collect` — the
+        one GC body, shared with :meth:`gc` — freezes the write point and
+        the read prefixes and seals each key in a single visit to its lock
+        state; without it, commit freezes the write point alone.
         """
         self._check_active(tx)
         try:
@@ -310,6 +313,7 @@ class MVTLEngine:
         indices = self._stripe_indices(keys)
         committed = False
         policy_error: PolicyError | None = None
+        point: TsInterval | None = None
         self._acquire_stripes(indices)
         try:
             candidates = self._candidates(tx)
@@ -325,7 +329,6 @@ class MVTLEngine:
             else:
                 point = TsInterval.point(commit_ts)
                 for key, value in tx.writeset.items():
-                    self.locks.freeze(tx.id, key, LockMode.WRITE, point)
                     self.store.install(key, commit_ts, value)
                     if self.tracer.enabled:
                         self.tracer.freeze(tx.id, key, LockMode.WRITE.value,
@@ -342,8 +345,12 @@ class MVTLEngine:
             # The PolicyError surfaces only after the aborted transaction's
             # unfrozen locks are collected — other transactions must not be
             # left blocking on a dead owner while the caller handles it.
+            # Asked after the outcome is set: the answer may depend on it.
             if self.policy.commit_gc(self, tx):
-                self._collect(tx)
+                self._collect(tx, point)
+            elif point is not None:
+                for key in tx.writeset:
+                    self.locks.freeze(tx.id, key, LockMode.WRITE, point)
             self._notify_stripes(indices)
         finally:
             self._release_stripes(indices)
@@ -364,18 +371,15 @@ class MVTLEngine:
         For a committed transaction: freeze the read-locks between each read
         version and the commit timestamp, then release everything unfrozen.
         Runs at commit (``commit-gc``, inside commit's stripe block) or
-        later in the background.  Idempotent: a transaction is collected
-        once, and ``gc`` on a collected one returns at once, taking no
-        stripe.
+        later in the background; both run the one body, :meth:`_collect`.
+        Idempotent: a transaction is collected once, and ``gc`` on a
+        collected one returns at once, taking no stripe.
         """
         if tx.is_active:
             raise TransactionStateError("gc() on an active transaction")
         if tx.collected:
             return
-        keys = set(self.locks.keys_of(tx.id))
-        if tx.committed:
-            keys.update(k for k, _ in tx.readset)
-        indices = self._stripe_indices(keys)
+        indices = self._stripe_indices(self.locks.keys_of(tx.id))
         self._acquire_stripes(indices)
         try:
             self._collect(tx)
@@ -383,23 +387,40 @@ class MVTLEngine:
         finally:
             self._release_stripes(indices)
 
-    def _collect(self, tx: Transaction) -> None:
-        """The body of :meth:`gc`: the caller holds the stripes of every key
-        ``tx`` holds a lock on and, if it committed, of every key it read."""
+    def _collect(self, tx: Transaction,
+                 point: TsInterval | None = None) -> None:
+        """The one GC body, at commit and in :meth:`gc`: the caller holds the
+        stripes of every key ``tx`` holds a lock on.
+
+        Each of those keys' lock state is visited once: the read prefix
+        ``(tr, commit_ts]`` (committed transactions) and the write
+        ``point`` (commit-time GC of a commit; otherwise the point was
+        frozen at commit or there is none) are frozen, and the owner record
+        is sealed.  An aborted transaction passes no spans.
+        """
+        prefixes = None
         if tx.committed:
             commit_ts = tx.commit_ts
+            c_v = commit_ts.value
+            c_p = commit_ts.pid
+            prefixes = {}
             for key, tr in tx.readset:
                 if tr < commit_ts:
-                    span = TsInterval.open_closed(tr, commit_ts)
-                    self.locks.freeze(tx.id, key, LockMode.READ, span)
+                    span = (tr.value, tr.pid + 1, c_v, c_p)
+                    prev = prefixes.get(key)
+                    prefixes[key] = (span if prev is None
+                                     else iv_union(prev, span))
                     if self.tracer.enabled:
-                        self.tracer.freeze(tx.id, key, LockMode.READ.value,
-                                           span=span)
+                        self.tracer.freeze(
+                            tx.id, key, LockMode.READ.value,
+                            span=TsInterval.open_closed(tr, commit_ts))
         # Seal rather than merely release: folding the frozen remainder
         # into each key's ownerless aggregate keeps conflict checks
         # O(active transactions) — dead-owner records otherwise pile up
         # and every read's conflict walk grows unboundedly.
-        self.locks.seal_all(tx.id)
+        self.locks.freeze_and_seal(
+            tx.id, prefixes, point.flat if point is not None else (),
+            tx.writeset)
         tx.collected = True
 
     # ------------------------------------------------------------------
@@ -424,8 +445,10 @@ class MVTLEngine:
                 timeout: float | None = _UNSET_TIMEOUT) -> EngineAcquireResult:
         """Acquire locks on ``want``, optionally waiting for unfrozen holders.
 
-        * ``wait=False``: single attempt; grant the conflict-free part and
-          report the rest ("without waiting if ... locked").
+        * ``wait=False``: :meth:`try_acquire`'s one probe; grant the
+          conflict-free part and report the rest ("without waiting if ...
+          locked").  ``stop_on_frozen`` makes no difference here: frozen
+          ranges never block the free part, so one probe grants all of it.
         * ``wait=True, stop_on_frozen=True``: park until either everything
           is granted or a *frozen* conflict appears ("waiting if ...
           locked but not frozen"); frozen conflicts are returned for the
@@ -442,18 +465,21 @@ class MVTLEngine:
         Raises :class:`DeadlockError` if this wait would close a wait-for
         cycle (the caller is the victim).
         """
+        if not wait:
+            result = self.try_acquire(tx, key, mode, want)
+            return EngineAcquireResult(result.acquired, result.conflicts)
         if timeout is _UNSET_TIMEOUT:
             timeout = self.default_timeout
         deadline = (time.monotonic() + timeout) if timeout is not None else None
         want_set = (IntervalSet.from_interval(want)
                     if isinstance(want, TsInterval) else want)
         if not self.tracer.enabled:
-            return self._acquire_loop(tx, key, mode, want_set, wait,
+            return self._acquire_loop(tx, key, mode, want_set,
                                       stop_on_frozen, deadline, None)
         waited = [0.0]
         result: EngineAcquireResult | None = None
         try:
-            result = self._acquire_loop(tx, key, mode, want_set, wait,
+            result = self._acquire_loop(tx, key, mode, want_set,
                                         stop_on_frozen, deadline, waited)
             return result
         finally:
@@ -471,9 +497,10 @@ class MVTLEngine:
                 self.tracer.wait(tx.id, key, dur=waited[0])
 
     def _acquire_loop(self, tx: Transaction, key: Hashable, mode: LockMode,
-                      want_set: IntervalSet, wait: bool,
-                      stop_on_frozen: bool, deadline: float | None,
+                      want_set: IntervalSet, stop_on_frozen: bool,
+                      deadline: float | None,
                       waited: list[float] | None) -> EngineAcquireResult:
+        """:meth:`acquire`'s waiting loop: probe, park, re-probe."""
         acquired_total = EMPTY_SET
         skipped_frozen: tuple[Conflict, ...] = ()
         idx = self.stripe_of(key)
@@ -503,9 +530,6 @@ class MVTLEngine:
                 unfrozen = tuple(c for c in result.conflicts if not c.frozen)
                 if not unfrozen:
                     continue  # only frozen conflicts, now skipped: retry
-                if not wait:
-                    self._waits.clear(tx.id)
-                    return EngineAcquireResult(acquired_total, result.conflicts)
                 holders = {c.holder for c in unfrozen}
                 cycle = self._waits.set_waits_and_check(tx.id, holders)
                 if cycle is not None:
@@ -528,6 +552,31 @@ class MVTLEngine:
                     t0 = time.monotonic()
                     cond.wait(timeout=quantum)
                     waited[0] += time.monotonic() - t0
+
+    def try_acquire(self, tx: Transaction, key: Hashable, mode: LockMode,
+                    want: TsInterval | IntervalSet) -> AcquireResult:
+        """Lock the conflict-free part of ``want`` without waiting: one
+        probe of ``key``'s lock state under its stripe (the write-side twin
+        of :meth:`read_prefix`).
+
+        ``result.acquired`` is the grant — ``want`` minus every range
+        another owner holds (ranges ``tx`` already holds come back granted)
+        — and ``result.conflicts`` the holds that cut it.  Every
+        :meth:`acquire` with ``wait=False`` routes here.
+        """
+        idx = self.stripe_of(key)
+        with self._stripes[idx]:
+            result = self.locks.state(key).try_acquire(tx.id, mode, want)
+            if result.acquired:
+                self.locks.note_owner(tx.id, key)
+            if not result.fully_acquired:
+                self._stripe_conflicts[idx] += 1
+        if self.tracer.enabled:
+            self.tracer.lock_acquire(
+                tx.id, key, mode.value, requested=want,
+                granted=result.acquired, conflicts=len(result.conflicts),
+                timed_out=False, deadlock=False)
+        return result
 
     def release(self, tx: Transaction, key: Hashable, mode: LockMode,
                 span: TsInterval | IntervalSet) -> None:
@@ -669,41 +718,31 @@ class MVTLEngine:
         Read-set keys contribute their *contiguous* lock coverage starting
         just above the version read; write-set keys contribute the held
         write-lock set.  TS_ZERO is excluded: every key's initial version
-        lives there, so it can never be a commit point.  Caller must hold
-        the stripes of every readset/writeset key.  Computed on flat quads;
-        only the result is wrapped.
+        lives there, so it can never be a commit point.  So is everything
+        at or below a written key's purge floor (§6): reads there fail
+        already, and the purge dropped the lock state that kept commits
+        off it — a commit at the floor would install a second version at
+        the kept version's timestamp.  Caller must hold the stripes of
+        every readset/writeset key.  Computed on flats
+        (:meth:`LockTable.commit_cover`); only the result is wrapped.
         """
         cand = _AFTER_ZERO
+        cover = self.locks.commit_cover
+        owner = tx.id
         for key, tr in tx.readset:
-            cand = iv_intersect(cand, self._contiguous_cover(tx, key, tr))
+            cand = iv_intersect(cand, cover(owner, key, tr))
             if not cand:
                 return EMPTY_SET
+        purge_floor = self.store.purge_floor
         for key in tx.writeset:
-            cand = iv_intersect(
-                cand, self.locks.held(tx.id, key, LockMode.WRITE).flat)
+            cand = iv_intersect(cand, cover(owner, key))
+            floor = purge_floor(key)
+            if floor is not None:
+                cand = iv_intersect(cand, (floor.value, floor.pid + 1,
+                                           TS_INF.value, TS_INF.pid))
             if not cand:
                 return EMPTY_SET
         return IntervalSet._from_flat(cand)
-
-    def _contiguous_cover(self, tx: Transaction, key: Hashable,
-                          tr: Timestamp) -> tuple:
-        """``tx``'s contiguous lock coverage (read or write) of ``key``
-        from the timestamp just after ``tr`` up, as a flat quad; ``()`` when
-        that timestamp is not locked."""
-        state = self.locks.peek(key)
-        if state is None:
-            return ()
-        held = iv_union(state.held(tx.id, LockMode.READ).flat,
-                        state.held(tx.id, LockMode.WRITE).flat)
-        v = tr.value
-        p = tr.pid + 1
-        i = iv_seek(held, v, p)
-        if i == len(held):
-            return ()
-        lo_v = held[i]
-        if lo_v < v or (lo_v == v and held[i + 1] <= p):
-            return (v, p, held[i + 2], held[i + 3])
-        return ()
 
     # -- metrics --------------------------------------------------------------
 
@@ -750,3 +789,4 @@ class MVTLEngine:
         """
         return {"waits": tuple(self._stripe_waits),
                 "conflicts": tuple(self._stripe_conflicts)}
+

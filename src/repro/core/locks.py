@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import Container, Hashable, Iterable
 
 from .intervals import EMPTY_SET, IntervalSet, TsInterval
 from .timestamp import Timestamp
@@ -512,6 +512,43 @@ class KeyLockState:
             self._sealed_write = iv_union(self._sealed_write, writes)
         self.version += 1
 
+    def freeze_and_seal(self, owner: TxId, read_span: tuple,
+                        write_span: tuple) -> None:
+        """``freeze(owner, READ, read_span)``, ``freeze(owner, WRITE,
+        write_span)`` and ``seal(owner)`` in one visit (spans are flat
+        quads, ``()`` for none): the owner's frozen runs, widened by what
+        it holds inside each span, become sealed; the rest is released.
+
+        :meth:`seal`'s fold is written out here rather than shared, so the
+        servers' :meth:`seal` stays as cheap as it was.
+        """
+        rec = self._owners.pop(owner, None)
+        if rec is None:
+            return
+        reads = rec.frozen_read
+        writes = rec.frozen_write
+        if read_span:
+            more = iv_intersect(rec.read, read_span)
+            if more:
+                reads = iv_union(reads, more)
+        if write_span:
+            more = iv_intersect(rec.write, write_span)
+            if more:
+                writes = iv_union(writes, more)
+        spans = self._sealed_spans
+        for flat in (reads, writes):
+            n = len(flat)
+            if n == 4:
+                spans.append(flat)
+            elif n:
+                for i in range(0, n, 4):
+                    spans.append(flat[i:i + 4])
+        if reads:
+            self._sealed_read = iv_union(self._sealed_read, reads)
+        if writes:
+            self._sealed_write = iv_union(self._sealed_write, writes)
+        self.version += 1
+
     def purge_below(self, bound: TsInterval) -> int:
         """Drop all lock state (frozen included) inside ``bound``.
 
@@ -802,6 +839,31 @@ class LockTable:
         st = self._keys.get(key)
         return st.held(owner, mode) if st is not None else EMPTY_SET
 
+    def commit_cover(self, owner: TxId, key: Hashable,
+                     tr: Timestamp | None = None) -> tuple:
+        """What ``owner``'s locks on ``key`` let it commit at, as a flat
+        (Algorithm 1 line 13): for a key it read at version ``tr``, the
+        piece of its read ∪ write locks that starts just above ``tr``,
+        clipped to start there; for a key it wrote (``tr`` None), its write
+        locks.  ``()`` when it holds nothing there.
+        """
+        st = self._keys.get(key)
+        rec = st._owners.get(owner) if st is not None else None
+        if rec is None:
+            return ()
+        if tr is None:
+            return rec.write
+        held = iv_union(rec.read, rec.write)
+        v = tr.value
+        p = tr.pid + 1
+        i = iv_seek(held, v, p)
+        if i == len(held):
+            return ()
+        lo_v = held[i]
+        if lo_v < v or (lo_v == v and held[i + 1] <= p):
+            return (v, p, held[i + 2], held[i + 3])
+        return ()
+
     def freeze(self, owner: TxId, key: Hashable, mode: LockMode,
                span: TsInterval | IntervalSet) -> None:
         self.state(key).freeze(owner, mode, span)
@@ -819,20 +881,28 @@ class LockTable:
             if st is not None:
                 st.release_unfrozen(owner)
 
-    def seal_all(self, owner: TxId, keep_all_reads: bool = False) -> None:
-        """Seal an *ended* ``owner`` on every key it touched and forget it.
+    def freeze_and_seal(self, owner: TxId,
+                        read_spans: dict[Hashable, tuple] | None,
+                        write_span: tuple, written: Container) -> None:
+        """Seal an *ended* ``owner`` on every key it touched and forget it,
+        first freezing ``read_spans[key]`` and, on keys in ``written``,
+        ``write_span`` (flat quads) — one
+        :meth:`KeyLockState.freeze_and_seal` per key.
 
-        Equivalent to :meth:`release_all_unfrozen` followed by folding the
-        owner's frozen locks into each key's sealed aggregate — but conflict
-        checks afterwards cost O(active transactions) instead of growing
-        with every transaction that ever committed (the dead-owner records
-        are gone).  ``keep_all_reads`` seals *all* read locks, frozen or
-        not (MVTO+-style persistent read-timestamps, §3).
+        Equivalent to freezing those spans and then
+        :meth:`release_all_unfrozen` followed by folding the owner's frozen
+        locks into each key's sealed aggregate — but conflict checks
+        afterwards cost O(active transactions) instead of growing with
+        every transaction that ever committed (the dead-owner records are
+        gone).
         """
+        keys = self._keys
         for key in self._owner_keys.pop(owner, ()):
-            st = self._keys.get(key)
+            st = keys.get(key)
             if st is not None:
-                st.seal(owner, keep_all_reads=keep_all_reads)
+                st.freeze_and_seal(
+                    owner, read_spans.get(key, ()) if read_spans else (),
+                    write_span if write_span and key in written else ())
 
     def keys_of(self, owner: TxId) -> frozenset[Hashable]:
         return frozenset(self._owner_keys.get(owner, ()))

@@ -77,10 +77,11 @@ class MVTIL(MVTLPolicy):
         interval: IntervalSet = tx.state.interval
         if interval.is_empty:
             return  # doomed; commit aborts, runner may restart
-        engine.acquire(tx, key, LockMode.WRITE, interval, wait=False)
-        # I <- the sub-interval actually write-locked for this key.
-        tx.state.interval = interval.intersect(
-            engine.locks.held(tx.id, key, LockMode.WRITE))
+        # One probe under the key's stripe, no waiting.  I <- I ∩ grant:
+        # the sub-interval actually write-locked for this key.  The grant
+        # is I minus other owners' holds, so the intersection is the grant.
+        tx.state.interval = engine.try_acquire(
+            tx, key, LockMode.WRITE, interval).acquired
 
     def read_locks(self, engine: "MVTLEngine", tx: Transaction,
                    key: Hashable) -> Version | None:

@@ -14,7 +14,7 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 __all__ = ["Op", "TxSpec", "WorkloadConfig", "WorkloadGenerator",
-           "zipf_probabilities"]
+           "zipf_cdf", "zipf_index", "zipf_probabilities"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,7 +110,9 @@ _KEY_CACHE: dict[int, list[str]] = {}
 _KEY_CACHE_MAX = 200_000
 
 
-def _zipf_cdf(num_keys: int, zipf_s: float) -> np.ndarray:
+def zipf_cdf(num_keys: int, zipf_s: float) -> np.ndarray:
+    """The (memoized, read-only) normalized Zipf CDF that
+    :func:`zipf_index` draws from."""
     cache_key = (num_keys, zipf_s)
     cdf = _ZIPF_CDF_CACHE.get(cache_key)
     if cdf is None:
@@ -119,6 +121,13 @@ def _zipf_cdf(num_keys: int, zipf_s: float) -> np.ndarray:
         cdf.setflags(write=False)
         _ZIPF_CDF_CACHE[cache_key] = cdf
     return cdf
+
+
+def zipf_index(rng: np.random.Generator, cdf: np.ndarray) -> int:
+    """One key index drawn from ``cdf`` (a :func:`zipf_cdf`): the index
+    ``rng.choice(n, p=zipf_probabilities(n, s))`` returns, leaving ``rng``
+    where it leaves it, without rebuilding the CDF per draw."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _key_table(num_keys: int) -> list[str] | None:
@@ -153,7 +162,7 @@ class WorkloadGenerator:
         self._value_counter = 0
         if config.zipf_s > 0.0:
             self._probs = zipf_probabilities(config.num_keys, config.zipf_s)
-            self._cdf = _zipf_cdf(config.num_keys, config.zipf_s)
+            self._cdf = zipf_cdf(config.num_keys, config.zipf_s)
         else:
             self._probs = None
             self._cdf = None
@@ -163,10 +172,7 @@ class WorkloadGenerator:
         if self._cdf is None:
             idx = int(self._rng.integers(self.config.num_keys))
         else:
-            # Stream-identical unrolling of rng.choice(n, p=self._probs):
-            # one uniform draw, right-bisected into the cached CDF.
-            idx = int(self._cdf.searchsorted(self._rng.random(),
-                                             side="right"))
+            idx = zipf_index(self._rng, self._cdf)
         keys = self._keys
         if keys is not None:
             return keys[idx]

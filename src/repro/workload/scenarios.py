@@ -43,7 +43,7 @@ import numpy as np
 
 from ..sim.testbed import CLOUD_TESTBED
 from .generator import (Op, TxSpec, WorkloadConfig, WorkloadGenerator,
-                        zipf_probabilities)
+                        zipf_cdf, zipf_index, zipf_probabilities)
 
 __all__ = ["SCENARIOS", "Scenario", "ScenarioCellSummary",
            "ScenarioGenerator", "make_scenario_generator",
@@ -114,17 +114,21 @@ class ScenarioGenerator:
         self.client_index = client_index
         self.num_clients = num_clients
         self.counters: dict[str, int] = {}
-        self._probs = (zipf_probabilities(config.num_keys, config.zipf_s)
-                       if config.zipf_s > 0.0 else None)
+        if config.zipf_s > 0.0:
+            self._probs = zipf_probabilities(config.num_keys, config.zipf_s)
+            self._cdf = zipf_cdf(config.num_keys, config.zipf_s)
+        else:
+            self._probs = None
+            self._cdf = None
 
     def _count(self, name: str, n: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + n
 
     def _pick_idx(self) -> int:
         """One key index from the configured (uniform/Zipf) distribution."""
-        if self._probs is None:
+        if self._cdf is None:
             return int(self._rng.integers(self.config.num_keys))
-        return int(self._rng.choice(self.config.num_keys, p=self._probs))
+        return zipf_index(self._rng, self._cdf)
 
     def _distinct_indices(self, n: int) -> list[int]:
         """``n`` distinct key indices (ascending, deterministic)."""

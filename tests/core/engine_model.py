@@ -1,17 +1,24 @@
 """Reference model for the engine lockstep differential suite.
 
-The threaded engine's MVTIL transaction path as it stood before each step
-took its stripes once:
+The threaded engine's transaction path as it stood before each step took
+its stripes once and visited each key's lock state once:
 
 * the MVTIL read is ``MVTLPolicy.read_lock_interval``'s retry loop — the
   version lookup, the frozen-write query and the acquire each take the
   key's stripe — followed by MVTIL's own prefix selection, which releases
   whatever the non-waiting acquire granted beyond the piece adjacent to
   the version;
-* commit freezes and installs under one stripe block, releases it, and
-  then runs ``gc`` as a second acquisition;
+* the MVTIL write is a non-waiting ``acquire`` followed by a ``held``
+  walk: ``I <- I ∩ held(WRITE)``;
+* ``acquire`` is one loop for every mode — with or without waiting — that
+  re-probes after skipping frozen ranges and accumulates grants;
+* commit freezes each write point and installs under one stripe block,
+  releases it, and then runs ``gc`` as a second acquisition: freeze each
+  read prefix, then seal the owner on every key it holds;
 * ``_contiguous_cover`` builds ``held(READ) ∪ held(WRITE)`` as an
-  :class:`~repro.core.intervals.IntervalSet` and walks its pieces;
+  :class:`~repro.core.intervals.IntervalSet` and walks its pieces, and the
+  candidates leave out every timestamp at or below a written key's purge
+  floor, as the engine's do;
 * the collector queues every finished transaction and calls ``gc`` on each,
   whether or not commit already collected it.
 
@@ -21,9 +28,10 @@ It is slower and obviously right, which is the point:
 and compares every read, interval, commit outcome and lock state — the way
 ``tests/core/lock_model.py`` serves the lock table.
 
-Everything else (begin, write, the acquire loop, release, purging, the
-lock table and the version store) comes from the modules under test, so
-the two engines' states compare by plain equality.
+Everything else (begin, release, purging, the lock table's per-key
+``try_acquire`` / ``freeze`` / ``seal``, the version store, and the read,
+write and commit-lock hooks of policies other than MVTIL) comes from the
+modules under test, so the two engines' states compare by plain equality.
 """
 
 from __future__ import annotations
@@ -33,15 +41,18 @@ import time
 from contextlib import contextmanager
 from typing import Hashable, Iterator
 
-from repro.core.engine import MVTLEngine
+from repro.core.engine import EngineAcquireResult, MVTLEngine
 from repro.core.exceptions import (AbortReason, DeadlockError, PolicyError,
                                    TransactionStateError)
 from repro.core.intervals import EMPTY_SET, IntervalSet, TsInterval
-from repro.core.locks import LockMode
+from repro.core.locks import Conflict, LockMode
 from repro.core.timestamp import TS_ZERO, Timestamp
 from repro.core.transaction import Transaction, TxStatus
 from repro.core.versions import Version
 from repro.policies import MVTIL
+
+#: ``timeout`` not passed: the engine's ``default_timeout``.
+_UNSET_TIMEOUT = object()
 
 
 def read_lock_interval(engine: MVTLEngine, tx: Transaction, key: Hashable,
@@ -85,7 +96,18 @@ def read_lock_interval(engine: MVTLEngine, tx: Transaction, key: Hashable,
 
 
 class ModelMVTIL(MVTIL):
-    """MVTIL with the three-acquisition read path."""
+    """MVTIL with the three-acquisition read path and the acquire-then-
+    ``held`` write."""
+
+    def write_locks(self, engine: MVTLEngine, tx: Transaction,
+                    key: Hashable) -> None:
+        interval: IntervalSet = tx.state.interval
+        if interval.is_empty:
+            return  # doomed; commit aborts, runner may restart
+        engine.acquire(tx, key, LockMode.WRITE, interval, wait=False)
+        # I <- the sub-interval actually write-locked for this key.
+        tx.state.interval = interval.intersect(
+            engine.locks.held(tx.id, key, LockMode.WRITE))
 
     def read_locks(self, engine: MVTLEngine, tx: Transaction,
                    key: Hashable) -> Version | None:
@@ -117,8 +139,65 @@ class ModelMVTIL(MVTIL):
 
 
 class ModelEngine(MVTLEngine):
-    """The engine with a two-acquisition commit -> gc and a set-built
-    contiguous cover."""
+    """The engine with one acquire loop for every mode, a two-acquisition
+    commit -> gc and a set-built contiguous cover."""
+
+    def acquire(self, tx: Transaction, key: Hashable, mode: LockMode,
+                want: TsInterval | IntervalSet, *, wait: bool = True,
+                stop_on_frozen: bool = True,
+                timeout: float | None = _UNSET_TIMEOUT
+                ) -> EngineAcquireResult:
+        if timeout is _UNSET_TIMEOUT:
+            timeout = self.default_timeout
+        deadline = (time.monotonic() + timeout) if timeout is not None else None
+        want_set = (IntervalSet.from_interval(want)
+                    if isinstance(want, TsInterval) else want)
+        acquired_total = EMPTY_SET
+        skipped_frozen: tuple[Conflict, ...] = ()
+        idx = self.stripe_of(key)
+        cond = self._stripes[idx]
+        with cond:
+            while True:
+                result = self.locks.try_acquire(tx.id, key, mode, want_set)
+                acquired_total = acquired_total.union(result.acquired)
+                want_set = want_set.subtract(result.acquired)
+                if result.fully_acquired:
+                    self._waits.clear(tx.id)
+                    return EngineAcquireResult(acquired_total, skipped_frozen)
+                self._stripe_conflicts[idx] += 1
+                frozen = tuple(c for c in result.conflicts if c.frozen)
+                if frozen and stop_on_frozen:
+                    self._waits.clear(tx.id)
+                    return EngineAcquireResult(acquired_total, result.conflicts)
+                if frozen:
+                    skipped_frozen = skipped_frozen + frozen
+                    for c in frozen:
+                        want_set = want_set.subtract(c.interval)
+                    if want_set.is_empty:
+                        self._waits.clear(tx.id)
+                        return EngineAcquireResult(acquired_total,
+                                                   skipped_frozen)
+                unfrozen = tuple(c for c in result.conflicts if not c.frozen)
+                if not unfrozen:
+                    continue  # only frozen conflicts, now skipped: retry
+                if not wait:
+                    self._waits.clear(tx.id)
+                    return EngineAcquireResult(acquired_total, result.conflicts)
+                holders = {c.holder for c in unfrozen}
+                cycle = self._waits.set_waits_and_check(tx.id, holders)
+                if cycle is not None:
+                    self._waits.clear(tx.id)
+                    raise DeadlockError(tx.id, cycle)
+                remaining = (deadline - time.monotonic()
+                             if deadline is not None else None)
+                if remaining is not None and remaining <= 0:
+                    self._waits.clear(tx.id)
+                    self._bump("lock_timeouts")
+                    return EngineAcquireResult(acquired_total,
+                                               result.conflicts,
+                                               timed_out=True)
+                cond.wait(timeout=min(remaining, 0.05)
+                          if remaining is not None else 0.05)
 
     @contextmanager
     def _model_stripes(self, indices: tuple[int, ...]) -> Iterator[None]:
@@ -199,7 +278,10 @@ class ModelEngine(MVTLEngine):
                             self.tracer.freeze(tx.id, key,
                                                LockMode.READ.value,
                                                span=span)
-            self.locks.seal_all(tx.id)
+            for key in self.locks.forget_owner(tx.id):
+                state = self.locks.peek(key)
+                if state is not None:
+                    state.seal(tx.id)
             self._notify_stripes(indices)
 
     def _abort(self, tx: Transaction, reason: str) -> None:
@@ -217,6 +299,9 @@ class ModelEngine(MVTLEngine):
                 return cand
         for key in tx.writeset:
             cand = cand.intersect(self.locks.held(tx.id, key, LockMode.WRITE))
+            floor = self.store.purge_floor(key)
+            if floor is not None:
+                cand = cand.intersect(TsInterval.after(floor))
             if cand.is_empty:
                 return cand
         return cand

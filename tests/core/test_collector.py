@@ -123,15 +123,16 @@ class _CountingLock:
 @pytest.fixture
 def counted(monkeypatch):
     """Stripe acquisitions (of an engine built by :func:`counting_engine`)
-    and ``LockTable.seal_all`` calls."""
+    and GC passes (``LockTable.freeze_and_seal`` calls)."""
     counts = {"stripes": 0, "seals": 0}
-    seal_all = LockTable.seal_all
+    freeze_and_seal = LockTable.freeze_and_seal
 
-    def counting_seal_all(self, owner, keep_all_reads=False):
+    def counting_freeze_and_seal(self, *args):
         counts["seals"] += 1
-        seal_all(self, owner, keep_all_reads)
+        freeze_and_seal(self, *args)
 
-    monkeypatch.setattr(LockTable, "seal_all", counting_seal_all)
+    monkeypatch.setattr(LockTable, "freeze_and_seal",
+                        counting_freeze_and_seal)
     return counts
 
 

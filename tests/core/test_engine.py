@@ -11,7 +11,9 @@ from repro.core.intervals import IntervalSet, TsInterval
 from repro.core.locks import LockMode
 from repro.core.timestamp import BOTTOM, TS_ZERO, Timestamp
 from repro.core.transaction import TxStatus
-from repro.policies import MVTLGhostbuster, MVTLTimestampOrdering
+from repro.clocks.clock import LogicalClock
+from repro.policies import (MVTLEpsilonClock, MVTLGhostbuster,
+                            MVTLTimestampOrdering)
 from repro.verify import HistoryRecorder, check_serializable
 
 
@@ -113,6 +115,24 @@ class TestCommitMechanics:
         engine.write(tx, "k", "v")
         assert engine.commit(tx)
         assert tx.commit_ts > TS_ZERO
+
+    def test_no_commit_at_or_below_a_purge_floor(self):
+        """A purge keeps the newest version below its bound and drops the
+        lock state under the bound, that version's frozen write point
+        included.  A commit must still not land on that version's
+        timestamp (a second install there raised) or below it."""
+        engine = MVTLEngine(MVTLEpsilonClock(epsilon=5.0), LogicalClock())
+        t1 = engine.begin(pid=1)
+        engine.write(t1, "k", "v1")
+        assert engine.commit(t1)  # the lowest candidate: just above TS_ZERO
+        engine.purge_versions_before(Timestamp(2.0, 0))
+        floor = engine.store.purge_floor("k")
+        assert floor == t1.commit_ts
+        t2 = engine.begin(pid=1)  # its interval reaches below the floor
+        engine.write(t2, "k", "v2")
+        assert engine.commit(t2)
+        assert t2.commit_ts > floor
+        assert engine.store.version_count("k") == 2
 
     def test_policy_picking_unlocked_ts_raises(self):
         class BadPolicy(MVTLTimestampOrdering):

@@ -45,6 +45,26 @@ class TestNoWait:
                                 wait=False)
         assert result.ok and not result.timed_out
 
+    @pytest.mark.parametrize("stop_on_frozen", [True, False])
+    def test_one_probe_past_frozen_and_unfrozen_holds(self, engine,
+                                                      stop_on_frozen):
+        """Without waiting, frozen holds cost nothing extra: one probe
+        grants everything free and reports every hold that cut it."""
+        t1 = engine.begin(pid=1)
+        t2 = engine.begin(pid=2)
+        t3 = engine.begin(pid=3)
+        engine.acquire(t1, "k", LockMode.WRITE, iv(2, 3), wait=False)
+        engine.freeze(t1, "k", LockMode.WRITE, iv(2, 3))
+        engine.acquire(t2, "k", LockMode.WRITE, iv(6, 7), wait=False)
+        result = engine.acquire(t3, "k", LockMode.WRITE, iv(1, 9),
+                                wait=False, stop_on_frozen=stop_on_frozen)
+        assert result.acquired == IntervalSet.from_interval(iv(1, 9)).subtract(
+            IntervalSet.from_interval(iv(2, 3))).subtract(
+            IntervalSet.from_interval(iv(6, 7)))
+        assert sorted(c.frozen for c in result.conflicts) == [False, True]
+        assert engine.stripe_contention()["conflicts"][
+            engine.stripe_of("k")] == 1
+
 
 class TestWaitStopOnFrozen:
     def test_wakes_on_release(self, engine):

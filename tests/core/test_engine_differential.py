@@ -1,25 +1,33 @@
-"""Rule-based differential testing of the threaded engine's MVTIL path.
+"""Rule-based differential testing of the threaded engine's transaction
+path.
 
 Hypothesis drives two engines through one single-thread schedule: the
 reference model (``tests/core/engine_model.py``: the three-acquisition
-MVTIL read, commit followed by a separate ``gc`` acquisition, a
-set-built contiguous cover, and a collector that collects every finished
-transaction again) and :class:`repro.core.engine.MVTLEngine` with
-:class:`repro.policies.MVTIL` and
+MVTIL read, the acquire-then-``held`` MVTIL write, one acquire loop for
+every mode, commit followed by a separate ``gc`` acquisition that freezes
+each read prefix and then seals, a set-built contiguous cover, and a
+collector that collects every finished transaction again) and
+:class:`repro.core.engine.MVTLEngine` with
 :class:`repro.core.collector.BackgroundCollector`.  The rules begin, read,
 write, commit and abort transactions, freeze a transaction's write locks
 ahead of its commit, sweep the collector and purge old versions, on one to
 four keys, with a :class:`LogicalClock` seen through
 per-process skewed clocks so that intervals overlap, shrink and miss.
-Both MVTIL variants run, with and without commit-time GC, and the
+
+Four policies run.  Both MVTIL variants, with and without commit-time GC;
+MVTIL whose commit-time GC collects committed transactions only (it reads
+``tx.committed``, so it tells whether the engine asks after the outcome is
+set); MVTL-Ghostbuster, whose reads and commit-time write locks wait; and
+MVTL-epsilon-clock, whose writes wait.  ``default_timeout=0`` makes a
+blocked wait time out at once instead of parking the single thread.  The
 collector both collects and keeps aborted transactions.
 
-After every rule the read results, each transaction's interval, outcome,
-commit timestamp and abort reason, every key's per-owner held and frozen
-ranges, its sealed runs and record count, and the version store must be
-equal.  The stripe-contention counters are not compared: the one-pass read
-counts a read cut short by a frozen write as contended, as the DES server
-does.
+After every rule the read results, each transaction's policy state,
+outcome, commit timestamp and abort reason, every key's per-owner held and
+frozen ranges, its sealed runs and record count, and the version store
+must be equal.  The stripe-contention counters are not compared: the
+one-pass read counts a read cut short by a frozen write as contended, as
+the DES server does.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from repro.core.engine import MVTLEngine
 from repro.core.exceptions import TransactionAborted
 from repro.core.locks import LockMode
 from repro.core.timestamp import Timestamp
-from repro.policies import MVTIL
+from repro.policies import MVTIL, MVTLEpsilonClock, MVTLGhostbuster
 from tests.core.engine_model import ModelCollector, ModelEngine, ModelMVTIL
 
 KEYS = ("a", "b", "c", "d")
@@ -43,15 +51,41 @@ PIDS = (1, 2, 3)
 MAX_ACTIVE = 5
 
 
-def build(engine_cls, policy_cls, collector_cls, *, delta, late,
+class CommittedGC(MVTIL):
+    """MVTIL that collects committed transactions only: its answer depends
+    on the transaction's status when the engine asks."""
+
+    def commit_gc(self, engine, tx):
+        return tx.committed
+
+
+class ModelCommittedGC(ModelMVTIL):
+    commit_gc = CommittedGC.commit_gc
+
+
+def _mvtil(cls):
+    return lambda delta, late, gc_on_commit: cls(
+        delta=delta, late=late, gc_on_commit=gc_on_commit)
+
+
+#: Policy name -> (model factory, real factory), each taking the drawn
+#: ``delta``, ``late`` and ``gc_on_commit`` (used where they apply).
+POLICIES = {
+    "mvtil": (_mvtil(ModelMVTIL), _mvtil(MVTIL)),
+    "mvtil-committed-gc": (_mvtil(ModelCommittedGC), _mvtil(CommittedGC)),
+    "ghostbuster": ((lambda *_: MVTLGhostbuster(),) * 2),
+    "epsilon-clock": ((lambda delta, *_: MVTLEpsilonClock(delta),) * 2),
+}
+
+
+def build(engine_cls, policy_factory, collector_cls, *, delta, late,
           gc_on_commit, collect_aborted, skews):
     logical = LogicalClock()
     clocks = {pid: SkewedClock(logical.now, skew)
               for pid, skew in zip(PIDS, skews)}
-    engine = engine_cls(policy_cls(delta=delta, late=late,
-                                   gc_on_commit=gc_on_commit),
+    engine = engine_cls(policy_factory(delta, late, gc_on_commit),
                         logical, clock_for_pid=clocks.__getitem__,
-                        default_timeout=0.01)
+                        default_timeout=0)
     return engine, collector_cls(engine, collect_aborted=collect_aborted)
 
 
@@ -83,16 +117,19 @@ class EngineLockstep(RuleBasedStateMachine):
         self.pairs = []
 
     @initialize(nkeys=st.integers(1, len(KEYS)),
+                policy=st.sampled_from(sorted(POLICIES)),
                 delta=st.sampled_from((0.5, 1.5, 4.0)),
                 late=st.booleans(), gc_on_commit=st.booleans(),
                 collect_aborted=st.booleans(),
                 skews=st.lists(st.sampled_from((-3.0, -1.0, 0.0, 0.5, 2.0)),
                                min_size=len(PIDS), max_size=len(PIDS)))
-    def setup(self, nkeys, **kwargs):
+    def setup(self, nkeys, policy, **kwargs):
         self.keys = KEYS[:nkeys]
-        self.model, self.model_gc = build(ModelEngine, ModelMVTIL,
+        event(f"policy: {policy}")
+        model_policy, real_policy = POLICIES[policy]
+        self.model, self.model_gc = build(ModelEngine, model_policy,
                                           ModelCollector, **kwargs)
-        self.real, self.real_gc = build(MVTLEngine, MVTIL,
+        self.real, self.real_gc = build(MVTLEngine, real_policy,
                                         BackgroundCollector, **kwargs)
 
     def active(self):
@@ -183,7 +220,7 @@ class EngineLockstep(RuleBasedStateMachine):
             assert m.abort_reason == r.abort_reason
             assert m.readset == r.readset
             assert m.writeset == r.writeset
-            assert m.state.interval == r.state.interval
+            assert m.state == r.state
 
     @invariant()
     def same_lock_state(self):
