@@ -9,13 +9,15 @@ Demonstrates, side by side:
    conflict with a transaction that *already aborted*; MVTL-Ghostbuster
    (Theorem 7) commits it.
 
+MVTO+ runs as the MVTL-TO policy, which behaves as MVTO+ (Theorem 5).
+
 Run:  python examples/clock_anomalies.py
 """
 
 from repro import MVTLEngine
-from repro.baselines import MVTOEngine
 from repro.clocks import SkewedClock
-from repro.policies import MVTLEpsilonClock, MVTLGhostbuster
+from repro.policies import (MVTLEpsilonClock, MVTLGhostbuster,
+                            MVTLTimestampOrdering)
 
 
 class ManualTime:
@@ -39,7 +41,9 @@ def serial_abort_demo() -> None:
         return SkewedClock(src, -2.0 if pid == 1 else 0.0)
 
     for name, make in [
-        ("MVTO+        ", lambda: MVTOEngine(clock_for_pid=clocks)),
+        # MVTO+ is the MVTL-TO policy (Theorem 5).
+        ("MVTO+        ",
+         lambda: MVTLEngine(MVTLTimestampOrdering(), clock_for_pid=clocks)),
         ("MVTL-eps-clock",
          lambda: MVTLEngine(MVTLEpsilonClock(epsilon=2.0),
                             clock_for_pid=clocks)),
@@ -64,7 +68,7 @@ def ghost_abort_demo() -> None:
     print("=" * 64)
     print("  schedule: T3: R(X) C | T2: R(Y) W(X) abort | T1: W(Y) ?")
     for name, make in [
-        ("MVTO+           ", lambda: MVTOEngine()),
+        ("MVTO+           ", lambda: MVTLEngine(MVTLTimestampOrdering())),
         ("MVTL-Ghostbuster",
          lambda: MVTLEngine(MVTLGhostbuster())),
     ]:

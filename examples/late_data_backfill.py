@@ -17,8 +17,8 @@ Run:  python examples/late_data_backfill.py
 """
 
 from repro import MVTLEngine, TransactionAborted
-from repro.baselines import MVTOEngine
-from repro.policies import MVTLPreferential, offset_alternatives
+from repro.policies import (MVTLPreferential, MVTLTimestampOrdering,
+                            offset_alternatives)
 from repro.verify import HistoryRecorder, check_serializable
 
 
@@ -76,7 +76,8 @@ def main() -> None:
     def clocks(pid):
         return SkewedClock(src, -6.0 if pid == 3 else 0.0)
 
-    mvto = MVTOEngine(clock_for_pid=clocks)
+    # MVTO+ is the MVTL-TO policy (Theorem 5).
+    mvto = MVTLEngine(MVTLTimestampOrdering(), clock_for_pid=clocks)
     ok, bad = ingest_and_analyze(mvto)
     print(f"  MVTO+     : backfills committed={ok:2d} aborted={bad:2d}")
 

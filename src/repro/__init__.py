@@ -2,10 +2,11 @@
 
 A faithful, full-scope Python reproduction of *"Locking Timestamps versus
 Locking Objects"* (Aguilera, David, Guerraoui, Wang — PODC 2018): the generic
-MVTL algorithm, the §5 policy family, the MVTO+ and 2PL baselines, the
-distributed MVTL protocol with commitment objects, a deterministic
-discrete-event substrate standing in for the paper's testbeds, and a
-benchmark harness regenerating Figures 1-7.
+MVTL algorithm, the §5 policy family (MVTO+ and pessimistic locking among
+them, as MVTL-TO and MVTL-Pessimistic: Theorems 5 and 6), the Bohm
+baseline, the distributed MVTL protocol with commitment objects, a
+deterministic discrete-event substrate standing in for the paper's
+testbeds, and a benchmark harness regenerating Figures 1-7.
 
 Quickstart
 ----------

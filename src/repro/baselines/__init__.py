@@ -1,7 +1,10 @@
-"""Baseline concurrency-control engines the paper compares against (§8)."""
+"""The Bohm baseline engine (§8), which :mod:`repro.dist.bohm` hosts.
+
+MVTO+ and pessimistic locking are not separate engines: they are the
+MVTL-TO and MVTL-Pessimistic policies (Theorems 5 and 6), run by
+``MVTLEngine(MVTLTimestampOrdering())`` and ``MVTLEngine(MVTLPessimistic())``.
+"""
 
 from .bohm import BohmEngine
-from .mvto import MVTOEngine
-from .twopl import TwoPLEngine
 
-__all__ = ["BohmEngine", "MVTOEngine", "TwoPLEngine"]
+__all__ = ["BohmEngine"]

@@ -55,7 +55,7 @@ from ..obs.trace import NULL_TRACER
 from .deadlock import WaitForGraph
 from .exceptions import (AbortReason, DeadlockError, PolicyError,
                          TransactionAborted, TransactionStateError)
-from .intervals import EMPTY_SET, IntervalSet, TsInterval
+from .intervals import EMPTY_SET, IntervalSet, TsInterval, ts_pred
 from .locks import AcquireResult, Conflict, LockMode, LockTable
 from .policy import MVTLPolicy
 from .timestamp import TS_INF, TS_ZERO, Timestamp
@@ -167,6 +167,10 @@ class MVTLEngine:
         self._stripe_conflicts = [0] * stripes
         self._waits = WaitForGraph()
         self._tx_counter = count(1)
+        # The highest purge bound (§6) above TS_ZERO so far, None before
+        # any: commit candidates start there.  Written with every stripe
+        # held.
+        self._purge_bound: Timestamp | None = None
         # Statistics for benchmarks/tests; guarded by their own leaf mutex.
         self.stats = {"commits": 0, "aborts": 0, "deadlocks": 0,
                       "lock_timeouts": 0}
@@ -513,8 +517,12 @@ class MVTLEngine:
                 if result.fully_acquired:
                     self._waits.clear(tx.id)
                     return EngineAcquireResult(acquired_total, skipped_frozen)
-                self._stripe_conflicts[idx] += 1
                 frozen = tuple(c for c in result.conflicts if c.frozen)
+                unfrozen = tuple(c for c in result.conflicts if not c.frozen)
+                if unfrozen:
+                    # Only a live holder is contention; frozen ranges are
+                    # history.
+                    self._stripe_conflicts[idx] += 1
                 if frozen and stop_on_frozen:
                     self._waits.clear(tx.id)
                     return EngineAcquireResult(acquired_total, result.conflicts)
@@ -527,7 +535,6 @@ class MVTLEngine:
                         self._waits.clear(tx.id)
                         return EngineAcquireResult(acquired_total,
                                                    skipped_frozen)
-                unfrozen = tuple(c for c in result.conflicts if not c.frozen)
                 if not unfrozen:
                     continue  # only frozen conflicts, now skipped: retry
                 holders = {c.holder for c in unfrozen}
@@ -719,27 +726,35 @@ class MVTLEngine:
         just above the version read; write-set keys contribute the held
         write-lock set.  TS_ZERO is excluded: every key's initial version
         lives there, so it can never be a commit point.  So is everything
-        at or below a written key's purge floor (§6): reads there fail
-        already, and the purge dropped the lock state that kept commits
-        off it — a commit at the floor would install a second version at
-        the kept version's timestamp.  Caller must hold the stripes of
-        every readset/writeset key.  Computed on flats
-        (:meth:`LockTable.commit_cover`); only the result is wrapped.
+        below the purge bound (§6): the purge dropped the lock state that
+        kept commits off it — a commit there could land on a kept
+        version's timestamp, or under a read it no longer protects.  A
+        read made before a purge whose bound lies above its version lost
+        the start of its lock with that state; its cover counts from the
+        bound instead, provided the version read is still the newest below
+        the bound (no commit can land between them any more).  Caller
+        must hold the stripes of every readset/writeset key.  Computed on
+        flats (:meth:`LockTable.commit_cover`); only the result is
+        wrapped.
         """
-        cand = _AFTER_ZERO
+        bound = self._purge_bound
+        cand = (_AFTER_ZERO if bound is None
+                else (bound.value, bound.pid, TS_INF.value, TS_INF.pid))
         cover = self.locks.commit_cover
         owner = tx.id
         for key, tr in tx.readset:
-            cand = iv_intersect(cand, cover(owner, key, tr))
+            got = cover(owner, key, tr)
+            if not got and bound is not None and tr < bound:
+                # Read before the purge: its lock starts at the bound now.
+                kept = self.store.latest_before(key, bound)
+                if kept is None or kept.ts != tr:
+                    return EMPTY_SET
+                got = cover(owner, key, ts_pred(bound))
+            cand = iv_intersect(cand, got)
             if not cand:
                 return EMPTY_SET
-        purge_floor = self.store.purge_floor
         for key in tx.writeset:
             cand = iv_intersect(cand, cover(owner, key))
-            floor = purge_floor(key)
-            if floor is not None:
-                cand = iv_intersect(cand, (floor.value, floor.pid + 1,
-                                           TS_INF.value, TS_INF.pid))
             if not cand:
                 return EMPTY_SET
         return IntervalSet._from_flat(cand)
@@ -775,6 +790,9 @@ class MVTLEngine:
         try:
             purged = self.store.purge_before(bound)
             self.locks.purge_below(bound_iv)
+            if bound > TS_ZERO and (self._purge_bound is None
+                                    or bound > self._purge_bound):
+                self._purge_bound = bound
             return purged
         finally:
             self._release_stripes(self._all_stripe_indices)
@@ -784,7 +802,8 @@ class MVTLEngine:
 
         ``waits[i]`` counts parked condition-waits on stripe ``i``;
         ``conflicts[i]`` counts acquire attempts on stripe ``i`` that found
-        at least one conflicting hold.  Disjoint keysets that map to
+        at least one conflicting hold — for a waiting acquire, one of a
+        live (unfrozen) holder.  Disjoint keysets that map to
         distinct stripes show zero in both.
         """
         return {"waits": tuple(self._stripe_waits),

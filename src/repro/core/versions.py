@@ -181,12 +181,6 @@ class VersionStore:
                 return None
         return self._chain(key).floor_before(ts)
 
-    def purge_floor(self, key: Hashable) -> Timestamp | None:
-        """The oldest version of ``key`` a purge kept, or None if no purge
-        dropped any: reads at or below it fail, and no commit may land
-        there (the purge dropped the lock state that guarded it)."""
-        return self._purge_floor.get(key) if self._purge_floor else None
-
     def version_at(self, key: Hashable, ts: Timestamp) -> Version | None:
         return self._chain(key).at(ts)
 

@@ -1,10 +1,11 @@
-"""Standalone MVTO+ baseline.
+"""Standalone MVTO+: the reference model of the Theorem 5 lockstep suite.
 
 MVTO+ (§3) is classic multiversion timestamp ordering [5] improved to avoid
 cascading aborts by never exposing uncommitted data.  It is implemented here
 *independently* of the MVTL machinery — with per-version read-timestamps, the
-way real systems build it — so it can serve as an external baseline in the
-benchmarks and as a cross-check for Theorem 5 (MVTL-TO behaves as MVTO+).
+way real systems build it — so it can serve as the cross-check for
+Theorem 5 (MVTL-TO behaves as MVTO+): ``test_thm5_lockstep.py`` drives it
+and ``MVTLEngine(MVTLTimestampOrdering())`` through the same schedules.
 
 Protocol, for a transaction with begin timestamp ``ts``:
 
@@ -30,11 +31,11 @@ from bisect import bisect_left
 from itertools import count
 from typing import Any, Hashable
 
-from ..clocks.clock import Clock, LogicalClock
-from ..core.exceptions import (AbortReason, TransactionAborted,
-                               TransactionStateError)
-from ..core.timestamp import BOTTOM, TS_ZERO, Timestamp
-from ..core.transaction import Transaction, TxStatus
+from repro.clocks.clock import Clock, LogicalClock
+from repro.core.exceptions import (AbortReason, TransactionAborted,
+                                   TransactionStateError)
+from repro.core.timestamp import BOTTOM, TS_ZERO, Timestamp
+from repro.core.transaction import Transaction, TxStatus
 
 __all__ = ["MVTOEngine"]
 

@@ -1,4 +1,4 @@
-"""Standalone strict two-phase locking (2PL) baseline.
+"""Standalone strict 2PL: the reference model of the Theorem 6 lockstep suite.
 
 The lock-based comparator of §8: one readers-writer lock per key, acquired at
 access time and held until the end of the transaction (strict 2PL), with a
@@ -10,7 +10,8 @@ The store is single-version; each key remembers the commit timestamp of its
 last writer so histories feed the same MVSG checker as everything else.
 Commit timestamps come from a shared logical counter drawn while all locks
 are held, which makes them consistent with the serialization order strict
-2PL enforces.
+2PL enforces.  ``test_thm6_lockstep.py`` drives it and
+``MVTLEngine(MVTLPessimistic())`` through the same schedules.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ import time
 from itertools import count
 from typing import Any, Hashable
 
-from ..core.exceptions import (AbortReason, TransactionAborted,
-                               TransactionStateError)
-from ..core.timestamp import BOTTOM, TS_ZERO, Timestamp
-from ..core.transaction import Transaction, TxStatus
+from repro.core.exceptions import (AbortReason, TransactionAborted,
+                                   TransactionStateError)
+from repro.core.timestamp import BOTTOM, TS_ZERO, Timestamp
+from repro.core.transaction import Transaction, TxStatus
 
 __all__ = ["TwoPLEngine"]
 

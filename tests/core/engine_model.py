@@ -17,8 +17,8 @@ its stripes once and visited each key's lock state once:
   read prefix, then seal the owner on every key it holds;
 * ``_contiguous_cover`` builds ``held(READ) ∪ held(WRITE)`` as an
   :class:`~repro.core.intervals.IntervalSet` and walks its pieces, and the
-  candidates leave out every timestamp at or below a written key's purge
-  floor, as the engine's do;
+  candidates leave out everything below the purge bound and count a
+  read below it from the bound, as the engine's do;
 * the collector queues every finished transaction and calls ``gc`` on each,
   whether or not commit already collected it.
 
@@ -46,7 +46,7 @@ from repro.core.exceptions import (AbortReason, DeadlockError, PolicyError,
                                    TransactionStateError)
 from repro.core.intervals import EMPTY_SET, IntervalSet, TsInterval
 from repro.core.locks import Conflict, LockMode
-from repro.core.timestamp import TS_ZERO, Timestamp
+from repro.core.timestamp import TS_INF, TS_ZERO, Timestamp
 from repro.core.transaction import Transaction, TxStatus
 from repro.core.versions import Version
 from repro.policies import MVTIL
@@ -291,28 +291,43 @@ class ModelEngine(MVTLEngine):
         self.policy.on_finish(self, tx)
 
     def _candidates(self, tx: Transaction) -> IntervalSet:
+        bound = self._purge_bound
         cand = IntervalSet.from_interval(TsInterval.after(TS_ZERO))
+        if bound is not None:
+            cand = cand.intersect(TsInterval.closed(bound, TS_INF))
         for key, tr in tx.readset:
-            cover = self._contiguous_cover(tx, key, tr)
+            if bound is not None and tr < bound:
+                # The purge dropped the read's lock state below the bound:
+                # its cover starts at the bound, if no version lies between.
+                kept = self.store.latest_before(key, bound)
+                if kept is None or kept.ts != tr:
+                    return EMPTY_SET
+                cover = self._contiguous_cover(tx, key, bound, closed=True)
+            else:
+                cover = self._contiguous_cover(tx, key, tr)
             cand = cand.intersect(cover)
             if cand.is_empty:
                 return cand
         for key in tx.writeset:
             cand = cand.intersect(self.locks.held(tx.id, key, LockMode.WRITE))
-            floor = self.store.purge_floor(key)
-            if floor is not None:
-                cand = cand.intersect(TsInterval.after(floor))
             if cand.is_empty:
                 return cand
         return cand
 
     def _contiguous_cover(self, tx: Transaction, key: Hashable,
-                          tr: Timestamp) -> IntervalSet:
+                          start: Timestamp, *, closed: bool = False
+                          ) -> IntervalSet:
+        """The held piece that reaches just above ``start`` (or ``start``
+        itself when ``closed``), clipped to begin there."""
         held = (self.locks.held(tx.id, key, LockMode.READ)
                 .union(self.locks.held(tx.id, key, LockMode.WRITE)))
         for piece in held:
-            if piece.contains_just_after(tr):
-                clipped = piece.intersect(TsInterval.after(tr))
+            if closed:
+                if piece.contains(start):
+                    return IntervalSet.from_interval(
+                        TsInterval.closed(start, piece.hi))
+            elif piece.contains_just_after(start):
+                clipped = piece.intersect(TsInterval.after(start))
                 if clipped is not None:
                     return IntervalSet.from_interval(clipped)
         return EMPTY_SET

@@ -12,8 +12,8 @@ from repro.core.locks import LockMode
 from repro.core.timestamp import BOTTOM, TS_ZERO, Timestamp
 from repro.core.transaction import TxStatus
 from repro.clocks.clock import LogicalClock
-from repro.policies import (MVTLEpsilonClock, MVTLGhostbuster,
-                            MVTLTimestampOrdering)
+from repro.policies import (MVTIL, MVTLEpsilonClock, MVTLGhostbuster,
+                            MVTLPessimistic, MVTLTimestampOrdering)
 from repro.verify import HistoryRecorder, check_serializable
 
 
@@ -126,13 +126,53 @@ class TestCommitMechanics:
         engine.write(t1, "k", "v1")
         assert engine.commit(t1)  # the lowest candidate: just above TS_ZERO
         engine.purge_versions_before(Timestamp(2.0, 0))
-        floor = engine.store.purge_floor("k")
+        _key, _versions, floor = engine.store.snapshot_row("k")
         assert floor == t1.commit_ts
         t2 = engine.begin(pid=1)  # its interval reaches below the floor
         engine.write(t2, "k", "v2")
         assert engine.commit(t2)
         assert t2.commit_ts > floor
         assert engine.store.version_count("k") == 2
+
+    @pytest.mark.parametrize(
+        "policy", [MVTLTimestampOrdering, MVTIL, MVTLPessimistic])
+    def test_reader_commits_across_a_purge(self, policy):
+        """A purge below a live reader's timestamp (§6 allows it) drops
+        the start of the reader's read lock with the lock state below the
+        bound.  The reader's cover counts from the bound, so it still
+        commits — as it does under MVTO+."""
+        engine = MVTLEngine(policy(), LogicalClock())
+        t0 = engine.begin()
+        engine.write(t0, "x", 1)
+        assert engine.commit(t0)
+        t1 = engine.begin()
+        assert engine.read(t1, "x") == 1
+        engine.purge_versions_before(Timestamp(1.25, 0))
+        assert engine.commit(t1)
+        assert t1.commit_ts >= Timestamp(1.25, 0)
+
+    def test_read_below_a_purge_must_be_newest_there(self):
+        """A read below the purge bound counts its cover from the bound
+        only while the version it read is still the newest below it.
+        Here a version committed above the read's (cut-short) lock and
+        below the bound; the reader also write-locked the key above that
+        version, so after the purge it holds the bound itself — yet it
+        read the older version and must not commit (a lost update)."""
+        engine = MVTLEngine(MVTLPessimistic(), LogicalClock(),
+                            default_timeout=0)
+        f = Timestamp(1.5, 0)
+        writer = engine.begin(pid=1)
+        engine.acquire(writer, "x", LockMode.WRITE, TsInterval.point(f),
+                       wait=False)
+        engine.freeze(writer, "x", LockMode.WRITE, TsInterval.point(f))
+        reader = engine.begin(pid=2)
+        assert engine.read(reader, "x") is BOTTOM  # locks (0, f), cut at f
+        engine.write(writer, "x", "w")  # meets the read lock; keeps f
+        assert engine.commit(writer)
+        assert writer.commit_ts == f
+        engine.write(reader, "x", "r")  # everything but f
+        engine.purge_versions_before(Timestamp(2.0, 0))
+        assert not engine.commit(reader)
 
     def test_policy_picking_unlocked_ts_raises(self):
         class BadPolicy(MVTLTimestampOrdering):

@@ -4,13 +4,15 @@ idioms the paper's pseudo-code uses (§4.3, Algorithms 3-10)."""
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.engine import MVTLEngine
 from repro.core.intervals import FULL_INTERVAL, IntervalSet, TsInterval
 from repro.core.locks import LockMode
 from repro.core.timestamp import Timestamp
-from repro.policies import MVTLTimestampOrdering
+from repro.policies import MVTLPessimistic, MVTLTimestampOrdering
+from repro.workload import WorkloadConfig, WorkloadGenerator
 
 
 def T(v, p=0):
@@ -193,3 +195,53 @@ class TestReleaseAllWriteLocks:
             IntervalSet.point(T(1))  # frozen stays
         assert engine.locks.held(tx.id, "b", LockMode.WRITE).is_empty
         assert not engine.locks.held(tx.id, "b", LockMode.READ).is_empty
+
+
+class TestContentionCount:
+    """``stripe_contention()["conflicts"]`` counts a waiting acquire only
+    when it meets a live (unfrozen) holder: ``mvtl-adaptive`` reads the
+    counter as its contention signal, and frozen history is no contention."""
+
+    def test_one_thread_pessimistic_counts_nothing(self):
+        """One thread, one transaction at a time: every write meets the
+        frozen history of the transactions before it, never a live
+        holder."""
+        engine = MVTLEngine(MVTLPessimistic(), default_timeout=0)
+        gen = WorkloadGenerator(
+            WorkloadConfig(num_keys=64, tx_size=4, write_fraction=0.5,
+                           zipf_s=0.8), np.random.default_rng(7))
+        for _ in range(500):
+            tx = engine.begin(pid=1)
+            for op in gen.next_tx().ops:
+                if op.is_write:
+                    engine.write(tx, op.key, op.value)
+                else:
+                    engine.read(tx, op.key)
+            assert engine.commit(tx)
+        counters = engine.stripe_contention()
+        assert sum(counters["conflicts"]) == 0
+        assert sum(counters["waits"]) == 0
+        assert engine.stats["commits"] == 500
+
+    def test_skipped_frozen_range_is_not_counted(self, engine):
+        t1 = engine.begin(pid=1)
+        engine.acquire(t1, "k", LockMode.WRITE, iv(2, 3), wait=False)
+        engine.freeze(t1, "k", LockMode.WRITE, iv(2, 3))
+        t2 = engine.begin(pid=2)
+        result = engine.acquire(t2, "k", LockMode.WRITE, iv(1, 9),
+                                wait=True, stop_on_frozen=False)
+        assert not result.timed_out
+        assert [c.frozen for c in result.conflicts] == [True]
+        assert sum(engine.stripe_contention()["conflicts"]) == 0
+
+    @pytest.mark.parametrize("stop_on_frozen", [False, True])
+    def test_live_holder_is_counted(self, engine, stop_on_frozen):
+        t1 = engine.begin(pid=1)
+        engine.acquire(t1, "k", LockMode.WRITE, iv(2, 3), wait=False)
+        t2 = engine.begin(pid=2)
+        result = engine.acquire(t2, "k", LockMode.WRITE, iv(1, 9),
+                                wait=True, stop_on_frozen=stop_on_frozen,
+                                timeout=0)
+        assert result.timed_out
+        assert engine.stripe_contention()["conflicts"][
+            engine.stripe_of("k")] == 1

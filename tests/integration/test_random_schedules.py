@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import MVTOEngine, TwoPLEngine
 from repro.core.engine import MVTLEngine
 from repro.core.exceptions import TransactionAborted
 from repro.policies import (MVTIL, MVTLEpsilonClock, MVTLGhostbuster,
                             MVTLPessimistic, MVTLPreferential,
                             MVTLPrioritizer, MVTLTimestampOrdering)
 from repro.verify import HistoryRecorder, check_serializable
+from tests.baselines.mvto_model import MVTOEngine
+from tests.baselines.twopl_model import TwoPLEngine
 
 KEYS = ["a", "b", "c"]
 

@@ -7,7 +7,6 @@ the susceptible algorithm and its absence on the fixed one.
 
 import pytest
 
-from repro.baselines import MVTOEngine
 from repro.clocks import SkewedClock
 from repro.core.engine import MVTLEngine
 from repro.core.exceptions import TransactionAborted
@@ -16,6 +15,7 @@ from repro.policies import (MVTIL, MVTLEpsilonClock, MVTLGhostbuster,
                             MVTLPessimistic, MVTLPreferential,
                             MVTLPrioritizer, MVTLTimestampOrdering,
                             offset_alternatives)
+from tests.baselines.mvto_model import MVTOEngine
 
 
 class FakeTime:

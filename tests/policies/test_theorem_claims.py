@@ -21,7 +21,7 @@ from repro.core.exceptions import TransactionAborted
 from repro.policies import (MVTLEpsilonClock, MVTLGhostbuster,
                             MVTLPreferential, MVTLPrioritizer,
                             MVTLTimestampOrdering, offset_alternatives)
-from repro.baselines import MVTOEngine
+from tests.baselines.mvto_model import MVTOEngine
 
 
 class _SimClock:
