@@ -8,7 +8,9 @@ random stream, so runs are reproducible and clients are uncorrelated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -126,7 +128,12 @@ def zipf_cdf(num_keys: int, zipf_s: float) -> np.ndarray:
 def zipf_index(rng: np.random.Generator, cdf: np.ndarray) -> int:
     """One key index drawn from ``cdf`` (a :func:`zipf_cdf`): the index
     ``rng.choice(n, p=zipf_probabilities(n, s))`` returns, leaving ``rng``
-    where it leaves it, without rebuilding the CDF per draw."""
+    where it leaves it, without rebuilding the CDF per draw.
+
+    The scenario generators are the only callers.  They keep scalar draws
+    because they share their stream with ``rng.choice(replace=False)``;
+    :class:`WorkloadGenerator` owns its stream and makes the same
+    bisection on uniforms computed from pooled words."""
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
@@ -152,50 +159,167 @@ def zipf_probabilities(num_keys: int, zipf_s: float) -> np.ndarray:
     return probs
 
 
+#: One transaction's draws, in stream order: (critical, key indices,
+#: write flags).
+_Draws = Iterator[tuple[bool, list[int], list[bool]]]
+
+#: Raw words a uniform generator takes from its PCG64 per refill.  Every
+#: client holds a pool of up to this many words (~48 bytes each as Python
+#: ints), so it stays small.
+_POOL_WORDS = 32
+
+#: Draws computed per block by a Zipf generator.
+_BLOCK_DRAWS = 512
+
+_M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
+
+#: numpy's ``random()`` on PCG64 is ``(word >> 11) * 2**-53``.
+_DOUBLE = 2.0 ** -53
+
+
+def _below(fraction: float) -> int:
+    """The bound ``b`` such that ``random() < fraction`` exactly when its
+    word is below ``b``: ``(w >> 11) * 2**-53 < f`` iff the integer
+    ``w >> 11`` is below ``f * 2**53`` (scaling by a power of two is
+    exact), iff it is below ``ceil(f * 2**53)``."""
+    return math.ceil(fraction * 2.0**53) << 11
+
+
+def _uniform_draws(config: WorkloadConfig, bitgen: np.random.PCG64,
+                   half: int | None) -> _Draws:
+    """Per transaction: a ``random()`` for ``critical`` if
+    ``critical_fraction > 0``, then per op ``integers(num_keys)`` and a
+    ``random()`` for the write flag.  ``half`` is the 32-bit output the bit
+    generator holds buffered, if any."""
+    n = config.num_keys
+    word = chain.from_iterable(
+        iter(lambda: bitgen.random_raw(_POOL_WORDS).tolist(), None)).__next__
+    if n == 1:
+        key = repeat(0).__next__  # numpy's integers(1) draws nothing
+    elif n <= 1 << 32:
+        key = _lemire32(word, n, half).__next__
+    else:
+        key = _lemire64(word, n).__next__
+    critical_below = _below(config.critical_fraction)
+    write_below = _below(config.write_fraction)
+    ops = range(config.tx_size)
+    while True:
+        # Short-circuit keeps the stream draw count identical to older
+        # seeds when the feature is off (determinism across versions).
+        critical = config.critical_fraction > 0.0 and word() < critical_below
+        indices = []
+        writes = []
+        for _ in ops:
+            indices.append(key())
+            writes.append(word() < write_below)
+        yield critical, indices, writes
+
+
+def _lemire32(word: Callable[[], int], n: int,
+              half: int | None) -> Iterator[int]:
+    """numpy's ``integers(n)`` for ``1 < n <= 2**32``: Lemire's method on
+    32-bit outputs, rejection loop included.  PCG64 serves a 32-bit output
+    from the low half of a fresh word and buffers the high half (``half``)
+    for the next one; a ``random()`` in between leaves the buffer alone."""
+    threshold = (2**32 - n) % n
+    while True:
+        if half is None:
+            w = word()
+            m = (w & _M32) * n
+            half = w >> 32
+        else:
+            m = half * n
+            half = None
+        if (m & _M32) >= threshold:
+            yield m >> 32
+
+
+def _lemire64(word: Callable[[], int], n: int) -> Iterator[int]:
+    """numpy's ``integers(n)`` for ``n > 2**32``: Lemire's method on whole
+    words."""
+    threshold = (2**64 - n) % n
+    while True:
+        m = word() * n
+        if (m & _M64) >= threshold:
+            yield m >> 64
+
+
+def _zipf_draws(config: WorkloadConfig, bitgen: np.random.PCG64,
+                cdf: np.ndarray) -> _Draws:
+    """As :func:`_uniform_draws`, with a :func:`zipf_index` into ``cdf``
+    per key.  Each draw is a ``random()`` of one word, so every transaction
+    takes the same number of words, and a block of transactions is
+    computed at once."""
+    first = 1 if config.critical_fraction > 0.0 else 0
+    width = first + 2 * config.tx_size
+    count = max(1, _BLOCK_DRAWS // width)
+    while True:
+        u = (bitgen.random_raw((count, width)) >> 11) * _DOUBLE
+        indices = cdf.searchsorted(u[:, first::2], side="right").tolist()
+        writes = (u[:, first + 1::2] < config.write_fraction).tolist()
+        if first:
+            critical = (u[:, 0] < config.critical_fraction).tolist()
+        else:
+            critical = repeat(False, count)
+        yield from zip(critical, indices, writes)
+
+
+class _KeyNames:
+    """The names of a key space too large for :func:`_key_table`,
+    formatted per draw."""
+
+    def __getitem__(self, idx: int) -> str:
+        return f"k{idx:07d}"  # 8-character keys, like the prototype
+
+
 class WorkloadGenerator:
-    """Yields :class:`TxSpec`s for one client."""
+    """Yields :class:`TxSpec`s for one client.
+
+    The generator owns ``rng`` and reads it ahead, as the service queue's
+    draw pool does.  It takes raw 64-bit words from ``rng``'s PCG64 in
+    blocks and computes from them, bit for bit, what scalar
+    ``rng.random()``, ``rng.integers(num_keys)`` and :func:`zipf_index`
+    calls would return in the same order
+    (``tests/workload/generator_model.py`` keeps those calls).  The specs
+    are the scalar draws' specs, but ``rng`` is left ahead of them, so
+    nothing else may draw from it.  Only PCG64 is modelled: its 32-bit
+    draws share a buffered half-word, which is read from the bit
+    generator's state once, here.
+    """
 
     def __init__(self, config: WorkloadConfig,
                  rng: np.random.Generator) -> None:
+        bitgen = rng.bit_generator
+        if not isinstance(bitgen, np.random.PCG64):
+            raise TypeError("WorkloadGenerator computes PCG64 draws from its "
+                            f"raw words; got {type(bitgen).__name__}")
         self.config = config
-        self._rng = rng
         self._value_counter = 0
         if config.zipf_s > 0.0:
-            self._probs = zipf_probabilities(config.num_keys, config.zipf_s)
             self._cdf = zipf_cdf(config.num_keys, config.zipf_s)
+            self._draws = _zipf_draws(config, bitgen, self._cdf)
         else:
-            self._probs = None
             self._cdf = None
-        self._keys = _key_table(config.num_keys)
-
-    def _pick_key(self) -> str:
-        if self._cdf is None:
-            idx = int(self._rng.integers(self.config.num_keys))
-        else:
-            idx = zipf_index(self._rng, self._cdf)
-        keys = self._keys
-        if keys is not None:
-            return keys[idx]
-        return f"k{idx:07d}"  # 8-character keys, like the prototype
-
-    def _pick_value(self) -> str:
-        self._value_counter += 1
-        return f"v{self._value_counter % 10**7:07d}"  # 8-character values
+            state = bitgen.state
+            half = state["uinteger"] if state["has_uint32"] else None
+            self._draws = _uniform_draws(config, bitgen, half)
+        self._keys = _key_table(config.num_keys) or _KeyNames()
 
     def next_tx(self) -> TxSpec:
-        cfg = self.config
-        # Short-circuit keeps the stream draw count identical to older
-        # seeds when the feature is off (determinism across versions).
-        critical = (cfg.critical_fraction > 0.0
-                    and float(self._rng.random()) < cfg.critical_fraction)
+        critical, indices, writes = next(self._draws)
+        keys = self._keys
+        count = self._value_counter
         ops = []
-        for _ in range(cfg.tx_size):
-            key = self._pick_key()
-            if self._rng.random() < cfg.write_fraction:
-                ops.append(Op(True, key, self._pick_value()))
+        for idx, write in zip(indices, writes):
+            if write:
+                count += 1
+                # 8-character values
+                ops.append(Op(True, keys[idx], f"v{count % 10**7:07d}"))
             else:
-                ops.append(Op(False, key))
-        return TxSpec(tuple(ops), critical=critical)
+                ops.append(Op(False, keys[idx]))
+        self._value_counter = count
+        return TxSpec(tuple(ops), critical)
 
     def __iter__(self) -> Iterator[TxSpec]:
         while True:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.workload.generator import (Op, TxSpec, WorkloadConfig,
-                                      WorkloadGenerator, zipf_probabilities)
+                                      WorkloadGenerator, zipf_cdf,
+                                      zipf_probabilities)
 from repro.workload.scenarios import (SCENARIOS, BankTransferGenerator,
                                       FlashCrowdGenerator, decode_int,
                                       encode_int, make_scenario_generator,
@@ -41,7 +42,7 @@ class TestZipfMemoization:
         cfg = WorkloadConfig(num_keys=333, zipf_s=0.9)
         gen1 = WorkloadGenerator(cfg, np.random.default_rng(0))
         gen2 = WorkloadGenerator(cfg, np.random.default_rng(1))
-        assert gen1._probs is gen2._probs
+        assert gen1._cdf is gen2._cdf is zipf_cdf(333, 0.9)
 
     def test_cached_table_is_read_only(self):
         probs = zipf_probabilities(55, 0.8)

@@ -1,12 +1,17 @@
 """Zipf key draws through the cached CDF are ``rng.choice`` bit for bit.
 
-:class:`~repro.workload.generator.WorkloadGenerator` and the scenario
-generators draw a Zipf key with
-:func:`~repro.workload.generator.zipf_index` — one uniform, right-bisected
-into the cached normalized CDF — instead of ``rng.choice(n, p=probs)``,
-which rebuilds the CDF on every draw.  Seeded runs must not move, so the two must return the
-same index and leave the stream in the same place — including when other
-draws (``integers``, as the scenarios make) are interleaved.
+The scenario generators, the only callers of
+:func:`~repro.workload.generator.zipf_index`, draw a Zipf key with it —
+one uniform, right-bisected into the cached normalized CDF — instead of
+``rng.choice(n, p=probs)``, which rebuilds the CDF on every draw.  They
+keep scalar draws because they share their stream with
+``rng.choice(replace=False)``.  Seeded runs must not move, so the two must
+return the same index and leave the stream in the same place — including
+when other draws (``integers``, as the scenarios make) are interleaved.
+:class:`~repro.workload.generator.WorkloadGenerator` makes the same
+bisection on uniforms computed from pooled PCG64 words;
+``tests/workload/test_generator_draws.py`` checks it against the scalar
+draws.
 """
 
 import numpy as np
