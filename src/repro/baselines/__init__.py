@@ -5,6 +5,10 @@ MVTL-TO and MVTL-Pessimistic policies (Theorems 5 and 6), run by
 ``MVTLEngine(MVTLTimestampOrdering())`` and ``MVTLEngine(MVTLPessimistic())``.
 """
 
-from .bohm import BohmEngine
+from .. import _lazy_exports
 
 __all__ = ["BohmEngine"]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".bohm": ("BohmEngine",),
+})

@@ -1,17 +1,6 @@
 """Core MVTL machinery: timestamps, intervals, locks, versions, engine."""
 
-from .collector import BackgroundCollector
-from .engine import EngineAcquireResult, MVTLEngine
-from .exceptions import (AbortReason, DeadlockError, LockTimeout, MVTLError,
-                         PolicyError, TransactionAborted,
-                         TransactionStateError)
-from .intervals import EMPTY_SET, FULL_INTERVAL, IntervalSet, TsInterval
-from .locks import (AcquireResult, Conflict, FrozenConflictError,
-                    KeyLockState, LockMode, LockTable)
-from .policy import MVTLPolicy
-from .timestamp import BOTTOM, TS_INF, TS_ZERO, Bottom, Timestamp
-from .transaction import Transaction, TxStatus
-from .versions import PENDING, Pending, Version, VersionStore
+from .. import _lazy_exports
 
 __all__ = [
     "MVTLEngine", "EngineAcquireResult", "MVTLPolicy", "BackgroundCollector",
@@ -24,3 +13,18 @@ __all__ = [
     "AbortReason", "MVTLError", "TransactionAborted",
     "TransactionStateError", "DeadlockError", "LockTimeout", "PolicyError",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".collector": ("BackgroundCollector",),
+    ".engine": ("EngineAcquireResult", "MVTLEngine"),
+    ".exceptions": ("AbortReason", "DeadlockError", "LockTimeout",
+                    "MVTLError", "PolicyError", "TransactionAborted",
+                    "TransactionStateError"),
+    ".intervals": ("EMPTY_SET", "FULL_INTERVAL", "IntervalSet", "TsInterval"),
+    ".locks": ("AcquireResult", "Conflict", "FrozenConflictError",
+               "KeyLockState", "LockMode", "LockTable"),
+    ".policy": ("MVTLPolicy",),
+    ".timestamp": ("BOTTOM", "TS_INF", "TS_ZERO", "Bottom", "Timestamp"),
+    ".transaction": ("Transaction", "TxStatus"),
+    ".versions": ("PENDING", "Pending", "Version", "VersionStore"),
+})

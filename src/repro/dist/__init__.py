@@ -1,13 +1,6 @@
 """Distributed MVTL (§7, §H) and the §8 prototype protocols over the DES."""
 
-from .client import BaseClient, MVTILClient, MVTOClient
-from .cluster import PROTOCOLS, ClusterConfig, ClusterResult, run_cluster
-from .commitment import ABORT, CommitmentObject, CommitmentRegistry
-from .failure import ChaosConfig, ChaosEvent, ChaosSchedule, CrashInjector
-from .gc_service import TimestampService
-from .member import ReplicaClient, ReplicaServer
-from .server import MVTLServer
-from .twopl import TwoPLClient, TwoPLServer
+from .. import _lazy_exports
 
 __all__ = [
     "MVTILClient", "ReplicaClient", "MVTOClient", "TwoPLClient",
@@ -18,3 +11,15 @@ __all__ = [
     "ChaosConfig", "ChaosEvent", "ChaosSchedule",
     "ClusterConfig", "ClusterResult", "run_cluster", "PROTOCOLS",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".client": ("BaseClient", "MVTILClient", "MVTOClient"),
+    ".cluster": ("PROTOCOLS", "ClusterConfig", "ClusterResult", "run_cluster"),
+    ".commitment": ("ABORT", "CommitmentObject", "CommitmentRegistry"),
+    ".failure": ("ChaosConfig", "ChaosEvent", "ChaosSchedule",
+                 "CrashInjector"),
+    ".gc_service": ("TimestampService",),
+    ".member": ("ReplicaClient", "ReplicaServer"),
+    ".server": ("MVTLServer",),
+    ".twopl": ("TwoPLClient", "TwoPLServer"),
+})

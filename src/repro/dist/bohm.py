@@ -4,22 +4,51 @@ ships each pre-declared transaction to it in one RPC."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Generator, Hashable, NoReturn
 
 import numpy as np
 
 from ..baselines.bohm import BohmEngine
 from ..core.exceptions import AbortReason
+from ..core.timestamp import Timestamp
 from ..core.versions import VersionStore
 from ..sim.network import Network
 from ..sim.simulator import Simulator
 from ..sim.testbed import TestbedProfile
 from .client import BaseClient, Tx
-from .messages import (BohmSubmitReply, BohmSubmitReq, EpochReq, PurgeReq,
-                       ReleaseReq)
+from .messages import EpochReq, PurgeReq, ReleaseReq, Reply, Request
 from .server import _ServerBase
 
-__all__ = ["BohmClient", "BohmSequencerServer"]
+__all__ = ["BohmClient", "BohmSequencerServer", "BohmSubmitReq",
+           "BohmSubmitReply"]
+
+# -- Bohm wire (deterministic batched MVCC) -----------------------------------
+
+@dataclass(unsafe_hash=True, slots=True)
+class BohmSubmitReq(Request):
+    """Ship a whole pre-declared transaction to the Bohm sequencer.
+
+    Bohm's precondition is a statically known write set, so the client
+    sends the entire :class:`~repro.workload.generator.TxSpec` (ops in
+    order, ``compute`` closures included — the simulated network passes
+    objects by reference) in one message instead of running an interactive
+    op-by-op protocol.  The sequencer assigns the total-order timestamp on
+    arrival; arrival order *is* the serialization order.
+    """
+
+    spec: Any = None
+
+
+@dataclass(unsafe_hash=True, slots=True)
+class BohmSubmitReply(Reply):
+    """Outcome of a sequenced transaction, sent when its batch executes."""
+
+    committed: bool = False
+    commit_ts: Timestamp | None = None
+    abort_reason: str | None = None
+    epoch: int = 0
+
 
 #: Seconds between the sequencer's flushes of a partial batch.
 FLUSH_INTERVAL = 0.01
@@ -30,8 +59,8 @@ class BohmClient(BaseClient):
 
     Bohm is non-interactive by design — the whole pre-declared
     :class:`~repro.workload.generator.TxSpec` ships to the sequencer in a
-    single :class:`~repro.dist.messages.BohmSubmitReq`, and the reply (sent
-    when the transaction's batch executes) carries the outcome.  The runner
+    single :class:`BohmSubmitReq`, and the reply (sent when the
+    transaction's batch executes) carries the outcome.  The runner
     drives this through :meth:`run_spec` instead of the op-by-op
     begin/read/write/commit protocol; there are no locks to release and no
     commitment object, so the failure paths reduce to aborting locally on
@@ -71,15 +100,14 @@ class BohmClient(BaseClient):
 class BohmSequencerServer(_ServerBase):
     """The Bohm baseline's single sequencing + execution node.
 
-    Whole pre-declared transactions arrive as
-    :class:`~repro.dist.messages.BohmSubmitReq`; arrival order at this
-    server's service queue *is* the serialization order (the
-    :class:`~repro.baselines.bohm.BohmEngine` stamps each submission with
-    the next total-order timestamp).  Execution is batched: a batch runs
-    when the engine's ``batch_size`` submissions have accumulated or when
-    the periodic flush timer finds pending work, and every transaction's
-    reply is sent at its batch's execution — the batching latency Bohm
-    trades for its zero-conflict-abort guarantee.
+    Whole pre-declared transactions arrive as :class:`BohmSubmitReq`;
+    arrival order at this server's service queue *is* the serialization
+    order (the :class:`~repro.baselines.bohm.BohmEngine` stamps each
+    submission with the next total-order timestamp).  Execution is
+    batched: a batch runs when the engine's ``batch_size`` submissions
+    have accumulated or when the periodic flush timer finds pending work,
+    and every transaction's reply is sent at its batch's execution — the
+    batching latency Bohm trades for its zero-conflict-abort guarantee.
 
     The dedup log in :class:`_ServerBase` keeps retried/duplicated submits
     at-least-once safe: a retry of an already-sequenced transaction never

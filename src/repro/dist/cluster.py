@@ -14,15 +14,12 @@ import gc
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
+from .. import _load
 from ..clocks.clock import EpsilonSyncClock
-from ..obs.metrics import (fold_trace, merge_conflict_counts,
-                           merge_overload_counters, merge_scenario_counters)
 from ..obs.trace import Tracer
-from ..repl.checkpoint import DurableStore
 from ..repl.placement import ReplicatedPlacement
-from ..repl.replica import FailoverController
 from ..sim.network import LinkFaults, Network
 from ..sim.rng import RngFactory
 from ..sim.simulator import Simulator
@@ -30,17 +27,12 @@ from ..sim.testbed import LOCAL_TESTBED, TestbedProfile
 from ..verify.history import HistoryRecorder
 from ..workload.generator import WorkloadConfig, WorkloadGenerator
 from ..workload.runner import closed_loop_client
-from ..workload.scenarios import SCENARIOS, make_scenario_generator
 from ..workload.stats import RunStats, StateSampler
-from .bohm import BohmClient, BohmSequencerServer
 from .client import BaseClient, MVTILClient, MVTOClient
 from .commitment import CommitmentRegistry
 from .failure import ChaosConfig, ChaosSchedule, CrashInjector, chaos_report
 from .gc_service import TimestampService
-from .member import (ReplicaClient, ReplicaServer, merge_replication_metrics,
-                     replication_report)
 from .server import MVTLServer
-from .twopl import TwoPLClient, TwoPLServer
 
 __all__ = ["ClusterConfig", "ClusterResult", "run_cluster", "PROTOCOLS",
            "RULES", "ConfigRefused"]
@@ -92,6 +84,10 @@ class ProtocolSpec:
     #: rows, for configs naming this protocol, right after the commitment
     #: backend.
     refuses: tuple[Rule, ...] = ()
+    #: The module of this protocol's client and server (relative to
+    #: :mod:`repro.dist`), when they are not MVTL's: a config naming the
+    #: protocol loads it (:func:`_run_modules`).
+    module: str | None = None
 
 
 def _mvtil_client(config: ClusterConfig, *args: Any, late: bool,
@@ -101,6 +97,7 @@ def _mvtil_client(config: ClusterConfig, *args: Any, late: bool,
                   defer_writes=config.batching)
     if config.replication > 1:
         # A coordinator over replication groups does more than Alg. 11/12.
+        from .member import ReplicaClient
         return ReplicaClient(*args, follower_reads=config.follower_reads,
                              reliable_fanout=config.reliable_fanout,
                              **common)
@@ -109,14 +106,46 @@ def _mvtil_client(config: ClusterConfig, *args: Any, late: bool,
 
 def _mvtl_server(config: ClusterConfig, sim: Simulator, net: Network,
                  sid: str, rng: Any, **shared: Any) -> MVTLServer:
-    # A member of a replication group does more than Alg. 13's server.
-    cls = ReplicaServer if config.replication > 1 else MVTLServer
-    durable = (DurableStore(checkpoint_every=config.checkpoint_every)
-               if config.durability == "wal" else None)
+    cls = MVTLServer
+    if config.replication > 1:
+        # A member of a replication group does more than Alg. 13's server.
+        from .member import ReplicaServer
+        cls = ReplicaServer
+    durable = None
+    if config.durability == "wal":
+        from ..repl.checkpoint import DurableStore
+        durable = DurableStore(checkpoint_every=config.checkpoint_every)
     return cls(sim, net, sid, config.profile, rng,
                write_lock_timeout=config.write_lock_timeout,
                queue_capacity=config.queue_capacity, durable=durable,
                **shared)
+
+
+def _twopl_client(config: ClusterConfig, *args: Any,
+                  **common: Any) -> BaseClient:
+    from .twopl import TwoPLClient
+    return TwoPLClient(*args, **common)
+
+
+def _twopl_server(config: ClusterConfig, sim: Simulator, net: Network,
+                  sid: str, rng: Any, **_: Any) -> Any:
+    from .twopl import TwoPLServer
+    return TwoPLServer(sim, net, sid, config.profile, rng,
+                       queue_capacity=config.queue_capacity)
+
+
+def _bohm_client(config: ClusterConfig, *args: Any,
+                 **common: Any) -> BaseClient:
+    from .bohm import BohmClient
+    return BohmClient(*args, **{**common, "history": None})
+
+
+def _bohm_server(config: ClusterConfig, sim: Simulator, net: Network,
+                 sid: str, rng: Any, history: Any, **_: Any) -> Any:
+    from .bohm import BohmSequencerServer
+    return BohmSequencerServer(sim, net, sid, config.profile, rng,
+                               history=history,
+                               queue_capacity=config.queue_capacity)
 
 
 def _crash_chaos(config: ClusterConfig) -> bool:
@@ -137,10 +166,7 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
     # commitment object or write-lock timeout behind it, so a lost commit
     # message silently diverges the servers.
     "2pl": ProtocolSpec(
-        lambda config, *args, **common: TwoPLClient(*args, **common),
-        lambda config, sim, net, sid, rng, **_: TwoPLServer(
-            sim, net, sid, config.profile, rng,
-            queue_capacity=config.queue_capacity),
+        _twopl_client, _twopl_server, module=".twopl",
         refuses=(
             Rule("2pl-no-recovery",
                  lambda c: c.faults is not None or _crash_chaos(c),
@@ -157,12 +183,7 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
     # but there is no crash recovery.  History is recorded inside its
     # engine, the one place that knows versions and commit timestamps.
     "bohm": ProtocolSpec(
-        lambda config, *args, **common: BohmClient(
-            *args, **{**common, "history": None}),
-        lambda config, sim, net, sid, rng, history, **_: BohmSequencerServer(
-            sim, net, sid, config.profile, rng, history=history,
-            queue_capacity=config.queue_capacity),
-        single_node=True,
+        _bohm_client, _bohm_server, single_node=True, module=".bohm",
         refuses=(
             Rule("bohm-no-recovery", _crash_chaos,
                  "crash chaos requires a recovery protocol; the bohm "
@@ -190,6 +211,12 @@ def _window_error(c: ClusterConfig) -> str | None:
     # so both agree at the boundary.
     return (c.chaos.window_error(c.warmup, c.warmup + c.measure)
             if _crash_chaos(c) else None)
+
+
+def _scenarios() -> dict[str, Any]:
+    # Only a config naming a scenario loads the zoo.
+    from ..workload.scenarios import SCENARIOS
+    return SCENARIOS
 
 
 def _for_protocol(name: str, rule: Rule) -> Rule:
@@ -279,9 +306,9 @@ RULES: tuple[Rule, ...] = (
     Rule("chaos-window", lambda c: _window_error(c) is not None,
          _window_error),
     Rule("unknown-scenario",
-         lambda c: c.scenario is not None and c.scenario not in SCENARIOS,
+         lambda c: c.scenario is not None and c.scenario not in _scenarios(),
          lambda c: f"unknown scenario {c.scenario!r}; "
-                   f"expected one of {sorted(SCENARIOS)}"),
+                   f"expected one of {sorted(_scenarios())}"),
     # A zero period reschedules the timestamp service at delay 0 forever.
     Rule("gc-period", lambda c: c.gc_period is not None and c.gc_period <= 0,
          "gc_period must be positive (or None)"),
@@ -426,6 +453,32 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         for rule in RULES:
             rule.check(self)
+        for module in _run_modules(self):
+            _load(module, __package__)
+
+
+def _run_modules(c: ClusterConfig) -> Iterator[str]:
+    """The modules a run of ``c`` needs beyond those every run does.
+
+    A config loads them when it is built, so :func:`run_cluster` imports
+    nothing and a run that does not name one never compiles it (DESIGN.md,
+    "A run loads what its config names").  The run's code imports them
+    where it uses them, which finds them loaded.
+    """
+    if PROTOCOLS[c.protocol].module is not None:
+        yield PROTOCOLS[c.protocol].module
+    if c.commitment == "paxos":
+        yield ".paxos"
+    if c.replication > 1 or c.durability == "wal":
+        yield ".member"  # the replica roles and the replication report
+    if c.replication > 1:
+        yield "..repl.replica"  # the failover controller
+    if c.durability == "wal":
+        yield "..repl.checkpoint"
+    if c.scenario is not None:
+        yield "..workload.scenarios"
+    if c.trace:
+        yield "..obs.metrics"
 
 
 @dataclass
@@ -638,6 +691,7 @@ def _run_cluster(config: ClusterConfig) -> ClusterResult:
         # the same single stream draw at the same position — so seeds for
         # scenario-less configs are bit-for-bit unchanged.
         if config.scenario is not None:
+            from ..workload.scenarios import make_scenario_generator
             workload: Any = make_scenario_generator(
                 config.scenario, config.workload, rngs.stream(),
                 client_index=i, num_clients=config.num_clients)
@@ -672,6 +726,7 @@ def _run_cluster(config: ClusterConfig) -> ClusterResult:
         # The failover controller draws from no RNG stream and (until a
         # promotion) only exchanges heartbeats, so enabling replication
         # perturbs nothing else about the run.
+        from ..repl.replica import FailoverController
         controller = FailoverController(
             sim, net, partition,
             miss_limit=config.heartbeat_miss_limit,
@@ -719,10 +774,12 @@ def _run_cluster(config: ClusterConfig) -> ClusterResult:
 
     chaos = (chaos_report(injector, net, servers, clients)
              if chaos_on or config.faults is not None else None)
-    replication = (replication_report(config, servers, clients, controller,
-                                      injector, history, partition)
-                   if config.replication > 1 or config.durability == "wal"
-                   else None)
+    replication = None
+    if config.replication > 1 or config.durability == "wal":
+        from .member import replication_report
+        replication = replication_report(config, servers, clients,
+                                         controller, injector, history,
+                                         partition)
 
     overload_report = {
         "shed": sum(s.stats["shed"] for s in servers),
@@ -738,11 +795,15 @@ def _run_cluster(config: ClusterConfig) -> ClusterResult:
 
     metrics = None
     if config.trace:
+        from ..obs.metrics import (fold_trace, merge_conflict_counts,
+                                   merge_overload_counters,
+                                   merge_scenario_counters)
         metrics_reg = fold_trace(tracer.events)
         for server in servers:
             merge_conflict_counts(metrics_reg, server.conflicts)
         merge_overload_counters(metrics_reg, servers)
         if replication is not None:
+            from .member import merge_replication_metrics
             merge_replication_metrics(metrics_reg, servers, clients)
         if scenario_report is not None:
             merge_scenario_counters(metrics_reg, scenario_report)

@@ -12,7 +12,9 @@ member re-earn snapshot servability.  :class:`ReplicaClient` is the
 coordinator that fences, mirrors and reads snapshots against such groups.
 The cluster builds both exactly when ``replication > 1``.  The
 replication counters are named here, and only :func:`replication_report`
-and :func:`merge_replication_metrics` iterate them.
+and :func:`merge_replication_metrics` iterate them.  The messages only
+replication sends (mirrored holds, snapshot reads, heartbeats,
+anti-entropy) are defined here too, beside the roles that speak them.
 
 It lives in ``repro.dist`` rather than ``repro.repl`` because it subclasses
 the server and the client: ``repro.dist.cluster`` imports ``repro.repl``,
@@ -21,6 +23,7 @@ so a ``repl`` module importing ``repro.dist`` would close an import cycle.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Generator, Hashable
 
 from ..core.exceptions import AbortReason
@@ -31,14 +34,167 @@ from ..repl.placement import group_index
 from ..repl.replica import scan_lost_commits, write_quorum
 from .client import MVTILClient, Tx
 from .gc_service import _PID_MIN
-from .messages import (ClockBroadcast, HeartbeatReply, HeartbeatReq,
-                       OverloadedReply, ReplicaHoldReply, ReplicaHoldReq,
-                       SnapshotReadReply, SnapshotReadReq, SyncDelta,
-                       SyncDone, SyncPoke, SyncReq)
+from .messages import ClockBroadcast, Message, OverloadedReply, Reply, Request
 from .server import MVTLServer
 
 __all__ = ["ReplicaClient", "ReplicaServer", "merge_replication_metrics",
-           "replication_report"]
+           "replication_report",
+           "ReplicaHoldReq", "ReplicaHoldReply",
+           "SnapshotReadReq", "SnapshotReadReply",
+           "HeartbeatReq", "HeartbeatReply",
+           "SyncPoke", "SyncReq", "SyncDelta", "SyncDone"]
+
+# -- the replication wire (DESIGN.md §5e, §5h) --------------------------------
+
+@dataclass(unsafe_hash=True, slots=True)
+class ReplicaHoldReq(Request):
+    """Mirror granted write locks + pending values onto a follower.
+
+    Sent by the *client* after the group leader granted its write locks:
+    ``items`` is a tuple of ``(key, value, granted IntervalSet)`` triples,
+    exactly the leader's grant.  The follower installs the same spans in
+    its lock table (best effort — the leader already serialized them, so
+    they are conflict-free unless the follower was just promoted), buffers
+    the value, and arms the ordinary write-lock timeout.  A write lock is
+    *held at a write quorum* once the leader grant plus a majority of
+    mirrors acknowledge — from then on any quorum member can finish the
+    commit alone (the mirror carries the redo value).
+    """
+
+    items: tuple = ()  # ((key, value, IntervalSet granted), ...)
+
+
+@dataclass(unsafe_hash=True, slots=True)
+class ReplicaHoldReply(Reply):
+    """``mirrored`` is False when some span could not be installed (the
+    follower was promoted meanwhile and granted conflicting locks); the
+    client does not count such an ack toward the write quorum."""
+
+    mirrored: bool = True
+    epoch: int = 0
+
+
+@dataclass(unsafe_hash=True, slots=True)
+class SnapshotReadReq(Request):
+    """Read ``key`` at the locked (GC-frontier) timestamp ``ts``.
+
+    Unlike :class:`MVTLReadReq` this takes **no lock**: the timestamp
+    service's broadcast floor already write-locks the whole key space below
+    the frontier (no new transaction can begin — let alone install — below
+    it), so a floor read at ``ts`` on any replica that has applied the
+    frontier's purge is version-clean.  Served by followers; read-only
+    transactions use it to bypass the leader entirely.
+    """
+
+    key: Hashable = None
+    ts: Timestamp = None
+
+
+@dataclass(unsafe_hash=True, slots=True)
+class SnapshotReadReply(Reply):
+    """``ok=False``: the replica cannot vouch for the snapshot (restarted
+    since, frontier not yet applied, or an in-flight write straddles the
+    timestamp) — the client falls back to the leader."""
+
+    ok: bool = False
+    tr: Timestamp | None = None
+    value: Any = None
+    epoch: int = 0
+
+
+@dataclass(unsafe_hash=True, slots=True)
+class HeartbeatReq(Request):
+    """Failover-controller ping; cheap control traffic, never shed."""
+
+
+@dataclass(unsafe_hash=True, slots=True)
+class HeartbeatReply(Reply):
+    """Liveness + freshness report used to pick promotion candidates."""
+
+    server: Hashable = None
+    epoch: int = 0
+    #: Total commit applications since boot (freshness proxy).
+    applied: int = 0
+    #: True once the server has restarted: it may have missed commit
+    #: records while down and must not be preferred for promotion (nor
+    #: serve snapshot reads).
+    dirty: bool = False
+
+
+@dataclass(unsafe_hash=True, slots=True)
+class SyncPoke(Message):
+    """Failover-controller nudge driving anti-entropy (DESIGN.md §5h).
+
+    Not a :class:`Request`: the controller fires one per tick at each dirty
+    member and relies on the *next* tick — not dedup/retry — for loss
+    recovery, exactly like its heartbeats.  ``sources`` maps the catch-up
+    work: ``((leader, (gid, ...)), ...)`` — for each entry the receiver
+    runs one sync session against ``leader`` covering those placement
+    groups.  ``full=True`` marks the set as a complete servability plan
+    (every group the receiver is a member of): only completing *all* of a
+    full plan's sessions clears ``snapshot_dirty``.  ``mark_dirty`` is the
+    recruitment prologue: drop servability *now* (and any stale full plan)
+    before membership changes land.  ``origin`` is where to report
+    :class:`SyncDone` for non-full (recruitment) sessions.
+    """
+
+    sources: tuple = ()  # ((leader, (gid, ...)), ...)
+    full: bool = False
+    mark_dirty: bool = False
+    num_groups: int = 1
+    batch: int = 64
+    origin: Hashable = None
+
+
+@dataclass(unsafe_hash=True, slots=True)
+class SyncReq(Request):
+    """Pull one batch of committed versions from a group leader.
+
+    ``session`` is a follower-chosen nonce: the leader materializes its
+    committed state for ``gids`` once per session (a stable enumeration —
+    concurrent commits land via the ordinary fan-out, not the sync) and
+    serves ``batch`` entries from ``cursor``.  At-least-once safe: the
+    request rides the ordinary dedup layer, and a duplicated/stale delta
+    is dropped by the follower's (session, cursor) match.
+    """
+
+    gids: tuple = ()
+    session: int = 0
+    cursor: int = 0
+    batch: int = 64
+    num_groups: int = 1
+
+
+@dataclass(unsafe_hash=True, slots=True)
+class SyncDelta(Reply):
+    """One batch of a sync session: ``entries`` is ``((key, ts, value),
+    ...)`` committed versions; ``floor`` is the leader's stable GC floor at
+    session start (``None`` = leader never purged, i.e. the session ships
+    its *entire* committed state).  ``done`` marks the last batch."""
+
+    gids: tuple = ()
+    session: int = 0
+    cursor: int = 0
+    next_cursor: int = 0
+    entries: tuple = ()
+    done: bool = False
+    floor: Timestamp | None = None
+    epoch: int = 0
+
+
+@dataclass(unsafe_hash=True, slots=True)
+class SyncDone(Message):
+    """Follower -> controller: a recruitment sync session finished.
+
+    Re-sent on every later poke for the same completed session, so a lost
+    notification only delays — never wedges — the membership flip.
+    """
+
+    server: Hashable = None
+    gids: tuple = ()
+    session: int = 0
+
+
 
 #: The replication counters, named once.  Each row is ``(replication_report
 #: key or None, server stat)``: the registry merge files every stat per

@@ -1,5 +1,11 @@
-"""Wire messages of the distributed MVTL protocol (Algorithms 11-13) and of
-the baseline client protocols (§8.1).
+"""Wire messages of the distributed MVTL protocol (Algorithms 11-13): the
+ones every run sends, MVTIL's and MVTO+'s alike (§8.1).
+
+The other protocols' messages live beside the roles that speak them —
+2PL's in :mod:`repro.dist.twopl`, Bohm's in :mod:`repro.dist.bohm`, the
+replication members' in :mod:`repro.dist.member` — so a run creates only
+the message classes of the protocol its config names (DESIGN.md, "A run
+loads what its config names").
 
 Every request carries the issuing transaction, the client's node id (for the
 reply) and a client-chosen request id so the client coroutine can match
@@ -32,13 +38,7 @@ __all__ = [
     "MVTLBatchLockReq", "MVTLBatchLockReply",
     "ReleaseReq", "CommitReq",
     "EpochReq", "EpochReply",
-    "TwoPLLockReq", "TwoPLLockReply", "TwoPLCommitReq", "TwoPLReleaseReq",
-    "BohmSubmitReq", "BohmSubmitReply",
-    "PurgeReq", "ClockBroadcast",
-    "ReplicaHoldReq", "ReplicaHoldReply",
-    "SnapshotReadReq", "SnapshotReadReply",
-    "HeartbeatReq", "HeartbeatReply",
-    "CommitAck", "SyncPoke", "SyncReq", "SyncDelta", "SyncDone",
+    "PurgeReq", "ClockBroadcast", "CommitAck",
 ]
 
 
@@ -264,223 +264,6 @@ class EpochReply(Reply):
     epoch: int = 0
 
 
-# -- 2PL family ---------------------------------------------------------------
-
-@dataclass(unsafe_hash=True, slots=True)
-class TwoPLLockReq(Request):
-    """Acquire the per-key readers-writer lock (exclusive if ``write``).
-
-    The server parks the request while the lock is unavailable; the *client*
-    enforces the deadlock-prevention timeout by giving up and aborting.
-    A read lock reply carries the current value.
-    """
-
-    key: Hashable = None
-    write: bool = False
-
-
-@dataclass(unsafe_hash=True, slots=True)
-class TwoPLLockReply(Reply):
-    granted: bool = True
-    value: Any = None
-    version_ts: Timestamp | None = None
-
-
-@dataclass(unsafe_hash=True, slots=True)
-class TwoPLCommitReq(Request):
-    """Install ``writes`` at ``commit_ts`` and release all of tx's locks on
-    this server (batched per server, like a real unlock piggyback)."""
-
-    writes: dict = field(default_factory=dict)   # key -> value
-    release_keys: tuple = ()                     # read-locked keys
-    commit_ts: Timestamp = None
-
-
-@dataclass(unsafe_hash=True, slots=True)
-class TwoPLReleaseReq(Request):
-    """Release tx's locks on ``keys`` without writing (abort path)."""
-
-    keys: tuple = ()
-
-
-# -- replication (repro.repl layer, DESIGN.md §5e) ---------------------------
-
-@dataclass(unsafe_hash=True, slots=True)
-class ReplicaHoldReq(Request):
-    """Mirror granted write locks + pending values onto a follower.
-
-    Sent by the *client* after the group leader granted its write locks:
-    ``items`` is a tuple of ``(key, value, granted IntervalSet)`` triples,
-    exactly the leader's grant.  The follower installs the same spans in
-    its lock table (best effort — the leader already serialized them, so
-    they are conflict-free unless the follower was just promoted), buffers
-    the value, and arms the ordinary write-lock timeout.  A write lock is
-    *held at a write quorum* once the leader grant plus a majority of
-    mirrors acknowledge — from then on any quorum member can finish the
-    commit alone (the mirror carries the redo value).
-    """
-
-    items: tuple = ()  # ((key, value, IntervalSet granted), ...)
-
-
-@dataclass(unsafe_hash=True, slots=True)
-class ReplicaHoldReply(Reply):
-    """``mirrored`` is False when some span could not be installed (the
-    follower was promoted meanwhile and granted conflicting locks); the
-    client does not count such an ack toward the write quorum."""
-
-    mirrored: bool = True
-    epoch: int = 0
-
-
-@dataclass(unsafe_hash=True, slots=True)
-class SnapshotReadReq(Request):
-    """Read ``key`` at the locked (GC-frontier) timestamp ``ts``.
-
-    Unlike :class:`MVTLReadReq` this takes **no lock**: the timestamp
-    service's broadcast floor already write-locks the whole key space below
-    the frontier (no new transaction can begin — let alone install — below
-    it), so a floor read at ``ts`` on any replica that has applied the
-    frontier's purge is version-clean.  Served by followers; read-only
-    transactions use it to bypass the leader entirely.
-    """
-
-    key: Hashable = None
-    ts: Timestamp = None
-
-
-@dataclass(unsafe_hash=True, slots=True)
-class SnapshotReadReply(Reply):
-    """``ok=False``: the replica cannot vouch for the snapshot (restarted
-    since, frontier not yet applied, or an in-flight write straddles the
-    timestamp) — the client falls back to the leader."""
-
-    ok: bool = False
-    tr: Timestamp | None = None
-    value: Any = None
-    epoch: int = 0
-
-
-@dataclass(unsafe_hash=True, slots=True)
-class HeartbeatReq(Request):
-    """Failover-controller ping; cheap control traffic, never shed."""
-
-
-@dataclass(unsafe_hash=True, slots=True)
-class HeartbeatReply(Reply):
-    """Liveness + freshness report used to pick promotion candidates."""
-
-    server: Hashable = None
-    epoch: int = 0
-    #: Total commit applications since boot (freshness proxy).
-    applied: int = 0
-    #: True once the server has restarted: it may have missed commit
-    #: records while down and must not be preferred for promotion (nor
-    #: serve snapshot reads).
-    dirty: bool = False
-
-
-@dataclass(unsafe_hash=True, slots=True)
-class SyncPoke(Message):
-    """Failover-controller nudge driving anti-entropy (DESIGN.md §5h).
-
-    Not a :class:`Request`: the controller fires one per tick at each dirty
-    member and relies on the *next* tick — not dedup/retry — for loss
-    recovery, exactly like its heartbeats.  ``sources`` maps the catch-up
-    work: ``((leader, (gid, ...)), ...)`` — for each entry the receiver
-    runs one sync session against ``leader`` covering those placement
-    groups.  ``full=True`` marks the set as a complete servability plan
-    (every group the receiver is a member of): only completing *all* of a
-    full plan's sessions clears ``snapshot_dirty``.  ``mark_dirty`` is the
-    recruitment prologue: drop servability *now* (and any stale full plan)
-    before membership changes land.  ``origin`` is where to report
-    :class:`SyncDone` for non-full (recruitment) sessions.
-    """
-
-    sources: tuple = ()  # ((leader, (gid, ...)), ...)
-    full: bool = False
-    mark_dirty: bool = False
-    num_groups: int = 1
-    batch: int = 64
-    origin: Hashable = None
-
-
-@dataclass(unsafe_hash=True, slots=True)
-class SyncReq(Request):
-    """Pull one batch of committed versions from a group leader.
-
-    ``session`` is a follower-chosen nonce: the leader materializes its
-    committed state for ``gids`` once per session (a stable enumeration —
-    concurrent commits land via the ordinary fan-out, not the sync) and
-    serves ``batch`` entries from ``cursor``.  At-least-once safe: the
-    request rides the ordinary dedup layer, and a duplicated/stale delta
-    is dropped by the follower's (session, cursor) match.
-    """
-
-    gids: tuple = ()
-    session: int = 0
-    cursor: int = 0
-    batch: int = 64
-    num_groups: int = 1
-
-
-@dataclass(unsafe_hash=True, slots=True)
-class SyncDelta(Reply):
-    """One batch of a sync session: ``entries`` is ``((key, ts, value),
-    ...)`` committed versions; ``floor`` is the leader's stable GC floor at
-    session start (``None`` = leader never purged, i.e. the session ships
-    its *entire* committed state).  ``done`` marks the last batch."""
-
-    gids: tuple = ()
-    session: int = 0
-    cursor: int = 0
-    next_cursor: int = 0
-    entries: tuple = ()
-    done: bool = False
-    floor: Timestamp | None = None
-    epoch: int = 0
-
-
-@dataclass(unsafe_hash=True, slots=True)
-class SyncDone(Message):
-    """Follower -> controller: a recruitment sync session finished.
-
-    Re-sent on every later poke for the same completed session, so a lost
-    notification only delays — never wedges — the membership flip.
-    """
-
-    server: Hashable = None
-    gids: tuple = ()
-    session: int = 0
-
-
-# -- Bohm baseline (deterministic batched MVCC) --------------------------------
-
-@dataclass(unsafe_hash=True, slots=True)
-class BohmSubmitReq(Request):
-    """Ship a whole pre-declared transaction to the Bohm sequencer.
-
-    Bohm's precondition is a statically known write set, so the client
-    sends the entire :class:`~repro.workload.generator.TxSpec` (ops in
-    order, ``compute`` closures included — the simulated network passes
-    objects by reference) in one message instead of running an interactive
-    op-by-op protocol.  The sequencer assigns the total-order timestamp on
-    arrival; arrival order *is* the serialization order.
-    """
-
-    spec: Any = None
-
-
-@dataclass(unsafe_hash=True, slots=True)
-class BohmSubmitReply(Reply):
-    """Outcome of a sequenced transaction, sent when its batch executes."""
-
-    committed: bool = False
-    commit_ts: Timestamp | None = None
-    abort_reason: str | None = None
-    epoch: int = 0
-
-
 # -- maintenance ---------------------------------------------------------------
 
 @dataclass(unsafe_hash=True, slots=True)
@@ -504,8 +287,9 @@ class ClockBroadcast(Message):
 #: handles as a clean abort.  Control notifications (commit, freeze,
 #: release, GC, purge) are never shed — they *free* resources, are cheap
 #: (see the servers' control-message weight), and dropping them would leak
-#: locks until the write-lock timeout (or, for 2PL, forever).
+#: locks until the write-lock timeout (or, for 2PL, forever).  2PL's lock
+#: request is sheddable too; :mod:`repro.dist.twopl` sets its flag.
 SHEDDABLE_REQUESTS = (MVTLReadReq, MVTLWriteLockReq, MVTLBatchLockReq,
-                      EpochReq, TwoPLLockReq)
+                      EpochReq)
 for _cls in SHEDDABLE_REQUESTS:
     _cls.sheddable = True

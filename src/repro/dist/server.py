@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import zlib
 from collections import OrderedDict, deque
-from typing import Any, Hashable
+from typing import TYPE_CHECKING, Any, Hashable
 
 import numpy as np
 
@@ -61,13 +61,15 @@ from ..sim.network import Network
 from ..sim.server_queue import ServiceQueue
 from ..sim.simulator import Simulator
 from ..sim.testbed import TestbedProfile
-from ..repl.checkpoint import DurableStore
 from .commitment import ABORT, CommitmentRegistry
 from .messages import (CommitAck, CommitReq, EpochReply, EpochReq,
                        MVTLBatchLockReply, MVTLBatchLockReq,
                        MVTLReadReply, MVTLReadReq, MVTLWriteLockReply,
                        MVTLWriteLockReq, OverloadedReply, PurgeReq,
                        ReleaseReq, Reply, Request)
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..repl.checkpoint import DurableStore
 
 __all__ = ["MVTLServer"]
 

@@ -4,6 +4,7 @@ framework of :mod:`repro.dist.client` and :mod:`repro.dist.server`."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Any, Generator, Hashable, NoReturn
 
 import numpy as np
@@ -14,11 +15,54 @@ from ..sim.network import Network
 from ..sim.simulator import Simulator
 from ..sim.testbed import TestbedProfile
 from .client import BaseClient, Tx
-from .messages import (OverloadedReply, PurgeReq, TwoPLCommitReq,
-                       TwoPLLockReply, TwoPLLockReq, TwoPLReleaseReq)
+from .messages import OverloadedReply, PurgeReq, Reply, Request
 from .server import _ServerBase
 
-__all__ = ["TwoPLClient", "TwoPLServer"]
+__all__ = ["TwoPLClient", "TwoPLServer", "TwoPLLockReq", "TwoPLLockReply",
+           "TwoPLCommitReq", "TwoPLReleaseReq"]
+
+# -- 2PL wire -----------------------------------------------------------------
+
+@dataclass(unsafe_hash=True, slots=True)
+class TwoPLLockReq(Request):
+    """Acquire the per-key readers-writer lock (exclusive if ``write``).
+
+    The server parks the request while the lock is unavailable; the *client*
+    enforces the deadlock-prevention timeout by giving up and aborting.
+    A read lock reply carries the current value.
+    """
+
+    #: Sheddable, like MVTL's data-path requests
+    #: (:data:`repro.dist.messages.SHEDDABLE_REQUESTS`).
+    sheddable = True
+
+    key: Hashable = None
+    write: bool = False
+
+
+@dataclass(unsafe_hash=True, slots=True)
+class TwoPLLockReply(Reply):
+    granted: bool = True
+    value: Any = None
+    version_ts: Timestamp | None = None
+
+
+@dataclass(unsafe_hash=True, slots=True)
+class TwoPLCommitReq(Request):
+    """Install ``writes`` at ``commit_ts`` and release all of tx's locks on
+    this server (batched per server, like a real unlock piggyback)."""
+
+    writes: dict = field(default_factory=dict)   # key -> value
+    release_keys: tuple = ()                     # read-locked keys
+    commit_ts: Timestamp = None
+
+
+@dataclass(unsafe_hash=True, slots=True)
+class TwoPLReleaseReq(Request):
+    """Release tx's locks on ``keys`` without writing (abort path)."""
+
+    keys: tuple = ()
+
 
 #: Floor of a 2PL lock wait, in seconds (tuned for throughput, §8.4.1).
 LOCK_TIMEOUT = 0.05

@@ -18,16 +18,7 @@ Attach a tracer with ``ClusterConfig(trace=True)`` (DES) or
 attached every hook is a single attribute check on :data:`NULL_TRACER`.
 """
 
-from .export import (metrics_sidecar_path, read_metrics_json,
-                     read_trace_jsonl, trace_sidecar_path,
-                     write_metrics_json, write_trace_jsonl)
-from .metrics import (Counter, Gauge, Histogram, MetricsRegistry, fold_trace,
-                      merge_conflict_counts, merge_overload_counters,
-                      merge_stripe_counts)
-from .profile import (ContentionProfile, KeyStats, StripeSignals,
-                      profile_report)
-from .trace import (NULL_TRACER, EventKind, NullTracer, TraceEvent, Tracer,
-                    span_width)
+from .. import _lazy_exports
 
 __all__ = [
     "Tracer", "NullTracer", "NULL_TRACER", "TraceEvent", "EventKind",
@@ -39,3 +30,16 @@ __all__ = [
     "write_trace_jsonl", "read_trace_jsonl", "write_metrics_json",
     "read_metrics_json", "metrics_sidecar_path", "trace_sidecar_path",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".export": ("metrics_sidecar_path", "read_metrics_json",
+                "read_trace_jsonl", "trace_sidecar_path", "write_metrics_json",
+                "write_trace_jsonl"),
+    ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry",
+                 "fold_trace", "merge_conflict_counts",
+                 "merge_overload_counters", "merge_stripe_counts"),
+    ".profile": ("ContentionProfile", "KeyStats", "StripeSignals",
+                 "profile_report"),
+    ".trace": ("NULL_TRACER", "EventKind", "NullTracer", "TraceEvent",
+               "Tracer", "span_width"),
+})

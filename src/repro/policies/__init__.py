@@ -19,16 +19,7 @@ and cluster code enumerates :func:`registered_policies` and instantiates via
 :func:`make_policy` instead of naming classes.
 """
 
-from .adaptive import MODES, MVTLAdaptive
-from .epsilon_clock import MVTLEpsilonClock
-from .ghostbuster import MVTLGhostbuster
-from .mvtil import MVTIL
-from .pessimistic import MVTLPessimistic
-from .pref import MVTLPreferential, offset_alternatives
-from .prio import MVTLPrioritizer
-from .registry import (PolicySpec, make_policy, policy_spec, policy_specs,
-                       register_policy, registered_policies)
-from .to import MVTLTimestampOrdering
+from .. import _lazy_exports
 
 __all__ = [
     "MVTLTimestampOrdering",
@@ -48,3 +39,16 @@ __all__ = [
     "make_policy",
     "registered_policies",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".adaptive": ("MODES", "MVTLAdaptive"),
+    ".epsilon_clock": ("MVTLEpsilonClock",),
+    ".ghostbuster": ("MVTLGhostbuster",),
+    ".mvtil": ("MVTIL",),
+    ".pessimistic": ("MVTLPessimistic",),
+    ".pref": ("MVTLPreferential", "offset_alternatives"),
+    ".prio": ("MVTLPrioritizer",),
+    ".registry": ("PolicySpec", "make_policy", "policy_spec", "policy_specs",
+                  "register_policy", "registered_policies"),
+    ".to": ("MVTLTimestampOrdering",),
+})

@@ -31,25 +31,13 @@ from ..core.locks import LockMode
 from ..core.timestamp import TS_INF, Timestamp
 from ..core.transaction import Transaction
 from ..core.versions import Version
+from .registry import CRITICAL_DELTA_FACTOR
 from .to import MVTLTimestampOrdering
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.engine import MVTLEngine
 
 __all__ = ["MVTLPrioritizer", "CRITICAL_DELTA_FACTOR"]
-
-#: How much wider the distributed layer makes a critical MVTIL
-#: transaction's interval relative to a normal one's ``delta``.  In-process,
-#: MVTL-Prio gives criticals *all* the locks (writes lock everything, reads
-#: lock ``(tr, +inf]``); over the wire that would serialize every critical
-#: behind every lock on every key it touches.  A widened-but-finite interval
-#: is the practical middle ground: more timestamps to survive shrinking
-#: (fewer interval-empty aborts, the Theorem 3 direction) without the
-#: unbounded blocking of true pessimism.  The distributed critical class
-#: additionally bypasses admission control and is never shed or displaced in
-#: server queues — which is where Theorem 3's "never aborted by normals"
-#: actually bites under overload.
-CRITICAL_DELTA_FACTOR = 4.0
 
 
 class MVTLPrioritizer(MVTLTimestampOrdering):

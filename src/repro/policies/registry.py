@@ -34,10 +34,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping
 
+from .. import _load
 from ..core.policy import MVTLPolicy
 
 __all__ = ["PolicySpec", "register_policy", "policy_spec", "make_policy",
-           "registered_policies", "policy_specs"]
+           "registered_policies", "policy_specs", "CRITICAL_DELTA_FACTOR"]
+
+#: How much wider the distributed layer makes a critical MVTIL
+#: transaction's interval relative to a normal one's ``delta``.  In-process,
+#: MVTL-Prio gives criticals *all* the locks (writes lock everything, reads
+#: lock ``(tr, +inf]``); over the wire that would serialize every critical
+#: behind every lock on every key it touches.  A widened-but-finite interval
+#: is the practical middle ground: more timestamps to survive shrinking
+#: (fewer interval-empty aborts, the Theorem 3 direction) without the
+#: unbounded blocking of true pessimism.  The distributed critical class
+#: additionally bypasses admission control and is never shed or displaced in
+#: server queues — which is where Theorem 3's "never aborted by normals"
+#: actually bites under overload.
+CRITICAL_DELTA_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
@@ -45,7 +59,11 @@ class PolicySpec:
     """One registered policy: constructor plus declared capabilities."""
 
     name: str
-    factory: Callable[..., MVTLPolicy]
+    #: The policy's constructor, or the ``"module:Class"`` path of one
+    #: (the module absolute, or relative to :mod:`repro.policies`),
+    #: imported on the first :meth:`make`: registering a policy loads
+    #: nothing.
+    factory: Callable[..., MVTLPolicy] | str
     description: str = ""
     #: Constructor defaults applied by :meth:`make` (overridable per call).
     defaults: Mapping[str, Any] = field(default_factory=dict)
@@ -65,7 +83,11 @@ class PolicySpec:
         for key, value in overrides.items():
             if key in params:
                 params[key] = value
-        return self.factory(**params)
+        factory = self.factory
+        if isinstance(factory, str):
+            module, _, name = factory.partition(":")
+            factory = getattr(_load(module, __package__), name)
+        return factory(**params)
 
 
 _REGISTRY: dict[str, PolicySpec] = {}
@@ -103,70 +125,55 @@ def policy_specs() -> Iterator[PolicySpec]:
     return iter(tuple(_REGISTRY.values()))
 
 
-def _register_builtin() -> None:
-    # Local imports: the registry is imported by repro.policies.__init__,
-    # which also imports the policy modules — keep construction lazy enough
-    # that import order cannot cycle.
-    from .adaptive import MVTLAdaptive
-    from .epsilon_clock import MVTLEpsilonClock
-    from .ghostbuster import MVTLGhostbuster
-    from .mvtil import MVTIL
-    from .pessimistic import MVTLPessimistic
-    from .pref import MVTLPreferential
-    from .prio import CRITICAL_DELTA_FACTOR, MVTLPrioritizer
-    from .to import MVTLTimestampOrdering
+register_policy(PolicySpec(
+    name="mvtl-to", factory=".to:MVTLTimestampOrdering",
+    description="MVTO+ emulation: clock timestamp, commit-time point "
+                "write locks, keeps read locks on abort (Thm. 5)",
+    defers_writes=True))
+register_policy(PolicySpec(
+    name="mvtl-ghostbuster", factory=".ghostbuster:MVTLGhostbuster",
+    description="TO that waits at commit and always collects — zero "
+                "ghost aborts (Thm. 7)",
+    defers_writes=True, waits=True))
+register_policy(PolicySpec(
+    name="mvtl-pessimistic", factory=".pessimistic:MVTLPessimistic",
+    description="pessimistic emulation: writes lock everything, reads "
+                "lock (tr, +inf] (Thm. 6)",
+    waits=True))
+register_policy(PolicySpec(
+    name="mvtl-pref", factory=".pref:MVTLPreferential",
+    description="preferred + alternative timestamps; commits strictly "
+                "more than MVTO+ (Thm. 2)",
+    defaults={"alternatives": None}, defers_writes=True))
+register_policy(PolicySpec(
+    name="mvtl-prio", factory=".prio:MVTLPrioritizer",
+    description="critical transactions never aborted by normals "
+                "(Thm. 3)",
+    defers_writes=True, waits=True, critical_bypass=True,
+    critical_delta_factor=CRITICAL_DELTA_FACTOR))
+register_policy(PolicySpec(
+    name="mvtl-epsilon-clock", factory=".epsilon_clock:MVTLEpsilonClock",
+    description="interval [now-eps, now+eps]: zero serial aborts under "
+                "eps-synchronized clocks (Thm. 4)",
+    defaults={"epsilon": 0.05}, waits=True))
+register_policy(PolicySpec(
+    name="mvtil-early", factory=".mvtil:MVTIL",
+    description="the §8 prototype interval policy, earliest viable "
+                "commit timestamp",
+    defaults={"delta": 0.005, "late": False},
+    critical_bypass=True,
+    critical_delta_factor=CRITICAL_DELTA_FACTOR))
+register_policy(PolicySpec(
+    name="mvtil-late", factory=".mvtil:MVTIL",
+    description="MVTIL picking the latest viable commit timestamp",
+    defaults={"delta": 0.005, "late": True},
+    critical_bypass=True,
+    critical_delta_factor=CRITICAL_DELTA_FACTOR))
+register_policy(PolicySpec(
+    name="mvtl-adaptive", factory=".adaptive:MVTLAdaptive",
+    description="per-stripe selector switching between TO, Pref, Prio "
+                "and eps-clock from observed contention",
+    defaults={"epsilon": 0.05, "seed": 0, "decision_interval": 32},
+    defers_writes=True, waits=True, critical_bypass=True,
+    critical_delta_factor=CRITICAL_DELTA_FACTOR))
 
-    register_policy(PolicySpec(
-        name="mvtl-to", factory=MVTLTimestampOrdering,
-        description="MVTO+ emulation: clock timestamp, commit-time point "
-                    "write locks, keeps read locks on abort (Thm. 5)",
-        defers_writes=True))
-    register_policy(PolicySpec(
-        name="mvtl-ghostbuster", factory=MVTLGhostbuster,
-        description="TO that waits at commit and always collects — zero "
-                    "ghost aborts (Thm. 7)",
-        defers_writes=True, waits=True))
-    register_policy(PolicySpec(
-        name="mvtl-pessimistic", factory=MVTLPessimistic,
-        description="pessimistic emulation: writes lock everything, reads "
-                    "lock (tr, +inf] (Thm. 6)",
-        waits=True))
-    register_policy(PolicySpec(
-        name="mvtl-pref", factory=MVTLPreferential,
-        description="preferred + alternative timestamps; commits strictly "
-                    "more than MVTO+ (Thm. 2)",
-        defaults={"alternatives": None}, defers_writes=True))
-    register_policy(PolicySpec(
-        name="mvtl-prio", factory=MVTLPrioritizer,
-        description="critical transactions never aborted by normals "
-                    "(Thm. 3)",
-        defers_writes=True, waits=True, critical_bypass=True,
-        critical_delta_factor=CRITICAL_DELTA_FACTOR))
-    register_policy(PolicySpec(
-        name="mvtl-epsilon-clock", factory=MVTLEpsilonClock,
-        description="interval [now-eps, now+eps]: zero serial aborts under "
-                    "eps-synchronized clocks (Thm. 4)",
-        defaults={"epsilon": 0.05}, waits=True))
-    register_policy(PolicySpec(
-        name="mvtil-early", factory=MVTIL,
-        description="the §8 prototype interval policy, earliest viable "
-                    "commit timestamp",
-        defaults={"delta": 0.005, "late": False},
-        critical_bypass=True,
-        critical_delta_factor=CRITICAL_DELTA_FACTOR))
-    register_policy(PolicySpec(
-        name="mvtil-late", factory=MVTIL,
-        description="MVTIL picking the latest viable commit timestamp",
-        defaults={"delta": 0.005, "late": True},
-        critical_bypass=True,
-        critical_delta_factor=CRITICAL_DELTA_FACTOR))
-    register_policy(PolicySpec(
-        name="mvtl-adaptive", factory=MVTLAdaptive,
-        description="per-stripe selector switching between TO, Pref, Prio "
-                    "and eps-clock from observed contention",
-        defaults={"epsilon": 0.05, "seed": 0, "decision_interval": 32},
-        defers_writes=True, waits=True, critical_bypass=True,
-        critical_delta_factor=CRITICAL_DELTA_FACTOR))
-
-
-_register_builtin()

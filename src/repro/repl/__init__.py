@@ -22,12 +22,7 @@ See DESIGN.md §5e for the WAL format, the quorum rules and why follower
 reads at a locked (GC-frontier) timestamp are version-clean.
 """
 
-from .checkpoint import DurableStore, RecoveredState, decode_snapshot, \
-    encode_snapshot
-from .placement import ReplicatedPlacement, group_index
-from .replica import (HEARTBEAT_INTERVAL, FailoverController,
-                      scan_lost_commits, write_quorum)
-from .wal import WriteAheadLog, decode_value, encode_value, replay_records
+from .. import _lazy_exports
 
 __all__ = [
     "WriteAheadLog", "encode_value", "decode_value", "replay_records",
@@ -36,3 +31,13 @@ __all__ = [
     "FailoverController", "HEARTBEAT_INTERVAL", "write_quorum",
     "scan_lost_commits",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".checkpoint": ("DurableStore", "RecoveredState", "decode_snapshot",
+                    "encode_snapshot"),
+    ".placement": ("ReplicatedPlacement", "group_index"),
+    ".replica": ("HEARTBEAT_INTERVAL", "FailoverController",
+                 "scan_lost_commits", "write_quorum"),
+    ".wal": ("WriteAheadLog", "decode_value", "encode_value",
+             "replay_records"),
+})

@@ -69,9 +69,9 @@ class FailoverController:
     def __init__(self, sim: Any, net: Any, placement: ReplicatedPlacement,
                  *, miss_limit: int = 3, anti_entropy: bool = False,
                  recruit: bool = False, sync_batch: int = 64) -> None:
-        # Deferred import: repro.dist imports this package at module load.
-        from ..dist.messages import (HeartbeatReply, HeartbeatReq, SyncDone,
-                                     SyncPoke)
+        # Deferred import: repro.dist.member imports this module at load.
+        from ..dist.member import (HeartbeatReply, HeartbeatReq, SyncDone,
+                                   SyncPoke)
         self._req_cls = HeartbeatReq
         self._reply_cls = HeartbeatReply
         self._poke_cls = SyncPoke

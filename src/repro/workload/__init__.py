@@ -6,14 +6,7 @@ generators with per-scenario invariants and theorem duels, runnable via
 ``python -m repro.bench scenario <name>``.
 """
 
-from .generator import (Op, TxSpec, WorkloadConfig, WorkloadGenerator,
-                        zipf_probabilities)
-from .runner import closed_loop_client, run_tx
-from .scenarios import (SCENARIOS, Scenario, ScenarioGenerator,
-                        check_scenario, ghost_abort_duel,
-                        make_scenario_generator, scenario_config,
-                        scenario_names, serial_skew_duel)
-from .stats import RunStats, StateSample, StateSampler
+from .. import _lazy_exports
 
 __all__ = ["Op", "TxSpec", "WorkloadConfig", "WorkloadGenerator",
            "zipf_probabilities",
@@ -22,3 +15,14 @@ __all__ = ["Op", "TxSpec", "WorkloadConfig", "WorkloadGenerator",
            "make_scenario_generator", "scenario_config", "check_scenario",
            "scenario_names", "serial_skew_duel", "ghost_abort_duel",
            "RunStats", "StateSample", "StateSampler"]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".generator": ("Op", "TxSpec", "WorkloadConfig", "WorkloadGenerator",
+                   "zipf_probabilities"),
+    ".runner": ("closed_loop_client", "run_tx"),
+    ".scenarios": ("SCENARIOS", "Scenario", "ScenarioGenerator",
+                   "check_scenario", "ghost_abort_duel",
+                   "make_scenario_generator", "scenario_config",
+                   "scenario_names", "serial_skew_duel"),
+    ".stats": ("RunStats", "StateSample", "StateSampler"),
+})

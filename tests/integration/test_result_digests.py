@@ -43,12 +43,12 @@ from repro.bench.recipes import fingerprint
 from repro.core.timestamp import Timestamp
 from repro.dist import (ChaosConfig, ClusterConfig, CommitmentRegistry,
                         MVTLServer, ReplicaClient, ReplicaServer, cluster,
-                        run_cluster)
+                        member, run_cluster)
 from repro.clocks import PerfectClock
 from repro.dist.bohm import BohmClient
 from repro.dist.client import BaseClient, MVTILClient, MVTOClient
-from repro.dist.messages import (HeartbeatReply, HeartbeatReq,
-                                 SnapshotReadReply, SnapshotReadReq, SyncPoke)
+from repro.dist.member import (HeartbeatReply, HeartbeatReq,
+                               SnapshotReadReply, SnapshotReadReq, SyncPoke)
 from repro.dist.twopl import TwoPLClient
 from repro.sim import (LOCAL_TESTBED, LatencyModel, LinkFaults, Network,
                        Simulator)
@@ -273,16 +273,27 @@ def test_a_replica_server_answers_member_traffic():
     assert server.snapshot_dirty  # the poke's recruitment prologue took
 
 
+def record_builds(monkeypatch, *where):
+    """Patch each ``(module, class name)`` with a subclass that appends the
+    name to the returned list when built.  Each class is patched where
+    run_cluster looks it up: the replica roles in :mod:`repro.dist.member`,
+    which only a replicated config loads, and which checks its members
+    with ``isinstance``, so the stand-in must stay a subclass."""
+    built = []
+    for module, name in where:
+        class Recording(getattr(module, name)):
+            def __init__(self, *args, _name=name, **kwargs):
+                built.append(_name)
+                super().__init__(*args, **kwargs)
+        monkeypatch.setattr(module, name, Recording)
+    return built
+
+
 @pytest.mark.parametrize("replication", [1, 3])
 def test_run_cluster_builds_replica_servers_exactly_when_replicated(
         replication, monkeypatch):
-    built = []
-    for name in ("MVTLServer", "ReplicaServer"):
-        real = getattr(cluster, name)
-        monkeypatch.setattr(
-            cluster, name,
-            lambda *a, _real=real, _name=name, **kw: (
-                built.append(_name) or _real(*a, **kw)))
+    built = record_builds(monkeypatch, (cluster, "MVTLServer"),
+                          (member, "ReplicaServer"))
     run_cluster(ClusterConfig(
         protocol="mvtil-early", profile=LOCAL_TESTBED, workload=MIXED,
         num_servers=3, num_clients=2, seed=3, warmup=0.05, measure=0.05,
@@ -316,13 +327,8 @@ def test_the_plain_mvtil_client_is_alg11_12():
 @pytest.mark.parametrize("replication", [1, 3])
 def test_run_cluster_builds_replica_clients_exactly_when_replicated(
         replication, monkeypatch):
-    built = []
-    for name in ("MVTILClient", "ReplicaClient"):
-        real = getattr(cluster, name)
-        monkeypatch.setattr(
-            cluster, name,
-            lambda *a, _real=real, _name=name, **kw: (
-                built.append(_name) or _real(*a, **kw)))
+    built = record_builds(monkeypatch, (cluster, "MVTILClient"),
+                          (member, "ReplicaClient"))
     run_cluster(ClusterConfig(
         protocol="mvtil-early", profile=LOCAL_TESTBED, workload=MIXED,
         num_servers=3, num_clients=2, seed=3, warmup=0.05, measure=0.05,
