@@ -9,7 +9,7 @@ __all__ = [
     "TsInterval", "IntervalSet", "EMPTY_SET", "FULL_INTERVAL",
     "LockMode", "LockTable", "KeyLockState", "AcquireResult", "Conflict",
     "FrozenConflictError",
-    "VersionStore", "Version", "PENDING", "Pending",
+    "VersionStore", "MVTLStore", "Version", "PENDING", "Pending",
     "AbortReason", "MVTLError", "TransactionAborted",
     "TransactionStateError", "DeadlockError", "LockTimeout", "PolicyError",
 ]
@@ -26,5 +26,6 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     ".policy": ("MVTLPolicy",),
     ".timestamp": ("BOTTOM", "TS_INF", "TS_ZERO", "Bottom", "Timestamp"),
     ".transaction": ("Transaction", "TxStatus"),
-    ".versions": ("PENDING", "Pending", "Version", "VersionStore"),
+    ".versions": ("MVTLStore", "PENDING", "Pending", "Version",
+                  "VersionStore"),
 })

@@ -56,11 +56,11 @@ from .deadlock import WaitForGraph
 from .exceptions import (AbortReason, DeadlockError, PolicyError,
                          TransactionAborted, TransactionStateError)
 from .intervals import EMPTY_SET, IntervalSet, TsInterval, ts_pred
-from .locks import AcquireResult, Conflict, LockMode, LockTable
+from .locks import AcquireResult, Conflict, LockMode
 from .policy import MVTLPolicy
 from .timestamp import TS_INF, TS_ZERO, Timestamp
 from .transaction import Transaction, TxStatus
-from .versions import Version, VersionStore
+from .versions import MVTLStore, Version
 from .._fastcore import iv_intersect, iv_union
 
 __all__ = ["MVTLEngine", "EngineAcquireResult", "DEFAULT_STRIPES"]
@@ -147,8 +147,12 @@ class MVTLEngine:
         self.default_timeout = default_timeout
         self.history = history
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.store = VersionStore()
-        self.locks = LockTable()
+        #: Versions, locks and purge floor, with Alg. 13's per-key steps —
+        #: the same object a simulated server runs (never replaced, so
+        #: ``store`` and ``locks`` name its parts).
+        self.mvtl = MVTLStore()
+        self.store = self.mvtl.store
+        self.locks = self.mvtl.locks
         if stripes < 1:
             raise ValueError("stripes must be >= 1")
         self.num_stripes = stripes
@@ -167,10 +171,6 @@ class MVTLEngine:
         self._stripe_conflicts = [0] * stripes
         self._waits = WaitForGraph()
         self._tx_counter = count(1)
-        # The highest purge bound (§6) above TS_ZERO so far, None before
-        # any: commit candidates start there.  Written with every stripe
-        # held.
-        self._purge_bound: Timestamp | None = None
         # Statistics for benchmarks/tests; guarded by their own leaf mutex.
         self.stats = {"commits": 0, "aborts": 0, "deadlocks": 0,
                       "lock_timeouts": 0}
@@ -402,12 +402,11 @@ class MVTLEngine:
         frozen at commit or there is none) are frozen, and the owner record
         is sealed.  An aborted transaction passes no spans.
         """
-        prefixes = None
+        prefixes = {}
         if tx.committed:
             commit_ts = tx.commit_ts
             c_v = commit_ts.value
             c_p = commit_ts.pid
-            prefixes = {}
             for key, tr in tx.readset:
                 if tr < commit_ts:
                     span = (tr.value, tr.pid + 1, c_v, c_p)
@@ -422,9 +421,10 @@ class MVTLEngine:
         # into each key's ownerless aggregate keeps conflict checks
         # O(active transactions) — dead-owner records otherwise pile up
         # and every read's conflict walk grows unboundedly.
-        self.locks.freeze_and_seal(
-            tx.id, prefixes, point.flat if point is not None else (),
-            tx.writeset)
+        point_flat = point.flat if point is not None else ()
+        for key in self.locks.forget_owner(tx.id):
+            self.mvtl.seal(tx.id, key, prefixes.get(key, ()),
+                           point_flat if key in tx.writeset else ())
         tx.collected = True
 
     # ------------------------------------------------------------------
@@ -511,7 +511,7 @@ class MVTLEngine:
         cond = self._stripes[idx]
         with cond:
             while True:
-                result = self.locks.try_acquire(tx.id, key, mode, want_set)
+                result = self.mvtl.acquire(tx.id, key, mode, want_set)
                 acquired_total = acquired_total.union(result.acquired)
                 want_set = want_set.subtract(result.acquired)
                 if result.fully_acquired:
@@ -563,8 +563,9 @@ class MVTLEngine:
     def try_acquire(self, tx: Transaction, key: Hashable, mode: LockMode,
                     want: TsInterval | IntervalSet) -> AcquireResult:
         """Lock the conflict-free part of ``want`` without waiting: one
-        probe of ``key``'s lock state under its stripe (the write-side twin
-        of :meth:`read_prefix`).
+        probe of ``key``'s lock state under its stripe
+        (:meth:`MVTLStore.acquire`; the write-side twin of
+        :meth:`read_prefix`).
 
         ``result.acquired`` is the grant — ``want`` minus every range
         another owner holds (ranges ``tx`` already holds come back granted)
@@ -573,9 +574,7 @@ class MVTLEngine:
         """
         idx = self.stripe_of(key)
         with self._stripes[idx]:
-            result = self.locks.state(key).try_acquire(tx.id, mode, want)
-            if result.acquired:
-                self.locks.note_owner(tx.id, key)
+            result = self.mvtl.acquire(tx.id, key, mode, want)
             if not result.fully_acquired:
                 self._stripe_conflicts[idx] += 1
         if self.tracer.enabled:
@@ -616,13 +615,10 @@ class MVTLEngine:
         try:
             for key in keys:
                 state = self.locks.peek(key)
-                if state is None:
-                    continue
-                held = state.held(tx.id, LockMode.WRITE)
-                frozen = state.frozen(tx.id, LockMode.WRITE)
-                releasable = held.subtract(frozen)
-                if not releasable.is_empty:
-                    state.release(tx.id, LockMode.WRITE, releasable)
+                if state is not None:
+                    releasable = state.unfrozen_writes(tx.id)
+                    if releasable:
+                        state.release(tx.id, LockMode.WRITE, releasable)
             self._notify_stripes(indices)
         finally:
             self._release_stripes(indices)
@@ -647,8 +643,8 @@ class MVTLEngine:
     def read_prefix(self, tx: Transaction, key: Hashable, upper: Timestamp
                     ) -> tuple[Version, IntervalSet] | None:
         """Read ``key`` below ``upper`` and read-lock what protects it, in
-        one pass under the key's stripe (the Alg. 13 read of the DES
-        server, without waiting).
+        one pass under the key's stripe (:meth:`MVTLStore.read`, the
+        server's Alg. 13 read, without waiting).
 
         Picks ``tr`` = the latest version strictly below ``upper``, then
         read-locks the contiguous range just above it: ``(tr, upper]`` cut
@@ -662,21 +658,17 @@ class MVTLEngine:
         """
         idx = self.stripe_of(key)
         with self._stripes[idx]:
-            version = self.store.latest_before(key, upper)
-            if version is None:
-                return None  # purged (§6): the transaction must abort
-            tr = version.ts
-            locked, contended = self.locks.state(key).acquire_read_after(
-                tx.id, tr, upper)
+            version, locked, contended = self.mvtl.read(tx.id, key, upper)
             if contended:
                 self._stripe_conflicts[idx] += 1
-            if locked:
-                self.locks.note_owner(tx.id, key)
+        if version is None:
+            return None  # purged (§6): the transaction must abort
         if self.tracer.enabled:
             self.tracer.lock_acquire(
                 tx.id, key, LockMode.READ.value,
-                requested=TsInterval.open_closed(tr, upper), granted=locked,
-                conflicts=int(contended), timed_out=False, deadlock=False)
+                requested=TsInterval.open_closed(version.ts, upper),
+                granted=locked, conflicts=int(contended), timed_out=False,
+                deadlock=False)
         return version, locked
 
     # ------------------------------------------------------------------
@@ -726,7 +718,8 @@ class MVTLEngine:
         just above the version read; write-set keys contribute the held
         write-lock set.  TS_ZERO is excluded: every key's initial version
         lives there, so it can never be a commit point.  So is everything
-        below the purge bound (§6): the purge dropped the lock state that
+        below the purge floor (§6, ``mvtl.floor`` — purge bounds at or
+        below TS_ZERO cut nothing): the purge dropped the lock state that
         kept commits off it — a commit there could land on a kept
         version's timestamp, or under a read it no longer protects.  A
         read made before a purge whose bound lies above its version lost
@@ -737,8 +730,8 @@ class MVTLEngine:
         flats (:meth:`LockTable.commit_cover`); only the result is
         wrapped.
         """
-        bound = self._purge_bound
-        cand = (_AFTER_ZERO if bound is None
+        bound = self.mvtl.floor
+        cand = (_AFTER_ZERO if bound is None or bound <= TS_ZERO
                 else (bound.value, bound.pid, TS_INF.value, TS_INF.pid))
         cover = self.locks.commit_cover
         owner = tx.id
@@ -776,24 +769,14 @@ class MVTLEngine:
             self._release_stripes(self._all_stripe_indices)
 
     def purge_versions_before(self, bound: Timestamp) -> int:
-        """Purge old versions and their lock state (§6), stripe-safely.
-
-        Lock records covering purged versions "can be discarded when the
-        associated versions are purged" — dropping them is what bounds the
-        sealed aggregates' size over a long run.  Background collectors
-        must use this instead of calling ``store.purge_before`` directly:
-        the whole-table iteration is only safe with every stripe held (no
-        concurrent installs).
-        """
-        bound_iv = TsInterval.closed_open(Timestamp(float("-inf"), 0), bound)
+        """Purge old versions and their lock state (§6) with every stripe
+        held: :meth:`MVTLStore.purge`, which also raises the floor commit
+        candidates start from.  Background collectors must use this, not
+        ``store.purge_before``: the whole-table walk is only safe with no
+        concurrent installs."""
         self._acquire_stripes(self._all_stripe_indices)
         try:
-            purged = self.store.purge_before(bound)
-            self.locks.purge_below(bound_iv)
-            if bound > TS_ZERO and (self._purge_bound is None
-                                    or bound > self._purge_bound):
-                self._purge_bound = bound
-            return purged
+            return self.mvtl.purge(bound)
         finally:
             self._release_stripes(self._all_stripe_indices)
 

@@ -46,14 +46,17 @@ conflict-driven policies read are materialized from the same pass only when
 ``AcquireResult.conflicts`` is asked for.
 :meth:`KeyLockState.acquire_read_after` is the read side of Alg. 13 in the
 same shape: frozen-write truncation, other owners' write locks and the grant
-in one walk.
+in one walk.  :meth:`KeyLockState.seal` ends a transaction on a key in one
+visit too: it freezes the commit's read prefix and write point and folds
+what is frozen into the sealed runs.  The server and the engine run these
+steps through :class:`~repro.core.versions.MVTLStore`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Container, Hashable, Iterable
+from typing import Hashable, Iterable
 
 from .intervals import EMPTY_SET, IntervalSet, TsInterval
 from .timestamp import Timestamp
@@ -108,7 +111,7 @@ class Conflict:
 
 
 class AcquireResult:
-    """Outcome of :meth:`KeyLockState.try_acquire` / ``lockable``.
+    """Outcome of :meth:`KeyLockState.try_acquire`.
 
     ``acquired`` is the conflict-free sub-range of the request (recorded in
     the table unless the call says otherwise); ``fully_acquired`` tells
@@ -225,17 +228,6 @@ class KeyLockState:
         return _as_set(rec.frozen_read if mode is LockMode.READ
                        else rec.frozen_write)
 
-    def lockable(self, owner: TxId, mode: LockMode,
-                 want: TsInterval | IntervalSet) -> AcquireResult:
-        """Dry-run of :meth:`try_acquire`: nothing is recorded.
-
-        ``acquired`` in the result is the conflict-free sub-range that an
-        acquire *would* grant.
-        """
-        want_flat = want.flat
-        free, blocked = self._probe(owner, mode, want_flat)
-        return AcquireResult(_granted(free, want_flat, want), blocked)
-
     def frozen_write_ranges(self) -> IntervalSet:
         """Union of all frozen write locks on this key (any owner).
 
@@ -263,6 +255,14 @@ class KeyLockState:
                 if rest and (rest[0] < v or (rest[0] == v and rest[1] <= p)):
                     return True
         return False
+
+    def unfrozen_writes(self, owner: TxId) -> IntervalSet:
+        """``owner``'s write locks outside its frozen ones: what it has not
+        committed to, and may still release."""
+        rec = self._owners.get(owner)
+        if rec is None or not rec.write:
+            return EMPTY_SET
+        return _as_set(iv_subtract(rec.write, rec.frozen_write))
 
     def sealed_read_ranges(self) -> IntervalSet:
         return _as_set(self._sealed_read)
@@ -323,14 +323,9 @@ class KeyLockState:
 
     def grant(self, owner: TxId, mode: LockMode,
               granted: TsInterval | IntervalSet) -> None:
-        """Record a grant already proven conflict-free by :meth:`lockable`.
-
-        Equivalent to ``try_acquire`` on the probed range minus the second
-        conflict split.  Valid only when nothing mutated this state between
-        the probe and the grant — true for DES servers, which handle each
-        request atomically.  Not for the threaded engine, whose probe and
-        acquire run under separate stripe-lock acquisitions.
-        """
+        """Record ``granted`` without probing it: the caller knows it is
+        conflict-free.  Only perflab's lock micro-benchmark calls it (its
+        read cycle); every protocol grant goes through a probe."""
         flat = granted.flat
         if flat and self._record(owner, mode, flat):
             self.version += 1
@@ -406,17 +401,15 @@ class KeyLockState:
             self.version += 1
         return IntervalSet._from_flat(prefix), fh != up
 
-    def hold_frozen_read(self, owner: TxId,
-                         span: TsInterval | IntervalSet) -> bool:
-        """Mirror a committed reader's frozen span on a replica that never
-        saw the read: if ``owner`` holds no read lock here, acquire what of
-        ``span`` is conflict-free; then freeze its read locks inside
-        ``span``.  Returns whether the acquire step ran."""
+    def hold_read(self, owner: TxId, span: TsInterval | IntervalSet) -> bool:
+        """Mirror a committed reader's span on a replica that never saw the
+        read: if ``owner`` holds no read lock here, acquire what of
+        ``span`` is conflict-free (the commit's :meth:`seal` freezes it).
+        Returns whether the acquire step ran."""
         rec = self._owners.get(owner)
         acquire = rec is None or not rec.read
         if acquire:
             self.try_acquire(owner, LockMode.READ, span)
-        self.freeze(owner, LockMode.READ, span)
         return acquire
 
     def freeze(self, owner: TxId, mode: LockMode,
@@ -480,15 +473,19 @@ class KeyLockState:
             self._prune(owner, rec)
             self.version += 1
 
-    def seal(self, owner: TxId, keep_all_reads: bool = False) -> None:
+    def seal(self, owner: TxId, read_span: tuple = (),
+             write_span: tuple = (), keep_all_reads: bool = False) -> None:
         """Fold an *ended* transaction's permanent locks into the sealed
-        runs and drop its owner record.
+        runs and drop its owner record — Alg. 13's commit tail and gc, or
+        the abort, in one visit.
 
-        ``keep_all_reads=False`` (commit-with-GC, or abort): frozen read and
-        write locks become sealed, unfrozen locks are released.
-        ``keep_all_reads=True`` (MVTO+-style end): *all* read locks become
-        sealed — MVTO+'s read-timestamps are never rolled back (§3) — plus
-        the frozen writes; unfrozen write locks are released.
+        ``read_span`` and ``write_span`` (flat quads, ``()`` for none) are
+        frozen first: the read prefix ``(tr, ts]`` and the write point of
+        a commit.  ``keep_all_reads=False`` (commit-with-GC, or abort):
+        frozen read and write locks become sealed, unfrozen locks are
+        released.  ``keep_all_reads=True`` (MVTO+-style end): *all* read
+        locks become sealed — MVTO+'s read-timestamps are never rolled back
+        (§3) — plus the frozen writes; unfrozen write locks are released.
 
         Sealing is semantically equivalent to keeping the records under the
         dead owner, but conflict checks stay O(active transactions).
@@ -497,35 +494,6 @@ class KeyLockState:
         if rec is None:
             return
         reads = rec.read if keep_all_reads else rec.frozen_read
-        writes = rec.frozen_write
-        spans = self._sealed_spans
-        for flat in (reads, writes):
-            n = len(flat)
-            if n == 4:
-                spans.append(flat)  # single piece: the flat IS the quad
-            elif n:
-                for i in range(0, n, 4):
-                    spans.append(flat[i:i + 4])
-        if reads:
-            self._sealed_read = iv_union(self._sealed_read, reads)
-        if writes:
-            self._sealed_write = iv_union(self._sealed_write, writes)
-        self.version += 1
-
-    def freeze_and_seal(self, owner: TxId, read_span: tuple,
-                        write_span: tuple) -> None:
-        """``freeze(owner, READ, read_span)``, ``freeze(owner, WRITE,
-        write_span)`` and ``seal(owner)`` in one visit (spans are flat
-        quads, ``()`` for none): the owner's frozen runs, widened by what
-        it holds inside each span, become sealed; the rest is released.
-
-        :meth:`seal`'s fold is written out here rather than shared, so the
-        servers' :meth:`seal` stays as cheap as it was.
-        """
-        rec = self._owners.pop(owner, None)
-        if rec is None:
-            return
-        reads = rec.frozen_read
         writes = rec.frozen_write
         if read_span:
             more = iv_intersect(rec.read, read_span)
@@ -539,7 +507,7 @@ class KeyLockState:
         for flat in (reads, writes):
             n = len(flat)
             if n == 4:
-                spans.append(flat)
+                spans.append(flat)  # single piece: the flat IS the quad
             elif n:
                 for i in range(0, n, 4):
                     spans.append(flat[i:i + 4])
@@ -811,16 +779,9 @@ class LockTable:
     def peek(self, key: Hashable) -> KeyLockState | None:
         return self._keys.get(key)
 
-    def try_acquire(self, owner: TxId, key: Hashable, mode: LockMode,
-                    want: TsInterval | IntervalSet) -> AcquireResult:
-        result = self.state(key).try_acquire(owner, mode, want)
-        if result.acquired:
-            self.note_owner(owner, key)
-        return result
-
     def note_owner(self, owner: TxId, key: Hashable) -> None:
-        """Record that ``owner`` holds state on ``key`` (for callers that
-        acquire through the KeyLockState directly)."""
+        """Record that ``owner`` holds state on ``key`` (callers acquire
+        through the KeyLockState directly)."""
         keys = self._owner_keys.get(owner)
         if keys is None:
             self._owner_keys[owner] = {key}
@@ -873,36 +834,6 @@ class LockTable:
         st = self._keys.get(key)
         if st is not None:
             st.release(owner, mode, span)
-
-    def release_all_unfrozen(self, owner: TxId) -> None:
-        """Release every unfrozen lock of ``owner`` across all keys."""
-        for key in self._owner_keys.pop(owner, ()):
-            st = self._keys.get(key)
-            if st is not None:
-                st.release_unfrozen(owner)
-
-    def freeze_and_seal(self, owner: TxId,
-                        read_spans: dict[Hashable, tuple] | None,
-                        write_span: tuple, written: Container) -> None:
-        """Seal an *ended* ``owner`` on every key it touched and forget it,
-        first freezing ``read_spans[key]`` and, on keys in ``written``,
-        ``write_span`` (flat quads) — one
-        :meth:`KeyLockState.freeze_and_seal` per key.
-
-        Equivalent to freezing those spans and then
-        :meth:`release_all_unfrozen` followed by folding the owner's frozen
-        locks into each key's sealed aggregate — but conflict checks
-        afterwards cost O(active transactions) instead of growing with
-        every transaction that ever committed (the dead-owner records are
-        gone).
-        """
-        keys = self._keys
-        for key in self._owner_keys.pop(owner, ()):
-            st = keys.get(key)
-            if st is not None:
-                st.freeze_and_seal(
-                    owner, read_spans.get(key, ()) if read_spans else (),
-                    write_span if write_span and key in written else ())
 
     def keys_of(self, owner: TxId) -> frozenset[Hashable]:
         return frozenset(self._owner_keys.get(owner, ()))

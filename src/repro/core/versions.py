@@ -6,7 +6,7 @@ version with the largest timestamp strictly before t" (§3).  Old versions can
 be purged (§6) — transactions that subsequently need a purged version abort.
 
 The store is a pure data structure; concurrency control lives in the lock
-table and the engines.  A PENDING marker supports the §6 technique for
+table and the engines (through :class:`MVTLStore`).  A PENDING marker supports the §6 technique for
 removing Algorithm 1's atomic commit block: a committing transaction first
 installs PENDING at its commit timestamp, then overwrites it with the real
 value; concurrent readers that see PENDING must wait (the threaded engine
@@ -27,10 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterator
 
+from .intervals import IntervalSet, TsInterval
+from .locks import AcquireResult, LockMode, LockTable
 from .timestamp import BOTTOM, TS_ZERO, Timestamp
 from .._fastcore import vc_floor
 
-__all__ = ["Version", "Pending", "PENDING", "VersionStore"]
+__all__ = ["Version", "Pending", "PENDING", "VersionStore", "MVTLStore"]
 
 
 class Pending:
@@ -368,3 +370,75 @@ class VersionStore:
 
     def __contains__(self, key: Hashable) -> bool:
         return key in self._keys
+
+
+class MVTLStore:
+    """One node's MVTL state — a :class:`~repro.core.locks.LockTable`, a
+    :class:`VersionStore` and its §6 purge floor — and Alg. 13's per-key
+    steps over them: :meth:`read`, :meth:`acquire` (the write grant),
+    :meth:`seal` and :meth:`purge`.  The simulated server and the threaded
+    engine both run these, so the paper's two settings share one copy.
+
+    Not thread-safe, like its parts: the engine calls each step under the
+    key's stripe (a purge under every stripe), a server from its one thread.
+    """
+
+    __slots__ = ("locks", "store", "floor")
+
+    def __init__(self) -> None:
+        self.locks = LockTable()
+        self.store = VersionStore()
+        #: The highest purge bound so far (None before any).  The engine's
+        #: commit candidates start there; a server's snapshot reads,
+        #: checkpoints and re-syncs read it as its stability frontier.
+        self.floor: Timestamp | None = None
+
+    def read(self, owner: Hashable, key: Hashable, upper: Timestamp,
+             floor: Timestamp | None = None, wait: bool = False
+             ) -> tuple[Version | None, IntervalSet | None, bool]:
+        """Alg. 13 lines 5-7: the latest version below ``upper`` and the
+        read lock just above it (``KeyLockState.acquire_read_after``, with
+        its ``floor`` and ``wait``).  Returns ``(version, locked,
+        contended)``: ``version`` None means purged (abort), ``locked``
+        None means park."""
+        version = self.store.latest_before(key, upper)
+        if version is None:
+            return None, None, False
+        locked, contended = self.locks.state(key).acquire_read_after(
+            owner, version.ts, upper, floor, wait)
+        if locked:
+            self.locks.note_owner(owner, key)
+        return version, locked, contended
+
+    def acquire(self, owner: Hashable, key: Hashable, mode: LockMode,
+                want: TsInterval | IntervalSet, wait: bool = False,
+                all_or_nothing: bool = False) -> AcquireResult:
+        """Alg. 13 lines 1-2: ``KeyLockState.try_acquire`` (never waits;
+        ``wait`` / ``all_or_nothing`` name the partial grants it refuses),
+        indexing ``owner`` under ``key`` when a grant was recorded."""
+        state = self.locks.state(key)
+        seen = state.version
+        result = state.try_acquire(owner, mode, want, wait=wait,
+                                   all_or_nothing=all_or_nothing)
+        if state.version != seen:  # a grant was recorded
+            self.locks.note_owner(owner, key)
+        return result
+
+    def seal(self, owner: Hashable, key: Hashable, read_span: tuple = (),
+             write_span: tuple = (), keep_all_reads: bool = False) -> None:
+        """End ``owner`` on a ``key`` of ``locks.forget_owner(owner)``:
+        ``KeyLockState.seal`` with its commit's spans (flat quads)."""
+        state = self.locks.peek(key)
+        if state is not None:
+            state.seal(owner, read_span, write_span, keep_all_reads)
+
+    def purge(self, bound: Timestamp) -> int:
+        """§6: drop the versions (keeping each key's newest) and the lock
+        state below ``bound``, and raise :attr:`floor` to it.  Returns the
+        number of versions dropped."""
+        purged = self.store.purge_before(bound)
+        self.locks.purge_below(
+            TsInterval.closed_open(Timestamp(float("-inf"), 0), bound))
+        if self.floor is None or bound > self.floor:
+            self.floor = bound
+        return purged

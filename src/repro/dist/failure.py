@@ -28,7 +28,6 @@ from typing import Any, Hashable, Sequence
 
 import numpy as np
 
-from ..core.locks import LockMode
 from ..sim.network import Network
 from ..sim.simulator import Process, Simulator
 
@@ -367,13 +366,7 @@ def orphaned_write_locks(servers: Sequence[Any],
                 continue
             for key in server.locks.keys_of(tx_id):
                 state = server.locks.peek(key)
-                if state is None:
-                    continue
-                held = state.held(tx_id, LockMode.WRITE)
-                if held.is_empty:
-                    continue
-                if not held.subtract(
-                        state.frozen(tx_id, LockMode.WRITE)).is_empty:
+                if state is not None and state.unfrozen_writes(tx_id):
                     orphaned.add((str(server.server_id), tx_id, key))
         for tx_id, key in getattr(server, "pending", {}):
             if coordinator_crashed(tx_id):

@@ -286,18 +286,20 @@ class ReplicaServer(MVTLServer):
         self._sync_plan = None
         super().restart()
 
-    def _freeze_read_spans(self, tx_id: Hashable,
-                           spans: dict[Hashable, IntervalSet]) -> None:
-        """Follower read-span mirror: this member never saw the
-        transaction's reads, so it holds no read lock to freeze.
-        Grant-then-freeze the span here — without it, a post-promotion
-        writer could install inside a committed reader's span (an MVSG
-        violation the leader's frozen read lock was preventing).  The
-        mirrored write grants equal the leader's, so the span is
-        conflict-free by construction."""
-        for key, span in spans.items():
-            if self.locks.state(key).hold_frozen_read(tx_id, span):
+    def _seal_tx(self, tx_id: Hashable, keep_all_reads: bool,
+                 spans: dict[Hashable, IntervalSet] | None = None,
+                 point: tuple = (), written: tuple = ()) -> None:
+        """Follower read-span mirror, then the seal: this member never saw
+        the transaction's reads, so it holds no read lock to freeze.  Grant
+        each committed span here, and the seal freezes it — without that,
+        a post-promotion writer could install inside a committed reader's
+        span (an MVSG violation the leader's frozen read lock was
+        preventing).  The mirrored write grants equal the leader's, so the
+        span is conflict-free by construction."""
+        for key, span in (spans or {}).items():
+            if self.locks.state(key).hold_read(tx_id, span):
                 self.locks.note_owner(tx_id, key)
+        super()._seal_tx(tx_id, keep_all_reads, spans, point, written)
 
     # -- mirrored holds and follower reads (§5e) ----------------------------
 
@@ -563,7 +565,7 @@ class ReplicaServer(MVTLServer):
         if floors:
             adopted = min(floors)
             if self.stable_floor is None or adopted > self.stable_floor:
-                self.stable_floor = adopted
+                self.mvtl.floor = adopted
 
 
 class ReplicaClient(MVTILClient):

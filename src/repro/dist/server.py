@@ -56,7 +56,7 @@ from ..core.intervals import EMPTY_SET, IntervalSet, TsInterval
 from ..core.locks import LockMode, LockTable
 from ..obs.trace import NULL_TRACER
 from ..core.timestamp import BOTTOM, Timestamp
-from ..core.versions import VersionStore
+from ..core.versions import MVTLStore, VersionStore
 from ..sim.network import Network
 from ..sim.server_queue import ServiceQueue
 from ..sim.simulator import Simulator
@@ -349,9 +349,6 @@ class MVTLServer(_ServerBase):
         #: Simulated disk (checkpoint + WAL).  None = the original model
         #: where the in-memory version store survives restarts unexamined.
         self.durable = durable
-        #: Highest GC purge bound applied here — the snapshot-read
-        #: stability frontier (every commit below it is present locally).
-        self.stable_floor: Timestamp | None = None
         #: Set on every restart and never cleared here: commits may have
         #: been applied elsewhere while this server was down, so its store
         #: is not a complete prefix.  In the base class because a WAL-only
@@ -386,8 +383,9 @@ class MVTLServer(_ServerBase):
         #: heap entries, they survive a crash / restart.
         self._lock_timers: deque[tuple[float, int, Hashable, Hashable]] = (
             deque())
-        self.locks = LockTable()
-        self.store = VersionStore()
+        #: Versions, locks and purge floor, with Alg. 13's per-key steps —
+        #: the same object the threaded engine runs.
+        self.mvtl = MVTLStore()
         #: Buffered values awaiting freeze: (tx, key) -> value (Alg. 13 l.3).
         self.pending: dict[tuple[Hashable, Hashable], Any] = {}
         self._state_multiplier = 1.0
@@ -404,13 +402,13 @@ class MVTLServer(_ServerBase):
         already-applied commit is dropped instead of re-executed."""
         if not self.crashed:
             return
-        self.locks = LockTable()
+        self.mvtl.locks = LockTable()
         self.pending.clear()
         if self.durable is not None:
             rec = self.durable.recover(
                 aborted=lambda tx: self.registry.decision_of(tx) == ABORT)
-            self.store = rec.store
-            self.stable_floor = rec.stable_floor
+            self.mvtl.store = rec.store
+            self.mvtl.floor = rec.stable_floor
             self._durable_dedup = OrderedDict(
                 (tuple(p), None) for p in rec.dedup)
             while len(self._durable_dedup) > self._REQ_LOG_MAX:
@@ -426,6 +424,21 @@ class MVTLServer(_ServerBase):
             # is gone (satellite (a) — the volatile-dedup-cache bug).
             for pair in self._durable_dedup:
                 self._req_log[pair] = _APPLIED
+
+    @property
+    def locks(self) -> LockTable:
+        return self.mvtl.locks
+
+    @property
+    def store(self) -> VersionStore:
+        return self.mvtl.store
+
+    @property
+    def stable_floor(self) -> Timestamp | None:
+        """Highest GC purge bound applied here (``mvtl.floor``) — the
+        snapshot-read stability frontier (every commit below it is present
+        locally)."""
+        return self.mvtl.floor
 
     #: Relative CPU cost of control notifications (commit/gc/release/
     #: purge) vs. data requests: they carry no value payload and do no
@@ -491,23 +504,15 @@ class MVTLServer(_ServerBase):
         ``req.wait`` (MVTO+), else grant the conflict-free prefix (MVTIL).
         """
         key = req.key
-        state = self.locks.state(key)
-        version = self.store.latest_before(key, req.upper)
+        # The hottest handler in every workload: frozen-write truncation,
+        # the conflict probe and the grant are one pass over the key's lock
+        # state.
+        version, locked, contended = self.mvtl.read(
+            req.tx_id, key, req.upper, req.floor, req.wait)
         if version is None:
             self._reply(req, MVTLReadReply(req.req_id,
                                            epoch=self.epoch))  # purged
             return
-        if version.ts >= req.upper:
-            self._reply(req, MVTLReadReply(req.req_id, tr=version.ts,
-                                           value=version.value,
-                                           locked=EMPTY_SET,
-                                           epoch=self.epoch))
-            return
-        # The hottest handler in every workload: frozen-write truncation,
-        # the conflict probe and the grant are one pass over the key's lock
-        # state.
-        locked, contended = state.acquire_read_after(
-            req.tx_id, version.ts, req.upper, req.floor, req.wait)
         if locked is None:
             # "Waiting if write-locked but not frozen": the usable prefix
             # does not reach what the client needs yet; park until the
@@ -518,8 +523,6 @@ class MVTLServer(_ServerBase):
             # Another transaction's lock truncated the read's lockable
             # range — a contended access even though nobody waited.
             self._note_conflict(key)
-        if not locked.is_empty:
-            self.locks.note_owner(req.tx_id, key)
         self._reply(req, MVTLReadReply(req.req_id, tr=version.ts,
                                        value=version.value, locked=locked,
                                        epoch=self.epoch))
@@ -531,9 +534,8 @@ class MVTLServer(_ServerBase):
         key = req.key
         # One probe: the grant is recorded unless the outcome is one this
         # request does not keep (see KeyLockState.try_acquire).
-        got = self.locks.state(key).try_acquire(
-            req.tx_id, LockMode.WRITE, req.want, wait=req.wait,
-            all_or_nothing=req.all_or_nothing)
+        got = self.mvtl.acquire(req.tx_id, key, LockMode.WRITE, req.want,
+                                req.wait, req.all_or_nothing)
         acquired = got.acquired
         if not got.fully_acquired:
             if req.wait and not got.any_frozen_conflict:
@@ -549,9 +551,8 @@ class MVTLServer(_ServerBase):
 
     def _hold_write(self, tx_id: Hashable, key: Hashable,
                     value: Any) -> None:
-        """Index a write grant, buffer its value (Alg. 13 line 3) and arm
-        the write-lock timeout."""
-        self.locks.note_owner(tx_id, key)
+        """Buffer a write grant's value (Alg. 13 line 3) and arm the
+        write-lock timeout."""
         self.pending[(tx_id, key)] = value
         when, seq = self.sim.reserve(self.write_lock_timeout)
         timers = self._lock_timers
@@ -593,8 +594,8 @@ class MVTLServer(_ServerBase):
         acquired: dict[Hashable, IntervalSet] = {}
         complete = True
         for key, value, want in items:
-            got = self.locks.state(key).try_acquire(
-                tx_id, LockMode.WRITE, want, all_or_nothing=all_or_nothing)
+            got = self.mvtl.acquire(tx_id, key, LockMode.WRITE, want,
+                                    all_or_nothing=all_or_nothing)
             if not got.fully_acquired:
                 self._note_conflict(key)
                 complete = False
@@ -611,12 +612,9 @@ class MVTLServer(_ServerBase):
         if (tx_id, key) not in self.pending:
             return  # already frozen or released
         state = self.locks.peek(key)
-        if state is None:
+        if state is None or not state.unfrozen_writes(tx_id):
             return
-        held = state.held(tx_id, LockMode.WRITE)
-        frozen = state.frozen(tx_id, LockMode.WRITE)
-        if held.is_empty or held == frozen:
-            return
+
         def apply(decision: Any) -> None:
             if (tx_id, key) not in self.pending:
                 return  # resolved while consensus was running
@@ -627,15 +625,17 @@ class MVTLServer(_ServerBase):
                 value = self._apply_commit(tx_id, key, decision)
                 self._log_commit(tx_id, decision, ((key, value),))
                 # The coordinator is suspected dead, so no CommitReq will
-                # seal this key: release the write-locked span outside the
-                # frozen commit point ourselves (the decided transaction
-                # can never install at another timestamp).  Unfrozen read
-                # locks stay — conservatively — until GC purges them.
+                # seal this key: freeze the commit point and release the
+                # rest of the write-locked span ourselves (the decided
+                # transaction can never install at another timestamp).
+                # Unfrozen read locks stay — conservatively — until GC
+                # purges them.
                 st = self.locks.peek(key)
                 if st is not None:
-                    residual = st.held(tx_id, LockMode.WRITE).subtract(
-                        st.frozen(tx_id, LockMode.WRITE))
-                    if not residual.is_empty:
+                    st.freeze(tx_id, LockMode.WRITE,
+                              TsInterval.point(decision))
+                    residual = st.unfrozen_writes(tx_id)
+                    if residual:
                         st.release(tx_id, LockMode.WRITE, residual)
                         self._unpark(key)
 
@@ -651,8 +651,6 @@ class MVTLServer(_ServerBase):
             # between lock install and commit, the buffered value is gone
             # and the commit notification's redo payload supplies it.
             value = fallback
-        state = self.locks.state(key)
-        state.freeze(tx_id, LockMode.WRITE, TsInterval.point(ts))
         if self.store.version_at(key, ts) is None:
             self.store.install(key, ts, value)
         if self.history is not None:
@@ -660,7 +658,8 @@ class MVTLServer(_ServerBase):
             # the decision but before recording their own commit.
             self.history.record_commit_key(tx_id, ts, key)
         self.applied_commits += 1
-        # Other write-locked timestamps of tx stay until gc/release.
+        # The write point is frozen, and tx's other write-locked timestamps
+        # released, by the seal that ends tx here (or the timeout path).
         self._unpark(key)
         return value
 
@@ -725,13 +724,15 @@ class MVTLServer(_ServerBase):
                 for key in req.write_keys)
             self._log_commit(req.tx_id, decision, entries,
                              client=req.client, req_id=req.req_id)
-            self._freeze_read_spans(req.tx_id, req.spans)
-            # Seal the ended transaction's permanent locks.  With
-            # release=True only the frozen prefix survives (Alg. 11 gc);
-            # with release=False every read lock is kept — the MVTO+/no-GC
+            # Seal the ended transaction, one visit per held key: its write
+            # point and read spans freeze (the prefix between each version
+            # read and ``ts`` seals the serialization decision, Alg. 11).
+            # With release=True only that survives (Alg. 11 gc); with
+            # release=False every read lock is kept — the MVTO+/no-GC
             # behaviour where read-timestamps persist and state accumulates
             # (Fig. 6).
-            self._seal_tx(req.tx_id, keep_all_reads=not req.release)
+            self._seal_tx(req.tx_id, not req.release, req.spans,
+                          TsInterval.point(decision).flat, req.write_keys)
             if req.ack:
                 # Reliable fan-out: confirm application so the client stops
                 # retrying this member (the cached reply answers link dups).
@@ -739,55 +740,43 @@ class MVTLServer(_ServerBase):
 
         self._decide(req.tx_id, req.ts, apply)
 
-    def _freeze_read_spans(self, tx_id: Hashable,
-                           spans: dict[Hashable, IntervalSet]) -> None:
-        """Freeze the committed transaction's read locks over ``spans``:
-        the prefix between each version read and the commit timestamp,
-        which seals the serialization decision (Alg. 11)."""
-        for key, span in spans.items():
-            state = self.locks.peek(key)
-            if state is not None:
-                state.freeze(tx_id, LockMode.READ, span)
-
     def _handle_release(self, req: ReleaseReq) -> None:
         self._seal_tx(req.tx_id, keep_all_reads=req.write_only)
 
-    def _seal_tx(self, tx_id: Hashable, keep_all_reads: bool) -> None:
+    def _seal_tx(self, tx_id: Hashable, keep_all_reads: bool,
+                 spans: dict[Hashable, IntervalSet] | None = None,
+                 point: tuple = (), written: tuple = ()) -> None:
         """End-of-transaction lock cleanup, sealing what must persist.
 
-        ``keep_all_reads=True`` is the MVTO+ abort (a write-only release):
-        unfrozen write locks go, but the read locks persist as
-        read-timestamps (sealed).  ``keep_all_reads=False`` drops
-        everything unfrozen and seals the frozen remainder.
+        A commit passes its read ``spans``, its write ``point`` (a flat)
+        and the keys ``written`` at it, which freeze before the seal.
+        ``keep_all_reads=True`` is the MVTO+ abort (a write-only release)
+        or a ``release=False`` commit: unfrozen write locks go, but the
+        read locks persist as read-timestamps (sealed).
+        ``keep_all_reads=False`` drops everything unfrozen and seals the
+        frozen remainder.
         """
         self._drop_parked(tx_id)
         # Set order is per-process: iterate in sorted order so waiter
         # wake-ups happen in the same order every run (reproducibility).
         for key in sorted(self.locks.forget_owner(tx_id), key=str):
-            state = self.locks.peek(key)
-            if state is not None:
-                state.seal(tx_id, keep_all_reads=keep_all_reads)
+            span = spans.get(key) if spans else None
+            self.mvtl.seal(tx_id, key, span.flat if span else (),
+                           point if key in written else (), keep_all_reads)
             self.pending.pop((tx_id, key), None)
             self._unpark(key)
 
     def _drop_tx_on_key(self, tx_id: Hashable, key: Hashable) -> None:
         """Release tx's unfrozen locks on one key (timeout-abort path)."""
-        state = self.locks.peek(key)
-        if state is not None:
-            state.seal(tx_id, keep_all_reads=False)
+        self.mvtl.seal(tx_id, key)
         self.pending.pop((tx_id, key), None)
 
     # -- purge (§6, §8.1) ----------------------------------------------------------
 
     def _handle_purge(self, req: PurgeReq) -> None:
-        bound_iv = TsInterval.closed_open(
-            Timestamp(float("-inf"), 0), req.bound)
-        purged = self.store.purge_before(req.bound)
-        self.locks.purge_below(bound_iv)
+        purged = self.mvtl.purge(req.bound)
         self.stats["purged_versions"] = (
             self.stats.get("purged_versions", 0) + purged)
-        if self.stable_floor is None or req.bound > self.stable_floor:
-            self.stable_floor = req.bound
         if self.durable is not None:
             self.durable.log_purge(req.bound)
             self.durable.maybe_checkpoint(self.store, self._durable_dedup,

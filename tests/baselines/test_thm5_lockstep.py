@@ -218,7 +218,7 @@ class Thm5Lockstep(RuleBasedStateMachine):
         or above it are compared."""
         if not self.pairs:
             return
-        bound = self.mvtl._purge_bound
+        bound = self.mvtl.mvtl.floor
         for key in KEYS:
             assert (mvto_read_tops(self.mvto, key, bound)
                     == mvtl_read_tops(self.mvtl, key)), key

@@ -28,10 +28,11 @@ It is slower and obviously right, which is the point:
 and compares every read, interval, commit outcome and lock state — the way
 ``tests/core/lock_model.py`` serves the lock table.
 
-Everything else (begin, release, purging, the lock table's per-key
-``try_acquire`` / ``freeze`` / ``seal``, the version store, and the read,
-write and commit-lock hooks of policies other than MVTIL) comes from the
-modules under test, so the two engines' states compare by plain equality.
+Everything else (begin, release, purging, the write grant of
+``MVTLStore.acquire``, the lock table's per-key ``freeze`` / ``seal``, the
+version store, and the read, write and commit-lock hooks of policies other
+than MVTIL) comes from the modules under test, so the two engines' states
+compare by plain equality.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ class ModelEngine(MVTLEngine):
         cond = self._stripes[idx]
         with cond:
             while True:
-                result = self.locks.try_acquire(tx.id, key, mode, want_set)
+                result = self.mvtl.acquire(tx.id, key, mode, want_set)
                 acquired_total = acquired_total.union(result.acquired)
                 want_set = want_set.subtract(result.acquired)
                 if result.fully_acquired:
@@ -291,7 +292,7 @@ class ModelEngine(MVTLEngine):
         self.policy.on_finish(self, tx)
 
     def _candidates(self, tx: Transaction) -> IntervalSet:
-        bound = self._purge_bound
+        bound = self.mvtl.floor
         cand = IntervalSet.from_interval(TsInterval.after(TS_ZERO))
         if bound is not None:
             cand = cand.intersect(TsInterval.closed(bound, TS_INF))

@@ -257,17 +257,15 @@ class KeyLockState:
 
         Equivalent to ``try_acquire`` on the probed range minus the second
         conflict split.  Valid only when nothing mutated this state between
-        the probe and the grant — true for DES servers, which handle each
-        request atomically.  Not for the threaded engine, whose probe and
-        acquire run under separate stripe-lock acquisitions.
+        the probe and the grant, as in the read chain below.
         """
         if not isinstance(granted, TsInterval) and granted.is_empty:
             return
         ol = self._owners.get(owner)
         if ol is None:
             ol = self._owners[owner] = _OwnerLocks()
-        # Mode-unrolled direct slot access: grant sits on the read path of
-        # every DES server, right after the lockable() probe.
+        # Mode-unrolled direct slot access (the read chain below grants
+        # right after its lockable() probe).
         if mode is LockMode.READ:
             held = ol.read
             new_held = held.union(granted)
@@ -509,14 +507,13 @@ def read_lock_after(state: KeyLockState, owner: TxId, tr, upper,
     return IntervalSet.from_interval(prefix), prefix.hi != upper
 
 
-def hold_frozen_read(state: KeyLockState, owner: TxId,
-                     span: TsInterval | IntervalSet) -> bool:
-    """``held`` -> ``try_acquire`` -> ``freeze`` (commit handler's follower
-    read-span mirror): reference for ``hold_frozen_read``."""
+def hold_read(state: KeyLockState, owner: TxId,
+              span: TsInterval | IntervalSet) -> bool:
+    """``held`` -> ``try_acquire`` (commit handler's follower read-span
+    mirror; the seal freezes the span): reference for ``hold_read``."""
     acquire = state.held(owner, LockMode.READ).is_empty
     if acquire:
         state.try_acquire(owner, LockMode.READ, span)
-    state.freeze(owner, LockMode.READ, span)
     return acquire
 
 
@@ -530,3 +527,17 @@ def unfrozen_write_at_or_below(state: KeyLockState, ts) -> bool:
         if not unfrozen.is_empty and unfrozen.min_member() <= ts:
             return True
     return False
+
+
+def seal_with_spans(state: KeyLockState, owner: TxId,
+                    read_span: TsInterval | IntervalSet | None,
+                    write_span: TsInterval | IntervalSet | None,
+                    keep_all_reads: bool) -> None:
+    """``freeze(READ)`` -> ``freeze(WRITE)`` -> ``seal`` (commit handler,
+    engine gc): reference for ``seal(owner, read_span, write_span,
+    keep_all_reads)``."""
+    if read_span is not None:
+        state.freeze(owner, LockMode.READ, read_span)
+    if write_span is not None:
+        state.freeze(owner, LockMode.WRITE, write_span)
+    state.seal(owner, keep_all_reads=keep_all_reads)

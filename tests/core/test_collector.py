@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.collector import BackgroundCollector
 from repro.core.engine import MVTLEngine
-from repro.core.locks import LockMode, LockTable
+from repro.core.locks import LockMode
 from repro.core.timestamp import Timestamp
 from repro.policies import MVTIL, MVTLTimestampOrdering
 
@@ -123,16 +123,15 @@ class _CountingLock:
 @pytest.fixture
 def counted(monkeypatch):
     """Stripe acquisitions (of an engine built by :func:`counting_engine`)
-    and GC passes (``LockTable.freeze_and_seal`` calls)."""
+    and GC passes (``MVTLEngine._collect`` calls)."""
     counts = {"stripes": 0, "seals": 0}
-    freeze_and_seal = LockTable.freeze_and_seal
+    collect = MVTLEngine._collect
 
-    def counting_freeze_and_seal(self, *args):
+    def counting_collect(self, *args):
         counts["seals"] += 1
-        freeze_and_seal(self, *args)
+        collect(self, *args)
 
-    monkeypatch.setattr(LockTable, "freeze_and_seal",
-                        counting_freeze_and_seal)
+    monkeypatch.setattr(MVTLEngine, "_collect", counting_collect)
     return counts
 
 

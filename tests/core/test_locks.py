@@ -5,9 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.intervals import EMPTY_SET, IntervalSet, TsInterval
-from repro.core.locks import (FrozenConflictError, KeyLockState, LockMode,
-                              LockTable)
+from repro.core.locks import FrozenConflictError, KeyLockState, LockMode
 from repro.core.timestamp import Timestamp
+from repro.core.versions import MVTLStore
 from tests.conftest import intervals
 
 
@@ -157,28 +157,38 @@ class TestPurge:
 
 
 class TestLockTable:
+    # The table's one-owner release is the seal over ``forget_owner``:
+    # MVTLStore.acquire indexes the owner, MVTLStore.seal ends it per key.
+
     def test_owner_key_tracking_and_release_all(self):
-        table = LockTable()
-        table.try_acquire("t1", "a", LockMode.READ, iv(1, 2))
-        table.try_acquire("t1", "b", LockMode.WRITE, iv(1, 2))
+        store = MVTLStore()
+        table = store.locks
+        store.acquire("t1", "a", LockMode.READ, iv(1, 2))
+        store.acquire("t1", "b", LockMode.WRITE, iv(1, 2))
         assert table.keys_of("t1") == {"a", "b"}
-        table.release_all_unfrozen("t1")
+        for key in table.forget_owner("t1"):
+            store.seal("t1", key)
         assert table.held("t1", "a", LockMode.READ).is_empty
         assert table.held("t1", "b", LockMode.WRITE).is_empty
+        assert table.owners() == []
 
     def test_release_all_keeps_frozen(self):
-        table = LockTable()
-        table.try_acquire("t1", "a", LockMode.WRITE, iv(1, 5))
+        store = MVTLStore()
+        table = store.locks
+        store.acquire("t1", "a", LockMode.WRITE, iv(1, 5))
         table.freeze("t1", "a", LockMode.WRITE, TsInterval.point(T(3)))
-        table.release_all_unfrozen("t1")
-        assert table.held("t1", "a", LockMode.WRITE) == IntervalSet.point(T(3))
+        for key in table.forget_owner("t1"):
+            store.seal("t1", key)
+        assert (table.peek("a").sealed_write_ranges()
+                == IntervalSet.point(T(3)))
 
     def test_record_count(self):
-        table = LockTable()
+        store = MVTLStore()
+        table = store.locks
         assert table.total_record_count() == 0
-        table.try_acquire("t1", "a", LockMode.READ, iv(1, 2))
-        table.try_acquire("t2", "a", LockMode.READ, iv(5, 6))
-        table.try_acquire("t1", "b", LockMode.WRITE, iv(1, 2))
+        store.acquire("t1", "a", LockMode.READ, iv(1, 2))
+        store.acquire("t2", "a", LockMode.READ, iv(5, 6))
+        store.acquire("t1", "b", LockMode.WRITE, iv(1, 2))
         assert table.total_record_count() == 3
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.core.intervals import TsInterval
 from repro.core.locks import LockMode, LockTable
 from repro.core.timestamp import Timestamp
+from repro.core.versions import MVTLStore
 from tests.core import lock_model
 
 KEYS = ["k0", "k1", "k2", "k3"]
@@ -42,16 +43,17 @@ bounds = st.one_of(
 
 def build(sequence):
     """One LockTable and one reference state per key, in lockstep."""
-    table = LockTable()
+    store = MVTLStore()
+    table = store.locks
     model = {}
     for op, key, owner, mode, span in sequence:
         ref = model.setdefault(key, lock_model.KeyLockState())
         if op == "acquire":
-            table.try_acquire(owner, key, mode, span)
+            store.acquire(owner, key, mode, span)
             ref.try_acquire(owner, mode, span)
         elif op == "acquire_direct":
-            # As the servers do: through the key's state, and (here) with
-            # no note_owner — the sweep must not depend on the owner index.
+            # Through the key's state with no note_owner: the sweep must
+            # not depend on the owner index.
             table.state(key).try_acquire(owner, mode, span)
             ref.try_acquire(owner, mode, span)
         elif op == "freeze":
@@ -98,11 +100,11 @@ def test_table_purge_equals_the_per_key_loop(sequence, purges):
 
 
 def test_a_purge_that_empties_a_key_keeps_the_key():
-    table = LockTable()
-    table.try_acquire("t1", "gone", LockMode.READ,
-                      TsInterval.closed(T(1), T(5)))
+    store = MVTLStore()
+    table = store.locks
+    store.acquire("t1", "gone", LockMode.READ, TsInterval.closed(T(1), T(5)))
     table.state("gone").seal("t1", keep_all_reads=True)
-    table.try_acquire("t2", "stays", LockMode.WRITE, TsInterval.point(T(30)))
+    store.acquire("t2", "stays", LockMode.WRITE, TsInterval.point(T(30)))
     assert table.purge_below(
         TsInterval.closed_open(T(float("-inf")), T(10))) == 1
     assert table.peek("gone").is_empty

@@ -1,7 +1,7 @@
 """Rule-based differential testing of the freezable lock table.
 
-Hypothesis drives arbitrary acquire / probe+grant / freeze / release /
-seal / purge sequences — and the servers' one-call request entry points —
+Hypothesis drives arbitrary acquire / grant / freeze / release / seal /
+purge sequences — and the servers' one-call request entry points —
 against two lock states in lockstep — the
 object-level reference model (``tests/core/lock_model.py``, the
 implementation as it stood before the flat-quad rewrite) and
@@ -79,6 +79,11 @@ def _outcome(call, state):
     return out
 
 
+def _flat(span):
+    """A drawn span as the flat quads ``seal`` takes; ``()`` for none."""
+    return () if span is None else span.flat
+
+
 def make_machine(max_value: int, presealed: int = 0):
     """Build the lockstep machine over ``[0, max_value]``; ``presealed``
     disjoint sealed records are laid down before the first rule."""
@@ -125,10 +130,16 @@ def make_machine(max_value: int, presealed: int = 0):
 
         @rule(owner=owners, mode=modes, want=spans)
         def acquire(self, owner, mode, want):
-            self.both(lambda s: s.try_acquire(owner, mode, want))
+            results = []
+
+            def call(state):
+                results.append(state.try_acquire(owner, mode, want))
+                return results[-1]
+
+            self.both(call)
             # What the servers reply with: after an acquire the owner's
             # hold inside the request is exactly the range reported.
-            got = self.impl.lockable(owner, mode, want).acquired
+            got = results[-1].acquired
             assert self.impl.held(owner, mode).intersect(want) == got
 
         @rule(owner=owners, mode=modes, want=spans, wait=st.booleans(),
@@ -154,10 +165,10 @@ def make_machine(max_value: int, presealed: int = 0):
                                                wait))
 
         @rule(owner=owners, span=spans)
-        def mirror_frozen_read(self, owner, span):
+        def mirror_read(self, owner, span):
             self.both_ways(
-                lambda m: lock_model.hold_frozen_read(m, owner, span),
-                lambda i: i.hold_frozen_read(owner, span))
+                lambda m: lock_model.hold_read(m, owner, span),
+                lambda i: i.hold_read(owner, span))
 
         @rule(ts=stamps)
         def snapshot_guard(self, ts):
@@ -166,10 +177,18 @@ def make_machine(max_value: int, presealed: int = 0):
                 lambda i: i.unfrozen_write_at_or_below(ts))
 
         @rule(owner=owners, mode=modes, want=spans)
-        def probe_then_grant(self, owner, mode, want):
-            self.both(lambda s: s.lockable(owner, mode, want))
+        def grant(self, owner, mode, want):
+            # ``grant`` records a range its caller knows is free: here, the
+            # model's dry run of the acquire.
             granted = self.model.lockable(owner, mode, want).acquired
             self.both(lambda s: s.grant(owner, mode, granted))
+
+        @rule(owner=owners)
+        def unfrozen_writes(self, owner):
+            self.both_ways(
+                lambda m: m.held(owner, LockMode.WRITE).subtract(
+                    m.frozen(owner, LockMode.WRITE)),
+                lambda i: i.unfrozen_writes(owner))
 
         @rule(owner=owners, mode=modes, span=spans)
         def freeze(self, owner, mode, span):
@@ -183,9 +202,14 @@ def make_machine(max_value: int, presealed: int = 0):
         def release_unfrozen(self, owner):
             self.both(lambda s: s.release_unfrozen(owner))
 
-        @rule(owner=owners, keep=st.booleans())
-        def seal(self, owner, keep):
-            self.both(lambda s: s.seal(owner, keep_all_reads=keep))
+        @rule(owner=owners, keep=st.booleans(),
+              read_span=st.none() | spans, write_span=st.none() | spans)
+        def seal(self, owner, keep, read_span, write_span):
+            self.both_ways(
+                lambda m: lock_model.seal_with_spans(m, owner, read_span,
+                                                     write_span, keep),
+                lambda i: i.seal(owner, _flat(read_span),
+                                 _flat(write_span), keep))
 
         @rule(lo=st.integers(0, max_value),
               width=st.one_of(st.integers(0, 3), st.integers(0, max_value)))

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro.core.intervals import TsInterval
 from repro.core.locks import KeyLockState, LockMode, LockTable
 from repro.core.timestamp import Timestamp
-from repro.core.versions import VersionStore
+from repro.core.versions import MVTLStore, VersionStore
 from tests.core import lock_model
 
 KEYS = ["k0", "k1", "k2", "k3"]
@@ -74,7 +74,8 @@ def assert_same(table, held, model):
 @settings(max_examples=200)
 @given(lock_steps)
 def test_the_lock_walk_equals_the_all_keys_walk(sequence):
-    table = LockTable()
+    store = MVTLStore()
+    table = store.locks
     model = {key: lock_model.KeyLockState() for key in KEYS}
     # One reference per key, taken before anything happened and used for
     # the whole run, purges included.
@@ -93,11 +94,10 @@ def test_the_lock_walk_equals_the_all_keys_walk(sequence):
                 state.try_acquire(owner, mode, span)
                 ref.try_acquire(owner, mode, span)
             elif op == "acquire_via_table":
-                table.try_acquire(owner, key, mode, span)
+                store.acquire(owner, key, mode, span)
                 ref.try_acquire(owner, mode, span)
-            elif op == "grant":
-                grant = state.lockable(owner, mode, span).acquired
-                assert grant == ref.lockable(owner, mode, span).acquired
+            elif op == "grant":  # a range the caller knows is free
+                grant = ref.lockable(owner, mode, span).acquired
                 state.grant(owner, mode, grant)
                 ref.grant(owner, mode, grant)
             elif op == "freeze":
@@ -167,20 +167,22 @@ def test_a_trimmed_record_starts_just_above_the_bound():
 def test_the_walk_holds_only_states_with_locks():
     """No walk before the first sweep; after it, states a read creates
     but never locks are not walked at all."""
-    table = LockTable()
+    store = MVTLStore()
+    table = store.locks
     for i in range(3):
         table.state(f"k{i}")
-    table.try_acquire("t1", "k1", LockMode.WRITE, TsInterval.point(T(3)))
+    store.acquire("t1", "k1", LockMode.WRITE, TsInterval.point(T(3)))
     assert table._walk is None and table.total_record_count() == 1
     below = TsInterval.closed_open(T(INF), T(1))
     assert table.purge_below(below) == 0
     assert list(table._walk) == [table.peek("k1")]
     for i in range(3, 6):
         table.state(f"k{i}")
-    table.try_acquire("t2", "k4", LockMode.READ, TsInterval.point(T(4)))
+    store.acquire("t2", "k4", LockMode.READ, TsInterval.point(T(4)))
     assert list(table._walk) == [table.peek("k1"), table.peek("k4")]
-    table.release_all_unfrozen("t1")
-    table.release_all_unfrozen("t2")
+    for owner in ("t1", "t2"):
+        for key in table.forget_owner(owner):
+            store.seal(owner, key)
     assert table.purge_below(below) == 0
     assert list(table._walk) == [] and table.total_record_count() == 0
 
