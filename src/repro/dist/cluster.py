@@ -375,8 +375,9 @@ class ClusterConfig:
     chaos: ChaosConfig | None = None
     #: Client RPC timeout (first attempt; backoff doubles it per retry).
     rpc_timeout: float = 5.0
-    #: Client RPC retries (same req_id; servers dedup).  Keep 0 on a
-    #: perfect network — with loss, 2-3 attempts ride out most drops.
+    #: Client RPC retries (same req_id; servers dedup, and keep their
+    #: request log only when this is > 0 or a link duplicates).  Keep 0 on
+    #: a perfect network — with loss, 2-3 attempts ride out most drops.
     rpc_retries: int = 0
     #: Bound on each server's request queue (None = unbounded, the
     #: pre-overload-control behaviour).  When full, the newest normal-class
@@ -625,6 +626,10 @@ def _run_cluster(config: ClusterConfig) -> ClusterResult:
     fault_rng = rngs.stream() if config.faults is not None else None
     net = Network(sim, config.profile.latency, rngs.stream(),
                   fault_rng=fault_rng)
+    # Only a client retry re-sends a request; a duplicating fault model
+    # switches the flag back on.  Set before any server is built: servers
+    # keep a request-dedup log only when it holds (DESIGN.md §5b).
+    net.redelivers = config.rpc_retries > 0
     if config.faults is not None:
         net.set_default_faults(config.faults)
     chaos_on = _crash_chaos(config)

@@ -107,9 +107,11 @@ class _ServerBase:
     #: exact-type dict lookup per request instead of an isinstance chain.
     _HANDLERS: dict[type, str] = {}
 
-    #: Bound on the request-dedup log.  Entries are only needed while a
-    #: client might still retry the request — a few RPC timeouts — so FIFO
-    #: eviction of the oldest entries is safe at any realistic rate.
+    #: Bound on the request-dedup log, kept only when the network can
+    #: deliver a request twice (``Network.redelivers``).  Entries are only
+    #: needed while a retry or a duplicate copy can still arrive — a few
+    #: RPC timeouts — so FIFO eviction of the oldest entries is safe at any
+    #: realistic rate.
     _REQ_LOG_MAX = 8192
 
     def __init__(self, sim: Simulator, net: Network, server_id: Hashable,
@@ -131,7 +133,12 @@ class _ServerBase:
         #: Bumped on every restart; stamped on MVTL replies (epoch fencing).
         self.epoch = 0
         #: (client, req_id) -> _IN_PROGRESS | cached Reply.  Makes request
-        #: handling idempotent under client retry and link duplication.
+        #: handling idempotent under client retry and link duplication, so
+        #: it is kept only when ``_dedup`` is set: the network can deliver
+        #: a request twice (``Network.redelivers``, read once here; a wire
+        #: without the flag counts as one that can).  Otherwise it stays
+        #: empty and a request costs no log work (DESIGN.md §5b).
+        self._dedup = getattr(net, "redelivers", True)
         self._req_log: OrderedDict[tuple, Any] = OrderedDict()
         self._parked: dict[Hashable, list[Any]] = {}
         #: Park time per waiting request (messages are frozen dataclasses,
@@ -246,13 +253,14 @@ class _ServerBase:
     # -- request dedup -----------------------------------------------------
 
     def _on_request(self, msg: Any) -> None:
-        """Queue handler: dedup by (client, req_id), then dispatch."""
+        """Queue handler: dedup by (client, req_id) if a request can
+        arrive twice, then dispatch."""
         if self.crashed:
             return  # a crashed CPU finishes nothing
         if msg.__class__ is _Resubmit:
             self._handle(msg.req)
             return
-        if msg.is_request:
+        if self._dedup and msg.is_request:
             key = (msg.client, msg.req_id)
             prior = self._req_log.get(key)
             if prior is not None:
@@ -270,9 +278,10 @@ class _ServerBase:
         self._handle(msg)
 
     def _reply(self, req: Request, reply: Reply) -> None:
-        key = (req.client, req.req_id)
-        if key in self._req_log:
-            self._req_log[key] = reply
+        if self._dedup:
+            key = (req.client, req.req_id)
+            if key in self._req_log:
+                self._req_log[key] = reply
         self.net.send(req.client, reply, src=self.server_id)
 
     def _park(self, key: Hashable, req: Any) -> None:
@@ -418,10 +427,10 @@ class MVTLServer(_ServerBase):
             self._state_refresh_at = 0
         self.snapshot_dirty = True
         super().restart()
-        if self.durable is not None:
+        if self.durable is not None and self._dedup:
             # Re-derive dedup decisions for committed transactions: their
             # requests were applied pre-crash even though the reply cache
-            # is gone (satellite (a) — the volatile-dedup-cache bug).
+            # is gone (the volatile-dedup-cache bug).
             for pair in self._durable_dedup:
                 self._req_log[pair] = _APPLIED
 

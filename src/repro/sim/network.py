@@ -147,6 +147,12 @@ class Network:
         #: True once any fault model is installed; the fault-free send path
         #: checks this single flag instead of doing a per-message lookup.
         self._have_faults = False
+        #: Can a message reach its destination twice?  Servers read this
+        #: when they are built and keep a request-dedup log only if it
+        #: holds.  True unless the owner knows better: ``run_cluster``
+        #: clears it for a run whose clients never retry, and installing a
+        #: fault model that duplicates sets it again.
+        self.redelivers = True
         self.messages_sent = 0
         self.messages_lost = 0
         self.messages_duplicated = 0
@@ -154,8 +160,20 @@ class Network:
 
     # -- fault model -------------------------------------------------------
 
+    def _note_duplicates(self, faults: LinkFaults | None) -> None:
+        """Switch ``redelivers`` on for a model that duplicates.  Nodes
+        already attached read the flag when built, so switching it on
+        under them is refused rather than left unseen."""
+        if faults is None or not faults.duplicate or self.redelivers:
+            return
+        if self._nodes:
+            raise ValueError("a duplicating fault model needs redelivers "
+                             "set before any node is attached")
+        self.redelivers = True
+
     def set_default_faults(self, faults: LinkFaults | None) -> None:
         """Apply ``faults`` to every link without a per-link override."""
+        self._note_duplicates(faults)
         self._default_faults = faults
         self._have_faults = (self._default_faults is not None
                              or bool(self._link_faults))
@@ -163,20 +181,13 @@ class Network:
     def set_link_faults(self, src: Hashable, dst: Hashable,
                         faults: LinkFaults | None) -> None:
         """Apply ``faults`` to the directed link ``src -> dst`` only."""
+        self._note_duplicates(faults)
         if faults is None:
             self._link_faults.pop((src, dst), None)
         else:
             self._link_faults[(src, dst)] = faults
         self._have_faults = (self._default_faults is not None
                              or bool(self._link_faults))
-
-    def _faults_for(self, src: Hashable | None,
-                    dst: Hashable) -> LinkFaults | None:
-        if self._link_faults:
-            faults = self._link_faults.get((src, dst))
-            if faults is not None:
-                return faults
-        return self._default_faults
 
     # -- membership --------------------------------------------------------
 
@@ -245,13 +256,19 @@ class Network:
             heappush(sim._heap,
                      (now + (arrival - now), seq, self._deliver, (dst, msg)))
             return
-        faults = self._faults_for(src, dst)
+        # Faulted path, inlined like the fast path above: the link's
+        # model (a per-link override, else the default), up to three
+        # uniform draws served from the pool by index, each made only if
+        # its probability is set (a lost message consumes exactly one),
+        # and the latency draw between the duplicate and the spike draws —
+        # on a shared stream that order is the stream's order.
+        faults = self._default_faults
+        if self._link_faults:
+            faults = self._link_faults.get((src, dst), faults)
         duplicated = False
-        if faults is not None and faults.any:
-            # Up to three uniform draws per message, each made only if its
-            # probability is set and served from the pool by index (a
-            # helper call per draw costs more than the draw).  A lost
-            # message consumes exactly one.
+        faulty = faults is not None and (faults.loss or faults.duplicate
+                                        or faults.delay_spike)
+        if faulty:
             pool = self._fault_pool
             i = self._fault_i
             if faults.loss:
@@ -267,9 +284,18 @@ class Network:
                     pool, i = self._refill_fault_pool(), 0
                 i += 1
                 duplicated = pool[i - 1] < faults.duplicate
-            # The latency draw sits between the duplicate and the spike
-            # draws: on a shared stream that order is the stream's order.
-            delay = self._next_latency()
+        if self._fault_rng is None:
+            delay = float(self._rng.lognormal(self._lat_mu, self._lat_sigma))
+        else:
+            j = self._lat_i
+            lat = self._lat_pool
+            if j >= len(lat):
+                lat = self._lat_pool = self._rng.lognormal(
+                    self._lat_mu, self._lat_sigma, LAT_POOL).tolist()
+                j = 0
+            self._lat_i = j + 1
+            delay = lat[j]
+        if faulty:
             if faults.delay_spike:
                 if i >= len(pool):
                     pool, i = self._refill_fault_pool(), 0
@@ -278,22 +304,27 @@ class Network:
                     self.delay_spikes += 1
                     delay *= faults.spike_factor
             self._fault_i = i
-        else:
-            delay = self._next_latency()
-        arrival = self.sim.now + delay
+        now = sim.now
+        arrival = now + delay
         if src is not None:
             conn = (src, dst)
             prev = self._last_arrival.get(conn, 0.0)
             if arrival < prev:
                 arrival = prev  # FIFO: do not overtake the previous message
             self._last_arrival[conn] = arrival
-        self.sim.schedule(arrival - self.sim.now, self._deliver, dst, msg)
+        # Inlined sim.schedule(arrival - now, ...), as on the fast path.
+        seq = sim._seq
+        heappush(sim._heap,
+                 (now + (arrival - now), seq, self._deliver, (dst, msg)))
         if duplicated:
             # The duplicate rides outside the FIFO floor: it models a
             # retransmitted datagram and may overtake later sends.
             self.messages_duplicated += 1
-            extra = self._next_latency()
-            self.sim.schedule(extra, self._deliver, dst, msg)
+            seq += 1
+            heappush(sim._heap,
+                     (now + self._next_latency(), seq, self._deliver,
+                      (dst, msg)))
+        sim._seq = seq + 1
 
     def _refill_fault_pool(self) -> list[float]:
         """The next block of uniform fault draws: FAULT_POOL of them from
@@ -308,13 +339,14 @@ class Network:
         return pool
 
     def _next_latency(self) -> float:
-        """One lognormal latency draw, pooled when the pool is sound.
+        """One lognormal latency draw on the faulted path, pooled when the
+        pool is sound.
 
         Fault probability draws share the latency stream only when no
         dedicated ``fault_rng`` was given; block-sampling would then reorder
         the interleaved draws, so that configuration samples singly.
         """
-        if self._have_faults and self._fault_rng is None:
+        if self._fault_rng is None:
             return float(self._rng.lognormal(self._lat_mu, self._lat_sigma))
         i = self._lat_i
         pool = self._lat_pool

@@ -155,6 +155,35 @@ class TestNetworkFaults:
         assert net._last_arrival[("b", "c")] == 1.0
 
 
+class TestRedelivers:
+    """``Network.redelivers``: whether a message can arrive twice, the fact
+    servers read when built to decide on a request-dedup log."""
+
+    def test_a_network_redelivers_unless_told_otherwise(self):
+        _sim, net = make_net()
+        assert net.redelivers
+        net.set_default_faults(LinkFaults(loss=0.5))
+        assert net.redelivers
+
+    def test_a_duplicating_model_switches_it_back_on(self):
+        for install in (lambda net, f: net.set_default_faults(f),
+                        lambda net, f: net.set_link_faults("s", "d", f)):
+            _sim, net = make_net()
+            net.redelivers = False
+            install(net, LinkFaults(loss=0.5, delay_spike=0.1))
+            assert not net.redelivers
+            install(net, LinkFaults(duplicate=0.01))
+            assert net.redelivers
+
+    def test_switching_on_under_attached_nodes_is_refused(self):
+        _sim, net = make_net()
+        net.redelivers = False
+        net.register("server", lambda m: None)
+        with pytest.raises(ValueError, match="redelivers"):
+            net.set_default_faults(LinkFaults(duplicate=0.1))
+        assert not net.redelivers and not net._have_faults
+
+
 class TestPooledFaultDraws:
     """Fault probabilities are drawn a block at a time from the dedicated
     stream.  The reference below is the unpooled network written out: one
